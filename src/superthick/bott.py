@@ -44,10 +44,6 @@ def bott_dim(n: int, p: int, q: int, k: int) -> int:
     return 0
 
 
-def bott_dim_query(query: BottQuery) -> int:
-    return bott_dim(query.n, query.p, query.q, query.k)
-
-
 def line_dim(n: int, q: int, k: int) -> int:
     """h^q(P^n, O(k))."""
     return bott_dim(n, 0, q, k)

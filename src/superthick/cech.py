@@ -18,6 +18,13 @@ homogeneous coordinates), the coboundary preserves the character, and each
 character pins down at most one monomial per simplex, summand and component.
 Coboundary equations therefore split into small exact linear systems, one per
 character, and solving them is complete: no truncation window enters.
+
+The block matrices of those systems come from an exponent-level slot
+transport (``Cover.transport``): moving one monomial between charts is an
+integer matrix on its exponents, a twist-scaled line-factor vector, and one
+offset and constant per output component.  ``delta_block_matrix`` fills each
+column from it directly; ``coboundary`` and ``represent`` remain the generic
+path for whole cochains.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ class Cover:
         self.charts = tuple(range(n + 1))
         self._transitions: dict[tuple[int, int], ChartMap] = {}
         self._jacobians: dict[tuple[int, int], list[list[LaurentPoly]]] = {}
+        self._transport: dict[tuple[str, int, int, int], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
@@ -79,6 +87,52 @@ class Cover:
         if a != b:
             exps[self.var_pos(b, a)] = k
         return LaurentPoly.monomial(self.n, exps)
+
+    def transport(self, kind: str, a: int, b: int, comp: int) -> tuple:
+        """Exponent-level form of ``represent`` a -> b on one slot component.
+
+        Returns (rows, line, outputs).  A chart-a monomial c * x^e in input
+        component ``comp`` of a summand twisted by t re-presents in chart b as
+        the sum over (mu, offset, coef) in outputs of
+        c * coef * x^(sum_i e_i rows[i] + t line + offset) in component mu.
+        rows are the exponent vectors of transition(b, a), line that of
+        line_factor(a, b, 1), and each output is one entry of the pulled-back
+        jacobian(a, b) (tangent) or of jacobian(b, a) (one-forms).
+        """
+        key = (kind, a, b, comp)
+        if key in self._transport:
+            return self._transport[key]
+        n = self.n
+        zero = (0,) * n
+        if a == b:
+            rows = tuple(tuple(int(i == t) for t in range(n)) for i in range(n))
+            entry = (rows, zero, ((comp, zero, Fraction(1)),))
+        else:
+            f_ba = self.transition(b, a)
+            rows = []
+            for part in f_ba.components:
+                (exps, coef), = part.terms.items()
+                if coef != 1:
+                    raise AssertionError(f"transition {b}->{a} is not a unit monomial map")
+                rows.append(exps)
+            (line, _), = self.line_factor(a, b, 1).terms.items()
+            if kind == LINE_SUM:
+                factors = [LaurentPoly.one(n)]
+            elif kind == TANGENT:
+                jac = self.jacobian(a, b)
+                factors = [f_ba.apply(jac[mu][comp]) for mu in range(n)]
+            else:
+                jac = self.jacobian(b, a)
+                factors = [jac[comp][mu] for mu in range(n)]
+            outputs = []
+            for mu, factor in enumerate(factors):
+                if len(factor.terms) > 1:
+                    raise AssertionError(f"jacobian entry {factor} is not a monomial")
+                for exps, coef in factor.terms.items():
+                    outputs.append((mu, exps, coef))
+            entry = (tuple(rows), line, tuple(outputs))
+        self._transport[key] = entry
+        return entry
 
     def simplices(self, q: int) -> list[tuple[int, ...]]:
         return [tuple(s) for s in itertools.combinations(self.charts, q + 1)]
@@ -441,18 +495,40 @@ def delta_block_matrix(
 
     Returns (domain slots, codomain slots, matrix) with matrix[row][col]
     giving the codomain coefficient of the image of the col-th domain slot.
+    Each column is the coboundary of one unit monomial: for every
+    (degree+1)-simplex containing the slot's simplex, the slot is transported
+    from the face's chart to the simplex's chart by ``Cover.transport``, with
+    sign (-1)^j for the added vertex at position j.
     """
+    cover = spec.cover
+    n = cover.n
+    twist = spec.twists[summand]
     dom = char_basis(spec, degree, summand, g)
     cod = char_basis(spec, degree + 1, summand, g)
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
+    bigs = cover.simplices(degree + 1)
     for col, slot in enumerate(dom):
-        image = coboundary(cochain_from_slot(spec, degree, slot))
-        for (s, gg), coeffs in cochain_chars(image).items():
-            if (s, gg) != (summand, g):
-                raise AssertionError("coboundary failed to preserve the character")
-            for cslot, coef in coeffs.items():
-                mat[index[cslot]][col] = coef
+        face = slot.simplex
+        for big in bigs:
+            added = [pos for pos, v in enumerate(big) if v not in face]
+            if len(added) != 1:
+                continue
+            sign = -1 if added[0] % 2 else 1
+            rows, line, outputs = cover.transport(spec.kind, face[0], big[0], slot.comp)
+            base = [twist * line[t] for t in range(n)]
+            for e, row in zip(slot.exps, rows):
+                for t in range(n):
+                    base[t] += e * row[t]
+            for mu, offset, coef in outputs:
+                exps = tuple(base[t] + offset[t] for t in range(n))
+                if monomial_char(spec, big[0], summand, mu, exps) != g:
+                    raise AssertionError("coboundary failed to preserve the character")
+                image = BasisSlot(big, summand, mu, exps)
+                row = index.get(image)
+                if row is None:
+                    raise AssertionError(f"coboundary image {image} is not a codomain slot")
+                mat[row][col] += sign * coef
     return dom, cod, mat
 
 

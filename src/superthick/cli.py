@@ -31,7 +31,7 @@ def default_window() -> int:
             hi = abs(int(raw))
             lo = -hi
         except ValueError as err:
-            raise SystemExit(f"bad SUPERTHICK_WINDOW: {raw!r}") from err
+            raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r}") from err
     return max(abs(lo), abs(hi))
 
 
@@ -135,9 +135,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_pushforward(args) -> int:
     degrees = parse_degrees(args.degrees)
-    report = pipeline_obstructed_cp2(degrees.degrees, window=args.window, space=args.space)
+    window = default_window() if args.window is None else args.window
+    report = pipeline_obstructed_cp2(degrees.degrees, window=window, space=args.space)
     payload = {"command": "pushforward", "inputs": {"degrees": list(degrees.degrees),
-               "window": args.window, "space": args.space}, "outputs": report,
+               "window": window, "space": args.space}, "outputs": report,
                "exact": report.get("exact", True)}
     human = [f"status: {report['status']}"]
     if "classes" in report:
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pushforward", cmd_pushforward,
             help="end-to-end obstructedness certificate for split degrees")
     p.add_argument("--degrees", required=True, help="k1,k2,k3")
-    p.add_argument("--window", type=int, default=default_window())
+    p.add_argument("--window", type=int, default=None,
+                   help="character window (default: SUPERTHICK_WINDOW, else 10)")
     p.add_argument("--space", choices=("P1", "P2"), default="P2")
 
     p = add("sufficient-l", cmd_sufficient_l,

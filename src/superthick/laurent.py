@@ -91,10 +91,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
-        """Coefficient of the zero exponent vector."""
-        return self.terms.get(tuple([0] * self.dim), Fraction(0))
-
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -213,7 +209,9 @@ class LaurentPoly:
         """Substitute ``parts[i]`` for variable ``i``.
 
         Negative exponents require the corresponding part to be an invertible
-        monomial (true for all standard projective transition maps).
+        monomial (true for all standard projective transition maps).  When
+        every part is a monomial, each term maps to a single monomial and no
+        powers are formed.
         """
         if len(parts) != self.dim:
             raise ValueError("wrong number of substituted components")
@@ -223,6 +221,28 @@ class LaurentPoly:
         for p in parts:
             if p.dim != tdim:
                 raise ValueError("substituted components disagree on dimension")
+        if all(len(p.terms) == 1 for p in parts):
+            # monomial parts c_i x^(e_i): x^k goes to prod c_i^k_i x^(sum k_i e_i)
+            monos = [next(iter(p.terms.items())) for p in parts]
+            terms: dict[tuple, Fraction] = {}
+            for e, c in self.terms.items():
+                ne = [0] * tdim
+                for k, (pe, pc) in zip(e, monos):
+                    if k:
+                        for t in range(tdim):
+                            ne[t] += k * pe[t]
+                        if pc != 1:
+                            c = c * pc**k
+                ne = tuple(ne)
+                s = terms.get(ne, Fraction(0)) + c
+                if s == 0:
+                    terms.pop(ne, None)
+                else:
+                    terms[ne] = s
+            out = LaurentPoly.__new__(LaurentPoly)
+            object.__setattr__(out, "dim", tdim)
+            object.__setattr__(out, "terms", terms)
+            return out
         # cache powers per variable
         pow_cache: list[dict[int, LaurentPoly]] = [
             {0: LaurentPoly.one(tdim)} for _ in range(self.dim)

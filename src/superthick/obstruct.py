@@ -173,7 +173,8 @@ def sufficient_l_nonsplit(k_prime: int) -> ThresholdCertificate:
     # condition 1: the O(k') summand of Lambda^2 E contributes
     # h^1(T(-3)) = h^1(Omega^1(0)) = 1, independent of l
     w1 = tangent_dim(2, 1, -3)
-    assert w1 == bott_dim(2, 1, 1, 0) == 1
+    if not w1 == bott_dim(2, 1, 1, 0) == 1:
+        raise AssertionError("h1(T(-3)) = h1(Omega^1(0)) = 1 failed")
     parts.append(
         {
             "condition": 1,
@@ -188,7 +189,8 @@ def sufficient_l_nonsplit(k_prime: int) -> ThresholdCertificate:
     # h^0(Omega^1 tensor F(-l)) >= h^0(Omega^1(-l)), nonzero iff -l >= 2
     l0 = -2
     w2 = bott_dim(2, 1, 0, -l0)
-    assert w2 > 0 and bott_dim(2, 1, 0, -(l0 + 1)) == 0
+    if not (w2 > 0 and bott_dim(2, 1, 0, -(l0 + 1)) == 0):
+        raise AssertionError(f"h0(Omega^1(-l)) is not nonzero exactly up to l = {l0}")
     parts.append(
         {
             "condition": 2,
@@ -202,7 +204,8 @@ def sufficient_l_nonsplit(k_prime: int) -> ThresholdCertificate:
     # condition 3: E-dual(deg E) contains O(-l)(k'+l) = O(-3), whose h^2 is 1
     # independent of l
     w3 = line_dim(2, 2, -3)
-    assert w3 == 1
+    if w3 != 1:
+        raise AssertionError("h2(O(-3)) = 1 failed")
     parts.append(
         {
             "condition": 3,

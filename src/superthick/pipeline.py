@@ -41,7 +41,8 @@ def class_coordinates(gamma: Cochain) -> tuple[list, list]:
     remainder = gamma
     for (s, g), coef in harmonic.items():
         slots = cech.char_basis(spec, 2, s, g)
-        assert len(slots) == 1
+        if len(slots) != 1:
+            raise AssertionError(f"harmonic character {g} has {len(slots)} slots, not one")
         remainder = remainder - cech.cochain_from_slot(spec, 2, slots[0], coef)
     sol, cert = cech.solve_coboundary(remainder)
     if sol is None:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec, represent, section_zero
-from .exterior import GrassmannElement, substitute_nilpotent
+from .exterior import GrassmannElement, sort_index_tuple, substitute_nilpotent
 from .laurent import ChartMap, LaurentPoly
 
 
@@ -76,10 +76,6 @@ class SuperMap:
     def body_map(self) -> ChartMap:
         """Underlying degree-0 chart transition."""
         return ChartMap([g.body() for g in self.even])
-
-    def degree_slot(self, d: int) -> list[GrassmannElement]:
-        comps = self.even if d % 2 == 0 else self.odd
-        return [g.degree_part(d) for g in comps]
 
 
 def identity_map(chart: int, p: int, q: int, order: int) -> SuperMap:
@@ -474,8 +470,6 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
                         continue
                     word = tuple(I) + (a,)
                     target_I = tuple(sorted(word))
-                    from .exterior import sort_index_tuple
-
                     _, sign = sort_index_tuple(word)
                     sidx = spec.labels.index((target_I, a))
                     contrib = coef.scale(-sign) * zeta(cover, degrees, i, k, a).invert()

@@ -138,6 +138,21 @@ def test_window_env_override(monkeypatch):
     assert default_window() == 10
 
 
+def test_window_env_read_only_by_pushforward(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERTHICK_WINDOW", "abc")
+    code, out, _ = run(capsys, "bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0")
+    assert code == 0 and out.strip() == "1"
+    code, out, err = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
+    assert code == 2 and out == ""
+    assert "SUPERTHICK_WINDOW" in err
+    argv = ["pushforward", "--degrees", "3,0,-6", "--space", "P1", "--json"]
+    code, out, _ = run(capsys, *argv, "--window", "3")
+    assert code == 1 and json.loads(out)["inputs"]["window"] == 3
+    monkeypatch.setenv("SUPERTHICK_WINDOW", "-5,5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and json.loads(out)["inputs"]["window"] == 5
+
+
 def test_json_output_is_byte_stable(capsys):
     _, out1, _ = run(capsys, "check-lemma71", "--degrees", "3,0,-6", "--json")
     _, out2, _ = run(capsys, "check-lemma71", "--degrees", "3,0,-6", "--json")
