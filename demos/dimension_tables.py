@@ -37,7 +37,7 @@ def main():
     print("automorphism algebra, and h2(O(-3)) = 1: two boundary cases that a")
     print("common shorthand (h0 nonzero iff l > 2, h2 nonzero iff l < -3) misses.\n")
 
-    print("cross-check against the windowed Čech complex with Jacobian transport:")
+    print("cross-check against the Čech complex, one block per sign type, with Jacobian transport:")
     for l in (-3, 0):
         got = cech.windowed_dims(cech.tangent_twisted(cech.standard_cover(2), [l]), window=6)
         print(f"  T({l}): {got}")

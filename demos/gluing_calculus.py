@@ -20,7 +20,7 @@ def main():
 
     print("First-order extension classes for E = O(4) + O(-1) + O(-7):")
     h1 = cech.h1_representatives(spec, window=6)
-    print(f"  dim H^1 = {h1.dims[1]} (window certified: {h1.complete})")
+    print(f"  dim H^1 = {h1.dims[1]} (certified by the closed formula: {h1.complete})")
     omega = h1.representatives[1][0]
 
     t = sm.build_trivialization(cover, degrees, 2, {2: omega})

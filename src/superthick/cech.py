@@ -25,6 +25,16 @@ integer matrix on its exponents, a twist-scaled line-factor vector, and one
 offset and constant per output component.  ``delta_block_matrix`` fills each
 column from it directly; ``coboundary`` and ``represent`` remain the generic
 path for whole cochains.
+
+Cohomology is computed without scanning characters.  A slot of character g
+exists when each exponent g_l - adjust_l off the simplex is non-negative,
+with adjust_l in {-1, 0, 1}, and the transport coefficients ignore the
+exponents; so every block depends on g only through its sign type, each
+entry clamped to [-2, 1].  ``enumerate_chars`` solves one block per type and
+lists the concrete characters of the types that carry H^1 (finitely many,
+since cohomology is finite-dimensional); ``windowed_dims`` weighs each type's
+dimensions by its number of characters.  The window is only an optional cap
+on the characters listed, and the closed formulas cross-check every total.
 """
 
 from __future__ import annotations
@@ -696,25 +706,99 @@ def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
     return bott.bott_dim(n, 1, q, t)
 
 
-def enumerate_chars(spec: SheafSpec, summand: int, window: int):
-    """Characters with entries in [-window, window] on the summand's stratum."""
-    n = spec.cover.n
-    t = spec.twists[summand]
-    span = []
-    for g_rest in itertools.product(range(-window, window + 1), repeat=n):
-        g0 = t - sum(g_rest)
-        if -window <= g0 <= window:
-            span.append((g0,) + tuple(g_rest))
-    return span
+def _sign_types(n: int, twist: int):
+    """(sign type, representative character) for every feasible sign type.
+
+    A sign type clamps each entry of a character to [-2, 1]: the classes
+    <= -2, -1, 0 and >= 1.  Slot existence only compares entries with the
+    thresholds -1, 0 and 1, and the block matrices depend on the slots alone,
+    so every block is constant on a type.  Types whose entries cannot sum to
+    the twist are skipped; the representative moves the surplus onto the
+    first unbounded entry.
+    """
+    for sign_type in itertools.product((-2, -1, 0, 1), repeat=n + 1):
+        surplus = twist - sum(sign_type)
+        if surplus == 0:
+            yield sign_type, sign_type
+            continue
+        end = 1 if surplus > 0 else -2
+        if end not in sign_type:
+            continue
+        g = list(sign_type)
+        g[sign_type.index(end)] += surplus
+        yield sign_type, tuple(g)
+
+
+def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
+    """All characters of a sign type on the twist's stratum.
+
+    Finite exactly when every unbounded entry points the same way; a type
+    unbounded both ways raises, since the callers only list types that carry
+    cohomology, which is finite-dimensional.
+    """
+    up = [l for l, e in enumerate(sign_type) if e == 1]
+    down = [l for l, e in enumerate(sign_type) if e == -2]
+    if up and down:
+        raise AssertionError(f"sign type {sign_type} has infinitely many characters")
+    surplus = twist - sum(sign_type)
+    free, step = (up, 1) if surplus >= 0 else (down, -1)
+    if not free:
+        return [sign_type] if surplus == 0 else []
+    chars = []
+    for extra in _compositions(abs(surplus), len(free), 0):
+        g = list(sign_type)
+        for l, x in zip(free, extra):
+            g[l] += step * x
+        chars.append(tuple(g))
+    return chars
+
+
+def _in_window(g: Char, window: int) -> bool:
+    return all(-window <= e <= window for e in g)
+
+
+def _h1_block(spec: SheafSpec, summand: int, g: Char):
+    """(degree-1 slots, kernel vectors spanning H^1 of the block of g).
+
+    One rref of [image of delta0 | kernel of delta1] picks the kernel vectors
+    independent modulo the image: the pivots among the kernel columns.
+    """
+    dom, cod, mat = delta_block_matrix(spec, 1, summand, g)
+    if not dom:
+        return dom, []
+    kernel = linalg.kernel_basis(mat, len(dom))
+    if not kernel:
+        return dom, []
+    dom0, _, mat0 = delta_block_matrix(spec, 0, summand, g)
+    joined = [row + [vec[r] for vec in kernel] for r, row in enumerate(mat0)]
+    _, pivots = linalg.rref(joined)
+    return dom, [kernel[p - len(dom0)] for p in pivots if p >= len(dom0)]
+
+
+def enumerate_chars(spec: SheafSpec, summand: int, window: int) -> list[Char]:
+    """Candidate characters of one summand: those whose block has H^1.
+
+    H^1 is computed once per sign type; the concrete characters of the types
+    with classes are listed, capped to entries in [-window, window] and
+    ordered by g[1:].
+    """
+    twist = spec.twists[summand]
+    chars = []
+    for sign_type, g in _sign_types(spec.cover.n, twist):
+        if _h1_block(spec, summand, g)[1]:
+            chars.extend(c for c in _type_chars(sign_type, twist) if _in_window(c, window))
+    return sorted(chars, key=lambda g: g[1:])
 
 
 def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
     """Kernel-mod-image basis of the degree-1 complex, character by character.
 
-    The per-character blocks are complete; the window only bounds which
-    characters are visited.  The total is cross-checked against the closed
-    formula per summand, and a mismatch is reported as an incomplete window
-    rather than silently truncated.
+    The candidate characters come from ``enumerate_chars``, which solves one
+    block per sign type; no character window is scanned.  ``window`` only
+    caps the characters listed.  The total is cross-checked against the
+    closed formula per summand, and a shortfall (a cap that cuts off a
+    class) is reported as an incomplete window rather than silently
+    truncated.
     """
     reps: list[Cochain] = []
     dims_per_summand = []
@@ -722,29 +806,7 @@ def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
     for summand in range(spec.nsummands):
         found = 0
         for g in enumerate_chars(spec, summand, window):
-            dom, cod, mat = delta_block_matrix(spec, 1, summand, g)
-            if not dom:
-                continue
-            kernel = linalg.kernel_basis(mat, len(dom)) if cod else linalg.kernel_basis([], len(dom))
-            if not kernel:
-                continue
-            # image of delta0 inside the kernel
-            dom0, cod0, mat0 = delta_block_matrix(spec, 0, summand, g)
-            image_vecs = []
-            if dom0:
-                for col in range(len(dom0)):
-                    image_vecs.append([mat0[r][col] for r in range(len(cod0))])
-            # express kernel vectors modulo the image by row reduction
-            basis_rows = [v[:] for v in image_vecs]
-            picked = []
-            rk = linalg.rank(basis_rows) if basis_rows else 0
-            for vec in kernel:
-                trial = basis_rows + [vec]
-                new_rank = linalg.rank(trial)
-                if new_rank > rk:
-                    basis_rows = trial
-                    rk = new_rank
-                    picked.append(vec)
+            dom, picked = _h1_block(spec, summand, g)
             for vec in picked:
                 c = zero_cochain(spec, 1)
                 for slot, coef in zip(dom, vec):
@@ -762,29 +824,34 @@ def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
             f"window incomplete: found {total} classes, closed formula gives {expected_total}"
         )
     return CohomologyReport(
-        {1: total}, {1: reps}, "windowed-linear-algebra", complete, notes
+        {1: total}, {1: reps}, "sign-type-linear-algebra", complete, notes
     )
 
 
 def windowed_dims(spec: SheafSpec, window: int = 10) -> dict[int, int]:
-    """All cohomology dimensions of the windowed complex, by exact ranks.
+    """All cohomology dimensions of the complex, by exact ranks per sign type.
 
-    Valid whenever the window captures every contributing character; callers
-    cross-check against the closed formulas.
+    Each type contributes its per-degree dimension times the number of its
+    characters with entries in [-window, window]; callers cross-check
+    against the closed formulas.
     """
     n = spec.cover.n
     dims = {q: 0 for q in range(n + 1)}
-    for summand in range(spec.nsummands):
-        for g in enumerate_chars(spec, summand, window):
+    for summand, twist in enumerate(spec.twists):
+        for sign_type, g in _sign_types(n, twist):
             sizes = {}
             ranks = {}
             for q in range(n + 1):
                 dom, cod, mat = delta_block_matrix(spec, q, summand, g)
                 sizes[q] = len(dom)
                 ranks[q] = linalg.rank(mat) if dom and cod else 0
+            type_dims = {q: sizes[q] - ranks[q] - (ranks[q - 1] if q > 0 else 0)
+                         for q in range(n + 1)}
+            if not any(type_dims.values()):
+                continue
+            count = sum(_in_window(c, window) for c in _type_chars(sign_type, twist))
             for q in range(n + 1):
-                rank_in = ranks[q - 1] if q > 0 else 0
-                dims[q] += sizes[q] - ranks[q] - rank_in
+                dims[q] += type_dims[q] * count
     return dims
 
 

@@ -23,16 +23,17 @@ EXIT_USAGE = 2
 
 
 def default_window() -> int:
+    """The window from SUPERTHICK_WINDOW, written W or -W,W with W >= 0."""
     raw = os.environ.get("SUPERTHICK_WINDOW", "-10,10")
     try:
-        lo, hi = (int(x) for x in raw.split(","))
-    except ValueError:
-        try:
-            hi = abs(int(raw))
-            lo = -hi
-        except ValueError as err:
-            raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r}") from err
-    return max(abs(lo), abs(hi))
+        bounds = [int(x) for x in raw.split(",")]
+    except ValueError as err:
+        raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r}") from err
+    if len(bounds) == 2 and bounds[0] == -bounds[1]:
+        bounds = bounds[1:]
+    if len(bounds) != 1 or bounds[0] < 0:
+        raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r} (want W or -W,W with W >= 0)")
+    return bounds[0]
 
 
 def emit(args, payload: dict, human: str):
@@ -47,7 +48,7 @@ def parse_degrees(text: str) -> SplitBundleDegrees:
     try:
         return SplitBundleDegrees(tuple(int(x) for x in text.split(",")))
     except ValueError as err:
-        raise SystemExit(f"bad degrees {text!r}: {err}")
+        raise ValueError(f"bad degrees {text!r}: {err}") from err
 
 
 def cmd_bott(args) -> int:
@@ -136,6 +137,8 @@ def cmd_gamma(args) -> int:
 def cmd_pushforward(args) -> int:
     degrees = parse_degrees(args.degrees)
     window = default_window() if args.window is None else args.window
+    if window < 0:
+        raise ValueError(f"--window must be nonnegative, got {window}")
     report = pipeline_obstructed_cp2(degrees.degrees, window=window, space=args.space)
     payload = {"command": "pushforward", "inputs": {"degrees": list(degrees.degrees),
                "window": window, "space": args.space}, "outputs": report,

@@ -643,13 +643,62 @@ def trivialization_to_json(t: Trivialization) -> dict:
     }
 
 
-def trivialization_from_json(data: dict) -> Trivialization:
-    space = data["space"]
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _is_grassmann_term(term) -> bool:
+    """{"indices": [ints], "coef": [{"exps": [ints], "coef": rational}, ...]}"""
+    if not isinstance(term, dict) or not _is_int_list(term.get("indices")):
+        return False
+    coef = term.get("coef")
+    return isinstance(coef, list) and all(
+        isinstance(c, dict) and _is_int_list(c.get("exps")) and isinstance(c.get("coef"), (int, str))
+        for c in coef
+    )
+
+
+def _check_trivialization_shape(data) -> None:
+    """Raise ValueError unless ``data`` has the shape of a thickening file."""
+    if not isinstance(data, dict):
+        raise ValueError("a thickening file is a JSON object")
+    space = data.get("space")
     if space not in ("P1", "P2"):
         raise ValueError(f"unknown space {space!r}")
+    if not _is_int_list(data.get("degrees")):
+        raise ValueError("degrees must be a list of integers")
+    order = data.get("order")
+    if not _is_int(order) or order < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {order!r}")
+    maps = data.get("maps", {})
+    if not isinstance(maps, dict):
+        raise ValueError("maps must be an object keyed by chart pairs")
+    pairs = {f"{i},{j}" for i, j in itertools.permutations(range(int(space[1]) + 1), 2)}
+    for key, payload in maps.items():
+        if key not in pairs:
+            raise ValueError(f"map key {key!r} is not a pair 'i,j' of distinct charts")
+        if not isinstance(payload, dict):
+            raise ValueError(f"map {key} must be an object with 'even' and 'odd'")
+        for part in ("even", "odd"):
+            comps = payload.get(part)
+            if not isinstance(comps, list):
+                raise ValueError(f"map {key} {part!r} must be a list")
+            if not all(isinstance(comp, list) and all(map(_is_grassmann_term, comp))
+                       for comp in comps):
+                raise ValueError(f"map {key} {part!r} has a malformed term")
+
+
+def trivialization_from_json(data: dict) -> Trivialization:
+    """Read a thickening file; a malformed shape raises ValueError."""
+    _check_trivialization_shape(data)
+    space = data["space"]
     cover = cech.standard_cover(int(space[1]))
     degrees = SplitBundleDegrees(tuple(data["degrees"]))
-    order = int(data["order"])
+    order = data["order"]
     t = split_trivialization(cover, degrees, order)
     maps = dict(t.maps)
     p, q = cover.n, degrees.rank

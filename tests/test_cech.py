@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from superthick import bott, cech
+from superthick import bott, cech, linalg, supermap
+from superthick.bott import SplitBundleDegrees
 from superthick.laurent import ChartMap, LaurentPoly
+from superthick.obstruct import search_split_triples
 
 
 def test_standard_cover_nerve():
@@ -196,3 +199,111 @@ def test_cochain_json_roundtrip():
     data = c.to_json()
     back = cech.Cochain.from_json(cov, data)
     assert back.degree == c.degree and back.values == c.values
+
+
+# ---------------------------------------------------------------------------
+# the sign-type engine against the character-window scan it replaces
+
+
+def scan_chars(spec, summand, window):
+    """Every character with entries in [-window, window] on the summand's stratum."""
+    t = spec.twists[summand]
+    for g_rest in itertools.product(range(-window, window + 1), repeat=spec.cover.n):
+        g0 = t - sum(g_rest)
+        if -window <= g0 <= window:
+            yield (g0,) + g_rest
+
+
+def scan_h1(spec, window):
+    """(dim, representatives) of H^1 by scanning the window, one rank per kernel vector."""
+    reps = []
+    for summand in range(spec.nsummands):
+        for g in scan_chars(spec, summand, window):
+            dom, cod, mat = cech.delta_block_matrix(spec, 1, summand, g)
+            if not dom:
+                continue
+            kernel = linalg.kernel_basis(mat, len(dom))
+            if not kernel:
+                continue
+            dom0, cod0, mat0 = cech.delta_block_matrix(spec, 0, summand, g)
+            basis_rows = [[mat0[r][col] for r in range(len(cod0))] for col in range(len(dom0))]
+            rk = linalg.rank(basis_rows) if basis_rows else 0
+            for vec in kernel:
+                trial = basis_rows + [vec]
+                if linalg.rank(trial) > rk:
+                    basis_rows, rk = trial, rk + 1
+                    c = cech.zero_cochain(spec, 1)
+                    for slot, coef in zip(dom, vec):
+                        if coef != 0:
+                            c = c + cech.cochain_from_slot(spec, 1, slot, coef)
+                    reps.append(c)
+    return len(reps), reps
+
+
+def scan_dims(spec, window):
+    """All cohomology dimensions by exact ranks over every character in the window."""
+    n = spec.cover.n
+    dims = {q: 0 for q in range(n + 1)}
+    for summand in range(spec.nsummands):
+        for g in scan_chars(spec, summand, window):
+            sizes, ranks = {}, {}
+            for q in range(n + 1):
+                dom, cod, mat = cech.delta_block_matrix(spec, q, summand, g)
+                sizes[q] = len(dom)
+                ranks[q] = linalg.rank(mat) if dom and cod else 0
+            for q in range(n + 1):
+                dims[q] += sizes[q] - ranks[q] - (ranks[q - 1] if q > 0 else 0)
+    return dims
+
+
+def assert_matches_scan(spec, window=10):
+    got = cech.h1_representatives(spec, window=window)
+    dim, reps = scan_h1(spec, window)
+    assert got.dims[1] == dim, spec
+    assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps], spec
+    assert cech.windowed_dims(spec, window=window) == scan_dims(spec, window), spec
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM])
+def test_sign_types_match_window_scan_random_twists(kind, n):
+    rng = random.Random(4000 + 10 * n + len(kind))
+    cov = cech.standard_cover(n)
+    for _ in range(3):
+        spec = cech.SheafSpec(cov, kind, [rng.randint(-8, 8) for _ in range(2)])
+        assert_matches_scan(spec)
+        assert_matches_scan(spec, window=2)  # a cap that cuts off characters
+
+
+def test_sign_types_match_window_scan_on_admissible_slot_sheaves():
+    cov = cech.standard_cover(2)
+    triples = [h.degrees for h in search_split_triples(-8, 8) if h.direct_all]
+    assert len(triples) == 12
+    for degrees in triples:
+        assert assert_matches_scan(supermap.slot_sheaf(cov, degrees, 2)).complete
+
+
+def test_sign_types_window_zero_stays_incomplete():
+    cov = cech.standard_cover(2)
+    spec = supermap.slot_sheaf(cov, SplitBundleDegrees((4, -1, -7)), 2)
+    rep = cech.h1_representatives(spec, window=0)
+    assert not rep.complete and rep.dims[1] == scan_h1(spec, 0)[0] == 0
+    assert cech.enumerate_chars(spec, 0, 0) == []
+
+
+def test_infinite_sign_type_with_classes_raises(monkeypatch):
+    """A class on every type, as a broken block builder would give, must not be listed."""
+    spec = cech.tangent_twisted(cech.standard_cover(2), [-3])
+    slot = cech.BasisSlot((0, 1), 0, 0, (0, 0))
+
+    def one_class_everywhere(spec, degree, summand, g):
+        if degree == 1:
+            return [slot], [], []
+        return [], [slot], [[]]
+
+    monkeypatch.setattr(cech, "delta_block_matrix", one_class_everywhere)
+    with pytest.raises(AssertionError, match="infinitely many characters"):
+        cech.h1_representatives(spec)
+    with pytest.raises(AssertionError, match="infinitely many characters"):
+        cech.windowed_dims(spec)

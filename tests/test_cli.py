@@ -160,3 +160,62 @@ def test_json_output_is_byte_stable(capsys):
     _, out1, _ = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
     _, out2, _ = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
     assert out1 == out2
+
+
+def test_malformed_degrees_exit_two(capsys):
+    for command in ("pushforward", "check-lemma71"):
+        code, out, err = run(capsys, command, "--degrees", "abc", "--json")
+        assert code == 2 and out == "" and "bad degrees" in err
+
+
+def test_bad_window_values_exit_two(monkeypatch, capsys):
+    from superthick.cli import default_window
+
+    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    code, out, err = run(capsys, *argv, "--window", "-3")
+    assert code == 2 and out == "" and "--window" in err
+    for raw in ("-2,8", "8,-8", "-3", "1,2,3", ""):
+        monkeypatch.setenv("SUPERTHICK_WINDOW", raw)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "SUPERTHICK_WINDOW" in err, raw
+    for raw, window in (("-4,4", 4), ("-5,5", 5), ("7", 7), ("0", 0)):
+        monkeypatch.setenv("SUPERTHICK_WINDOW", raw)
+        assert default_window() == window
+
+
+def split_model_json():
+    t = supermap.split_trivialization(cech.standard_cover(2), SplitBundleDegrees((3, 0, -6)), 2)
+    return supermap.trivialization_to_json(t)
+
+
+def malformed_thickenings():
+    yield [1, 2]
+    for key, value in (("space", "P3"), ("degrees", "3,0,-6"), ("degrees", [3, "0", -6]),
+                       ("order", 0), ("order", "2"), ("order", True), ("maps", [])):
+        data = split_model_json()
+        data[key] = value
+        yield data
+    for key in ("0,3", "0,0", "01", "1,0,2"):
+        data = split_model_json()
+        data["maps"][key] = data["maps"]["0,1"]
+        yield data
+    for part, value in (("even", 5), ("odd", None), ("even", [5, []]),
+                        ("even", [[{"indices": "x", "coef": []}]]),
+                        ("odd", [[{"indices": [1], "coef": [{"exps": [0, 0], "coef": 1.5}]}]])):
+        data = split_model_json()
+        data["maps"]["0,1"][part] = value
+        yield data
+    data = split_model_json()
+    data["maps"]["1,2"] = 7
+    yield data
+
+
+def test_malformed_thickening_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for data in malformed_thickenings():
+        path.write_text(json.dumps(data))
+        for command in ("verify", "gamma"):
+            code, out, err = run(capsys, command, "--file", str(path))
+            assert code == 2 and out == "" and "bad input" in err, (command, data)
+    path.write_text(json.dumps(split_model_json()))
+    assert run(capsys, "verify", "--file", str(path))[0] == 0
