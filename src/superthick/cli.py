@@ -1,7 +1,9 @@
 """Command-line surface with canonical JSON output and a small exit-code
 contract: 0 for success (including a positive certificate), 1 for a valid
-negative mathematical certificate, 2 for usage errors or malformed input.
-Timing goes to stderr so the JSON on stdout is byte-stable across runs.
+negative mathematical certificate, 2 for usage errors or malformed input,
+3 when an internal self-check fails (an ``AssertionError``, reported as one
+line on stderr).  Timing goes to stderr so the JSON on stdout is byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .pipeline import pipeline_obstructed_cp2
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_SELF_CHECK = 3
 
 
 def default_window() -> int:
@@ -234,6 +237,10 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"bad input: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as err:
+        message = " ".join(str(err).split())
+        print(f"internal self-check failed: {message}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     finally:
         print(f"[{time.monotonic() - start:.3f}s]", file=sys.stderr)
     return code

@@ -6,15 +6,19 @@ sorted at construction, paying Koszul signs there, so theta_a^2 = 0 is
 structural.  The left convention is used for the odd derivations:
 d/dtheta_a (theta_{i1}...theta_{in}) = (-1)^(j-1) theta_{i1}...^...theta_{in}
 when a = i_j.
+
+Index tuples are validated where elements enter from outside (the public
+constructor and ``from_json``); internal results such as ``truncate``,
+``soul``, ``scale_poly`` and the wedge are built from terms already known to
+be valid and skip those checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import ChartMap, LaurentPoly
+from .laurent import ChartMap, LaurentPoly, _coerce
 
 
 def sort_index_tuple(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -60,6 +64,27 @@ def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     return merged, sign
 
 
+def _accumulate(terms: dict, idx: tuple, coef: LaurentPoly) -> None:
+    """terms[idx] += coef, dropping the entry when it cancels."""
+    if idx in terms:
+        s = terms[idx] + coef
+        if s.is_zero():
+            del terms[idx]
+        else:
+            terms[idx] = s
+    else:
+        terms[idx] = coef
+
+
+def _make(p: int, q: int, terms: dict) -> "GrassmannElement":
+    """An element from valid index tuples with nonzero coefficients, unchecked."""
+    out = GrassmannElement.__new__(GrassmannElement)
+    object.__setattr__(out, "p", p)
+    object.__setattr__(out, "q", q)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
 class GrassmannElement:
     """Element of Lambda(theta_1..theta_q) tensor LaurentPoly(p variables)."""
 
@@ -77,14 +102,7 @@ class GrassmannElement:
                 if coef.dim != p:
                     raise ValueError("coefficient dimension mismatch")
                 if not coef.is_zero():
-                    if idx in clean:
-                        s = clean[idx] + coef
-                        if s.is_zero():
-                            del clean[idx]
-                        else:
-                            clean[idx] = s
-                    else:
-                        clean[idx] = coef
+                    _accumulate(clean, idx, coef)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", clean)
@@ -125,7 +143,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """Everything of theta-degree > 0."""
-        return GrassmannElement(self.p, self.q, {k: v for k, v in self.terms.items() if k})
+        return _make(self.p, self.q, {k: v for k, v in self.terms.items() if k})
 
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
@@ -137,9 +155,7 @@ class GrassmannElement:
         return all(len(k) % 2 == 1 for k in self.terms)
 
     def degree_part(self, d: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.p, self.q, {k: v for k, v in self.terms.items() if len(k) == d}
-        )
+        return _make(self.p, self.q, {k: v for k, v in self.terms.items() if len(k) == d})
 
     def coeff(self, indices: Sequence[int]) -> LaurentPoly:
         idx, sign = sort_index_tuple(indices)
@@ -165,26 +181,11 @@ class GrassmannElement:
         self._check(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            if k in terms:
-                s = terms[k] + v
-                if s.is_zero():
-                    del terms[k]
-                else:
-                    terms[k] = s
-            else:
-                terms[k] = v
-        out = GrassmannElement.__new__(GrassmannElement)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "q", self.q)
-        object.__setattr__(out, "terms", terms)
-        return out
+            _accumulate(terms, k, v)
+        return _make(self.p, self.q, terms)
 
     def __neg__(self) -> "GrassmannElement":
-        out = GrassmannElement.__new__(GrassmannElement)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "q", self.q)
-        object.__setattr__(out, "terms", {k: -v for k, v in self.terms.items()})
-        return out
+        return _make(self.p, self.q, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-other)
@@ -198,42 +199,28 @@ class GrassmannElement:
                 if sign == 0:
                     continue
                 prod = c1 * c2
-                if sign == -1:
-                    prod = -prod
-                if merged in terms:
-                    s = terms[merged] + prod
-                    if s.is_zero():
-                        del terms[merged]
-                    else:
-                        terms[merged] = s
-                else:
-                    if not prod.is_zero():
-                        terms[merged] = prod
-        out = GrassmannElement.__new__(GrassmannElement)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "q", self.q)
-        object.__setattr__(out, "terms", terms)
-        return out
+                _accumulate(terms, merged, prod if sign == 1 else -prod)
+        return _make(self.p, self.q, terms)
 
     __mul__ = wedge
 
     def scale(self, c) -> "GrassmannElement":
-        return GrassmannElement(
-            self.p, self.q, {k: v.scale(c) for k, v in self.terms.items()}
-        )
+        c = _coerce(c)
+        if c == 0:
+            return GrassmannElement.zero(self.p, self.q)
+        return _make(self.p, self.q, {k: v.scale(c) for k, v in self.terms.items()})
 
     def scale_poly(self, poly: LaurentPoly) -> "GrassmannElement":
-        return GrassmannElement(
-            self.p, self.q, {k: v * poly for k, v in self.terms.items()}
-        )
+        if poly.is_zero():
+            return GrassmannElement.zero(self.p, self.q)
+        # the Laurent ring has no zero divisors, so no product vanishes
+        return _make(self.p, self.q, {k: v * poly for k, v in self.terms.items()})
 
     def truncate(self, m: int) -> "GrassmannElement":
         """Quotient mod J^(m+1): drop terms of theta-degree > m."""
         if m < 0:
             return GrassmannElement.zero(self.p, self.q)
-        return GrassmannElement(
-            self.p, self.q, {k: v for k, v in self.terms.items() if len(k) <= m}
-        )
+        return _make(self.p, self.q, {k: v for k, v in self.terms.items() if len(k) <= m})
 
     def odd_derivation(self, index: int) -> "GrassmannElement":
         """Left derivative with respect to theta_index."""
@@ -245,16 +232,8 @@ class GrassmannElement:
                 continue
             pos = idx.index(index)
             rest = idx[:pos] + idx[pos + 1 :]
-            val = coef if pos % 2 == 0 else -coef
-            if rest in terms:
-                s = terms[rest] + val
-                if s.is_zero():
-                    del terms[rest]
-                else:
-                    terms[rest] = s
-            else:
-                terms[rest] = val
-        return GrassmannElement(self.p, self.q, terms)
+            _accumulate(terms, rest, coef if pos % 2 == 0 else -coef)
+        return _make(self.p, self.q, terms)
 
     def wedge_power(self, n: int) -> "GrassmannElement":
         result = GrassmannElement.scalar(self.p, self.q, LaurentPoly.one(self.p))
@@ -288,23 +267,21 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
-def substitute_nilpotent(
-    poly: LaurentPoly,
-    base: ChartMap,
-    nilpotent: Sequence[GrassmannElement],
-    order: int,
-) -> GrassmannElement:
-    """Evaluate poly(base + nilpotent) mod J^(order+1) by a finite Taylor sum.
+def taylor_rows(
+    base: ChartMap, nilpotent: Sequence[GrassmannElement], order: int
+) -> list[tuple[tuple[int, ...], GrassmannElement]]:
+    """Rows (alpha, n^alpha / alpha!) of the Taylor sum of poly(base + n).
 
-    Each nilpotent entry must be even with vanishing body, so its theta-degree
-    is at least 2 and the multi-index sum terminates.  Negative exponents are
-    admissible exactly when the base component is an invertible monomial.
+    n^alpha is the wedge of n_i^(alpha_i) over i, truncated mod J^(order+1);
+    only the multi-indices whose product survives the truncation are listed.
+    The rows depend on the shifts alone, so one table serves every polynomial
+    substituted along the same map (see ``taylor_add``).  Each shift must be
+    even with vanishing body, so its theta-degree is at least 2 and the
+    multi-index sum terminates.
     """
-    if poly.dim != base.target_dim:
-        raise ValueError("polynomial and base dimensions mismatch")
-    if len(nilpotent) != poly.dim:
-        raise ValueError("one nilpotent shift per variable is required")
     p_dim = base.source_dim
+    if len(nilpotent) != base.target_dim:
+        raise ValueError("one nilpotent shift per variable is required")
     if not nilpotent:
         raise ValueError("empty substitution")
     q = nilpotent[0].q
@@ -314,50 +291,71 @@ def substitute_nilpotent(
         if not n.is_even() or not n.body().is_zero():
             raise ValueError("nilpotent shifts must be even with zero body")
 
-    nonzero = [i for i, n in enumerate(nilpotent) if not n.is_zero()]
-    # wedge powers of each shift, up to nilpotency or the truncation order
-    powers: dict[int, list[GrassmannElement]] = {}
-    for i in nonzero:
-        lst = [GrassmannElement.scalar(p_dim, q, LaurentPoly.one(p_dim))]
-        while True:
-            nxt = lst[-1].wedge(nilpotent[i]).truncate(order)
-            if nxt.is_zero():
-                break
-            lst.append(nxt)
-        powers[i] = lst
+    one = GrassmannElement.scalar(p_dim, q, LaurentPoly.one(p_dim))
+    rows = [((0,) * len(nilpotent), one)]
+    for i, n in enumerate(nilpotent):
+        if n.is_zero():
+            continue
+        # multiply every row so far by n_i^k / k! for each surviving k >= 1
+        grown = []
+        for alpha, row in rows:
+            power, k = row, 0
+            while True:
+                power = power.wedge(n).truncate(order)
+                if power.is_zero():
+                    break
+                k += 1
+                if k > 1:
+                    power = power.scale(Fraction(1, k))
+                grown.append((alpha[:i] + (k,) + alpha[i + 1 :], power))
+        rows += grown
+    return rows
 
-    deriv_cache: dict[tuple, LaurentPoly] = {tuple([0] * poly.dim): poly}
+
+def taylor_add(
+    acc: dict,
+    poly: LaurentPoly,
+    base: ChartMap,
+    rows: Sequence[tuple[tuple[int, ...], GrassmannElement]],
+) -> None:
+    """Add the sum over rows of row * base.apply(d^alpha poly) into ``acc``.
+
+    ``acc`` maps index tuples to Laurent coefficients, as ``terms`` does.
+    Negative exponents are admissible exactly when the base component is an
+    invertible monomial.
+    """
+    if poly.dim != base.target_dim:
+        raise ValueError("polynomial and base dimensions mismatch")
+    derivs = {(0,) * poly.dim: poly}
 
     def derivative(alpha: tuple) -> LaurentPoly:
-        if alpha in deriv_cache:
-            return deriv_cache[alpha]
-        for v in range(poly.dim):
-            if alpha[v] > 0:
-                prev = list(alpha)
-                prev[v] -= 1
-                d = derivative(tuple(prev)).partial(v)
-                deriv_cache[alpha] = d
-                return d
-        raise AssertionError
+        if alpha not in derivs:
+            v = next(i for i, k in enumerate(alpha) if k)
+            prev = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1 :]
+            derivs[alpha] = derivative(prev).partial(v)
+        return derivs[alpha]
 
-    result = GrassmannElement.zero(p_dim, q)
+    for alpha, row in rows:
+        d = derivative(alpha)
+        if d.is_zero():
+            continue
+        val = base.apply(d)
+        for idx, coef in row.terms.items():
+            _accumulate(acc, idx, coef * val)
 
-    def loop(pos: int, alpha: list[int], wedge: GrassmannElement, fact: int):
-        nonlocal result
-        if wedge.is_zero():
-            return
-        if pos == len(nonzero):
-            d = derivative(tuple(alpha))
-            if d.is_zero():
-                return
-            val = base.apply(d).scale(Fraction(1, fact))
-            result = result + wedge.scale_poly(val)
-            return
-        i = nonzero[pos]
-        for k in range(len(powers[i])):
-            alpha[i] = k
-            loop(pos + 1, alpha, wedge.wedge(powers[i][k]).truncate(order), fact * factorial(k))
-            alpha[i] = 0
 
-    loop(0, [0] * poly.dim, GrassmannElement.scalar(p_dim, q, LaurentPoly.one(p_dim)), 1)
-    return result.truncate(order)
+def substitute_nilpotent(
+    poly: LaurentPoly,
+    base: ChartMap,
+    nilpotent: Sequence[GrassmannElement],
+    order: int,
+) -> GrassmannElement:
+    """Evaluate poly(base + nilpotent) mod J^(order+1) by a finite Taylor sum.
+
+    Builds the table of ``taylor_rows`` and evaluates ``poly`` on it; callers
+    substituting many polynomials along one map build the table once.
+    """
+    rows = taylor_rows(base, nilpotent, order)
+    acc: dict[tuple, LaurentPoly] = {}
+    taylor_add(acc, poly, base, rows)
+    return _make(base.source_dim, nilpotent[0].q, acc)

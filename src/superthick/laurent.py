@@ -1,14 +1,19 @@
 """Exact multivariate Laurent polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator), so every operation in this package is exact.  A
-polynomial of dimension ``d`` is a finite map from exponent vectors (length-d
-tuples of signed ints) to nonzero coefficients.
+Coefficients are exact rationals: an ``int`` when integral, else a
+``fractions.Fraction`` (arbitrary precision, always reduced, positive
+denominator), so every operation in this package is exact and integral
+arithmetic never pays for ``Fraction``.  A ``Fraction`` with denominator 1
+may still arise from arithmetic; it compares, hashes and serialises as the
+equal ``int``.  Both serialise through ``fraction_to_str``.  A polynomial of
+dimension ``d`` is a finite map from exponent vectors (length-d tuples of
+signed ints) to nonzero coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -16,17 +21,31 @@ class NonInvertibleBaseError(ValueError):
     """Raised when a negative power of a non-monomial would be needed."""
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _coerce(c) -> int | Fraction:
+    """An int, Fraction or rational string as an int when integral, else a Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+        c = Fraction(c)
+    elif not isinstance(c, Fraction):
+        raise TypeError(f"not an exact rational: {c!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
-def fraction_to_str(c: Fraction) -> str:
+def _power(c, k: int) -> int | Fraction:
+    """c**k exactly; a negative k inverts through Fraction, never a float."""
+    return c**k if k >= 0 else _coerce(Fraction(c) ** k)
+
+
+def _make(dim: int, terms: dict) -> "LaurentPoly":
+    """A polynomial from terms already checked: right length, no zero coefficient."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "dim", dim)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+def fraction_to_str(c) -> str:
     """Serialize as "num/den", den omitted when 1."""
     c = _coerce(c)
     if c.denominator == 1:
@@ -42,7 +61,7 @@ class LaurentPoly:
     def __init__(self, dim: int, terms: Mapping[tuple, object] | None = None):
         if dim < 1:
             raise ValueError("dim must be positive")
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         if terms:
             for exps, c in terms.items():
                 e = tuple(int(x) for x in exps)
@@ -50,7 +69,7 @@ class LaurentPoly:
                     raise ValueError(f"exponent vector {e} has wrong length for dim {dim}")
                 c = _coerce(c)
                 if c != 0:
-                    clean[e] = clean.get(e, Fraction(0)) + c
+                    clean[e] = clean.get(e, 0) + c
                     if clean[e] == 0:
                         del clean[e]
         object.__setattr__(self, "dim", dim)
@@ -81,7 +100,7 @@ class LaurentPoly:
     def variable(dim: int, var: int) -> "LaurentPoly":
         e = [0] * dim
         e[var] = 1
-        return LaurentPoly(dim, {tuple(e): Fraction(1)})
+        return LaurentPoly(dim, {tuple(e): 1})
 
     # -- queries ------------------------------------------------------------
 
@@ -91,8 +110,8 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coeff(self, exps: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,63 +136,37 @@ class LaurentPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s == 0:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return _make(self.dim, terms)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _make(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[tuple, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return _make(self.dim, terms)
 
     def scale(self, c) -> "LaurentPoly":
         c = _coerce(c)
         if c == 0:
             return LaurentPoly.zero(self.dim)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", {e: c * v for e, v in self.terms.items()})
-        return out
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            raise TypeError("integer power required")
-        if n < 0:
-            return self.invert() ** (-n)
-        result = LaurentPoly.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _make(self.dim, {e: c * v for e, v in self.terms.items()})
 
     def invert(self) -> "LaurentPoly":
         """Inverse, defined only for a single nonzero monomial."""
@@ -188,7 +181,7 @@ class LaurentPoly:
         """Formal partial derivative in variable ``var``."""
         if not 0 <= var < self.dim:
             raise ValueError(f"variable index {var} out of range")
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
             k = e[var]
             if k == 0:
@@ -196,12 +189,12 @@ class LaurentPoly:
             ne = list(e)
             ne[var] = k - 1
             ne = tuple(ne)
-            s = terms.get(ne, Fraction(0)) + c * k
+            s = terms.get(ne, 0) + c * k
             if s == 0:
                 terms.pop(ne, None)
             else:
                 terms[ne] = s
-        return LaurentPoly(self.dim, terms)
+        return _make(self.dim, terms)
 
     # -- substitution --------------------------------------------------------
 
@@ -224,7 +217,7 @@ class LaurentPoly:
         if all(len(p.terms) == 1 for p in parts):
             # monomial parts c_i x^(e_i): x^k goes to prod c_i^k_i x^(sum k_i e_i)
             monos = [next(iter(p.terms.items())) for p in parts]
-            terms: dict[tuple, Fraction] = {}
+            terms: dict[tuple, int | Fraction] = {}
             for e, c in self.terms.items():
                 ne = [0] * tdim
                 for k, (pe, pc) in zip(e, monos):
@@ -232,17 +225,14 @@ class LaurentPoly:
                         for t in range(tdim):
                             ne[t] += k * pe[t]
                         if pc != 1:
-                            c = c * pc**k
+                            c = c * _power(pc, k)
                 ne = tuple(ne)
-                s = terms.get(ne, Fraction(0)) + c
+                s = terms.get(ne, 0) + c
                 if s == 0:
                     terms.pop(ne, None)
                 else:
                     terms[ne] = s
-            out = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(out, "dim", tdim)
-            object.__setattr__(out, "terms", terms)
-            return out
+            return _make(tdim, terms)
         # cache powers per variable
         pow_cache: list[dict[int, LaurentPoly]] = [
             {0: LaurentPoly.one(tdim)} for _ in range(self.dim)

@@ -1,4 +1,8 @@
-"""Dense exact linear algebra over Fraction for the small coboundary blocks."""
+"""Dense exact linear algebra over Fraction for the small coboundary blocks.
+
+Entries may be ints or Fractions; ``rref`` converts them to Fraction on
+entry, so its divisions stay exact.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ Matrix = list[list[Fraction]]
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and pivot columns, computed exactly."""
-    m = [row[:] for row in mat]
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec, represent, section_zero
-from .exterior import GrassmannElement, sort_index_tuple, substitute_nilpotent
+from .exterior import GrassmannElement, sort_index_tuple, taylor_add, taylor_rows
 from .laurent import ChartMap, LaurentPoly
 
 
@@ -87,22 +87,31 @@ def identity_map(chart: int, p: int, q: int, order: int) -> SuperMap:
 
 
 def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
-    """g after f, all substitutions exact, truncated mod J^(order+1)."""
+    """g after f, all substitutions exact, truncated mod J^(order+1).
+
+    A term c * theta_I of a component of g becomes c(f_even) wedge f_odd[I].
+    Everything that depends on f alone is built once per call: the Taylor
+    rows of f's nilpotent shifts, and those rows times each odd word f_odd[I]
+    that g uses, so each coefficient c costs its derivatives, its pullback
+    along the body of f and one product per row.
+    """
     if f.target != g.source:
         raise ValueError("maps are not composable")
     base = f.body_map()
-    nil = [comp.soul() for comp in f.even]
+    tables = {(): taylor_rows(base, [comp.soul() for comp in f.even], order)}
+
+    def word_rows(idx: tuple) -> list:
+        if idx not in tables:
+            odd = f.odd[idx[-1] - 1]
+            grown = ((alpha, row.wedge(odd).truncate(order)) for alpha, row in word_rows(idx[:-1]))
+            tables[idx] = [(alpha, row) for alpha, row in grown if not row.is_zero()]
+        return tables[idx]
 
     def push(component: GrassmannElement) -> GrassmannElement:
-        acc = GrassmannElement.zero(f.p, f.q)
+        acc: dict = {}
         for idx, coef in component.terms.items():
-            piece = substitute_nilpotent(coef, base, nil, order)
-            for i in idx:
-                piece = piece.wedge(f.odd[i - 1])
-                if piece.is_zero():
-                    break
-            acc = acc + piece.truncate(order)
-        return acc.truncate(order)
+            taylor_add(acc, coef, base, word_rows(idx))
+        return GrassmannElement(f.p, f.q, acc)
 
     return SuperMap(
         f.source,
@@ -651,13 +660,24 @@ def _is_int_list(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
 
 
+def _is_rational(x) -> bool:
+    """An integer, or a string that parses to a rational with nonzero denominator."""
+    if not isinstance(x, str):
+        return _is_int(x)
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _is_grassmann_term(term) -> bool:
     """{"indices": [ints], "coef": [{"exps": [ints], "coef": rational}, ...]}"""
     if not isinstance(term, dict) or not _is_int_list(term.get("indices")):
         return False
     coef = term.get("coef")
     return isinstance(coef, list) and all(
-        isinstance(c, dict) and _is_int_list(c.get("exps")) and isinstance(c.get("coef"), (int, str))
+        isinstance(c, dict) and _is_int_list(c.get("exps")) and _is_rational(c.get("coef"))
         for c in coef
     )
 

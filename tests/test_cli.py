@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from superthick import cech, supermap
 from superthick.bott import SplitBundleDegrees
@@ -219,3 +222,97 @@ def test_malformed_thickening_file_exits_two(tmp_path, capsys):
             assert code == 2 and out == "" and "bad input" in err, (command, data)
     path.write_text(json.dumps(split_model_json()))
     assert run(capsys, "verify", "--file", str(path))[0] == 0
+
+
+def test_bad_coefficient_values_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for value in ("1/0", "0/0", True, False):
+        data = split_model_json()
+        data["maps"]["0,1"]["odd"][0][0]["coef"][0]["coef"] = value
+        path.write_text(json.dumps(data))
+        for command in ("verify", "gamma"):
+            code, out, err = run(capsys, command, "--file", str(path))
+            assert code == 2 and out == "" and "malformed term" in err, (command, value)
+            assert "Traceback" not in err
+    # a well-formed non-integral coefficient still reads
+    data = split_model_json()
+    data["maps"]["0,1"]["odd"][0][0]["coef"][0]["coef"] = "-3/2"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--file", str(path))[0] == 1
+
+
+def test_failed_self_check_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("coboundary image is not\na codomain slot")
+
+    monkeypatch.setattr("superthick.cli.pipeline_obstructed_cp2", broken)
+    code, out, err = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "internal self-check failed: coboundary image is not a codomain slot"
+    assert len(lines) == 2 and lines[1].startswith("[")  # the timing line
+
+
+# Fuzzing the thickening-file readers: any JSON value, and the split models
+# with one subtree replaced by any JSON value, gives 0, 1 or 2, never a crash.
+
+RATIONAL_TEXT = st.sampled_from(["1/0", "0/0", "-3/2", "4/-2", "x", "1.5", " 2 ", "", "7"])
+FILE_KEYS = st.sampled_from(["space", "order", "degrees", "maps", "0,1", "1,0", "even", "odd",
+                             "indices", "coef", "exps"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, width=16)
+    | st.text(max_size=4) | RATIONAL_TEXT,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | FILE_KEYS, kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def split_models():
+    for n, degrees in ((1, (2, -1)), (2, (3, 0, -6))):
+        t = supermap.split_trivialization(cech.standard_cover(n), SplitBundleDegrees(degrees), 2)
+        yield supermap.trivialization_to_json(t)
+
+
+SPLIT_MODELS = list(split_models())
+
+
+def check_readers(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "gamma"):
+        code, _, err = run(capsys, command, "--file", str(path))
+        assert code in (0, 1, 2) and "Traceback" not in err, (command, data)
+
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(data=JSON_VALUES)
+def test_fuzz_any_json_value(tmp_path, capsys, data):
+    check_readers(tmp_path, capsys, data)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_split_model_with_one_subtree_replaced(tmp_path, capsys, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(SPLIT_MODELS)))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        doc = value
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    check_readers(tmp_path, capsys, doc)
