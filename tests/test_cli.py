@@ -270,7 +270,12 @@ JSON_VALUES = st.recursive(
 
 def json_paths(doc, prefix=()):
     yield prefix
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
     for key, value in items:
         yield from json_paths(value, prefix + (key,))
 
