@@ -1,6 +1,6 @@
 """Dimension tables for twisted forms on the projective plane.
 
-Walks through the closed-form dimensions, the independent monomial oracle,
+Walks through the closed-form dimensions, the Čech computation by sign type,
 duality, and the twisted tangent sheaf via its identification with twisted
 one-forms, printing small tables along the way.
 """

@@ -20,21 +20,10 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class BottQuery:
-    n: int
-    p: int
-    q: int
-    k: int
-
-    def __post_init__(self):
-        if not (0 <= self.p <= self.n and 0 <= self.q <= self.n):
-            raise ValueError("BottQuery out of range")
-
-
 def bott_dim(n: int, p: int, q: int, k: int) -> int:
     """h^q(P^n, Omega^p(k)), evaluated exactly."""
-    BottQuery(n, p, q, k)
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bott_dim needs 0 <= p, q <= n, got n={n}, p={p}, q={q}")
     if q == 0 and k > p:
         return binom(k + n - p, k) * binom(k - 1, p)
     if p == q and k == 0:

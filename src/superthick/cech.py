@@ -11,7 +11,7 @@ A cochain stores one section per sorted simplex, presented entirely in the
 chart of the smallest index: arguments, vector frame and bundle frame alike.
 Values on permuted index tuples are the stored value times the sign of the
 permutation.  The coboundary is the classical alternating sum with transports
-made explicit, so delta о delta = 0 holds exactly.
+made explicit, so delta ∘ delta = 0 holds exactly.
 
 Every section decomposes over torus characters (exponent vectors of the
 homogeneous coordinates), the coboundary preserves the character, and each
@@ -30,11 +30,15 @@ Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
 with adjust_l in {-1, 0, 1}, and the transport coefficients ignore the
 exponents; so every block depends on g only through its sign type, each
-entry clamped to [-2, 1].  ``enumerate_chars`` solves one block per type and
-lists the concrete characters of the types that carry H^1 (finitely many,
-since cohomology is finite-dimensional); ``windowed_dims`` weighs each type's
-dimensions by its number of characters.  The window is only an optional cap
-on the characters listed, and the closed formulas cross-check every total.
+entry clamped to [-2, 1].  ``block_cohomology`` computes H^q of one block in
+any degree q: the kernel of the degree-q block, reduced modulo the image of
+the degree-(q-1) block by one rref.  ``cohomology`` solves each sign type
+once per call, shared across summands, and lists the concrete characters of
+the types that carry classes (finitely many, since cohomology is
+finite-dimensional); each character only fills in its slot exponents.
+``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
+views of it.  The window is only an optional cap on the characters listed,
+and the closed formulas cross-check every total.
 """
 
 from __future__ import annotations
@@ -543,117 +547,22 @@ def delta_block_matrix(
 
 
 # ---------------------------------------------------------------------------
-# monomial oracle for line bundles
-
-
-def _char_complex_dims(n: int, g: Char) -> dict[int, int]:
-    """Cohomology of the one-character Čech complex, by explicit small ranks."""
-    poles = frozenset(l for l, e in enumerate(g) if e < 0)
-    charts = list(range(n + 1))
-    simplices = {
-        q: [s for s in itertools.combinations(charts, q + 1) if poles <= set(s)]
-        for q in range(n + 1)
-    }
-
-    def delta(q):
-        dom = simplices[q]
-        cod = simplices.get(q + 1, [])
-        idx = {s: i for i, s in enumerate(cod)}
-        mat = [[Fraction(0)] * len(dom) for _ in cod]
-        for col, s in enumerate(dom):
-            for big in cod:
-                missing = [v for v in big if v not in s]
-                if len(missing) == 1 and set(s) <= set(big):
-                    j = big.index(missing[0])
-                    mat[idx[big]][col] = Fraction((-1) ** j)
-        return mat
-
-    dims = {}
-    for q in range(n + 1):
-        dom = simplices[q]
-        mat_out = delta(q)
-        rank_out = linalg.rank(mat_out) if mat_out and dom else 0
-        if q == 0:
-            rank_in = 0
-        else:
-            mat_in = delta(q - 1)
-            rank_in = linalg.rank(mat_in) if mat_in and simplices[q - 1] else 0
-        dims[q] = len(dom) - rank_out - rank_in
-    return dims
-
-
-def _compositions(total: int, parts: int, lower: int):
-    """All integer tuples of the given length with entries >= lower summing to total."""
-    if parts == 1:
-        if total >= lower:
-            yield (total,)
-        return
-    rest_min = lower * (parts - 1)
-    v = lower
-    while total - v >= rest_min:
-        for tail in _compositions(total - v, parts - 1, lower):
-            yield (v,) + tail
-        v += 1
-
-
-@dataclass
-class CohomologyReport:
-    dims: dict[int, int]
-    representatives: dict[int, list[Cochain]]
-    method: str
-    complete: bool = True
-    notes: list[str] = field(default_factory=list)
-
-
-def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
-    """Exact h^q(P^n, O(k)) by classifying monomial characters.
-
-    A character contributes only when its pole set is empty or full; the star
-    of any intermediate pole set is a cone, hence acyclic, which the rank
-    computation in _char_complex_dims reproduces on every candidate char.
-    """
-    if n not in (1, 2):
-        raise ValueError("only n in {1, 2} is supported")
-    if not 0 <= q <= n:
-        return CohomologyReport({q: 0}, {q: []}, "monomial-oracle")
-    cover = standard_cover(n)
-    spec = line_sum(cover, [k])
-    candidates: list[Char] = []
-    candidates.extend(_compositions(k, n + 1, 0))  # no poles
-    # full pole set: entries a_i = -1 - b_i with b_i >= 0 summing to -k-(n+1)
-    for g in _compositions(-k - (n + 1), n + 1, 0):
-        candidates.append(tuple(-1 - x for x in g))
-    dim = 0
-    reps: list[Cochain] = []
-    for g in candidates:
-        h = _char_complex_dims(n, g).get(q, 0)
-        if h == 0:
-            continue
-        dim += h
-        if q == 0:
-            chart_vals = {}
-            for c in cover.charts:
-                exps = char_monomial_exps(spec, c, 0, 0, g)
-                chart_vals[(c,)] = ((LaurentPoly.monomial(n, exps),),)
-            reps.append(Cochain(spec, 0, chart_vals))
-        else:
-            simplex = tuple(range(n + 1)) if q == n else None
-            if simplex is not None:
-                exps = char_monomial_exps(spec, simplex[0], 0, 0, g)
-                reps.append(
-                    Cochain(spec, q, {simplex: ((LaurentPoly.monomial(n, exps),),)})
-                )
-    return CohomologyReport({q: dim}, {q: reps}, "monomial-oracle")
-
-
-# ---------------------------------------------------------------------------
-# exact solving and representatives
+# exact solving
 
 
 class NotACocycleError(ValueError):
     def __init__(self, residual: Cochain):
         super().__init__("input cochain is not a cocycle")
         self.residual = residual
+
+
+def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
+    """The cochain sum_i coefs[i] * slots[i]."""
+    c = zero_cochain(spec, degree)
+    for slot, coef in zip(slots, coefs):
+        if coef != 0:
+            c = c + cochain_from_slot(spec, degree, slot, coef)
+    return c
 
 
 def solve_coboundary(target: Cochain):
@@ -683,15 +592,40 @@ def solve_coboundary(target: Cochain):
         if x is None:
             infeasible.append((summand, g))
             continue
-        for slot, coef in zip(dom, x):
-            if coef != 0:
-                solution = solution + cochain_from_slot(spec, deg - 1, slot, coef)
+        solution = solution + cochain_from_slots(spec, deg - 1, dom, x)
     if infeasible:
         return None, infeasible
     check = coboundary(solution) - target
     if not check.is_zero():
         raise AssertionError("solver returned an invalid preimage")
     return solution, None
+
+
+# ---------------------------------------------------------------------------
+# cohomology by sign type
+
+
+@dataclass
+class CohomologyReport:
+    dims: dict[int, int]
+    representatives: dict[int, list[Cochain]]
+    method: str
+    complete: bool = True
+    notes: list[str] = field(default_factory=list)
+
+
+def _compositions(total: int, parts: int, lower: int):
+    """All integer tuples of the given length with entries >= lower summing to total."""
+    if parts == 1:
+        if total >= lower:
+            yield (total,)
+        return
+    rest_min = lower * (parts - 1)
+    v = lower
+    while total - v >= rest_min:
+        for tail in _compositions(total - v, parts - 1, lower):
+            yield (v,) + tail
+        v += 1
 
 
 def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
@@ -704,6 +638,10 @@ def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
     if spec.kind == TANGENT:
         return bott.tangent_dim(n, q, t)
     return bott.bott_dim(n, 1, q, t)
+
+
+def _sign_type(g: Char) -> tuple:
+    return tuple(max(-2, min(1, e)) for e in g)
 
 
 def _sign_types(n: int, twist: int):
@@ -753,106 +691,107 @@ def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
     return chars
 
 
-def _in_window(g: Char, window: int) -> bool:
-    return all(-window <= e <= window for e in g)
+def _in_window(g: Char, window: int | None) -> bool:
+    return window is None or all(-window <= e <= window for e in g)
 
 
-def _h1_block(spec: SheafSpec, summand: int, g: Char):
-    """(degree-1 slots, kernel vectors spanning H^1 of the block of g).
+def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char):
+    """(degree-q slots, kernel vectors spanning H^q of the block of g).
 
-    One rref of [image of delta0 | kernel of delta1] picks the kernel vectors
-    independent modulo the image: the pivots among the kernel columns.
+    One rref of [image of the degree-(q-1) block | kernel of the degree-q
+    block] picks the kernel vectors independent modulo the image: the pivots
+    among the kernel columns.  In degree 0 the kernel is the cohomology.
     """
-    dom, cod, mat = delta_block_matrix(spec, 1, summand, g)
-    if not dom:
-        return dom, []
-    kernel = linalg.kernel_basis(mat, len(dom))
-    if not kernel:
-        return dom, []
-    dom0, _, mat0 = delta_block_matrix(spec, 0, summand, g)
+    dom, _, mat = delta_block_matrix(spec, q, summand, g)
+    kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
+    if not kernel or q == 0:
+        return dom, kernel
+    dom0, _, mat0 = delta_block_matrix(spec, q - 1, summand, g)
     joined = [row + [vec[r] for vec in kernel] for r, row in enumerate(mat0)]
     _, pivots = linalg.rref(joined)
     return dom, [kernel[p - len(dom0)] for p in pivots if p >= len(dom0)]
 
 
-def enumerate_chars(spec: SheafSpec, summand: int, window: int) -> list[Char]:
-    """Candidate characters of one summand: those whose block has H^1.
+def enumerate_chars(
+    spec: SheafSpec, summand: int, window: int | None, q: int = 1, types: dict | None = None
+) -> list[Char]:
+    """Candidate characters of one summand: those whose block has H^q.
 
-    H^1 is computed once per sign type; the concrete characters of the types
-    with classes are listed, capped to entries in [-window, window] and
-    ordered by g[1:].
+    H^q is computed once per sign type and kept in ``types`` (sign type ->
+    ``block_cohomology`` of its representative), which callers share across
+    summands; the concrete characters of the types with classes are listed,
+    capped to entries in [-window, window] unless window is None, and ordered
+    by g[1:].
     """
+    types = {} if types is None else types
     twist = spec.twists[summand]
     chars = []
     for sign_type, g in _sign_types(spec.cover.n, twist):
-        if _h1_block(spec, summand, g)[1]:
+        if sign_type not in types:
+            types[sign_type] = block_cohomology(spec, q, summand, g)
+        if types[sign_type][1]:
             chars.extend(c for c in _type_chars(sign_type, twist) if _in_window(c, window))
     return sorted(chars, key=lambda g: g[1:])
 
 
-def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
-    """Kernel-mod-image basis of the degree-1 complex, character by character.
+def cohomology(spec: SheafSpec, q: int, window: int | None = None) -> CohomologyReport:
+    """Kernel-mod-image basis of H^q, character by character.
 
-    The candidate characters come from ``enumerate_chars``, which solves one
-    block per sign type; no character window is scanned.  ``window`` only
-    caps the characters listed.  The total is cross-checked against the
-    closed formula per summand, and a shortfall (a cap that cuts off a
-    class) is reported as an incomplete window rather than silently
-    truncated.
+    Each sign type's block is solved once per call, for whichever summand
+    reaches it first; a concrete character reuses its type's classes and
+    only fills in its own slot exponents.  ``window`` caps the characters
+    listed.  The total is cross-checked against the closed formula per
+    summand: with a cap, a shortfall is reported as an incomplete window
+    rather than silently truncated; without one, it is a failed self-check.
     """
+    if not 0 <= q <= spec.cover.n:
+        return CohomologyReport({q: 0}, {q: []}, "sign-type-linear-algebra")
+    types: dict = {}
     reps: list[Cochain] = []
-    dims_per_summand = []
-    notes: list[str] = []
+    expected = 0
     for summand in range(spec.nsummands):
-        found = 0
-        for g in enumerate_chars(spec, summand, window):
-            dom, picked = _h1_block(spec, summand, g)
-            for vec in picked:
-                c = zero_cochain(spec, 1)
-                for slot, coef in zip(dom, vec):
-                    if coef != 0:
-                        c = c + cochain_from_slot(spec, 1, slot, coef)
-                reps.append(c)
-                found += 1
-        expected = _summand_bott_dim(spec, summand, 1)
-        dims_per_summand.append((found, expected))
-    total = sum(f for f, _ in dims_per_summand)
-    expected_total = sum(e for _, e in dims_per_summand)
-    complete = total == expected_total
-    if not complete:
+        for g in enumerate_chars(spec, summand, window, q, types):
+            slots, classes = types[_sign_type(g)]
+            slots = [
+                BasisSlot(s.simplex, summand, s.comp,
+                          char_monomial_exps(spec, s.simplex[0], summand, s.comp, g))
+                for s in slots
+            ]
+            reps.extend(cochain_from_slots(spec, q, slots, vec) for vec in classes)
+        expected += _summand_bott_dim(spec, summand, q)
+    notes = []
+    if len(reps) != expected:
+        if window is None:
+            raise AssertionError(f"H^{q} has {len(reps)} classes, closed formula gives {expected}")
         notes.append(
-            f"window incomplete: found {total} classes, closed formula gives {expected_total}"
+            f"window incomplete: found {len(reps)} classes, closed formula gives {expected}"
         )
     return CohomologyReport(
-        {1: total}, {1: reps}, "sign-type-linear-algebra", complete, notes
+        {q: len(reps)}, {q: reps}, "sign-type-linear-algebra", not notes, notes
     )
 
 
-def windowed_dims(spec: SheafSpec, window: int = 10) -> dict[int, int]:
-    """All cohomology dimensions of the complex, by exact ranks per sign type.
+def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
+    """H^1 with at most ``window`` in absolute value per character entry."""
+    return cohomology(spec, 1, window)
 
-    Each type contributes its per-degree dimension times the number of its
-    characters with entries in [-window, window]; callers cross-check
-    against the closed formulas.
+
+def windowed_dims(spec: SheafSpec, window: int = 10) -> dict[int, int]:
+    """All cohomology dimensions of the complex, counting characters in the window."""
+    return {q: cohomology(spec, q, window).dims[q] for q in range(spec.cover.n + 1)}
+
+
+def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
+    """Exact h^q(P^n, O(k)) with representatives, over every character.
+
+    The method keeps its historical label: the monomial characters of O(k)
+    are what the sign types enumerate.
     """
-    n = spec.cover.n
-    dims = {q: 0 for q in range(n + 1)}
-    for summand, twist in enumerate(spec.twists):
-        for sign_type, g in _sign_types(n, twist):
-            sizes = {}
-            ranks = {}
-            for q in range(n + 1):
-                dom, cod, mat = delta_block_matrix(spec, q, summand, g)
-                sizes[q] = len(dom)
-                ranks[q] = linalg.rank(mat) if dom and cod else 0
-            type_dims = {q: sizes[q] - ranks[q] - (ranks[q - 1] if q > 0 else 0)
-                         for q in range(n + 1)}
-            if not any(type_dims.values()):
-                continue
-            count = sum(_in_window(c, window) for c in _type_chars(sign_type, twist))
-            for q in range(n + 1):
-                dims[q] += type_dims[q] * count
-    return dims
+    if n not in (1, 2):
+        raise ValueError("only n in {1, 2} is supported")
+    rep = cohomology(line_sum(standard_cover(n), [k]), q)
+    rep.method = "monomial-oracle"
+    return rep
 
 
 def harmonic_h2_part(c: Cochain) -> list[tuple[int, Char, Fraction]]:

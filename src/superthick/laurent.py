@@ -12,6 +12,7 @@ signed ints) to nonzero coefficients.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -21,13 +22,34 @@ class NonInvertibleBaseError(ValueError):
     """Raised when a negative power of a non-monomial would be needed."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(x) -> int | Fraction:
+    """A serialized rational: an int, or a string "num" or "num/den" of digits.
+
+    Only that syntax is accepted, so reading a coefficient never builds more
+    digits than the text holds; decimals, exponents, spaces, bools and a zero
+    denominator raise ValueError.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
+        raise ValueError(f"not a rational num or num/den: {x!r}")
+    num, _, den = x.partition("/")
+    den = int(den or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {x!r}")
+    return _coerce(Fraction(int(num), den))
+
+
 def _coerce(c) -> int | Fraction:
     """An int, Fraction or rational string as an int when integral, else a Fraction."""
     if isinstance(c, int):
         return int(c)
     if isinstance(c, str):
-        c = Fraction(c)
-    elif not isinstance(c, Fraction):
+        return parse_rational(c)
+    if not isinstance(c, Fraction):
         raise TypeError(f"not an exact rational: {c!r}")
     return c.numerator if c.denominator == 1 else c
 
@@ -271,7 +293,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(dim: int, data: Iterable[dict]) -> "LaurentPoly":
-        return LaurentPoly(dim, {tuple(t["exps"]): Fraction(t["coef"]) for t in data})
+        return LaurentPoly(dim, {tuple(t["exps"]): parse_rational(t["coef"]) for t in data})
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec, represent, section_zero
 from .exterior import GrassmannElement, sort_index_tuple, taylor_add, taylor_rows
-from .laurent import ChartMap, LaurentPoly
+from .laurent import ChartMap, LaurentPoly, parse_rational
 
 
 class CocycleViolation(ValueError):
@@ -661,12 +660,10 @@ def _is_int_list(x) -> bool:
 
 
 def _is_rational(x) -> bool:
-    """An integer, or a string that parses to a rational with nonzero denominator."""
-    if not isinstance(x, str):
-        return _is_int(x)
+    """An integer, or a string "num" or "num/den" with a nonzero denominator."""
     try:
-        Fraction(x)
-    except (ValueError, ZeroDivisionError):
+        parse_rational(x)
+    except ValueError:
         return False
     return True
 

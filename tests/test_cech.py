@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -103,11 +104,108 @@ def test_oracle_matches_bott_on_grid():
                 )
 
 
+# ---------------------------------------------------------------------------
+# the pole-set oracle for line bundles, a reference independent of the blocks
+
+
+def char_complex_dims(n, g):
+    """Cohomology of the one-character Čech complex, by explicit small ranks."""
+    poles = frozenset(l for l, e in enumerate(g) if e < 0)
+    charts = list(range(n + 1))
+    simplices = {
+        q: [s for s in itertools.combinations(charts, q + 1) if poles <= set(s)]
+        for q in range(n + 1)
+    }
+
+    def delta(q):
+        dom = simplices[q]
+        cod = simplices.get(q + 1, [])
+        idx = {s: i for i, s in enumerate(cod)}
+        mat = [[Fraction(0)] * len(dom) for _ in cod]
+        for col, s in enumerate(dom):
+            for big in cod:
+                missing = [v for v in big if v not in s]
+                if len(missing) == 1 and set(s) <= set(big):
+                    j = big.index(missing[0])
+                    mat[idx[big]][col] = Fraction((-1) ** j)
+        return mat
+
+    dims = {}
+    for q in range(n + 1):
+        dom = simplices[q]
+        mat_out = delta(q)
+        rank_out = linalg.rank(mat_out) if mat_out and dom else 0
+        if q == 0:
+            rank_in = 0
+        else:
+            mat_in = delta(q - 1)
+            rank_in = linalg.rank(mat_in) if mat_in and simplices[q - 1] else 0
+        dims[q] = len(dom) - rank_out - rank_in
+    return dims
+
+
+def pole_set_candidates(n, k):
+    """Characters of O(k) with an empty or a full pole set; all others are acyclic."""
+    for entries in (range(0, k + 1), range(k + n, 0)):
+        yield from (g for g in itertools.product(entries, repeat=n + 1) if sum(g) == k)
+
+
+def oracle_cohomology(n, k, q):
+    """(h^q(O(k)), {character: representative}) from the pole-set candidates."""
+    spec = cech.line_sum(cech.standard_cover(n), [k])
+    dim, reps = 0, {}
+    for g in pole_set_candidates(n, k):
+        h = char_complex_dims(n, g).get(q, 0)
+        dim += h
+        if h and q in (0, n):
+            simplices = spec.cover.simplices(0) if q == 0 else spec.cover.simplices(n)
+            reps[g] = cech.Cochain(spec, q, {
+                s: ((LaurentPoly.monomial(n, cech.char_monomial_exps(spec, s[0], 0, 0, g)),),)
+                for s in simplices
+            })
+    return dim, reps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_line_bundle_cohomology_matches_pole_set_oracle(n):
+    for k in range(-8, 9):
+        for q in range(-1, n + 2):
+            got = cech.line_bundle_cohomology(n, k, q)
+            dim, want = oracle_cohomology(n, k, q)
+            assert got.dims == {q: dim} and got.complete, (n, k, q)
+            by_char = {}
+            for c in got.representatives[q]:
+                (key,) = cech.cochain_chars(c)
+                assert key[0] == 0 and key[1] not in by_char
+                by_char[key[1]] = c
+                assert cech.coboundary(c).is_zero()
+                if q == 0:
+                    assert not c.is_zero()
+                else:
+                    sol, cert = cech.solve_coboundary(c)
+                    assert sol is None and cert
+            assert set(by_char) == set(want), (n, k, q)
+            for g, c in by_char.items():
+                (simplex, sec), *_ = sorted(c.values.items())
+                ratio = Fraction(next(iter(sec[0][0].terms.values()))) / next(
+                    iter(want[g].value(simplex)[0][0].terms.values())
+                )
+                assert ratio != 0 and c == want[g].scale(ratio), (n, k, q, g)
+
+
 def test_middle_characters_are_acyclic():
     # proper nonempty pole sets contribute nothing in any degree
     for g in [(-1, 2, 0), (0, -2, 1), (-1, -1, 3), (5, -3, -2)]:
-        dims = cech._char_complex_dims(2, g)
+        dims = char_complex_dims(2, g)
         assert all(v == 0 for v in dims.values()), (g, dims)
+        # the sign-type blocks agree on every character of a window around g
+        spec = cech.line_sum(cech.standard_cover(2), [sum(g)])
+        window = max(map(abs, g))
+        want = {q: 0 for q in range(3)}
+        for h in scan_chars(spec, 0, window):
+            for q, d in char_complex_dims(2, h).items():
+                want[q] += d
+        assert cech.windowed_dims(spec, window) == want, g
 
 
 def test_solve_coboundary_roundtrip():
@@ -290,6 +388,24 @@ def test_sign_types_window_zero_stays_incomplete():
     rep = cech.h1_representatives(spec, window=0)
     assert not rep.complete and rep.dims[1] == scan_h1(spec, 0)[0] == 0
     assert cech.enumerate_chars(spec, 0, 0) == []
+
+
+def test_h1_builds_each_block_once(monkeypatch):
+    spec = supermap.slot_sheaf(cech.standard_cover(2), SplitBundleDegrees((4, -1, -7)), 2)
+    built = collections.Counter()
+    build = cech.delta_block_matrix
+
+    def counting(spec, degree, summand, g):
+        built[degree, tuple(max(-2, min(1, e)) for e in g)] += 1
+        return build(spec, degree, summand, g)
+
+    monkeypatch.setattr(cech, "delta_block_matrix", counting)
+    got = cech.h1_representatives(spec)
+    monkeypatch.undo()
+    assert max(built.values()) == 1 and sum(built.values()) <= 101
+    dim, reps = scan_h1(spec, 10)
+    assert got.dims[1] == dim and got.complete
+    assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps]
 
 
 def test_infinite_sign_type_with_classes_raises(monkeypatch):

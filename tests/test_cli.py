@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -321,3 +325,21 @@ def test_fuzz_split_model_with_one_subtree_replaced(tmp_path, capsys, data):
             node = node[key]
         node[path[-1]] = value
     check_readers(tmp_path, capsys, doc)
+
+
+def test_exponent_notation_coefficient_exits_two_quickly(tmp_path):
+    # "1e30000000" is valid Fraction syntax for a 30-million-digit integer; a
+    # reader that accepted it kept verify busy for minutes
+    data = copy.deepcopy(SPLIT_MODELS[0])
+    assert data["space"] == "P1"
+    data["maps"]["0,1"]["odd"][0][0]["coef"][0]["coef"] = "1e30000000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    for command in ("verify", "gamma"):
+        proc = subprocess.run([sys.executable, "-m", "superthick.cli", command, "--file", str(path)],
+                              capture_output=True, text=True, timeout=10, env=env)
+        assert proc.returncode == 2 and proc.stdout == "", (command, proc.stderr)
+        assert "malformed term" in proc.stderr and "Traceback" not in proc.stderr

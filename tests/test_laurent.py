@@ -103,3 +103,14 @@ def test_fraction_serialization():
     assert fraction_to_str(Fraction(-4, 6)) == "-2/3"
     p = LaurentPoly(2, {(1, -2): Fraction(1, 3), (0, 0): -2})
     assert LaurentPoly.from_json(2, p.to_json()) == p
+
+
+@pytest.mark.parametrize("text,value", [("7", 7), ("-3/2", Fraction(-3, 2)), ("+4/2", 2), (5, 5)])
+def test_from_json_reads_integer_syntax(text, value):
+    assert LaurentPoly.from_json(1, [{"exps": [0], "coef": text}]) == LaurentPoly.const(1, value)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", " 2", "4/-2", "1/0", "", "1_0", True])
+def test_from_json_rejects_other_rational_syntax(text):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(1, [{"exps": [0], "coef": text}])

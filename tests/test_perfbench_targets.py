@@ -1,0 +1,32 @@
+"""The traced benchmark looks up each of its targets by name in the package.
+
+``perfbench/layers.py`` resolves every ``TARGETS`` entry with
+``owner.__dict__[attr]``, so deleting or renaming a traced function breaks
+``perfbench/run.py --trace 1``.  This test loads that file without changing it
+and resolves every name against the package.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import superthick
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    """The module from its source, writing no bytecode next to it."""
+    module = types.ModuleType("perfbench_layers")
+    module.__file__ = str(LAYERS)
+    exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_target_resolves():
+    layers = load_layers()
+    for _, module, _, _ in layers.TARGETS:
+        importlib.import_module(f"{superthick.__name__}.{module}")
+    found = layers.originals()
+    assert list(found) == [prefix for prefix, _, _, _ in layers.TARGETS]
+    assert all(callable(fn) for fn in found.values())
