@@ -19,12 +19,13 @@ character pins down at most one monomial per simplex, summand and component.
 Coboundary equations therefore split into small exact linear systems, one per
 character, and solving them is complete: no truncation window enters.
 
-The block matrices of those systems come from an exponent-level slot
-transport (``Cover.transport``): moving one monomial between charts is an
-integer matrix on its exponents, a twist-scaled line-factor vector, and one
-offset and constant per output component.  ``delta_block_matrix`` fills each
-column from it directly; ``coboundary`` and ``represent`` remain the generic
-path for whole cochains.
+Every chart change goes through one exponent-level table,
+``Cover.transport``: moving one monomial between charts is an integer matrix
+on its exponents, a twist-scaled line-factor vector, and one offset and
+constant per output component.  ``represent`` moves a section monomial by
+monomial with it, and ``delta_block_matrix`` fills each block column from the
+move of one unit monomial, so whole-cochain coboundaries and block matrices
+share the same arithmetic.
 
 Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
@@ -46,8 +47,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
-from .laurent import ChartMap, LaurentPoly, fraction_to_str
+from .laurent import ChartMap, LaurentPoly
 from . import linalg
 
 
@@ -64,7 +66,6 @@ class Cover:
         self.n = n
         self.charts = tuple(range(n + 1))
         self._transitions: dict[tuple[int, int], ChartMap] = {}
-        self._jacobians: dict[tuple[int, int], list[list[LaurentPoly]]] = {}
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
@@ -89,12 +90,6 @@ class Cover:
             self._transitions[key] = ChartMap(comps)
         return self._transitions[key]
 
-    def jacobian(self, i: int, j: int) -> list[list[LaurentPoly]]:
-        key = (i, j)
-        if key not in self._jacobians:
-            self._jacobians[key] = self.transition(i, j).jacobian()
-        return self._jacobians[key]
-
     def line_factor(self, a: int, b: int, k: int) -> LaurentPoly:
         """(z_a / z_b)^k as a chart-b monomial; re-presents O(k) data a -> b."""
         exps = [0] * self.n
@@ -103,15 +98,18 @@ class Cover:
         return LaurentPoly.monomial(self.n, exps)
 
     def transport(self, kind: str, a: int, b: int, comp: int) -> tuple:
-        """Exponent-level form of ``represent`` a -> b on one slot component.
+        """How one monomial of a slot component moves from chart a to chart b.
 
         Returns (rows, line, outputs).  A chart-a monomial c * x^e in input
         component ``comp`` of a summand twisted by t re-presents in chart b as
         the sum over (mu, offset, coef) in outputs of
         c * coef * x^(sum_i e_i rows[i] + t line + offset) in component mu.
         rows are the exponent vectors of transition(b, a), line that of
-        line_factor(a, b, 1), and each output is one entry of the pulled-back
-        jacobian(a, b) (tangent) or of jacobian(b, a) (one-forms).
+        line_factor(a, b, 1), and each output is one entry of the Jacobian of
+        transition(a, b) pulled back to chart b (tangent) or of the Jacobian
+        of transition(b, a) (one-forms).  Every chart change in the package
+        reads this table: ``represent`` and the coboundary blocks move whole
+        monomials, and the gluing maps' frame changes use the outputs and line.
         """
         key = (kind, a, b, comp)
         if key in self._transport:
@@ -133,11 +131,10 @@ class Cover:
             if kind == LINE_SUM:
                 factors = [LaurentPoly.one(n)]
             elif kind == TANGENT:
-                jac = self.jacobian(a, b)
+                jac = self.transition(a, b).jacobian()
                 factors = [f_ba.apply(jac[mu][comp]) for mu in range(n)]
             else:
-                jac = self.jacobian(b, a)
-                factors = [jac[comp][mu] for mu in range(n)]
+                factors = f_ba.jacobian()[comp]
             outputs = []
             for mu, factor in enumerate(factors):
                 if len(factor.terms) > 1:
@@ -247,39 +244,37 @@ def section_is_zero(a: Section) -> bool:
 
 
 def represent(spec: SheafSpec, sec: Section, a: int, b: int) -> Section:
-    """Re-present a section from chart a to chart b (args, frames and twist)."""
+    """Re-present a section from chart a to chart b (args, frames and twist).
+
+    Each monomial moves on its own through ``Cover.transport``.
+    """
     if a == b:
         return sec
     cover = spec.cover
-    f_ba = cover.transition(b, a)
     out = []
-    for s, twist in enumerate(spec.twists):
-        lf = cover.line_factor(a, b, twist)
-        comps = sec[s]
-        if spec.kind == LINE_SUM:
-            new = (lf * f_ba.apply(comps[0]),)
-        elif spec.kind == TANGENT:
-            jac = cover.jacobian(a, b)  # d x^(b)_mu / d x^(a)_nu, chart-a args
-            new = tuple(
-                lf
-                * sum(
-                    (f_ba.apply(jac[mu][nu]) * f_ba.apply(comps[nu]) for nu in range(cover.n)),
-                    LaurentPoly.zero(cover.n),
-                )
-                for mu in range(cover.n)
-            )
-        else:  # one-forms: d x^(a)_nu = sum_mu (d f_ba_nu / d x^(b)_mu) d x^(b)_mu
-            jac = cover.jacobian(b, a)  # chart-b args directly
-            new = tuple(
-                lf
-                * sum(
-                    (jac[nu][mu] * f_ba.apply(comps[nu]) for nu in range(cover.n)),
-                    LaurentPoly.zero(cover.n),
-                )
-                for mu in range(cover.n)
-            )
-        out.append(new)
+    for twist, summand in zip(spec.twists, sec):
+        acc = [{} for _ in summand]
+        for comp, poly in enumerate(summand):
+            for exps, c in poly.terms.items():
+                for mu, image, coef in _move(cover, spec.kind, a, b, comp, twist, exps):
+                    acc[mu][image] = acc[mu].get(image, 0) + c * coef
+        out.append(tuple(LaurentPoly(cover.n, terms) for terms in acc))
     return tuple(out)
+
+
+def _move(cover: Cover, kind: str, a: int, b: int, comp: int, twist: int, exps) -> list:
+    """Images (mu, exponents, constant) of x^exps in component comp, chart a -> b.
+
+    The one place that applies ``Cover.transport`` to a monomial: exponents
+    through its rows, the twist through its line vector, then each output's
+    offset and constant.
+    """
+    rows, line, outputs = cover.transport(kind, a, b, comp)
+    base = [twist * x for x in line]
+    for e, row in zip(exps, rows):
+        if e:
+            base = [x + e * r for x, r in zip(base, row)]
+    return [(mu, tuple(map(add, base, offset)), coef) for mu, offset, coef in outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,6 @@ def delta_block_matrix(
     sign (-1)^j for the added vertex at position j.
     """
     cover = spec.cover
-    n = cover.n
     twist = spec.twists[summand]
     dom = char_basis(spec, degree, summand, g)
     cod = char_basis(spec, degree + 1, summand, g)
@@ -529,13 +523,8 @@ def delta_block_matrix(
             if len(added) != 1:
                 continue
             sign = -1 if added[0] % 2 else 1
-            rows, line, outputs = cover.transport(spec.kind, face[0], big[0], slot.comp)
-            base = [twist * line[t] for t in range(n)]
-            for e, row in zip(slot.exps, rows):
-                for t in range(n):
-                    base[t] += e * row[t]
-            for mu, offset, coef in outputs:
-                exps = tuple(base[t] + offset[t] for t in range(n))
+            for mu, exps, coef in _move(cover, spec.kind, face[0], big[0], slot.comp, twist,
+                                        slot.exps):
                 if monomial_char(spec, big[0], summand, mu, exps) != g:
                     raise AssertionError("coboundary failed to preserve the character")
                 image = BasisSlot(big, summand, mu, exps)

@@ -235,14 +235,6 @@ class GrassmannElement:
             _accumulate(terms, rest, coef if pos % 2 == 0 else -coef)
         return _make(self.p, self.q, terms)
 
-    def wedge_power(self, n: int) -> "GrassmannElement":
-        result = GrassmannElement.scalar(self.p, self.q, LaurentPoly.one(self.p))
-        for _ in range(n):
-            result = result.wedge(self)
-            if result.is_zero():
-                break
-        return result
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:

@@ -130,16 +130,6 @@ def search_split_triples(lo: int, hi: int) -> list[SplitConditionsReport]:
     return out
 
 
-@dataclass(frozen=True)
-class NonSplitParams:
-    k_prime: int
-    l: int
-
-    def __post_init__(self):
-        if self.k_prime >= 3:
-            raise ValueError("k_prime < 3 is required")
-
-
 @dataclass
 class ThresholdCertificate:
     k_prime: int

@@ -12,10 +12,13 @@ Degree bookkeeping for a split bundle with degrees (k_1..k_q): the degree-1
 part of the odd components is the diagonal frame change zeta_{ij,a} =
 (z_j/z_i)^(k_a), and the degree-0 part of the even components is the chart
 transition.  Homogeneous degree-d data of a trivialisation is a Čech cochain
-valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd);
-the obstruction cocycle of an order-m trivialisation is the homogeneous
-degree-(m+1) part of its composition defect, computed mod J^(m+2) with all
-new top coefficients set to zero.
+valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd).
+A map's theta_I coefficients and the chart-i section of that cochain differ
+by the target frame: the Jacobian of the transition on even slots and zeta
+on odd slots, both read off ``Cover.transport``.  The obstruction cocycle
+of an order-m trivialisation is the homogeneous degree-(m+1) part of its
+composition defect, computed mod J^(m+2) with all new top coefficients set
+to zero.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import add
 
 from . import cech
 from .bott import SplitBundleDegrees
-from .cech import Cochain, Cover, SheafSpec, represent, section_zero
+from .cech import Cochain, Cover, SheafSpec, represent
 from .exterior import GrassmannElement, sort_index_tuple, taylor_add, taylor_rows
 from .laurent import ChartMap, LaurentPoly, parse_rational
 
@@ -221,6 +225,84 @@ def _directed_section(c: Cochain, i: int, j: int):
     return represent(c.sheaf, sec, min(i, j), i)
 
 
+def _add_scaled(terms: dict, poly: LaurentPoly, offset, coef) -> None:
+    """terms += coef * x^offset * poly, on exponent vectors."""
+    for e, c in poly.terms.items():
+        key = tuple(map(add, e, offset))
+        terms[key] = terms.get(key, 0) + c * coef
+
+
+def _odd_shift(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, s: int, i, j):
+    """Exponents of zeta_{ij,a} = x^(k_a line) for the odd slot summand s."""
+    k = degrees.degrees[spec.labels[s][1] - 1]
+    return tuple(k * x for x in cover.transport(cech.LINE_SUM, j, i, 0)[1])
+
+
+def _coefficients_to_section(cover, degrees, spec: SheafSpec, coefs, i: int, j: int):
+    """Degree-slot coefficients of the map i -> j as a chart-i section.
+
+    ``coefs[s][nu]`` is the coefficient of theta_I in even component nu of the
+    map (even slots, summand s labelled I) or in odd component a (odd slots,
+    one component, labelled (I, a)); arguments are in chart i.  Even slots pull
+    the chart-j vector frame back to chart i through the tangent transport
+    j -> i; odd slots divide by zeta_{ij,a}.  The identity when i == j.
+    """
+    out = []
+    for s, comps in enumerate(coefs):
+        terms = [{} for _ in comps]
+        if spec.kind == cech.TANGENT:
+            for nu, poly in enumerate(comps):
+                for mu, offset, c in cover.transport(cech.TANGENT, j, i, nu)[2]:
+                    _add_scaled(terms[mu], poly, offset, c)
+        else:
+            shift = _odd_shift(cover, degrees, spec, s, i, j)
+            _add_scaled(terms[0], comps[0], tuple(-x for x in shift), 1)
+        out.append(tuple(LaurentPoly(cover.n, t) for t in terms))
+    return tuple(out)
+
+
+def _section_to_coefficients(cover, degrees, spec: SheafSpec, sec, i: int, j: int):
+    """Inverse of ``_coefficients_to_section``: a chart-i section as map data.
+
+    Even slots push the chart-i vector frame to chart j with the Jacobian of
+    transition(i, j), read transposed off the one-form transport j -> i; odd
+    slots multiply by zeta_{ij,a}.  The identity when i == j.
+    """
+    out = []
+    for s, comps in enumerate(sec):
+        terms = [{} for _ in comps]
+        if spec.kind == cech.TANGENT:
+            for mu in range(len(comps)):
+                for nu, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]:
+                    _add_scaled(terms[mu], comps[nu], offset, c)
+        else:
+            _add_scaled(terms[0], comps[0], _odd_shift(cover, degrees, spec, s, i, j), 1)
+        out.append(tuple(LaurentPoly(cover.n, t) for t in terms))
+    return tuple(out)
+
+
+def _slot_coefficients(spec: SheafSpec, even, odd):
+    """The theta_I coefficients of a map's components, shaped like a section."""
+    if spec.kind == cech.TANGENT:
+        return tuple(tuple(g.coeff(I) for g in even) for I in spec.labels)
+    return tuple((odd[a - 1].coeff(I),) for I, a in spec.labels)
+
+
+def _plus_slot(sm: SuperMap, spec: SheafSpec, coefs) -> SuperMap:
+    """``sm`` with section-shaped theta_I coefficients added to its components."""
+    even, odd = list(sm.even), list(sm.odd)
+    for label, comps in zip(spec.labels, coefs):
+        if spec.kind == cech.TANGENT:
+            I, parts, positions = label, even, range(len(comps))
+        else:
+            I, a = label
+            parts, positions = odd, [a - 1]
+        for pos, coef in zip(positions, comps):
+            if not coef.is_zero():
+                parts[pos] = parts[pos] + GrassmannElement(sm.p, sm.q, {tuple(I): coef})
+    return SuperMap(sm.source, sm.target, sm.p, sm.q, sm.order, tuple(even), tuple(odd))
+
+
 def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
     """Add homogeneous degree-d cochain data to every ordered pair map."""
     if inc.degree != 1:
@@ -229,60 +311,22 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
     expected = slot_sheaf(t.cover, t.degrees, d)
     if spec.kind != expected.kind or spec.twists != expected.twists:
         raise ValueError("increment sheaf does not match the degree slot")
-    labels = expected.labels
-    p, q = t.p, t.q
     new_maps = {}
     for (i, j), sm in t.maps.items():
         sec = _directed_section(inc, i, j)
-        even = list(sm.even)
-        odd = list(sm.odd)
-        if d % 2 == 0:
-            jac = t.cover.jacobian(i, j)
-            for s, I in enumerate(labels):
-                comps = sec[s]
-                for mu in range(p):
-                    coef = sum(
-                        (jac[mu][nu] * comps[nu] for nu in range(p)),
-                        LaurentPoly.zero(p),
-                    )
-                    if not coef.is_zero():
-                        even[mu] = even[mu] + GrassmannElement(p, q, {tuple(I): coef})
-        else:
-            for s, (I, a) in enumerate(labels):
-                coef = sec[s][0] * zeta(t.cover, t.degrees, i, j, a)
-                if not coef.is_zero():
-                    odd[a - 1] = odd[a - 1] + GrassmannElement(p, q, {tuple(I): coef})
-        new_maps[(i, j)] = SuperMap(i, j, p, q, sm.order, tuple(even), tuple(odd))
+        coefs = _section_to_coefficients(t.cover, t.degrees, expected, sec, i, j)
+        new_maps[(i, j)] = _plus_slot(sm, expected, coefs)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
 
 
 def slot_cochain(t: Trivialization, d: int) -> Cochain:
     """Extract the homogeneous degree-d data of sorted pairs as a cochain."""
     spec = slot_sheaf(t.cover, t.degrees, d)
-    labels = spec.labels
-    p = t.p
     values = {}
     for (i, j) in t.cover.pairs:
         sm = t.maps[(i, j)]
-        sec = [
-            [LaurentPoly.zero(p) for _ in range(spec.ncomp)] for _ in spec.twists
-        ]
-        if d % 2 == 0:
-            jac_back = t.cover.jacobian(j, i)  # chart-j args
-            f_ij = t.cover.transition(i, j)
-            back = [[f_ij.apply(jac_back[mu][nu]) for nu in range(p)] for mu in range(p)]
-            for s, I in enumerate(labels):
-                for mu in range(p):
-                    raw = [sm.even[nu].coeff(tuple(I)) for nu in range(p)]
-                    sec[s][mu] = sum(
-                        (back[mu][nu] * raw[nu] for nu in range(p)),
-                        LaurentPoly.zero(p),
-                    )
-        else:
-            for s, (I, a) in enumerate(labels):
-                raw = sm.odd[a - 1].coeff(tuple(I))
-                sec[s][0] = raw * zeta(t.cover, t.degrees, i, j, a).invert()
-        values[(i, j)] = tuple(tuple(r) for r in sec)
+        coefs = _slot_coefficients(spec, sm.even, sm.odd)
+        values[(i, j)] = _coefficients_to_section(t.cover, t.degrees, spec, coefs, i, j)
     return Cochain(spec, 1, values)
 
 
@@ -364,30 +408,11 @@ def _extract_gamma_value(t: Trivialization, triple, spec: SheafSpec):
             f"cocycle condition fails at order {m} on triple {triple}",
             residual=(low_even, low_odd),
         )
-    p = t.p
-    labels = spec.labels
-    sec = [[LaurentPoly.zero(p) for _ in range(spec.ncomp)] for _ in spec.twists]
-    if (m + 1) % 2 == 0:
-        # even components, valued in the chart-k vector frame: pull back to i
-        jac_back = t.cover.jacobian(k, i)
-        f_ik = t.cover.transition(i, k)
-        back = [[f_ik.apply(jac_back[mu][nu]) for nu in range(p)] for mu in range(p)]
-        for s, I in enumerate(labels):
-            raw = [ev[nu].coeff(tuple(I)) for nu in range(p)]
-            for mu in range(p):
-                sec[s][mu] = sum(
-                    (back[mu][nu] * raw[nu] for nu in range(p)),
-                    LaurentPoly.zero(p),
-                )
-        if any(not g.degree_part(m + 1).is_zero() for g in od):
-            raise AssertionError("odd defect at an even degree")
-    else:
-        for s, (I, a) in enumerate(labels):
-            raw = od[a - 1].coeff(tuple(I))
-            sec[s][0] = raw * zeta(t.cover, t.degrees, i, k, a).invert()
-        if any(not g.degree_part(m + 1).is_zero() for g in ev):
-            raise AssertionError("even defect at an odd degree")
-    return tuple(tuple(r) for r in sec)
+    top = [g.degree_part(m + 1) for g in (od if spec.kind == cech.TANGENT else ev)]
+    if any(not g.is_zero() for g in top):
+        raise AssertionError("defect of the wrong parity at degree m + 1")
+    coefs = _slot_coefficients(spec, ev, od)
+    return _coefficients_to_section(t.cover, t.degrees, spec, coefs, i, k)
 
 
 def obstruction_cocycle(t: Trivialization) -> Cochain:
@@ -455,16 +480,12 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     pair_labels = expected.labels
     values = {}
     for (i, j, k) in cover.triples:
-        sec = [[LaurentPoly.zero(p)] for _ in spec.twists]
+        raw = [[LaurentPoly.zero(p)] for _ in spec.twists]
         f_ij = cover.transition(i, j)
-        jac_ij = cover.jacobian(i, j)
         sec_ij = _directed_section(omega, i, j)
-        for s, I in enumerate(pair_labels):
-            # vector part in the chart-j frame, arguments in chart i
-            vec = [
-                sum((jac_ij[mu][nu] * sec_ij[s][nu] for nu in range(p)), LaurentPoly.zero(p))
-                for mu in range(p)
-            ]
+        # vector parts in the chart-j frame, arguments in chart i
+        vecs = _section_to_coefficients(cover, degrees, expected, sec_ij, i, j)
+        for I, vec in zip(pair_labels, vecs):
             for a in range(1, q + 1):
                 if a in I:
                     continue
@@ -480,9 +501,8 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
                     target_I = tuple(sorted(word))
                     _, sign = sort_index_tuple(word)
                     sidx = spec.labels.index((target_I, a))
-                    contrib = coef.scale(-sign) * zeta(cover, degrees, i, k, a).invert()
-                    sec[sidx][0] = sec[sidx][0] + contrib
-        values[(i, j, k)] = tuple(tuple(r) for r in sec)
+                    raw[sidx][0] = raw[sidx][0] + coef.scale(-sign)
+        values[(i, j, k)] = _coefficients_to_section(cover, degrees, spec, raw, i, k)
     return Cochain(spec, 2, values)
 
 
@@ -513,26 +533,10 @@ def automorphism_from_increment(
     expected = slot_sheaf(cover, degrees, d)
     if nu.sheaf.kind != expected.kind or nu.sheaf.twists != expected.twists:
         raise ValueError("0-cochain does not live in the degree slot sheaf")
-    p, q = cover.n, degrees.rank
-    labels = expected.labels
     lam = {}
     for c in cover.charts:
-        sm = identity_map(c, p, q, order)
-        sec = nu.value((c,))
-        even = list(sm.even)
-        odd = list(sm.odd)
-        if d % 2 == 0:
-            for s, I in enumerate(labels):
-                for mu in range(p):
-                    coef = sec[s][mu]
-                    if not coef.is_zero():
-                        even[mu] = even[mu] + GrassmannElement(p, q, {tuple(I): coef})
-        else:
-            for s, (I, a) in enumerate(labels):
-                coef = sec[s][0]
-                if not coef.is_zero():
-                    odd[a - 1] = odd[a - 1] + GrassmannElement(p, q, {tuple(I): coef})
-        lam[c] = SuperMap(c, c, p, q, order, tuple(even), tuple(odd))
+        coefs = _section_to_coefficients(cover, degrees, expected, nu.value((c,)), c, c)
+        lam[c] = _plus_slot(identity_map(c, cover.n, degrees.rank, order), expected, coefs)
     return lam
 
 

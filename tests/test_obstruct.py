@@ -3,7 +3,6 @@ import pytest
 from superthick import bott
 from superthick.bott import SplitBundleDegrees
 from superthick.obstruct import (
-    NonSplitParams,
     check_split_conditions,
     pair_sums,
     search_split_triples,
@@ -133,12 +132,6 @@ def test_sufficient_l_rejects_other_twists():
     for bad in (-2, 0, 2):
         with pytest.raises(ValueError):
             sufficient_l_nonsplit(bad)
-
-
-def test_nonsplit_params_validation():
-    NonSplitParams(-3, -5)
-    with pytest.raises(ValueError):
-        NonSplitParams(3, 0)
 
 
 def test_report_json_schema():

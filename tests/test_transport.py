@@ -1,12 +1,16 @@
 """Differential tests of the monomial transport layer.
 
-``cech.delta_block_matrix`` builds each block column by transporting one
-unit monomial on exponents (``Cover.transport``), and ``LaurentPoly.compose``
-maps each term to one monomial when every substituted part is a monomial.
-The references below are the slow paths those replace: the generic
-coboundary of a one-slot cochain, and substitution by multiplying powers.
+Every chart change moves monomials on exponents through ``Cover.transport``:
+``cech.represent`` monomial by monomial, ``cech.delta_block_matrix`` one
+unit monomial per block column, and the gluing maps' frame changes in
+``supermap``.  ``LaurentPoly.compose`` maps each term to one monomial when
+every substituted part is a monomial.  The references below are the slow
+paths those replace: re-presentation by Laurent pullback, Jacobian products
+and line factors, the coboundary built on it, the hand-rolled Jacobian and
+zeta frame changes, and substitution by multiplying powers.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,16 +19,89 @@ import pytest
 from superthick import cech, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.laurent import LaurentPoly, NonInvertibleBaseError
+from test_acceptance import DEGREE_POOL
+
+KINDS = [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM]
+
+
+def reference_represent(spec, sec, a, b):
+    """Re-present a section from chart a to chart b by Laurent arithmetic."""
+    if a == b:
+        return sec
+    cover = spec.cover
+    n = cover.n
+    zero = LaurentPoly.zero(n)
+    f_ba = cover.transition(b, a)
+    out = []
+    for s, twist in enumerate(spec.twists):
+        lf = cover.line_factor(a, b, twist)
+        comps = sec[s]
+        if spec.kind == cech.LINE_SUM:
+            new = (lf * f_ba.apply(comps[0]),)
+        elif spec.kind == cech.TANGENT:
+            jac = cover.transition(a, b).jacobian()  # d x^(b)_mu / d x^(a)_nu, chart-a args
+            new = tuple(
+                lf * sum((f_ba.apply(jac[mu][nu]) * f_ba.apply(comps[nu]) for nu in range(n)),
+                         zero)
+                for mu in range(n)
+            )
+        else:  # one-forms: d x^(a)_nu = sum_mu (d f_ba_nu / d x^(b)_mu) d x^(b)_mu
+            jac = f_ba.jacobian()  # chart-b args directly
+            new = tuple(
+                lf * sum((jac[nu][mu] * f_ba.apply(comps[nu]) for nu in range(n)), zero)
+                for mu in range(n)
+            )
+        out.append(new)
+    return tuple(out)
+
+
+def reference_coboundary(c):
+    """The twisted Čech differential, transported by ``reference_represent``."""
+    spec = c.sheaf
+    out = {}
+    for simplex in spec.cover.simplices(c.degree + 1):
+        acc = cech.section_zero(spec)
+        for j in range(len(simplex)):
+            face = simplex[:j] + simplex[j + 1 :]
+            sec = reference_represent(spec, c.value(face), face[0], simplex[0])
+            acc = cech.section_add(acc, cech.section_neg(sec) if j % 2 else sec)
+        out[simplex] = acc
+    return cech.Cochain(spec, c.degree + 1, out)
+
+
+def section_json(sec):
+    return [[comp.to_json() for comp in summand] for summand in sec]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_represent_matches_laurent_reference(kind, n):
+    rng = random.Random(f"represent-{kind}-{n}")
+    cover = cech.standard_cover(n)
+    moved = 0
+    for _ in range(12 if n == 2 else 60):
+        twists = [rng.randint(-8, 6) for _ in range(rng.randint(1, 3))]
+        spec = cech.SheafSpec(cover, kind, tuple(twists))
+        for simplex in cover.simplices(1) + cover.simplices(2):
+            for a, b in itertools.permutations(simplex, 2):
+                chart_first = (a,) + tuple(v for v in simplex if v != a)
+                sec = cech.random_section(spec, chart_first, rng, terms=4, span=3)
+                fast = cech.represent(spec, sec, a, b)
+                assert fast == reference_represent(spec, sec, a, b)
+                assert section_json(fast) == section_json(reference_represent(spec, sec, a, b))
+                assert cech.represent(spec, fast, b, a) == sec
+                moved += not cech.section_is_zero(sec)
+    assert moved >= 100
 
 
 def reference_block_matrix(spec, degree, summand, g):
-    """One block, column by column, through the generic coboundary."""
+    """One block, column by column, through the reference coboundary."""
     dom = cech.char_basis(spec, degree, summand, g)
     cod = cech.char_basis(spec, degree + 1, summand, g)
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
     for col, slot in enumerate(dom):
-        image = cech.coboundary(cech.cochain_from_slot(spec, degree, slot))
+        image = reference_coboundary(cech.cochain_from_slot(spec, degree, slot))
         for (s, gg), coeffs in cech.cochain_chars(image).items():
             assert (s, gg) == (summand, g)
             for cslot, coef in coeffs.items():
@@ -37,7 +114,7 @@ def random_char(rng, n, twist, span):
     return (twist - sum(rest),) + tuple(rest)
 
 
-@pytest.mark.parametrize("kind", [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n,degrees", [(1, (0,)), (2, (0, 1))])
 def test_delta_block_matrix_matches_generic_coboundary(kind, n, degrees):
     rng = random.Random(f"{kind}-{n}")
@@ -133,10 +210,88 @@ def test_h1_scan_makes_no_generic_coboundary_call(monkeypatch):
     monkeypatch.setattr(cech, "coboundary", counting)
     fast = cech.h1_representatives(spec, window=6)
     assert calls == []
-    monkeypatch.setattr(cech, "delta_block_matrix", reference_block_matrix)
+    built = []
+
+    def reference(*args):
+        built.append(args)
+        return reference_block_matrix(*args)
+
+    monkeypatch.setattr(cech, "delta_block_matrix", reference)
     slow = cech.h1_representatives(spec, window=6)
-    assert calls
+    assert built
     assert fast.dims == slow.dims == {1: 1} and fast.complete and slow.complete
     assert [c.to_json() for c in fast.representatives[1]] == [
         c.to_json() for c in slow.representatives[1]
     ]
+
+
+def reference_to_coefficients(cover, degrees, spec, sec, i, j):
+    """Chart-i slot data as map coefficients: Jacobian of transition(i, j), zeta."""
+    if i == j:
+        return sec
+    n = cover.n
+    jac = cover.transition(i, j).jacobian()
+    out = []
+    for s, comps in enumerate(sec):
+        if spec.kind == cech.TANGENT:
+            out.append(tuple(
+                sum((jac[mu][nu] * comps[nu] for nu in range(n)), LaurentPoly.zero(n))
+                for mu in range(n)
+            ))
+        else:
+            out.append((comps[0] * supermap.zeta(cover, degrees, i, j, spec.labels[s][1]),))
+    return tuple(out)
+
+
+def reference_to_section(cover, degrees, spec, coefs, i, j):
+    """Map coefficients as chart-i slot data: pulled-back inverse Jacobian, 1/zeta."""
+    if i == j:
+        return coefs
+    n = cover.n
+    f_ij = cover.transition(i, j)
+    back = cover.transition(j, i).jacobian()  # chart-j args
+    out = []
+    for s, raw in enumerate(coefs):
+        if spec.kind == cech.TANGENT:
+            out.append(tuple(
+                sum((f_ij.apply(back[mu][nu]) * raw[nu] for nu in range(n)), LaurentPoly.zero(n))
+                for mu in range(n)
+            ))
+        else:
+            zeta = supermap.zeta(cover, degrees, i, j, spec.labels[s][1])
+            out.append((raw[0] * zeta.invert(),))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_frame_helpers_round_trip_on_every_pair(d):
+    rng = random.Random(f"frames-{d}")
+    cover = cech.standard_cover(2)
+    checked = 0
+    for degrees in DEGREE_POOL:
+        degrees = SplitBundleDegrees(degrees)
+        spec = supermap.slot_sheaf(cover, degrees, d)
+        for i, j in itertools.product(cover.charts, repeat=2):
+            sec = cech.random_section(spec, (i,) + tuple(v for v in cover.charts if v != i),
+                                      rng, terms=6, span=3)
+            coefs = supermap._section_to_coefficients(cover, degrees, spec, sec, i, j)
+            back = supermap._coefficients_to_section(cover, degrees, spec, coefs, i, j)
+            assert back == sec
+            if i == j:
+                assert coefs == sec
+            assert coefs == reference_to_coefficients(cover, degrees, spec, sec, i, j)
+            assert back == reference_to_section(cover, degrees, spec, coefs, i, j)
+            checked += not cech.section_is_zero(sec)
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_slot_cochain_reads_back_the_increment(d):
+    rng = random.Random(f"increment-{d}")
+    cover = cech.standard_cover(2)
+    for degrees in DEGREE_POOL:
+        degrees = SplitBundleDegrees(degrees)
+        split = supermap.split_trivialization(cover, degrees, d)
+        inc = cech.random_cochain(supermap.slot_sheaf(cover, degrees, d), 1, rng, terms=3)
+        assert not inc.is_zero()
+        assert supermap.slot_cochain(supermap.apply_increment(split, inc, d), d) == inc
