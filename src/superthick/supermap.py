@@ -232,13 +232,15 @@ def _add_scaled(terms: dict, poly: LaurentPoly, offset, coef) -> None:
         terms[key] = terms.get(key, 0) + c * coef
 
 
-def _odd_shift(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, s: int, i, j):
+def _odd_shift(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, s: int,
+               i: int, j: int) -> tuple:
     """Exponents of zeta_{ij,a} = x^(k_a line) for the odd slot summand s."""
     k = degrees.degrees[spec.labels[s][1] - 1]
     return tuple(k * x for x in cover.transport(cech.LINE_SUM, j, i, 0)[1])
 
 
-def _coefficients_to_section(cover, degrees, spec: SheafSpec, coefs, i: int, j: int):
+def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
+                             coefs, i: int, j: int):
     """Degree-slot coefficients of the map i -> j as a chart-i section.
 
     ``coefs[s][nu]`` is the coefficient of theta_I in even component nu of the
@@ -261,7 +263,8 @@ def _coefficients_to_section(cover, degrees, spec: SheafSpec, coefs, i: int, j: 
     return tuple(out)
 
 
-def _section_to_coefficients(cover, degrees, spec: SheafSpec, sec, i: int, j: int):
+def _section_to_coefficients(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
+                             sec, i: int, j: int):
     """Inverse of ``_coefficients_to_section``: a chart-i section as map data.
 
     Even slots push the chart-i vector frame to chart j with the Jacobian of

@@ -87,8 +87,8 @@ def test_represent_matches_laurent_reference(kind, n):
                 chart_first = (a,) + tuple(v for v in simplex if v != a)
                 sec = cech.random_section(spec, chart_first, rng, terms=4, span=3)
                 fast = cech.represent(spec, sec, a, b)
-                assert fast == reference_represent(spec, sec, a, b)
-                assert section_json(fast) == section_json(reference_represent(spec, sec, a, b))
+                slow = reference_represent(spec, sec, a, b)
+                assert fast == slow and section_json(fast) == section_json(slow)
                 assert cech.represent(spec, fast, b, a) == sec
                 moved += not cech.section_is_zero(sec)
     assert moved >= 100
