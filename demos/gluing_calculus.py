@@ -10,6 +10,7 @@ import random
 
 from superthick import cech, supermap as sm
 from superthick.bott import SplitBundleDegrees
+from superthick.pipeline import class_coordinates
 
 
 def main():
@@ -33,7 +34,9 @@ def main():
           f"{(gamma - pushed).is_zero()}")
     print(f"  verification (alternation and consistency): "
           f"{sm.verify_gamma_cocycle(gamma, t)['pass']}")
-    print(f"  harmonic part: {cech.harmonic_h2_part(gamma)}\n")
+    basis, coords = class_coordinates(gamma)
+    harmonic = [(s, g, c) for (s, g), c in zip(basis, coords) if c]
+    print(f"  harmonic part: {harmonic}\n")
 
     print("Torsor move: add a closed cochain alpha to the top slot.")
     nu = cech.random_cochain(spec, 0, rng, terms=2)

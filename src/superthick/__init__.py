@@ -3,9 +3,9 @@ complex projective spaces.
 
 Everything is exact rational arithmetic: Laurent polynomial coefficient
 rings, Grassmann algebras on the odd coordinates, Čech cochains on the
-standard covers of P^1 and P^2, closed-form and oracle sheaf-cohomology
-dimensions, and the obstruction calculus for extending a thickening one
-order higher.
+standard covers of P^1 and P^2, closed-form sheaf-cohomology dimensions
+cross-checked by exact Čech cohomology with representatives, and the
+obstruction calculus for extending a thickening one order higher.
 """
 
 __version__ = "0.1.0"

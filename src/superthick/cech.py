@@ -33,23 +33,27 @@ with adjust_l in {-1, 0, 1}, and the transport coefficients ignore the
 exponents; so every block depends on g only through its sign type, each
 entry clamped to [-2, 1].  ``block_cohomology`` computes H^q of one block in
 any degree q: the kernel of the degree-q block, reduced modulo the image of
-the degree-(q-1) block by one rref.  ``cohomology`` solves each sign type
-once per call, shared across summands, and lists the concrete characters of
-the types that carry classes (finitely many, since cohomology is
+the degree-(q-1) block by one rref, and keeps the classes in the cover's
+cohomology table under (kind, q, sign type).  So each sign type is solved once
+per cover, for every twist, summand, character and caller: ``standard_cover``
+hands out one shared cover per n.  ``cohomology`` lists the concrete
+characters of the types that carry classes (finitely many, since cohomology is
 finite-dimensional); each character only fills in its slot exponents.
 ``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
-views of it.  The window is only an optional cap on the characters listed,
-and the closed formulas cross-check every total.
+views of it, and ``solve_blocks`` reads the same classes to split a cocycle
+into an exact part and class coordinates.  The window is only an optional cap
+on the characters listed, and the closed formulas cross-check every total.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .laurent import ChartMap, LaurentPoly
+from .laurent import ChartMap, LaurentPoly, _coerce
 from . import linalg
 
 
@@ -65,12 +69,15 @@ class Cover:
             raise ValueError("only P^1 and P^2 are supported")
         self.n = n
         self.charts = tuple(range(n + 1))
+        self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
         self._transitions: dict[tuple[int, int], ChartMap] = {}
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
+        # (kind, q, sign type) -> classes of H^q on a block of that type
+        self.cohomology_table: dict[tuple[str, int, tuple], list] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
-        return tuple(l for l in self.charts if l != i)
+        return self._chart_vars[i]
 
     def var_pos(self, i: int, l: int) -> int:
         return self.chart_vars(i).index(l)
@@ -163,7 +170,9 @@ class Cover:
         return f"Cover(P^{self.n})"
 
 
+@functools.cache
 def standard_cover(n: int) -> Cover:
+    """The shared cover of P^n: its tables serve every caller in the process."""
     return Cover(n)
 
 
@@ -475,12 +484,23 @@ def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[Basi
 
 
 def cochain_from_slot(spec: SheafSpec, degree: int, slot: BasisSlot, coef=1) -> Cochain:
-    sec = [
-        [LaurentPoly.zero(spec.cover.n) for _ in range(spec.ncomp)]
-        for _ in spec.twists
-    ]
-    sec[slot.summand][slot.comp] = LaurentPoly.monomial(spec.cover.n, slot.exps, coef)
-    return Cochain(spec, degree, {slot.simplex: tuple(tuple(r) for r in sec)})
+    return cochain_from_slots(spec, degree, [slot], [coef])
+
+
+def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
+    """The cochain sum_i coefs[i] * slots[i], assembled term by term."""
+    values: dict[tuple, list] = {}
+    for slot, coef in zip(slots, coefs):
+        sec = values.setdefault(
+            slot.simplex, [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
+        )
+        terms = sec[slot.summand][slot.comp]
+        terms[slot.exps] = terms.get(slot.exps, 0) + coef
+    n = spec.cover.n
+    return Cochain(spec, degree, {
+        simplex: tuple(tuple(LaurentPoly(n, terms) for terms in summand) for summand in sec)
+        for simplex, sec in values.items()
+    })
 
 
 def cochain_chars(c: Cochain) -> dict[tuple[int, Char], dict[BasisSlot, Fraction]]:
@@ -545,22 +565,15 @@ class NotACocycleError(ValueError):
         self.residual = residual
 
 
-def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
-    """The cochain sum_i coefs[i] * slots[i]."""
-    c = zero_cochain(spec, degree)
-    for slot, coef in zip(slots, coefs):
-        if coef != 0:
-            c = c + cochain_from_slot(spec, degree, slot, coef)
-    return c
+def solve_blocks(target: Cochain):
+    """Split a cocycle into an exact part and its class coordinates.
 
-
-def solve_coboundary(target: Cochain):
-    """Exact preimage of the coboundary, or an infeasibility certificate.
-
-    Returns (solution, certificate): one of the two is None.  Solving splits
-    over (summand, character) blocks; each block is finite, so infeasibility
-    of any block certifies that the target class is nonzero.  The certificate
-    lists the infeasible blocks.
+    Returns (preimage, coords).  coords maps each (summand, character) block
+    with a class part to its coordinates against that block's classes,
+    ``block_cohomology(spec, degree, summand, g)``; coboundary(preimage) is
+    the target minus that class part, which is checked.  Each block is solved
+    once against [image of the block one degree down | the block's classes]:
+    a cocycle block lies in that span, and its class coordinates are unique.
     """
     residual = coboundary(target)
     if not residual.is_zero():
@@ -570,23 +583,40 @@ def solve_coboundary(target: Cochain):
     if deg not in (1, 2):
         raise ValueError("can only solve for preimages of 1- and 2-cochains")
     solution = zero_cochain(spec, deg - 1)
-    infeasible: list[tuple[int, Char]] = []
+    exact = target
+    coords: dict[tuple[int, Char], list] = {}
     for (summand, g), coeffs in sorted(cochain_chars(target).items()):
         dom, cod, mat = delta_block_matrix(spec, deg - 1, summand, g)
+        classes = block_cohomology(spec, deg, summand, g)
         rhs = [Fraction(0)] * len(cod)
         idx = {slot: i for i, slot in enumerate(cod)}
         for slot, coef in coeffs.items():
             rhs[idx[slot]] = coef
-        x = linalg.solve(mat, rhs) if cod else None
+        x = linalg.solve([row + [vec[r] for vec in classes] for r, row in enumerate(mat)], rhs)
         if x is None:
-            infeasible.append((summand, g))
-            continue
-        solution = solution + cochain_from_slots(spec, deg - 1, dom, x)
-    if infeasible:
-        return None, infeasible
-    check = coboundary(solution) - target
-    if not check.is_zero():
+            raise AssertionError(f"cocycle block {(summand, g)} is not image plus classes")
+        solution = solution + cochain_from_slots(spec, deg - 1, dom, x[: len(dom)])
+        part = [_coerce(c) for c in x[len(dom):]]
+        if any(part):
+            coords[summand, g] = part
+            harmonic = [sum(c * vec[r] for c, vec in zip(part, classes)) for r in range(len(cod))]
+            exact = exact - cochain_from_slots(spec, deg, cod, harmonic)
+    if not (coboundary(solution) - exact).is_zero():
         raise AssertionError("solver returned an invalid preimage")
+    return solution, coords
+
+
+def solve_coboundary(target: Cochain):
+    """Exact preimage of the coboundary, or an infeasibility certificate.
+
+    Returns (solution, certificate): one of the two is None.  Solving splits
+    over (summand, character) blocks; each block is finite, so a class part
+    in any block certifies that the target class is nonzero.  The certificate
+    lists those blocks.
+    """
+    solution, coords = solve_blocks(target)
+    if coords:
+        return None, sorted(coords)
     return solution, None
 
 
@@ -684,41 +714,42 @@ def _in_window(g: Char, window: int | None) -> bool:
     return window is None or all(-window <= e <= window for e in g)
 
 
-def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char):
-    """(degree-q slots, kernel vectors spanning H^q of the block of g).
+def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char) -> list[list[Fraction]]:
+    """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
     One rref of [image of the degree-(q-1) block | kernel of the degree-q
     block] picks the kernel vectors independent modulo the image: the pivots
-    among the kernel columns.  In degree 0 the kernel is the cohomology.
+    among the kernel columns.  In degree 0 the kernel is the cohomology.  The
+    vectors are indexed like ``char_basis(spec, q, summand, g)`` and depend on
+    g only through its sign type, so they are kept in the cover's cohomology
+    table under (kind, q, sign type) and serve every twist, summand and
+    character of the type.
     """
-    dom, _, mat = delta_block_matrix(spec, q, summand, g)
-    kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
-    if not kernel or q == 0:
-        return dom, kernel
-    dom0, _, mat0 = delta_block_matrix(spec, q - 1, summand, g)
-    joined = [row + [vec[r] for vec in kernel] for r, row in enumerate(mat0)]
-    _, pivots = linalg.rref(joined)
-    return dom, [kernel[p - len(dom0)] for p in pivots if p >= len(dom0)]
+    key = (spec.kind, q, _sign_type(g))
+    table = spec.cover.cohomology_table
+    if key not in table:
+        dom, _, mat = delta_block_matrix(spec, q, summand, g)
+        kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
+        if kernel and q > 0:
+            dom0, _, mat0 = delta_block_matrix(spec, q - 1, summand, g)
+            joined = [row + [vec[r] for vec in kernel] for r, row in enumerate(mat0)]
+            _, pivots = linalg.rref(joined)
+            kernel = [kernel[p - len(dom0)] for p in pivots if p >= len(dom0)]
+        table[key] = kernel
+    return table[key]
 
 
-def enumerate_chars(
-    spec: SheafSpec, summand: int, window: int | None, q: int = 1, types: dict | None = None
-) -> list[Char]:
+def enumerate_chars(spec: SheafSpec, summand: int, window: int | None, q: int = 1) -> list[Char]:
     """Candidate characters of one summand: those whose block has H^q.
 
-    H^q is computed once per sign type and kept in ``types`` (sign type ->
-    ``block_cohomology`` of its representative), which callers share across
-    summands; the concrete characters of the types with classes are listed,
-    capped to entries in [-window, window] unless window is None, and ordered
-    by g[1:].
+    H^q is read per sign type from the cover's cohomology table; the concrete
+    characters of the types with classes are listed, capped to entries in
+    [-window, window] unless window is None, and ordered by g[1:].
     """
-    types = {} if types is None else types
     twist = spec.twists[summand]
     chars = []
     for sign_type, g in _sign_types(spec.cover.n, twist):
-        if sign_type not in types:
-            types[sign_type] = block_cohomology(spec, q, summand, g)
-        if types[sign_type][1]:
+        if block_cohomology(spec, q, summand, g):
             chars.extend(c for c in _type_chars(sign_type, twist) if _in_window(c, window))
     return sorted(chars, key=lambda g: g[1:])
 
@@ -726,8 +757,8 @@ def enumerate_chars(
 def cohomology(spec: SheafSpec, q: int, window: int | None = None) -> CohomologyReport:
     """Kernel-mod-image basis of H^q, character by character.
 
-    Each sign type's block is solved once per call, for whichever summand
-    reaches it first; a concrete character reuses its type's classes and
+    Each sign type's block is solved once per cover (see
+    ``block_cohomology``); a concrete character reuses its type's classes and
     only fills in its own slot exponents.  ``window`` caps the characters
     listed.  The total is cross-checked against the closed formula per
     summand: with a cap, a shortfall is reported as an incomplete window
@@ -735,18 +766,13 @@ def cohomology(spec: SheafSpec, q: int, window: int | None = None) -> Cohomology
     """
     if not 0 <= q <= spec.cover.n:
         return CohomologyReport({q: 0}, {q: []}, "sign-type-linear-algebra")
-    types: dict = {}
     reps: list[Cochain] = []
     expected = 0
     for summand in range(spec.nsummands):
-        for g in enumerate_chars(spec, summand, window, q, types):
-            slots, classes = types[_sign_type(g)]
-            slots = [
-                BasisSlot(s.simplex, summand, s.comp,
-                          char_monomial_exps(spec, s.simplex[0], summand, s.comp, g))
-                for s in slots
-            ]
-            reps.extend(cochain_from_slots(spec, q, slots, vec) for vec in classes)
+        for g in enumerate_chars(spec, summand, window, q):
+            slots = char_basis(spec, q, summand, g)
+            reps.extend(cochain_from_slots(spec, q, slots, vec)
+                        for vec in block_cohomology(spec, q, summand, g))
         expected += _summand_bott_dim(spec, summand, q)
     notes = []
     if len(reps) != expected:
@@ -781,34 +807,6 @@ def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
     rep = cohomology(line_sum(standard_cover(n), [k]), q)
     rep.method = "monomial-oracle"
     return rep
-
-
-def harmonic_h2_part(c: Cochain) -> list[tuple[int, Char, Fraction]]:
-    """Class coordinates of a degree-2 line-sum cochain.
-
-    For line-bundle sums the degree-2 cohomology is spanned by the characters
-    whose pole set is the whole index range; the coordinate of such a basis
-    class is the raw coefficient of its monomial.  Everything else is exact.
-    """
-    if c.sheaf.kind != LINE_SUM or c.degree != 2:
-        raise ValueError("harmonic reading applies to degree-2 line sums")
-    out = []
-    for (summand, g), coeffs in sorted(cochain_chars(c).items()):
-        if all(e < 0 for e in g):
-            (slot, coef), = coeffs.items()
-            out.append((summand, g, coef))
-    return out
-
-
-def line_h2_basis(spec: SheafSpec) -> list[tuple[int, Char]]:
-    """Ordered basis labels of H^2 for a line-bundle sum on P^2."""
-    if spec.kind != LINE_SUM or spec.cover.n != 2:
-        raise ValueError("H^2 basis applies to line sums on P^2")
-    basis = []
-    for summand, t in enumerate(spec.twists):
-        for g in _compositions(-t - 3, 3, 0):
-            basis.append((summand, tuple(-1 - x for x in g)))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("cohomology", cmd_cohomology, help="monomial-oracle h^q(P^n, O(k))")
+    p = add("cohomology", cmd_cohomology, help="sign-type linear-algebra h^q(P^n, O(k))")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)

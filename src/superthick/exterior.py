@@ -145,9 +145,6 @@ class GrassmannElement:
         """Everything of theta-degree > 0."""
         return _make(self.p, self.q, {k: v for k, v in self.terms.items() if k})
 
-    def degrees(self) -> set[int]:
-        return {len(k) for k in self.terms}
-
     def is_even(self) -> bool:
         return all(len(k) % 2 == 0 for k in self.terms)
 

@@ -336,12 +336,6 @@ class ChartMap:
             raise ValueError("dimension mismatch in chart-map application")
         return p.compose(self.components)
 
-    def after(self, other: "ChartMap") -> "ChartMap":
-        """self ∘ other, evaluated exactly."""
-        if other.target_dim != self.source_dim:
-            raise ValueError("chart maps are not composable")
-        return ChartMap([other.apply(c) for c in self.components])
-
     def jacobian(self) -> list[list[LaurentPoly]]:
         """Matrix J[mu][nu] = d(component mu)/d(source variable nu)."""
         return [

@@ -1,7 +1,8 @@
 """End-to-end certificate for second-order thickenings of the projective
 plane with a split rank-3 bundle: build the first-order extension classes,
 push them through the obstruction map, and decide obstructedness by exact
-harmonic projection in the line-bundle-sum target.
+class coordinates in the line-bundle-sum target, read from the cover's
+sign-type cohomology table.
 """
 
 from __future__ import annotations
@@ -27,26 +28,30 @@ def normalize_generator(c: Cochain) -> Cochain:
     return c
 
 
+def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
+    """(summand, character) label of each class of H^2, in canonical order.
+
+    The classes are those of ``cech.cohomology(spec, 2)``, ordered by summand
+    and then by character in decreasing lexicographic order.
+    """
+    labels = [next(iter(cech.cochain_chars(rep)))
+              for rep in cech.cohomology(spec, 2).representatives[2]]
+    return sorted(labels, key=lambda label: (label[0], [-e for e in label[1]]))
+
+
 def class_coordinates(gamma: Cochain) -> tuple[list, list]:
-    """Coordinates of a degree-2 line-sum cochain in the canonical H^2 basis.
+    """Coordinates of a degree-2 cocycle in the canonical H^2 basis.
 
     Returns (basis, coords) where basis lists (summand, character) labels and
-    coords are exact rationals.  The complement of the harmonic part is
-    certified exact by solving for a preimage; failure to certify raises.
+    coords are exact rationals.  One ``cech.solve_blocks`` call reads the
+    coordinates and certifies that gamma minus its class part is exact.
     """
-    spec = gamma.sheaf
-    basis = cech.line_h2_basis(spec)
-    harmonic = {(s, g): c for s, g, c in cech.harmonic_h2_part(gamma)}
-    coords = [harmonic.get(b, Fraction(0)) for b in basis]
-    remainder = gamma
-    for (s, g), coef in harmonic.items():
-        slots = cech.char_basis(spec, 2, s, g)
-        if len(slots) != 1:
-            raise AssertionError(f"harmonic character {g} has {len(slots)} slots, not one")
-        remainder = remainder - cech.cochain_from_slot(spec, 2, slots[0], coef)
-    sol, cert = cech.solve_coboundary(remainder)
-    if sol is None:
-        raise AssertionError(f"non-harmonic remainder not exact: {cert}")
+    basis = h2_basis(gamma.sheaf)
+    _, found = cech.solve_blocks(gamma)
+    coords = [Fraction(0)] * len(basis)
+    for label, part in found.items():
+        start = basis.index(label)
+        coords[start : start + len(part)] = part
     return basis, coords
 
 
@@ -90,7 +95,7 @@ def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dic
         return report
 
     gamma_spec = supermap.slot_sheaf(cover, degrees, 3)
-    basis = cech.line_h2_basis(gamma_spec)
+    basis = h2_basis(gamma_spec)
     report["h2_dim"] = len(basis)
     report["h2_basis"] = [
         {"summand": s, "char": list(g), "twist": gamma_spec.twists[s]}

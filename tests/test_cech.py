@@ -20,17 +20,22 @@ def test_standard_cover_nerve():
         cech.standard_cover(3)
 
 
+def after(f, g):
+    """f ∘ g: the components of f pulled back along g."""
+    return ChartMap([g.apply(c) for c in f.components])
+
+
 def test_transitions_are_monomial_cocycles():
     c1 = cech.standard_cover(1)
     f01 = c1.transition(0, 1)
     assert f01.components[0] == LaurentPoly.monomial(1, (-1,))
-    assert c1.transition(1, 0).after(f01) == ChartMap.identity(1)
+    assert after(c1.transition(1, 0), f01) == ChartMap.identity(1)
     c2 = cech.standard_cover(2)
     for i, j, k in [(0, 1, 2), (2, 1, 0), (1, 0, 2)]:
-        lhs = c2.transition(j, k).after(c2.transition(i, j))
+        lhs = after(c2.transition(j, k), c2.transition(i, j))
         assert lhs == c2.transition(i, k)
     for i, j in c2.pairs:
-        assert c2.transition(j, i).after(c2.transition(i, j)) == ChartMap.identity(2)
+        assert after(c2.transition(j, i), c2.transition(i, j)) == ChartMap.identity(2)
 
 
 def test_untwisted_coboundary_of_constants():
@@ -391,7 +396,7 @@ def test_sign_types_window_zero_stays_incomplete():
 
 
 def test_h1_builds_each_block_once(monkeypatch):
-    spec = supermap.slot_sheaf(cech.standard_cover(2), SplitBundleDegrees((4, -1, -7)), 2)
+    spec = supermap.slot_sheaf(cech.Cover(2), SplitBundleDegrees((4, -1, -7)), 2)
     built = collections.Counter()
     build = cech.delta_block_matrix
 
@@ -410,7 +415,7 @@ def test_h1_builds_each_block_once(monkeypatch):
 
 def test_infinite_sign_type_with_classes_raises(monkeypatch):
     """A class on every type, as a broken block builder would give, must not be listed."""
-    spec = cech.tangent_twisted(cech.standard_cover(2), [-3])
+    spec = cech.tangent_twisted(cech.Cover(2), [-3])
     slot = cech.BasisSlot((0, 1), 0, 0, (0, 0))
 
     def one_class_everywhere(spec, degree, summand, g):
@@ -423,3 +428,58 @@ def test_infinite_sign_type_with_classes_raises(monkeypatch):
         cech.h1_representatives(spec)
     with pytest.raises(AssertionError, match="infinitely many characters"):
         cech.windowed_dims(spec)
+
+
+# ---------------------------------------------------------------------------
+# the cover's cohomology table
+
+
+def table_specs(cover):
+    return [
+        cech.line_sum(cover, [-7, 1]),
+        cech.tangent_twisted(cover, [-3, 2]),
+        cech.oneform_twisted(cover, [0, -4]),
+    ]
+
+
+def test_cohomology_table_is_reused_and_matches_fresh_covers(monkeypatch):
+    cover = cech.Cover(2)
+    first = [[cech.cohomology(spec, q) for q in range(3)] for spec in table_specs(cover)]
+    built = []
+    build = cech.delta_block_matrix
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cech, "delta_block_matrix", counting)
+    again = [[cech.cohomology(spec, q) for q in range(3)] for spec in table_specs(cover)]
+    monkeypatch.undo()
+    assert built == []
+    for i, spec in enumerate(table_specs(cover)):
+        for q in range(3):
+            fresh = cech.cohomology(table_specs(cech.Cover(2))[i], q)
+            want = [c.to_json() for c in fresh.representatives[q]]
+            assert [c.to_json() for c in first[i][q].representatives[q]] == want, (spec, q)
+            assert [c.to_json() for c in again[i][q].representatives[q]] == want, (spec, q)
+
+
+def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):
+    specs = table_specs(cech.standard_cover(2))
+    before = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+              for spec in specs for q in range(3)]
+    slot = cech.BasisSlot((0, 1), 0, 0, (0, 0))
+
+    def one_class_everywhere(spec, degree, summand, g):
+        if degree == 1:
+            return [slot], [], []
+        return [], [slot], [[]]
+
+    monkeypatch.setattr(cech, "delta_block_matrix", one_class_everywhere)
+    with pytest.raises(AssertionError):
+        cech.cohomology(cech.line_sum(cech.Cover(2), [-7, 1]), 1)
+    assert cech.Cover(2).cohomology_table == {}
+    monkeypatch.undo()
+    after = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+             for spec in specs for q in range(3)]
+    assert after == before

@@ -217,7 +217,9 @@ def test_h1_scan_makes_no_generic_coboundary_call(monkeypatch):
         return reference_block_matrix(*args)
 
     monkeypatch.setattr(cech, "delta_block_matrix", reference)
-    slow = cech.h1_representatives(spec, window=6)
+    slow = cech.h1_representatives(
+        supermap.slot_sheaf(cech.Cover(2), SplitBundleDegrees((3, 0, -6)), 2), window=6
+    )
     assert built
     assert fast.dims == slow.dims == {1: 1} and fast.complete and slow.complete
     assert [c.to_json() for c in fast.representatives[1]] == [
