@@ -10,7 +10,7 @@ import random
 
 from superthick import cech, supermap as sm
 from superthick.bott import SplitBundleDegrees
-from superthick.pipeline import class_coordinates
+from superthick.pipeline import class_coordinates, h2_basis
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
           f"{(gamma - pushed).is_zero()}")
     print(f"  verification (alternation and consistency): "
           f"{sm.verify_gamma_cocycle(gamma, t)['pass']}")
-    basis, coords = class_coordinates(gamma)
+    basis, coords = class_coordinates(gamma, h2_basis(gamma.sheaf))
     harmonic = [(s, g, c) for (s, g), c in zip(basis, coords) if c]
     print(f"  harmonic part: {harmonic}\n")
 

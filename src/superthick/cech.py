@@ -7,11 +7,14 @@ so every transport (pullback of arguments, Jacobian action on tangent
 components, inverse Jacobian on one-forms, monomial factor per line-bundle
 twist) is exact Laurent arithmetic.
 
-A cochain stores one section per sorted simplex, presented entirely in the
-chart of the smallest index: arguments, vector frame and bundle frame alike.
-Values on permuted index tuples are the stored value times the sign of the
-permutation.  The coboundary is the classical alternating sum with transports
-made explicit, so delta ∘ delta = 0 holds exactly.
+A cochain is a sparse map from slots to nonzero exact coefficients.  A slot
+(simplex, summand, component, exponents) is one monomial over a sorted
+simplex, presented entirely in the chart of the smallest index: arguments,
+vector frame and bundle frame alike; sorting the slots gives the canonical
+order.  Values on permuted index tuples are the stored value times the sign of
+the permutation, and ``Cochain.section`` presents them in any chart.  The
+coboundary is the classical alternating sum with transports made explicit,
+applied slot by slot, so delta ∘ delta = 0 holds exactly.
 
 Every section decomposes over torus characters (exponent vectors of the
 homogeneous coordinates), the coboundary preserves the character, and each
@@ -23,9 +26,10 @@ Every chart change goes through one exponent-level table,
 ``Cover.transport``: moving one monomial between charts is an integer matrix
 on its exponents, a twist-scaled line-factor vector, and one offset and
 constant per output component.  ``represent`` moves a section monomial by
-monomial with it, and ``delta_block_matrix`` fills each block column from the
-move of one unit monomial, so whole-cochain coboundaries and block matrices
-share the same arithmetic.
+monomial with it.  The coboundary of one slot is a few such moves; a whole
+cochain's coboundary sums it over the cochain's slots, and
+``delta_block_matrix`` fills each block column with it, so both share one
+differential.
 
 Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
@@ -52,8 +56,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
-from .laurent import ChartMap, LaurentPoly, _coerce
+from .laurent import ChartMap, LaurentPoly, _coerce, fraction_to_str
 from . import linalg
 
 
@@ -224,34 +229,6 @@ def oneform_twisted(cover: Cover, twists, labels=()) -> SheafSpec:
 Section = tuple  # tuple over summands of tuples over components of LaurentPoly
 
 
-def section_zero(spec: SheafSpec) -> Section:
-    z = LaurentPoly.zero(spec.cover.n)
-    return tuple(tuple(z for _ in range(spec.ncomp)) for _ in spec.twists)
-
-
-def section_map(f, *sections: Section) -> Section:
-    return tuple(
-        tuple(f(*comps) for comps in zip(*summands))
-        for summands in zip(*sections)
-    )
-
-
-def section_add(a: Section, b: Section) -> Section:
-    return section_map(lambda x, y: x + y, a, b)
-
-
-def section_neg(a: Section) -> Section:
-    return section_map(lambda x: -x, a)
-
-
-def section_scale(a: Section, c) -> Section:
-    return section_map(lambda x: x.scale(c), a)
-
-
-def section_is_zero(a: Section) -> bool:
-    return all(comp.is_zero() for summand in a for comp in summand)
-
-
 def represent(spec: SheafSpec, sec: Section, a: int, b: int) -> Section:
     """Re-present a section from chart a to chart b (args, frames and twist).
 
@@ -300,74 +277,88 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-class Cochain:
-    """Alternating assignment of sections to the nerve simplices."""
+class BasisSlot(NamedTuple):
+    """One monomial slot: x^exps in component ``comp`` of summand ``summand``
+    over ``simplex``, presented in the chart of the simplex's first vertex."""
 
-    def __init__(self, sheaf: SheafSpec, degree: int, values: dict | None = None):
+    simplex: tuple
+    summand: int
+    comp: int
+    exps: tuple
+
+
+class Cochain:
+    """Alternating cochain: a sparse map from slots on sorted simplices to
+    nonzero exact coefficients."""
+
+    def __init__(self, sheaf: SheafSpec, degree: int, terms: dict | None = None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.sheaf = sheaf
         self.degree = degree
-        vals: dict[tuple, Section] = {}
-        if values:
-            for key, sec in values.items():
-                key = tuple(key)
-                if list(key) != sorted(key) or len(key) != degree + 1:
-                    raise ValueError(f"cochain keys must be sorted {degree + 1}-tuples: {key}")
-                if not section_is_zero(sec):
-                    vals[key] = sec
-        self.values = vals
+        self.terms: dict[BasisSlot, int | Fraction] = {}
+        for slot, coef in (terms or {}).items():
+            coef = _coerce(coef)
+            if coef:
+                self.terms[BasisSlot(*slot)] = coef
+        for simplex in {slot.simplex for slot in self.terms}:
+            if list(simplex) != sorted(simplex) or len(simplex) != degree + 1:
+                raise ValueError(f"cochain keys must be sorted {degree + 1}-tuples: {simplex}")
 
-    def value(self, simplex) -> Section:
-        """Alternating lookup; the result is presented in chart min(simplex)."""
+    def section(self, simplex, chart: int) -> Section:
+        """Alternating value on an ordered simplex, presented in ``chart``."""
         simplex = tuple(simplex)
         key = tuple(sorted(simplex))
-        if len(set(simplex)) != len(simplex):
-            return section_zero(self.sheaf)
-        stored = self.values.get(key)
-        if stored is None:
-            return section_zero(self.sheaf)
-        sign = perm_sign(simplex)
-        return stored if sign == 1 else section_neg(stored)
+        spec = self.sheaf
+        sec = [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
+        if len(set(simplex)) == len(simplex):
+            sign = perm_sign(simplex)
+            for slot, coef in self.terms.items():
+                if slot.simplex == key:
+                    sec[slot.summand][slot.comp][slot.exps] = sign * coef
+        n = spec.cover.n
+        sec = tuple(tuple(LaurentPoly(n, terms) for terms in summand) for summand in sec)
+        return represent(spec, sec, key[0], chart)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.terms
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.sheaf != other.sheaf or self.degree != other.degree:
             raise ValueError("cochain mismatch")
-        keys = set(self.values) | set(other.values)
-        return Cochain(
-            self.sheaf,
-            self.degree,
-            {k: section_add(self.value(k), other.value(k)) for k in keys},
-        )
+        terms = dict(self.terms)
+        for slot, coef in other.terms.items():
+            terms[slot] = terms.get(slot, 0) + coef
+        return Cochain(self.sheaf, self.degree, terms)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.sheaf, self.degree, {k: section_neg(v) for k, v in self.values.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale(self, c) -> "Cochain":
-        return Cochain(self.sheaf, self.degree, {k: section_scale(v, c) for k, v in self.values.items()})
+        c = _coerce(c)
+        return Cochain(self.sheaf, self.degree, {slot: c * v for slot, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain)
             and self.sheaf == other.sheaf
             and self.degree == other.degree
-            and self.values == other.values
+            and self.terms == other.terms
         )
 
     def to_json(self) -> dict:
-        vals = {}
-        for key, sec in sorted(self.values.items()):
-            vals[",".join(map(str, key))] = [
-                [comp.to_json() for comp in summand] for summand in sec
-            ]
+        spec = self.sheaf
+        vals: dict[str, list] = {}
+        for slot, coef in sorted(self.terms.items()):
+            sec = vals.setdefault(",".join(map(str, slot.simplex)),
+                                  [[[] for _ in range(spec.ncomp)] for _ in spec.twists])
+            sec[slot.summand][slot.comp].append(
+                {"exps": list(slot.exps), "coef": fraction_to_str(coef)})
         return {
-            "sheaf": {"kind": self.sheaf.kind, "twists": list(self.sheaf.twists)},
+            "sheaf": {"kind": spec.kind, "twists": list(spec.twists)},
             "degree": self.degree,
             "values": vals,
         }
@@ -375,41 +366,60 @@ class Cochain:
     @staticmethod
     def from_json(cover: Cover, data: dict) -> "Cochain":
         spec = SheafSpec(cover, data["sheaf"]["kind"], tuple(data["sheaf"]["twists"]))
-        values = {}
+        terms = {}
         for key, sec in data["values"].items():
             simplex = tuple(int(x) for x in key.split(","))
-            values[simplex] = tuple(
-                tuple(LaurentPoly.from_json(cover.n, comp) for comp in summand)
-                for summand in sec
-            )
-        return Cochain(spec, data["degree"], values)
+            for s, summand in enumerate(sec):
+                for comp, poly in enumerate(summand):
+                    for exps, coef in LaurentPoly.from_json(cover.n, poly).terms.items():
+                        terms[BasisSlot(simplex, s, comp, exps)] = coef
+        return Cochain(spec, data["degree"], terms)
 
     def __repr__(self):
-        return f"Cochain(deg={self.degree}, {len(self.values)} simplices)"
+        return f"Cochain(deg={self.degree}, {len(self.terms)} terms)"
 
 
 def zero_cochain(spec: SheafSpec, degree: int) -> Cochain:
     return Cochain(spec, degree)
 
 
-def coboundary(c: Cochain) -> Cochain:
-    """Twisted Čech differential; the untwisted case is the alternating sum."""
-    spec = c.sheaf
+@functools.cache
+def _cofaces(n: int, face: tuple) -> tuple:
+    """(simplex, sign) for each simplex of the cover of P^n one vertex larger
+    than ``face`` and containing it; sign is (-1)^j for the added vertex at j."""
+    out = []
+    for big in itertools.combinations(range(n + 1), len(face) + 1):
+        added = [pos for pos, v in enumerate(big) if v not in face]
+        if len(added) == 1:
+            out.append((big, -1 if added[0] % 2 else 1))
+    return tuple(out)
+
+
+def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
+    """Coboundary of one unit slot, as (image slot, coefficient) pairs.
+
+    On every coface the monomial is transported from the face's chart to the
+    coface's chart by ``Cover.transport``, times the coface's sign.  This is
+    the one differential: ``coboundary`` sums it over a cochain's slots and
+    ``delta_block_matrix`` makes it a block column.
+    """
     cover = spec.cover
-    out: dict[tuple, Section] = {}
-    for simplex in cover.simplices(c.degree + 1):
-        chart = simplex[0]
-        acc = section_zero(spec)
-        for j in range(len(simplex)):
-            face = simplex[:j] + simplex[j + 1 :]
-            sec = c.value(face)
-            sec = represent(spec, sec, face[0], chart)
-            if j % 2 == 1:
-                sec = section_neg(sec)
-            acc = section_add(acc, sec)
-        if not section_is_zero(acc):
-            out[simplex] = acc
-    return Cochain(spec, c.degree + 1, out)
+    face = slot.simplex
+    twist = spec.twists[slot.summand]
+    return [
+        (BasisSlot(big, slot.summand, mu, exps), sign * coef)
+        for big, sign in _cofaces(cover.n, face)
+        for mu, exps, coef in _move(cover, spec.kind, face[0], big[0], slot.comp, twist, slot.exps)
+    ]
+
+
+def coboundary(c: Cochain) -> Cochain:
+    """Twisted Čech differential: the coboundaries of the slots, summed."""
+    out: dict[BasisSlot, int | Fraction] = {}
+    for slot, coef in c.terms.items():
+        for image, x in _delta_slot(c.sheaf, slot):
+            out[image] = out.get(image, 0) + coef * x
+    return Cochain(c.sheaf, c.degree + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +472,6 @@ def _cone_ok(cover: Cover, simplex: tuple, chart: int, exps) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BasisSlot:
-    simplex: tuple
-    summand: int
-    comp: int
-    exps: tuple
-
-
 def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[BasisSlot]:
     """All monomial slots of character g in degree-``degree`` cochains."""
     cover = spec.cover
@@ -483,37 +485,17 @@ def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[Basi
     return slots
 
 
-def cochain_from_slot(spec: SheafSpec, degree: int, slot: BasisSlot, coef=1) -> Cochain:
-    return cochain_from_slots(spec, degree, [slot], [coef])
-
-
 def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
-    """The cochain sum_i coefs[i] * slots[i], assembled term by term."""
-    values: dict[tuple, list] = {}
-    for slot, coef in zip(slots, coefs):
-        sec = values.setdefault(
-            slot.simplex, [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
-        )
-        terms = sec[slot.summand][slot.comp]
-        terms[slot.exps] = terms.get(slot.exps, 0) + coef
-    n = spec.cover.n
-    return Cochain(spec, degree, {
-        simplex: tuple(tuple(LaurentPoly(n, terms) for terms in summand) for summand in sec)
-        for simplex, sec in values.items()
-    })
+    """The cochain sum_i coefs[i] * slots[i] over distinct slots."""
+    return Cochain(spec, degree, dict(zip(slots, coefs)))
 
 
 def cochain_chars(c: Cochain) -> dict[tuple[int, Char], dict[BasisSlot, Fraction]]:
     """Decompose a cochain into (summand, character) blocks of coefficients."""
     blocks: dict[tuple[int, Char], dict[BasisSlot, Fraction]] = {}
-    for simplex, sec in c.values.items():
-        chart = simplex[0]
-        for s, summand in enumerate(sec):
-            for comp, poly in enumerate(summand):
-                for exps, coef in poly.terms.items():
-                    g = monomial_char(c.sheaf, chart, s, comp, exps)
-                    slot = BasisSlot(simplex, s, comp, exps)
-                    blocks.setdefault((s, g), {})[slot] = coef
+    for slot, coef in c.terms.items():
+        g = monomial_char(c.sheaf, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+        blocks.setdefault((slot.summand, g), {})[slot] = coef
     return blocks
 
 
@@ -524,34 +506,20 @@ def delta_block_matrix(
 
     Returns (domain slots, codomain slots, matrix) with matrix[row][col]
     giving the codomain coefficient of the image of the col-th domain slot.
-    Each column is the coboundary of one unit monomial: for every
-    (degree+1)-simplex containing the slot's simplex, the slot is transported
-    from the face's chart to the simplex's chart by ``Cover.transport``, with
-    sign (-1)^j for the added vertex at position j.
+    Each column is the coboundary of one unit slot, ``_delta_slot``; every
+    codomain slot has character g, so an image outside them would mean the
+    coboundary failed to preserve the character.
     """
-    cover = spec.cover
-    twist = spec.twists[summand]
     dom = char_basis(spec, degree, summand, g)
     cod = char_basis(spec, degree + 1, summand, g)
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
-    bigs = cover.simplices(degree + 1)
     for col, slot in enumerate(dom):
-        face = slot.simplex
-        for big in bigs:
-            added = [pos for pos, v in enumerate(big) if v not in face]
-            if len(added) != 1:
-                continue
-            sign = -1 if added[0] % 2 else 1
-            for mu, exps, coef in _move(cover, spec.kind, face[0], big[0], slot.comp, twist,
-                                        slot.exps):
-                if monomial_char(spec, big[0], summand, mu, exps) != g:
-                    raise AssertionError("coboundary failed to preserve the character")
-                image = BasisSlot(big, summand, mu, exps)
-                row = index.get(image)
-                if row is None:
-                    raise AssertionError(f"coboundary image {image} is not a codomain slot")
-                mat[row][col] += sign * coef
+        for image, coef in _delta_slot(spec, slot):
+            row = index.get(image)
+            if row is None:
+                raise AssertionError(f"coboundary image {image} is not a codomain slot")
+            mat[row][col] += coef
     return dom, cod, mat
 
 
@@ -813,14 +781,11 @@ def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
 # randomized sections (seeded suites)
 
 
-def random_section(spec: SheafSpec, simplex: tuple, rng, terms: int = 1, span: int = 2) -> Section:
-    """A sparse random section over U_simplex, regular by construction."""
+def random_section(spec: SheafSpec, simplex: tuple, rng, terms: int = 1, span: int = 2) -> dict:
+    """A sparse random section over U_simplex as slot terms, regular by construction."""
     cover = spec.cover
     chart = simplex[0]
-    sec = [
-        [LaurentPoly.zero(cover.n) for _ in range(spec.ncomp)]
-        for _ in spec.twists
-    ]
+    out: dict[BasisSlot, Fraction] = {}
     for _ in range(terms):
         s = rng.randrange(spec.nsummands)
         compn = rng.randrange(spec.ncomp)
@@ -831,16 +796,16 @@ def random_section(spec: SheafSpec, simplex: tuple, rng, terms: int = 1, span: i
             else:
                 exps.append(rng.randint(0, span))
         coef = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
-        mono = LaurentPoly.monomial(cover.n, exps, coef)
-        sec[s][compn] = sec[s][compn] + mono
-    return tuple(tuple(r) for r in sec)
+        slot = BasisSlot(simplex, s, compn, tuple(exps))
+        out[slot] = out.get(slot, 0) + coef
+    return out
 
 
 def random_cochain(spec: SheafSpec, degree: int, rng, terms: int = 1, span: int = 2) -> Cochain:
-    values = {}
+    out = {}
     for simplex in spec.cover.simplices(degree):
-        values[simplex] = random_section(spec, simplex, rng, terms, span)
-    return Cochain(spec, degree, values)
+        out.update(random_section(spec, simplex, rng, terms, span))
+    return Cochain(spec, degree, out)
 
 
 def random_closed_cochain(

@@ -18,14 +18,9 @@ from .obstruct import check_split_conditions
 
 def normalize_generator(c: Cochain) -> Cochain:
     """Scale so the first nonzero coefficient in canonical order is 1."""
-    for simplex in sorted(c.values):
-        sec = c.values[simplex]
-        for summand in sec:
-            for comp in summand:
-                for exps in sorted(comp.terms):
-                    lead = comp.terms[exps]
-                    return c.scale(Fraction(1) / lead)
-    return c
+    if c.is_zero():
+        return c
+    return c.scale(Fraction(1) / c.terms[min(c.terms)])
 
 
 def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
@@ -39,14 +34,14 @@ def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
     return sorted(labels, key=lambda label: (label[0], [-e for e in label[1]]))
 
 
-def class_coordinates(gamma: Cochain) -> tuple[list, list]:
+def class_coordinates(gamma: Cochain, basis: list[tuple[int, tuple]]) -> tuple[list, list]:
     """Coordinates of a degree-2 cocycle in the canonical H^2 basis.
 
-    Returns (basis, coords) where basis lists (summand, character) labels and
-    coords are exact rationals.  One ``cech.solve_blocks`` call reads the
-    coordinates and certifies that gamma minus its class part is exact.
+    ``basis`` is ``h2_basis(gamma.sheaf)``, built once by the caller.  Returns
+    (basis, coords) where coords are exact rationals.  One
+    ``cech.solve_blocks`` call reads the coordinates and certifies that gamma
+    minus its class part is exact.
     """
-    basis = h2_basis(gamma.sheaf)
     _, found = cech.solve_blocks(gamma)
     coords = [Fraction(0)] * len(basis)
     for label, part in found.items():
@@ -114,7 +109,7 @@ def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dic
         check = supermap.verify_gamma_cocycle(gamma, t)
         if not check["pass"]:
             raise AssertionError("obstruction cochain failed verification")
-        _, coords = class_coordinates(gamma)
+        _, coords = class_coordinates(gamma, basis)
         nonzero = any(c != 0 for c in coords)
         any_nonzero = any_nonzero or nonzero
         classes.append(

@@ -30,7 +30,7 @@ from operator import add
 
 from . import cech
 from .bott import SplitBundleDegrees
-from .cech import Cochain, Cover, SheafSpec, represent
+from .cech import Cochain, Cover, SheafSpec
 from .exterior import GrassmannElement, sort_index_tuple, taylor_add, taylor_rows
 from .laurent import ChartMap, LaurentPoly, parse_rational
 
@@ -219,12 +219,6 @@ def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     return cech.line_sum(cover, twists, labels=tuple(labels))
 
 
-def _directed_section(c: Cochain, i: int, j: int):
-    """Value of a 1-cochain on the ordered pair (i, j), presented in chart i."""
-    sec = c.value((i, j))
-    return represent(c.sheaf, sec, min(i, j), i)
-
-
 def _add_scaled(terms: dict, poly: LaurentPoly, offset, coef) -> None:
     """terms += coef * x^offset * poly, on exponent vectors."""
     for e, c in poly.terms.items():
@@ -240,16 +234,18 @@ def _odd_shift(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, s: in
 
 
 def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
-                             coefs, i: int, j: int):
-    """Degree-slot coefficients of the map i -> j as a chart-i section.
+                             coefs, simplex: tuple, j: int) -> dict:
+    """Degree-slot coefficients of the map i -> j as slot terms on ``simplex``.
 
     ``coefs[s][nu]`` is the coefficient of theta_I in even component nu of the
     map (even slots, summand s labelled I) or in odd component a (odd slots,
-    one component, labelled (I, a)); arguments are in chart i.  Even slots pull
-    the chart-j vector frame back to chart i through the tangent transport
-    j -> i; odd slots divide by zeta_{ij,a}.  The identity when i == j.
+    one component, labelled (I, a)); arguments are in chart i = simplex[0].
+    Even slots pull the chart-j vector frame back to chart i through the
+    tangent transport j -> i; odd slots divide by zeta_{ij,a}.  The identity
+    on coefficients when i == j.
     """
-    out = []
+    i = simplex[0]
+    out = {}
     for s, comps in enumerate(coefs):
         terms = [{} for _ in comps]
         if spec.kind == cech.TANGENT:
@@ -259,8 +255,9 @@ def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: Sh
         else:
             shift = _odd_shift(cover, degrees, spec, s, i, j)
             _add_scaled(terms[0], comps[0], tuple(-x for x in shift), 1)
-        out.append(tuple(LaurentPoly(cover.n, t) for t in terms))
-    return tuple(out)
+        for mu, part in enumerate(terms):
+            out.update((cech.BasisSlot(simplex, s, mu, e), c) for e, c in part.items() if c)
+    return out
 
 
 def _section_to_coefficients(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
@@ -316,7 +313,7 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
         raise ValueError("increment sheaf does not match the degree slot")
     new_maps = {}
     for (i, j), sm in t.maps.items():
-        sec = _directed_section(inc, i, j)
+        sec = inc.section((i, j), i)
         coefs = _section_to_coefficients(t.cover, t.degrees, expected, sec, i, j)
         new_maps[(i, j)] = _plus_slot(sm, expected, coefs)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
@@ -325,12 +322,12 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
 def slot_cochain(t: Trivialization, d: int) -> Cochain:
     """Extract the homogeneous degree-d data of sorted pairs as a cochain."""
     spec = slot_sheaf(t.cover, t.degrees, d)
-    values = {}
+    terms = {}
     for (i, j) in t.cover.pairs:
         sm = t.maps[(i, j)]
         coefs = _slot_coefficients(spec, sm.even, sm.odd)
-        values[(i, j)] = _coefficients_to_section(t.cover, t.degrees, spec, coefs, i, j)
-    return Cochain(spec, 1, values)
+        terms.update(_coefficients_to_section(t.cover, t.degrees, spec, coefs, (i, j), j))
+    return Cochain(spec, 1, terms)
 
 
 def normalize_inverses(t: Trivialization) -> Trivialization:
@@ -393,12 +390,12 @@ def gamma_sheaf(t: Trivialization) -> SheafSpec:
     return slot_sheaf(t.cover, t.degrees, t.order + 1)
 
 
-def _extract_gamma_value(t: Trivialization, triple, spec: SheafSpec):
-    """Degree-(m+1) composition defect on one ordered triple.
+def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
+    """Degree-(m+1) composition defect on one ordered triple (i, j, k).
 
-    The result is presented with arguments and all frames in the first chart
-    of the triple, ready for cochain storage.  Raises CocycleViolation when
-    the defect has parts of degree <= t.order.
+    The result is the defect's theta_I coefficients, shaped like a section,
+    with arguments in chart i and frames of chart k.  Raises CocycleViolation
+    when the defect has parts of degree <= t.order.
     """
     i, j, k = triple
     m = t.order
@@ -414,8 +411,7 @@ def _extract_gamma_value(t: Trivialization, triple, spec: SheafSpec):
     top = [g.degree_part(m + 1) for g in (od if spec.kind == cech.TANGENT else ev)]
     if any(not g.is_zero() for g in top):
         raise AssertionError("defect of the wrong parity at degree m + 1")
-    coefs = _slot_coefficients(spec, ev, od)
-    return _coefficients_to_section(t.cover, t.degrees, spec, coefs, i, k)
+    return _slot_coefficients(spec, ev, od)
 
 
 def obstruction_cocycle(t: Trivialization) -> Cochain:
@@ -426,11 +422,11 @@ def obstruction_cocycle(t: Trivialization) -> Cochain:
     otherwise the offending residual is raised.
     """
     spec = gamma_sheaf(t)
-    values = {}
+    terms = {}
     for triple in t.cover.triples:
-        sec = _extract_gamma_value(t, triple, spec)
-        values[triple] = sec
-    return Cochain(spec, 2, values)
+        coefs = _defect_coefficients(t, triple, spec)
+        terms.update(_coefficients_to_section(t.cover, t.degrees, spec, coefs, triple, triple[2]))
+    return Cochain(spec, 2, terms)
 
 
 def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
@@ -439,19 +435,20 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
     The twisted coboundary needs quadruple overlaps, which the standard
     covers lack, so it is checked formally; the substantive checks are
     alternation and value consistency: the defect recomputed on every ordered
-    triple must equal the sign-adjusted stored value.
+    triple must equal the sign-adjusted stored value, compared as map
+    coefficients.
     """
     spec = gamma.sheaf
     problems = []
     for triple in itertools.permutations(t.cover.charts, 3):
+        i, _, k = triple
         try:
-            direct = _extract_gamma_value(t, triple, spec)
+            direct = _defect_coefficients(t, triple, spec)
         except CocycleViolation as err:
             return {"pass": False, "residual": err.residual, "problems": ["precondition"]}
-        expected = represent(spec, gamma.value(triple), min(triple), triple[0])
-        diff = cech.section_add(direct, cech.section_neg(expected))
-        if not cech.section_is_zero(diff):
-            problems.append((triple, diff))
+        stored = _section_to_coefficients(t.cover, t.degrees, spec, gamma.section(triple, i), i, k)
+        if direct != stored:
+            problems.append((triple, direct, stored))
     delta = cech.coboundary(gamma)
     if not delta.is_zero():
         problems.append(("coboundary", delta))
@@ -481,11 +478,11 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     p, q = t.p, t.q
     spec = slot_sheaf(cover, degrees, 3)
     pair_labels = expected.labels
-    values = {}
+    terms = {}
     for (i, j, k) in cover.triples:
         raw = [[LaurentPoly.zero(p)] for _ in spec.twists]
         f_ij = cover.transition(i, j)
-        sec_ij = _directed_section(omega, i, j)
+        sec_ij = omega.section((i, j), i)
         # vector parts in the chart-j frame, arguments in chart i
         vecs = _section_to_coefficients(cover, degrees, expected, sec_ij, i, j)
         for I, vec in zip(pair_labels, vecs):
@@ -505,8 +502,8 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
                     _, sign = sort_index_tuple(word)
                     sidx = spec.labels.index((target_I, a))
                     raw[sidx][0] = raw[sidx][0] + coef.scale(-sign)
-        values[(i, j, k)] = _coefficients_to_section(cover, degrees, spec, raw, i, k)
-    return Cochain(spec, 2, values)
+        terms.update(_coefficients_to_section(cover, degrees, spec, raw, (i, j, k), k))
+    return Cochain(spec, 2, terms)
 
 
 def act_torsor(t: Trivialization, alpha: Cochain) -> Trivialization:
@@ -538,7 +535,7 @@ def automorphism_from_increment(
         raise ValueError("0-cochain does not live in the degree slot sheaf")
     lam = {}
     for c in cover.charts:
-        coefs = _section_to_coefficients(cover, degrees, expected, nu.value((c,)), c, c)
+        coefs = _section_to_coefficients(cover, degrees, expected, nu.section((c,), c), c, c)
         lam[c] = _plus_slot(identity_map(c, cover.n, degrees.rank, order), expected, coefs)
     return lam
 

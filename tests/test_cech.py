@@ -41,11 +41,11 @@ def test_transitions_are_monomial_cocycles():
 def test_untwisted_coboundary_of_constants():
     cov = cech.standard_cover(2)
     spec = cech.line_sum(cov, [0])
-    vals = {(c,): ((LaurentPoly.const(2, c + 1),),) for c in cov.charts}
-    nu = cech.Cochain(spec, 0, vals)
+    terms = {cech.BasisSlot((c,), 0, 0, (0, 0)): c + 1 for c in cov.charts}
+    nu = cech.Cochain(spec, 0, terms)
     d = cech.coboundary(nu)
     for (i, j) in cov.pairs:
-        assert d.value((i, j))[0][0] == LaurentPoly.const(2, j - i)
+        assert d.section((i, j), i)[0][0] == LaurentPoly.const(2, j - i)
 
 
 def test_alternating_lookup():
@@ -53,9 +53,10 @@ def test_alternating_lookup():
     spec = cech.line_sum(cov, [1])
     rng = random.Random(0)
     c = cech.random_cochain(spec, 1, rng, terms=2)
-    v = c.value((1, 0))
-    assert v == cech.section_neg(cech.represent(spec, c.value((0, 1)), 0, 0))
-    assert cech.section_is_zero(c.value((1, 1)))
+    v = c.section((1, 0), 0)
+    assert v == tuple(tuple(-comp for comp in summand) for summand in c.section((0, 1), 0))
+    assert not c.is_zero() and v != c.section((0, 1), 0)
+    assert all(comp.is_zero() for summand in c.section((1, 1), 1) for comp in summand)
 
 
 @pytest.mark.parametrize("kind,twists", [
@@ -165,7 +166,7 @@ def oracle_cohomology(n, k, q):
         if h and q in (0, n):
             simplices = spec.cover.simplices(0) if q == 0 else spec.cover.simplices(n)
             reps[g] = cech.Cochain(spec, q, {
-                s: ((LaurentPoly.monomial(n, cech.char_monomial_exps(spec, s[0], 0, 0, g)),),)
+                cech.BasisSlot(s, 0, 0, cech.char_monomial_exps(spec, s[0], 0, 0, g)): 1
                 for s in simplices
             })
     return dim, reps
@@ -191,10 +192,8 @@ def test_line_bundle_cohomology_matches_pole_set_oracle(n):
                     assert sol is None and cert
             assert set(by_char) == set(want), (n, k, q)
             for g, c in by_char.items():
-                (simplex, sec), *_ = sorted(c.values.items())
-                ratio = Fraction(next(iter(sec[0][0].terms.values()))) / next(
-                    iter(want[g].value(simplex)[0][0].terms.values())
-                )
+                slot = min(c.terms)
+                ratio = Fraction(c.terms[slot]) / want[g].terms[slot]
                 assert ratio != 0 and c == want[g].scale(ratio), (n, k, q, g)
 
 
@@ -228,8 +227,7 @@ def test_solve_coboundary_roundtrip():
 def test_solve_coboundary_certificate():
     cov = cech.standard_cover(2)
     spec = cech.line_sum(cov, [-3])
-    mono = LaurentPoly.monomial(2, (-1, -1))
-    c = cech.Cochain(spec, 2, {(0, 1, 2): ((mono,),)})
+    c = cech.Cochain(spec, 2, {cech.BasisSlot((0, 1, 2), 0, 0, (-1, -1)): 1})
     sol, cert = cech.solve_coboundary(c)
     assert sol is None
     assert cert == [(0, (-1, -1, -1))]
@@ -254,7 +252,7 @@ def test_p1_degree_minus_two_class():
     # and is not a coboundary: it spans the one-dimensional top cohomology
     cov = cech.standard_cover(1)
     spec = cech.line_sum(cov, [-2])
-    c = cech.Cochain(spec, 1, {(0, 1): ((LaurentPoly.monomial(1, (-1,)),),)})
+    c = cech.Cochain(spec, 1, {cech.BasisSlot((0, 1), 0, 0, (-1,)): 1})
     assert cech.coboundary(c).is_zero()
     sol, cert = cech.solve_coboundary(c)
     assert sol is None and cert == [(0, (-1, -1))]
@@ -301,7 +299,8 @@ def test_cochain_json_roundtrip():
     c = cech.random_cochain(spec, 1, rng, terms=2)
     data = c.to_json()
     back = cech.Cochain.from_json(cov, data)
-    assert back.degree == c.degree and back.values == c.values
+    assert back.degree == c.degree and back.terms == c.terms
+    assert back.to_json() == data and back == c
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,7 @@ def scan_h1(spec, window):
                 trial = basis_rows + [vec]
                 if linalg.rank(trial) > rk:
                     basis_rows, rk = trial, rk + 1
-                    c = cech.zero_cochain(spec, 1)
-                    for slot, coef in zip(dom, vec):
-                        if coef != 0:
-                            c = c + cech.cochain_from_slot(spec, 1, slot, coef)
-                    reps.append(c)
+                    reps.append(cech.cochain_from_slots(spec, 1, dom, vec))
     return len(reps), reps
 
 

@@ -56,19 +56,12 @@ def test_normalize_generator_leading_coefficient():
     spec = supermap.slot_sheaf(cov, SplitBundleDegrees((3, 0, -6)), 2)
     gen = cech.h1_representatives(spec, window=6).representatives[1][0]
     normed = normalize_generator(gen.scale(Fraction(-7, 3)))
-    first = None
-    for simplex in sorted(normed.values):
-        for summand in normed.values[simplex]:
-            for comp in summand:
-                for exps in sorted(comp.terms):
-                    first = comp.terms[exps]
-                    break
-                if first is not None:
-                    break
-            if first is not None:
-                break
-        break
-    assert first == 1
+    # the first coefficient of the canonical JSON: sorted simplices, then
+    # summands, components and sorted exponents
+    values = normed.to_json()["values"]
+    first = next(term["coef"] for key in sorted(values) for summand in values[key]
+                 for comp in summand for term in comp)
+    assert first == "1"
 
 
 def test_class_coordinates_certify_remainder():
@@ -77,7 +70,7 @@ def test_class_coordinates_certify_remainder():
     rng = random.Random(0)
     nu = cech.random_cochain(spec, 1, rng, terms=2)
     exact = cech.coboundary(nu)
-    basis, coords = class_coordinates(exact)
+    basis, coords = class_coordinates(exact, h2_basis(spec))
     assert basis == [(0, (-1, -1, -1))]
     assert coords == [Fraction(0)]
 
@@ -129,11 +122,11 @@ def test_class_coordinates_match_all_negative_reader(twists):
             if rng.random() < 0.5:
                 exps = cech.char_monomial_exps(spec, 0, s, 0, g)
                 coef = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
-                gamma = gamma + cech.cochain_from_slot(
-                    spec, 2, cech.BasisSlot((0, 1, 2), s, 0, exps), coef
+                gamma = gamma + cech.cochain_from_slots(
+                    spec, 2, [cech.BasisSlot((0, 1, 2), s, 0, exps)], [coef]
                 )
         want = {(s, g): c for s, g, c in harmonic_h2_part(gamma)}
-        basis, coords = class_coordinates(gamma)
+        basis, coords = class_coordinates(gamma, h2_basis(spec))
         assert basis == labels
         assert coords == [want.get(label, 0) for label in labels]
         sol, cert = cech.solve_coboundary(gamma)

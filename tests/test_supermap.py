@@ -63,10 +63,8 @@ def test_taylor_cross_terms_on_p1():
     # the hand-expanded correction of (x^-1 + c x^-1 th1 th2)^(-1)
     degrees = SplitBundleDegrees((1, -1, 0))
     spec = sm.slot_sheaf(COV1, degrees, 2)
-    coef = LaurentPoly.monomial(1, (-1,), Fraction(5, 7))
-    sec = [[LaurentPoly.zero(1)] for _ in spec.twists]
-    sec[0][0] = coef  # wedge pair (1, 2) summand, single tangent component
-    omega = cech.Cochain(spec, 1, {(0, 1): tuple(tuple(r) for r in sec)})
+    # wedge pair (1, 2) summand, single tangent component
+    omega = cech.Cochain(spec, 1, {cech.BasisSlot((0, 1), 0, 0, (-1,)): Fraction(5, 7)})
     t = sm.build_trivialization(COV1, degrees, 2, {2: omega})
     fwd = t.maps[(0, 1)]
     # the inserted slot sits in the chart-1 frame: jacobian of y = x^-1
@@ -177,9 +175,7 @@ def test_hand_corrupted_gamma_fails_verification():
     t = sm.build_trivialization(COV2, DEG, 2, {2: omega})
     gamma = sm.obstruction_cocycle(t)
     spec = gamma.sheaf
-    sec = list(list(s) for s in gamma.value((0, 1, 2)))
-    sec[0][0] = sec[0][0] + LaurentPoly.one(2)
-    bad = cech.Cochain(spec, 2, {(0, 1, 2): tuple(tuple(s) for s in sec)})
+    bad = gamma + cech.Cochain(spec, 2, {cech.BasisSlot((0, 1, 2), 0, 0, (0, 0)): 1})
     assert not sm.verify_gamma_cocycle(bad, t)["pass"]
 
 

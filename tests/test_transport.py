@@ -1,13 +1,14 @@
 """Differential tests of the monomial transport layer.
 
 Every chart change moves monomials on exponents through ``Cover.transport``:
-``cech.represent`` monomial by monomial, ``cech.delta_block_matrix`` one
-unit monomial per block column, and the gluing maps' frame changes in
-``supermap``.  ``LaurentPoly.compose`` maps each term to one monomial when
-every substituted part is a monomial.  The references below are the slow
-paths those replace: re-presentation by Laurent pullback, Jacobian products
-and line factors, the coboundary built on it, the hand-rolled Jacobian and
-zeta frame changes, and substitution by multiplying powers.
+``cech.represent`` and ``Cochain.section`` monomial by monomial,
+``cech.coboundary`` and ``cech.delta_block_matrix`` one slot at a time, and
+the gluing maps' frame changes in ``supermap``.  ``LaurentPoly.compose`` maps
+each term to one monomial when every substituted part is a monomial.  The
+references below are the slow paths those replace: re-presentation by Laurent
+pullback, Jacobian products and line factors, the coboundary built on it
+section by section, the hand-rolled Jacobian and zeta frame changes, and
+substitution by multiplying powers.
 """
 
 import itertools
@@ -55,18 +56,64 @@ def reference_represent(spec, sec, a, b):
     return tuple(out)
 
 
+# Sections: tuples over summands of tuples over components of LaurentPoly.
+
+
+def section_zero(spec):
+    z = LaurentPoly.zero(spec.cover.n)
+    return tuple(tuple(z for _ in range(spec.ncomp)) for _ in spec.twists)
+
+
+def section_map(f, *sections):
+    return tuple(
+        tuple(f(*comps) for comps in zip(*summands))
+        for summands in zip(*sections)
+    )
+
+
+def section_add(a, b):
+    return section_map(lambda x, y: x + y, a, b)
+
+
+def section_neg(a):
+    return section_map(lambda x: -x, a)
+
+
+def section_is_zero(a):
+    return all(comp.is_zero() for summand in a for comp in summand)
+
+
+def section_from_terms(spec, terms):
+    """The section of slot terms that share one simplex."""
+    sec = [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
+    for slot, coef in terms.items():
+        sec[slot.summand][slot.comp][slot.exps] = coef
+    return tuple(tuple(LaurentPoly(spec.cover.n, t) for t in summand) for summand in sec)
+
+
+def cochain_from_sections(spec, degree, values):
+    """The cochain with one section per sorted simplex, as slot terms."""
+    return cech.Cochain(spec, degree, {
+        cech.BasisSlot(simplex, s, comp, exps): coef
+        for simplex, sec in values.items()
+        for s, summand in enumerate(sec)
+        for comp, poly in enumerate(summand)
+        for exps, coef in poly.terms.items()
+    })
+
+
 def reference_coboundary(c):
-    """The twisted Čech differential, transported by ``reference_represent``."""
+    """The twisted Čech differential on sections, transported by ``reference_represent``."""
     spec = c.sheaf
     out = {}
     for simplex in spec.cover.simplices(c.degree + 1):
-        acc = cech.section_zero(spec)
+        acc = section_zero(spec)
         for j in range(len(simplex)):
             face = simplex[:j] + simplex[j + 1 :]
-            sec = reference_represent(spec, c.value(face), face[0], simplex[0])
-            acc = cech.section_add(acc, cech.section_neg(sec) if j % 2 else sec)
+            sec = reference_represent(spec, c.section(face, face[0]), face[0], simplex[0])
+            acc = section_add(acc, section_neg(sec) if j % 2 else sec)
         out[simplex] = acc
-    return cech.Cochain(spec, c.degree + 1, out)
+    return cochain_from_sections(spec, c.degree + 1, out)
 
 
 def section_json(sec):
@@ -85,12 +132,13 @@ def test_represent_matches_laurent_reference(kind, n):
         for simplex in cover.simplices(1) + cover.simplices(2):
             for a, b in itertools.permutations(simplex, 2):
                 chart_first = (a,) + tuple(v for v in simplex if v != a)
-                sec = cech.random_section(spec, chart_first, rng, terms=4, span=3)
+                sec = section_from_terms(
+                    spec, cech.random_section(spec, chart_first, rng, terms=4, span=3))
                 fast = cech.represent(spec, sec, a, b)
                 slow = reference_represent(spec, sec, a, b)
                 assert fast == slow and section_json(fast) == section_json(slow)
                 assert cech.represent(spec, fast, b, a) == sec
-                moved += not cech.section_is_zero(sec)
+                moved += not section_is_zero(sec)
     assert moved >= 100
 
 
@@ -101,7 +149,7 @@ def reference_block_matrix(spec, degree, summand, g):
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
     for col, slot in enumerate(dom):
-        image = reference_coboundary(cech.cochain_from_slot(spec, degree, slot))
+        image = reference_coboundary(cech.cochain_from_slots(spec, degree, [slot], [1]))
         for (s, gg), coeffs in cech.cochain_chars(image).items():
             assert (s, gg) == (summand, g)
             for cslot, coef in coeffs.items():
@@ -132,6 +180,58 @@ def test_delta_block_matrix_matches_generic_coboundary(kind, n, degrees):
                 assert all(type(x) is Fraction for row in fast[2] for x in row)
                 nonempty += bool(fast[0] and fast[1])
     assert nonempty >= 20
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_coboundary_matches_reference_on_random_cochains(kind, n, degree):
+    rng = random.Random(f"coboundary-{kind}-{n}-{degree}")
+    cover = cech.standard_cover(n)
+    cancelled = nonzero = 0
+    for _ in range(40):
+        twists = [rng.randint(-8, 6) for _ in range(rng.randint(1, 3))]
+        spec = cech.SheafSpec(cover, kind, tuple(twists))
+        # many terms in a narrow span, plus a closed part whose coboundary
+        # cancels term by term
+        c = cech.random_cochain(spec, degree, rng, terms=8, span=1)
+        if degree:
+            c = c + cech.coboundary(cech.random_cochain(spec, 0, rng, terms=4, span=1))
+        else:
+            for rep in cech.cohomology(spec, 0).representatives[0]:
+                c = c + rep.scale(rng.choice([-2, -1, 1, 3]))
+        fast = cech.coboundary(c)
+        slow = reference_coboundary(c)
+        assert fast == slow and fast.to_json() == slow.to_json()
+        separate = sum(len(cech.coboundary(cech.cochain_from_slots(spec, degree, [slot], [1]))
+                           .terms) for slot in c.terms)
+        cancelled += len(fast.terms) < separate
+        nonzero += not fast.is_zero()
+    if (n, degree) != (1, 1):  # P^1 has no triple overlaps
+        assert cancelled >= 10 and nonzero >= 20
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_section_view_matches_reference_represent(kind, n):
+    rng = random.Random(f"section-{kind}-{n}")
+    cover = cech.standard_cover(n)
+    for _ in range(10):
+        twists = [rng.randint(-8, 6) for _ in range(rng.randint(1, 3))]
+        spec = cech.SheafSpec(cover, kind, tuple(twists))
+        for degree in range(n + 1):
+            c = cech.random_cochain(spec, degree, rng, terms=4, span=2)
+            for key in cover.simplices(degree):
+                stored = section_from_terms(
+                    spec, {slot: x for slot, x in c.terms.items() if slot.simplex == key})
+                for simplex in itertools.permutations(key):
+                    sign = cech.perm_sign(simplex)
+                    for chart in cover.charts:
+                        want = reference_represent(spec, stored, key[0], chart)
+                        want = want if sign == 1 else section_neg(want)
+                        assert c.section(simplex, chart) == want, (simplex, chart)
+                if degree:  # a repeated vertex gives zero
+                    assert section_is_zero(c.section((key[0],) * (degree + 1), key[0]))
 
 
 def reference_compose(poly, parts):
@@ -274,16 +374,19 @@ def test_frame_helpers_round_trip_on_every_pair(d):
         degrees = SplitBundleDegrees(degrees)
         spec = supermap.slot_sheaf(cover, degrees, d)
         for i, j in itertools.product(cover.charts, repeat=2):
-            sec = cech.random_section(spec, (i,) + tuple(v for v in cover.charts if v != i),
-                                      rng, terms=6, span=3)
+            simplex = (i,) + tuple(v for v in cover.charts if v != i)
+            terms = cech.random_section(spec, simplex, rng, terms=6, span=3)
+            terms = {slot: c for slot, c in terms.items() if c}
+            sec = section_from_terms(spec, terms)
             coefs = supermap._section_to_coefficients(cover, degrees, spec, sec, i, j)
-            back = supermap._coefficients_to_section(cover, degrees, spec, coefs, i, j)
-            assert back == sec
+            back = supermap._coefficients_to_section(cover, degrees, spec, coefs, simplex, j)
+            assert back == terms
             if i == j:
                 assert coefs == sec
             assert coefs == reference_to_coefficients(cover, degrees, spec, sec, i, j)
-            assert back == reference_to_section(cover, degrees, spec, coefs, i, j)
-            checked += not cech.section_is_zero(sec)
+            assert section_from_terms(spec, back) == reference_to_section(
+                cover, degrees, spec, coefs, i, j)
+            checked += not section_is_zero(sec)
     assert checked >= 40
 
 
