@@ -363,18 +363,6 @@ class Cochain:
             "values": vals,
         }
 
-    @staticmethod
-    def from_json(cover: Cover, data: dict) -> "Cochain":
-        spec = SheafSpec(cover, data["sheaf"]["kind"], tuple(data["sheaf"]["twists"]))
-        terms = {}
-        for key, sec in data["values"].items():
-            simplex = tuple(int(x) for x in key.split(","))
-            for s, summand in enumerate(sec):
-                for comp, poly in enumerate(summand):
-                    for exps, coef in LaurentPoly.from_json(cover.n, poly).terms.items():
-                        terms[BasisSlot(simplex, s, comp, exps)] = coef
-        return Cochain(spec, data["degree"], terms)
-
     def __repr__(self):
         return f"Cochain(deg={self.degree}, {len(self.terms)} terms)"
 

@@ -45,18 +45,24 @@ class CocycleViolation(ValueError):
 
 @dataclass(frozen=True)
 class SuperMap:
-    """Super coordinate change between chart domains, truncated at ``order``."""
+    """Super coordinate change between chart domains: its p even and q odd
+    components.  The truncation order belongs to the ``Trivialization``."""
 
     source: int
     target: int
-    p: int
-    q: int
-    order: int
     even: tuple[GrassmannElement, ...]
     odd: tuple[GrassmannElement, ...]
 
+    @property
+    def p(self) -> int:
+        return len(self.even)
+
+    @property
+    def q(self) -> int:
+        return len(self.odd)
+
     def __post_init__(self):
-        if len(self.even) != self.p or len(self.odd) != self.q:
+        if any((g.p, g.q) != (self.p, self.q) for g in self.even + self.odd):
             raise ValueError("component counts disagree with (p, q)")
         for g in self.even:
             if not g.is_even():
@@ -69,9 +75,6 @@ class SuperMap:
         return SuperMap(
             self.source,
             self.target,
-            self.p,
-            self.q,
-            order,
             tuple(g.truncate(order) for g in self.even),
             tuple(g.truncate(order) for g in self.odd),
         )
@@ -81,12 +84,12 @@ class SuperMap:
         return ChartMap([g.body() for g in self.even])
 
 
-def identity_map(chart: int, p: int, q: int, order: int) -> SuperMap:
+def identity_map(chart: int, p: int, q: int) -> SuperMap:
     even = tuple(
         GrassmannElement.scalar(p, q, LaurentPoly.variable(p, i)) for i in range(p)
     )
     odd = tuple(GrassmannElement.theta(p, q, a) for a in range(1, q + 1))
-    return SuperMap(chart, chart, p, q, order, even, odd)
+    return SuperMap(chart, chart, even, odd)
 
 
 def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
@@ -119,9 +122,6 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
     return SuperMap(
         f.source,
         g.target,
-        g.p,
-        g.q,
-        order,
         tuple(push(c) for c in g.even),
         tuple(push(c) for c in g.odd),
     )
@@ -144,21 +144,19 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
     """Inverse modulo J^(order+1), by fixed-point iteration on the deviation."""
     if sm.source != sm.target:
         raise ValueError("only chart automorphisms are inverted here")
-    ident = identity_map(sm.source, sm.p, sm.q, order)
-    g = ident
+    g = ident = identity_map(sm.source, sm.p, sm.q)
+    image = sm.truncate(order)  # sm o id, known without composing
     for _ in range(order + 2):
-        err_even, err_odd = map_difference(compose(sm, g, order), ident)
-        if all(e.is_zero() for e in err_even) and all(e.is_zero() for e in err_odd):
+        err_even, err_odd = map_difference(image, ident)
+        if difference_is_zero((err_even, err_odd)):
             return g
         g = SuperMap(
             sm.source,
             sm.target,
-            sm.p,
-            sm.q,
-            order,
             tuple(x - e for x, e in zip(g.even, err_even)),
             tuple(x - e for x, e in zip(g.odd, err_odd)),
         )
+        image = compose(sm, g, order)
     raise ValueError("automorphism is not invertible at this order")
 
 
@@ -199,7 +197,7 @@ def split_trivialization(
             GrassmannElement.theta(p, q, a, zeta(cover, degrees, i, j, a))
             for a in range(1, q + 1)
         )
-        maps[(i, j)] = SuperMap(i, j, p, q, order, even, odd)
+        maps[(i, j)] = SuperMap(i, j, even, odd)
     return Trivialization(cover, degrees, order, maps)
 
 
@@ -300,22 +298,26 @@ def _plus_slot(sm: SuperMap, spec: SheafSpec, coefs) -> SuperMap:
         for pos, coef in zip(positions, comps):
             if not coef.is_zero():
                 parts[pos] = parts[pos] + GrassmannElement(sm.p, sm.q, {tuple(I): coef})
-    return SuperMap(sm.source, sm.target, sm.p, sm.q, sm.order, tuple(even), tuple(odd))
+    return SuperMap(sm.source, sm.target, tuple(even), tuple(odd))
 
 
 def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
-    """Add homogeneous degree-d cochain data to every ordered pair map."""
+    """Add homogeneous degree-d cochain data to the sorted-pair maps.
+
+    The reversed maps are left as they are, to be remade by
+    ``normalize_inverses``.
+    """
     if inc.degree != 1:
         raise ValueError("increments are 1-cochains")
     spec = inc.sheaf
     expected = slot_sheaf(t.cover, t.degrees, d)
     if spec.kind != expected.kind or spec.twists != expected.twists:
         raise ValueError("increment sheaf does not match the degree slot")
-    new_maps = {}
-    for (i, j), sm in t.maps.items():
+    new_maps = dict(t.maps)
+    for (i, j) in t.cover.pairs:
         sec = inc.section((i, j), i)
         coefs = _section_to_coefficients(t.cover, t.degrees, expected, sec, i, j)
-        new_maps[(i, j)] = _plus_slot(sm, expected, coefs)
+        new_maps[(i, j)] = _plus_slot(t.maps[(i, j)], expected, coefs)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
 
 
@@ -336,7 +338,8 @@ def normalize_inverses(t: Trivialization) -> Trivialization:
     Data on sorted pairs is authoritative; making the reversed maps exact
     inverses one order beyond the truncation is what turns the raw
     composition defect on permuted triples into an honest alternating
-    cochain.
+    cochain.  This is the one place reversed maps are made: the old ones
+    only seed the inversion, and the inverse mod J^(order+2) is unique.
     """
     precision = t.order + 1
     new_maps = dict(t.maps)
@@ -344,8 +347,7 @@ def normalize_inverses(t: Trivialization) -> Trivialization:
         fwd = t.maps[(i, j)]
         seed = t.maps[(j, i)]
         around = compose(fwd, seed, precision)  # chart-j automorphism
-        rev = compose(seed, invert(around, precision), precision)
-        new_maps[(j, i)] = SuperMap(j, i, t.p, t.q, fwd.order, rev.even, rev.odd)
+        new_maps[(j, i)] = compose(seed, invert(around, precision), precision)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
 
 
@@ -382,7 +384,7 @@ def inverse_residual(t: Trivialization) -> dict:
     out = {}
     for (i, j), sm in t.maps.items():
         comp = compose(t.maps[(j, i)], sm, t.order)
-        out[(i, j)] = map_difference(comp, identity_map(i, t.p, t.q, t.order))
+        out[(i, j)] = map_difference(comp, identity_map(i, t.p, t.q))
     return out
 
 
@@ -527,7 +529,9 @@ def act_torsor(t: Trivialization, alpha: Cochain) -> Trivialization:
 def automorphism_from_increment(
     cover: Cover, degrees: SplitBundleDegrees, order: int, nu: Cochain, d: int
 ) -> dict:
-    """Chart automorphisms id + nu from a degree-d 0-cochain."""
+    """Chart automorphisms id + nu from a degree-d 0-cochain, 2 <= d <= order."""
+    if not 2 <= d <= order:
+        raise ValueError(f"slot degree {d} outside 2..order")
     if nu.degree != 0:
         raise ValueError("expected a 0-cochain")
     expected = slot_sheaf(cover, degrees, d)
@@ -536,7 +540,7 @@ def automorphism_from_increment(
     lam = {}
     for c in cover.charts:
         coefs = _section_to_coefficients(cover, degrees, expected, nu.section((c,), c), c, c)
-        lam[c] = _plus_slot(identity_map(c, cover.n, degrees.rank, order), expected, coefs)
+        lam[c] = _plus_slot(identity_map(c, cover.n, degrees.rank), expected, coefs)
     return lam
 
 
@@ -544,35 +548,32 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
     """Conjugated trivialisation lam_j o rho_ij o lam_i^(-1), same order.
 
     Each lam must be an invertible chart automorphism equal to the identity
-    mod J^2.
+    mod J^2.  Only the sorted-pair maps are conjugated, so only the lam of
+    their source charts are inverted; ``normalize_inverses`` remakes the rest.
     """
     m = t.order
     p, q = t.p, t.q
     for c, sm in lam.items():
         if sm.source != c or sm.target != c:
             raise ValueError("lam must consist of chart automorphisms")
-        dev_even, dev_odd = map_difference(sm, identity_map(c, p, q, m))
+        dev_even, dev_odd = map_difference(sm, identity_map(c, p, q))
         low = [g.truncate(1) for g in dev_even] + [g.truncate(1) for g in dev_odd]
         if any(not g.is_zero() for g in low):
             raise ValueError("lam must restrict to the identity mod J^2")
-    # conjugating one order beyond the truncation keeps the reversed maps
-    # exact inverses and carries the induced degree-(m+1) coefficients along
+    # conjugating one order beyond the truncation carries the induced
+    # degree-(m+1) coefficients along
     precision = m + 1
-    inverses = {c: invert(sm, precision) for c, sm in lam.items()}
-    new_maps = {}
-    for (i, j), sm in t.maps.items():
-        conj = compose(lam[j], compose(sm, inverses[i], precision), precision)
-        new_maps[(i, j)] = SuperMap(i, j, p, q, m, conj.even, conj.odd)
+    inverses = {c: invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
+    new_maps = dict(t.maps)
+    for (i, j) in t.cover.pairs:
+        new_maps[(i, j)] = compose(lam[j], compose(t.maps[(i, j)], inverses[i], precision),
+                                   precision)
     return normalize_inverses(Trivialization(t.cover, t.degrees, m, new_maps))
 
 
 def extend_by_zero(t: Trivialization) -> Trivialization:
     """Order m+1 trivialisation keeping all sorted-pair coefficients verbatim."""
-    new_maps = {
-        key: SuperMap(sm.source, sm.target, sm.p, sm.q, t.order + 1, sm.even, sm.odd)
-        for key, sm in t.maps.items()
-    }
-    return normalize_inverses(Trivialization(t.cover, t.degrees, t.order + 1, new_maps))
+    return normalize_inverses(Trivialization(t.cover, t.degrees, t.order + 1, t.maps))
 
 
 def equivalence_witness(t1: Trivialization, t2: Trivialization):
@@ -699,6 +700,7 @@ def _check_trivialization_shape(data) -> None:
     if not isinstance(maps, dict):
         raise ValueError("maps must be an object keyed by chart pairs")
     pairs = {f"{i},{j}" for i, j in itertools.permutations(range(int(space[1]) + 1), 2)}
+    counts = {"even": int(space[1]), "odd": len(data["degrees"])}
     for key, payload in maps.items():
         if key not in pairs:
             raise ValueError(f"map key {key!r} is not a pair 'i,j' of distinct charts")
@@ -706,15 +708,15 @@ def _check_trivialization_shape(data) -> None:
             raise ValueError(f"map {key} must be an object with 'even' and 'odd'")
         for part in ("even", "odd"):
             comps = payload.get(part)
-            if not isinstance(comps, list):
-                raise ValueError(f"map {key} {part!r} must be a list")
+            if not isinstance(comps, list) or len(comps) != counts[part]:
+                raise ValueError(f"map {key} {part!r} must be a list of {counts[part]} components")
             if not all(isinstance(comp, list) and all(map(_is_grassmann_term, comp))
                        for comp in comps):
                 raise ValueError(f"map {key} {part!r} has a malformed term")
 
 
 def trivialization_from_json(data: dict) -> Trivialization:
-    """Read a thickening file; a malformed shape raises ValueError."""
+    """Read a thickening file; a malformed shape or component count raises ValueError."""
     _check_trivialization_shape(data)
     space = data["space"]
     cover = cech.standard_cover(int(space[1]))
@@ -727,7 +729,7 @@ def trivialization_from_json(data: dict) -> Trivialization:
         i, j = (int(x) for x in key.split(","))
         even = tuple(GrassmannElement.from_json(p, q, g) for g in payload["even"])
         odd = tuple(GrassmannElement.from_json(p, q, g) for g in payload["odd"])
-        maps[(i, j)] = SuperMap(i, j, p, q, order, even, odd)
+        maps[(i, j)] = SuperMap(i, j, even, odd)
     return Trivialization(cover, degrees, order, maps)
 
 

@@ -292,17 +292,6 @@ def test_windowed_dims_match_tangent_identification():
     assert got == {q: bott.bott_dim(2, 1, q, 0) for q in range(3)}
 
 
-def test_cochain_json_roundtrip():
-    cov = cech.standard_cover(2)
-    spec = cech.tangent_twisted(cov, [-3, 2])
-    rng = random.Random(5)
-    c = cech.random_cochain(spec, 1, rng, terms=2)
-    data = c.to_json()
-    back = cech.Cochain.from_json(cov, data)
-    assert back.degree == c.degree and back.terms == c.terms
-    assert back.to_json() == data and back == c
-
-
 # ---------------------------------------------------------------------------
 # the sign-type engine against the character-window scan it replaces
 

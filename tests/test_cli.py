@@ -215,6 +215,13 @@ def malformed_thickenings():
     data = split_model_json()
     data["maps"]["1,2"] = 7
     yield data
+    # P^2 with a rank-3 bundle: 2 even and 3 odd components, nothing else
+    for n_even, n_odd in ((0, 3), (2, 2), (3, 3), (0, 0)):
+        data = split_model_json()
+        payload = data["maps"]["0,1"]
+        payload["even"] = (payload["even"] * 2)[:n_even]
+        payload["odd"] = payload["odd"][:n_odd]
+        yield data
 
 
 def test_malformed_thickening_file_exits_two(tmp_path, capsys):

@@ -90,7 +90,7 @@ def reference_compose(g, f, order):
             acc = acc + piece.truncate(order)
         return acc.truncate(order)
 
-    return SuperMap(f.source, g.target, g.p, g.q, order,
+    return SuperMap(f.source, g.target,
                     tuple(push(c) for c in g.even), tuple(push(c) for c in g.odd))
 
 
@@ -137,7 +137,7 @@ def rand_map(rng, source, target, p, q, order, fractions, monomial=True, negativ
     odd = tuple(GrassmannElement.theta(p, q, a, rand_poly(rng, p, 1, fractions, negative))
                 + rand_element(rng, p, q, odd_deg, order, fractions, negative)
                 for a in range(1, q + 1))
-    return SuperMap(source, target, p, q, order, even, odd)
+    return SuperMap(source, target, even, odd)
 
 
 CASES = [(1, 2, order) for order in (1, 2, 3)] + [(2, 3, order) for order in (1, 2, 3)]
@@ -210,9 +210,9 @@ def test_no_float_coefficient_on_integer_input():
             assert all(type(c) in exact for c in coefficients(comp))
     # chart automorphisms: identity body, integer nilpotent parts
     for p, q, order in CASES:
-        ident = supermap.identity_map(0, p, q, order)
+        ident = supermap.identity_map(0, p, q)
         dev = rand_map(rng, 0, 0, p, q, order, False)
-        auto = SuperMap(0, 0, p, q, order,
+        auto = SuperMap(0, 0,
                         tuple(a + b.soul().truncate(order).degree_part(2) for a, b
                               in zip(ident.even, dev.even)),
                         tuple(a + b.soul().truncate(order).degree_part(3) for a, b

@@ -7,6 +7,7 @@ from superthick import cech, supermap as sm
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import GrassmannElement
 from superthick.laurent import LaurentPoly
+from test_acceptance import DEGREE_POOL
 from test_pipeline import harmonic_h2_part
 
 COV2 = cech.standard_cover(2)
@@ -71,7 +72,7 @@ def test_taylor_cross_terms_on_p1():
     assert fwd.even[0].coeff((1, 2)) == LaurentPoly.monomial(1, (-3,), Fraction(-5, 7))
     rev = t.maps[(1, 0)]
     comp = sm.compose(rev, fwd, 3)
-    ident = sm.identity_map(0, 1, 3, 3)
+    ident = sm.identity_map(0, 1, 3)
     assert sm.difference_is_zero(sm.map_difference(comp, ident))
     # hand expansion: x = y^-1 + c' y^-1 eta1 eta2 must invert y = x^-1 + ...
     y_of_x = fwd.even[0]
@@ -111,7 +112,7 @@ def test_corrupted_map_reported_at_its_triple():
     bad = t.maps[(0, 1)]
     even = list(bad.even)
     even[0] = even[0] + GrassmannElement(2, 3, {(1, 2): LaurentPoly.one(2)})
-    maps = {**t.maps, (0, 1): sm.SuperMap(0, 1, 2, 3, 2, tuple(even), bad.odd)}
+    maps = {**t.maps, (0, 1): sm.SuperMap(0, 1, tuple(even), bad.odd)}
     res = sm.cocycle_residual(sm.Trivialization(COV2, DEG, 2, maps))
     assert not sm.difference_is_zero(res[(0, 1, 2)])
 
@@ -312,7 +313,7 @@ def test_torsor_freeness_both_directions():
 
 def test_conjugate_by_identity():
     t = split2()
-    lam = {c: sm.identity_map(c, 2, 3, 2) for c in COV2.charts}
+    lam = {c: sm.identity_map(c, 2, 3) for c in COV2.charts}
     same = sm.conjugate(t, lam)
     for key in t.maps:
         diff = sm.map_difference(
@@ -354,13 +355,31 @@ def test_conjugate_gamma_difference_certified():
 
 def test_conjugate_rejects_non_admissible():
     t = split2()
-    lam = {c: sm.identity_map(c, 2, 3, 2) for c in COV2.charts}
+    lam = {c: sm.identity_map(c, 2, 3) for c in COV2.charts}
     bad = lam[0]
     odd = list(bad.odd)
     odd[0] = odd[0] + GrassmannElement.theta(2, 3, 2)  # degree-1 deviation
-    lam[0] = sm.SuperMap(0, 0, 2, 3, 2, bad.even, tuple(odd))
+    lam[0] = sm.SuperMap(0, 0, bad.even, tuple(odd))
     with pytest.raises(ValueError):
         sm.conjugate(t, lam)
+    # a degree-2 slot is beyond an order-1 gluing
+    nu = cech.random_cochain(sm.slot_sheaf(COV2, DEG, 2), 0, random.Random(16), terms=2)
+    with pytest.raises(ValueError, match="outside 2..order"):
+        sm.automorphism_from_increment(COV2, DEG, 1, nu, 2)
+
+
+def test_reversed_maps_do_not_depend_on_their_seed():
+    # normalize_inverses makes every reversed map as the exact inverse mod
+    # J^(order+2), which is unique: seeding it with the built maps or with the
+    # split model's gives the same maps
+    rng = random.Random(15)
+    for degrees in map(SplitBundleDegrees, DEGREE_POOL):
+        t = sm.build_trivialization(COV2, degrees, 2, {2: closed_slot2(rng, degrees)})
+        split = sm.split_trivialization(COV2, degrees, 2)
+        reseeded = {**t.maps, **{(j, i): split.maps[(j, i)] for i, j in COV2.pairs}}
+        assert reseeded != t.maps, degrees
+        other = sm.normalize_inverses(sm.Trivialization(COV2, degrees, 2, reseeded))
+        assert sm.normalize_inverses(t).maps == other.maps == t.maps, degrees
 
 
 def test_p1_extensions_always_unobstructed():
