@@ -289,7 +289,11 @@ class BasisSlot(NamedTuple):
 
 class Cochain:
     """Alternating cochain: a sparse map from slots on sorted simplices to
-    nonzero exact coefficients."""
+    nonzero exact coefficients.
+
+    The constructor checks every slot and coefficient; the results of ``+``,
+    ``-`` and ``scale`` are built from terms already checked, by ``_cochain``.
+    """
 
     def __init__(self, sheaf: SheafSpec, degree: int, terms: dict | None = None):
         if degree < 0:
@@ -323,23 +327,32 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Cochain") -> "Cochain":
+    def _combine(self, other: "Cochain", sign: int) -> "Cochain":
+        """self + sign * other."""
         if self.sheaf != other.sheaf or self.degree != other.degree:
             raise ValueError("cochain mismatch")
         terms = dict(self.terms)
         for slot, coef in other.terms.items():
-            terms[slot] = terms.get(slot, 0) + coef
-        return Cochain(self.sheaf, self.degree, terms)
+            s = terms.get(slot, 0) + sign * coef
+            if s:
+                terms[slot] = s
+            else:
+                del terms[slot]
+        return _cochain(self.sheaf, self.degree, terms)
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Cochain":
         c = _coerce(c)
-        return Cochain(self.sheaf, self.degree, {slot: c * v for slot, v in self.terms.items()})
+        terms = {slot: c * v for slot, v in self.terms.items()} if c else {}
+        return _cochain(self.sheaf, self.degree, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,6 +378,13 @@ class Cochain:
 
     def __repr__(self):
         return f"Cochain(deg={self.degree}, {len(self.terms)} terms)"
+
+
+def _cochain(sheaf: SheafSpec, degree: int, terms: dict) -> Cochain:
+    """A cochain from checked slots and nonzero coefficients, unchecked."""
+    out = Cochain.__new__(Cochain)
+    out.sheaf, out.degree, out.terms = sheaf, degree, terms
+    return out
 
 
 def zero_cochain(spec: SheafSpec, degree: int) -> Cochain:

@@ -8,15 +8,20 @@ d/dtheta_a (theta_{i1}...theta_{in}) = (-1)^(j-1) theta_{i1}...^...theta_{in}
 when a = i_j.
 
 Index tuples are validated where elements enter from outside (the public
-constructor and ``from_json``); internal results such as ``truncate``,
-``soul``, ``scale_poly`` and the wedge are built from terms already known to
-be valid and skip those checks.
+constructor); internal results such as ``truncate``, ``soul``, ``scale_poly``
+and the wedge are built from terms already known to be valid and skip those
+checks.
+
+``taylor_rows``, ``taylor_add`` and ``substitute_nilpotent`` evaluate a single
+Laurent polynomial at a Grassmann argument.  The gluing maps of ``supermap``
+do not use them; they serve only this single-polynomial API, which the
+benchmark's tracer names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .laurent import ChartMap, LaurentPoly, _coerce
 
@@ -232,20 +237,6 @@ class GrassmannElement:
             _accumulate(terms, rest, coef if pos % 2 == 0 else -coef)
         return _make(self.p, self.q, terms)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [
-            {"indices": list(k), "coef": v.to_json()}
-            for k, v in sorted(self.terms.items())
-        ]
-
-    @staticmethod
-    def from_json(p: int, q: int, data: Iterable[dict]) -> "GrassmannElement":
-        return GrassmannElement(
-            p, q, {tuple(t["indices"]): LaurentPoly.from_json(p, t["coef"]) for t in data}
-        )
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -310,8 +301,7 @@ def taylor_add(
     """Add the sum over rows of row * base.apply(d^alpha poly) into ``acc``.
 
     ``acc`` maps index tuples to Laurent coefficients, as ``terms`` does.
-    Negative exponents are admissible exactly when the base component is an
-    invertible monomial.
+    Every base component must be a monomial (see ``LaurentPoly.compose``).
     """
     if poly.dim != base.target_dim:
         raise ValueError("polynomial and base dimensions mismatch")

@@ -18,10 +18,6 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
-class NonInvertibleBaseError(ValueError):
-    """Raised when a negative power of a non-monomial would be needed."""
-
-
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -129,9 +125,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def coeff(self, exps: Sequence[int]) -> int | Fraction:
         return self.terms.get(tuple(exps), 0)
 
@@ -193,9 +186,7 @@ class LaurentPoly:
     def invert(self) -> "LaurentPoly":
         """Inverse, defined only for a single nonzero monomial."""
         if len(self.terms) != 1:
-            raise NonInvertibleBaseError(
-                "only monomials are invertible in the Laurent ring"
-            )
+            raise ValueError("only monomials are invertible in the Laurent ring")
         (e, c), = self.terms.items()
         return LaurentPoly.monomial(self.dim, tuple(-x for x in e), Fraction(1) / c)
 
@@ -223,10 +214,10 @@ class LaurentPoly:
     def compose(self, parts: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Substitute ``parts[i]`` for variable ``i``.
 
-        Negative exponents require the corresponding part to be an invertible
-        monomial (true for all standard projective transition maps).  When
-        every part is a monomial, each term maps to a single monomial and no
-        powers are formed.
+        Every part must be one monomial c_i x^(e_i), as every standard
+        projective transition is; any other part raises ValueError.  A term
+        c x^k then goes to the single monomial c prod c_i^(k_i) x^(sum k_i e_i),
+        for negative k_i too.
         """
         if len(parts) != self.dim:
             raise ValueError("wrong number of substituted components")
@@ -236,52 +227,25 @@ class LaurentPoly:
         for p in parts:
             if p.dim != tdim:
                 raise ValueError("substituted components disagree on dimension")
-        if all(len(p.terms) == 1 for p in parts):
-            # monomial parts c_i x^(e_i): x^k goes to prod c_i^k_i x^(sum k_i e_i)
-            monos = [next(iter(p.terms.items())) for p in parts]
-            terms: dict[tuple, int | Fraction] = {}
-            for e, c in self.terms.items():
-                ne = [0] * tdim
-                for k, (pe, pc) in zip(e, monos):
-                    if k:
-                        for t in range(tdim):
-                            ne[t] += k * pe[t]
-                        if pc != 1:
-                            c = c * _power(pc, k)
-                ne = tuple(ne)
-                s = terms.get(ne, 0) + c
-                if s == 0:
-                    terms.pop(ne, None)
-                else:
-                    terms[ne] = s
-            return _make(tdim, terms)
-        # cache powers per variable
-        pow_cache: list[dict[int, LaurentPoly]] = [
-            {0: LaurentPoly.one(tdim)} for _ in range(self.dim)
-        ]
-
-        def power(i: int, k: int) -> LaurentPoly:
-            cache = pow_cache[i]
-            if k in cache:
-                return cache[k]
-            if k > 0:
-                cache[k] = power(i, k - 1) * parts[i]
-            else:
-                if not parts[i].is_monomial():
-                    raise NonInvertibleBaseError(
-                        f"non-invertible base point: component {i} is not a monomial"
-                    )
-                cache[k] = power(i, k + 1) * parts[i].invert()
-            return cache[k]
-
-        acc = LaurentPoly.zero(tdim)
+            if len(p.terms) != 1:
+                raise ValueError("only monomial parts can be substituted")
+        monos = [next(iter(p.terms.items())) for p in parts]
+        terms: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
-            term = LaurentPoly.const(tdim, c)
-            for i, k in enumerate(e):
-                if k != 0:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
+            ne = [0] * tdim
+            for k, (pe, pc) in zip(e, monos):
+                if k:
+                    for t in range(tdim):
+                        ne[t] += k * pe[t]
+                    if pc != 1:
+                        c = c * _power(pc, k)
+            ne = tuple(ne)
+            s = terms.get(ne, 0) + c
+            if s == 0:
+                terms.pop(ne, None)
+            else:
+                terms[ne] = s
+        return _make(tdim, terms)
 
     # -- serialization -------------------------------------------------------
 

@@ -5,8 +5,19 @@ conjugation by chart automorphisms.
 A map between chart domains carries p even components (functions of the
 source chart's even and odd coordinates, valued in the target chart's even
 coordinates) and q odd components (valued in the target chart's odd
-coordinates).  Composition substitutes exactly and truncates: the even
-arguments by a nilpotent Taylor sum, the odd arguments by wedge products.
+coordinates).  Each component is one flat dict ``{(word, exps): coef}``
+holding the terms coef * x^exps * theta_word, with ``word`` a strictly
+increasing tuple of odd indices and ``exps`` an exponent vector in the
+source chart's even coordinates.
+
+The body of an even component, its theta-free part, is a monomial c x^b,
+as every transition of P^n is.  Composition is therefore exponent
+arithmetic: write f_i = c_i x^(b_i) (1 + u_i), where u_i = n_i / body_i is
+the soul shifted by -b_i.  A term c x^e theta_I of g becomes
+    c prod c_i^(e_i) x^(sum e_i b_i) sum_k prod C(e_i, k_i) u^k f_odd[I]
+mod J^(m+1), with the generalized binomial C(e, k), an integer for every
+integer e, negative ones too.  The sum is finite because each u_i has
+theta-degree at least 2.
 
 Degree bookkeeping for a split bundle with degrees (k_1..k_q): the degree-1
 part of the odd components is the diagonal frame change zeta_{ij,a} =
@@ -26,13 +37,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import add
+from fractions import Fraction
+from operator import add, sub
 
 from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec
-from .exterior import GrassmannElement, sort_index_tuple, taylor_add, taylor_rows
-from .laurent import ChartMap, LaurentPoly, parse_rational
+from .exterior import merge_sign, sort_index_tuple
+from .laurent import LaurentPoly, _coerce, _power, fraction_to_str, parse_rational
 
 
 class CocycleViolation(ValueError):
@@ -43,15 +55,38 @@ class CocycleViolation(ValueError):
         self.residual = residual
 
 
+def _checked_component(comp, p: int, q: int, parity: int) -> dict:
+    """A component from outside: valid keys, exact coefficients, no zeros."""
+    out: dict = {}
+    for (word, exps), coef in comp.items():
+        word, exps = tuple(word), tuple(int(x) for x in exps)
+        if any(not 1 <= i <= q for i in word):
+            raise ValueError(f"odd index out of range 1..{q}: {word}")
+        if list(word) != sorted(set(word)):
+            raise ValueError(f"index tuple must be strictly increasing: {word}")
+        if len(word) % 2 != parity:
+            raise ValueError("even component with odd terms" if parity == 0
+                             else "odd component with even terms")
+        if len(exps) != p:
+            raise ValueError(f"exponent vector {exps} has wrong length for {p} even coordinates")
+        out[(word, exps)] = out.get((word, exps), 0) + _coerce(coef)
+    return {key: c for key, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class SuperMap:
     """Super coordinate change between chart domains: its p even and q odd
-    components.  The truncation order belongs to the ``Trivialization``."""
+    components, each a flat dict ``{(word, exps): coef}``.  The truncation
+    order belongs to the ``Trivialization``.
+
+    The constructor checks and cleans the components; results computed in
+    this module are built by ``_map`` without those checks.
+    """
 
     source: int
     target: int
-    even: tuple[GrassmannElement, ...]
-    odd: tuple[GrassmannElement, ...]
+    even: tuple[dict, ...]
+    odd: tuple[dict, ...]
 
     @property
     def p(self) -> int:
@@ -62,82 +97,148 @@ class SuperMap:
         return len(self.odd)
 
     def __post_init__(self):
-        if any((g.p, g.q) != (self.p, self.q) for g in self.even + self.odd):
-            raise ValueError("component counts disagree with (p, q)")
-        for g in self.even:
-            if not g.is_even():
-                raise ValueError("even component with odd terms")
-        for g in self.odd:
-            if not g.is_odd():
-                raise ValueError("odd component with even terms")
+        p, q = self.p, self.q
+        object.__setattr__(self, "even", tuple(_checked_component(g, p, q, 0) for g in self.even))
+        object.__setattr__(self, "odd", tuple(_checked_component(g, p, q, 1) for g in self.odd))
 
     def truncate(self, order: int) -> "SuperMap":
-        return SuperMap(
-            self.source,
-            self.target,
-            tuple(g.truncate(order) for g in self.even),
-            tuple(g.truncate(order) for g in self.odd),
-        )
+        return _map(self.source, self.target,
+                    tuple(_truncate(g, order) for g in self.even),
+                    tuple(_truncate(g, order) for g in self.odd))
 
-    def body_map(self) -> ChartMap:
-        """Underlying degree-0 chart transition."""
-        return ChartMap([g.body() for g in self.even])
+
+def _map(source: int, target: int, even: tuple, odd: tuple) -> SuperMap:
+    """A map from components already valid, unchecked."""
+    out = object.__new__(SuperMap)
+    for name, value in (("source", source), ("target", target), ("even", even), ("odd", odd)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+def _truncate(comp: dict, order: int) -> dict:
+    """The component mod J^(order+1): terms of theta-degree at most ``order``."""
+    return {key: c for key, c in comp.items() if len(key[0]) <= order}
+
+
+def _add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b on components, dropping what cancels."""
+    out = dict(a)
+    for key, c in b.items():
+        d = out.get(key, 0) + sign * c
+        if d:
+            out[key] = d
+        else:
+            del out[key]
+    return out
+
+
+def _wedge(a: dict, b: dict, order: int) -> dict:
+    """a wedge b on components, truncated mod J^(order+1)."""
+    out: dict = {}
+    for (w1, e1), c1 in a.items():
+        for (w2, e2), c2 in b.items():
+            if len(w1) + len(w2) > order:
+                continue
+            sign = merge_sign(w1, w2)
+            if sign:
+                key = (tuple(sorted(w1 + w2)), tuple(map(add, e1, e2)))
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _binomial(e: int, k: int) -> int:
+    """C(e, k) = e (e-1) ... (e-k+1) / k! for any integer e and k >= 0."""
+    out = 1
+    for j in range(k):
+        out = out * (e - j) // (j + 1)  # exact: the running value is C(e, j+1)
+    return out
 
 
 def identity_map(chart: int, p: int, q: int) -> SuperMap:
-    even = tuple(
-        GrassmannElement.scalar(p, q, LaurentPoly.variable(p, i)) for i in range(p)
-    )
-    odd = tuple(GrassmannElement.theta(p, q, a) for a in range(1, q + 1))
-    return SuperMap(chart, chart, even, odd)
+    even = tuple({((), tuple(int(v == i) for v in range(p))): 1} for i in range(p))
+    odd = tuple({((a,), (0,) * p): 1} for a in range(1, q + 1))
+    return _map(chart, chart, even, odd)
 
 
 def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
     """g after f, all substitutions exact, truncated mod J^(order+1).
 
-    A term c * theta_I of a component of g becomes c(f_even) wedge f_odd[I].
-    Everything that depends on f alone is built once per call: the Taylor
-    rows of f's nilpotent shifts, and those rows times each odd word f_odd[I]
-    that g uses, so each coefficient c costs its derivatives, its pullback
-    along the body of f and one product per row.
+    Everything that depends on f alone is built once per call: the rows u^k
+    of the shifts u_i = soul_i / body_i, and those rows wedged with each odd
+    word f_odd[I] that g uses.  A term c x^e theta_I of g then adds
+    c prod c_i^(e_i) prod C(e_i, k_i) times row k of word I, shifted by
+    sum e_i b_i.  The body of each even component of f must be a monomial
+    c_i x^(b_i); any other body raises ValueError.
     """
-    if f.target != g.source:
+    if f.target != g.source or (f.p, f.q) != (g.p, g.q):
         raise ValueError("maps are not composable")
-    base = f.body_map()
-    tables = {(): taylor_rows(base, [comp.soul() for comp in f.even], order)}
+    bodies, shifts = [], []
+    for comp in f.even:
+        body = [(e, c) for (w, e), c in comp.items() if not w]
+        if len(body) != 1:
+            raise ValueError("a body that is not one monomial cannot be substituted")
+        (b, cb), = body
+        bodies.append((b, cb))
+        shifts.append({(w, tuple(map(sub, e, b))): c if cb == 1 else _coerce(Fraction(c) / cb)
+                       for (w, e), c in comp.items() if w})
+    rows = [((0,) * f.p, {((), (0,) * f.p): 1})]
+    for i, u in enumerate(shifts):
+        if not u:
+            continue
+        grown = []
+        for k, row in rows:
+            power, n = row, 0
+            while True:
+                power = _wedge(power, u, order)
+                if not power:
+                    break
+                n += 1
+                grown.append((k[:i] + (n,) + k[i + 1:], power))
+        rows += grown
+    tables = {(): rows}
 
-    def word_rows(idx: tuple) -> list:
-        if idx not in tables:
-            odd = f.odd[idx[-1] - 1]
-            grown = ((alpha, row.wedge(odd).truncate(order)) for alpha, row in word_rows(idx[:-1]))
-            tables[idx] = [(alpha, row) for alpha, row in grown if not row.is_zero()]
-        return tables[idx]
+    def word_rows(word: tuple) -> list:
+        if word not in tables:
+            odd = f.odd[word[-1] - 1]
+            grown = ((k, _wedge(row, odd, order)) for k, row in word_rows(word[:-1]))
+            tables[word] = [(k, row) for k, row in grown if row]
+        return tables[word]
 
-    def push(component: GrassmannElement) -> GrassmannElement:
+    def push(component: dict) -> dict:
         acc: dict = {}
-        for idx, coef in component.terms.items():
-            taylor_add(acc, coef, base, word_rows(idx))
-        return GrassmannElement(f.p, f.q, acc)
+        for (word, e), c in component.items():
+            offset = (0,) * f.p
+            for ei, (b, cb) in zip(e, bodies):
+                if ei:
+                    offset = tuple(s + ei * x for s, x in zip(offset, b))
+                    if cb != 1:
+                        c = c * _power(cb, ei)
+            for k, row in word_rows(word):
+                factor = c
+                for ei, ki in zip(e, k):
+                    if ki:
+                        factor *= _binomial(ei, ki)
+                if not factor:
+                    continue
+                for (w, x), v in row.items():
+                    key = (w, tuple(map(add, x, offset)))
+                    acc[key] = acc.get(key, 0) + factor * v
+        return {key: v for key, v in acc.items() if v}
 
-    return SuperMap(
-        f.source,
-        g.target,
-        tuple(push(c) for c in g.even),
-        tuple(push(c) for c in g.odd),
-    )
+    return _map(f.source, g.target, tuple(push(c) for c in g.even), tuple(push(c) for c in g.odd))
 
 
 def map_difference(a: SuperMap, b: SuperMap):
     """Componentwise difference (even list, odd list)."""
     return (
-        [x - y for x, y in zip(a.even, b.even)],
-        [x - y for x, y in zip(a.odd, b.odd)],
+        [_add(x, y, -1) for x, y in zip(a.even, b.even)],
+        [_add(x, y, -1) for x, y in zip(a.odd, b.odd)],
     )
 
 
 def difference_is_zero(diff) -> bool:
     ev, od = diff
-    return all(g.is_zero() for g in ev) and all(g.is_zero() for g in od)
+    return not any(ev) and not any(od)
 
 
 def invert(sm: SuperMap, order: int) -> SuperMap:
@@ -150,12 +251,9 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
         err_even, err_odd = map_difference(image, ident)
         if difference_is_zero((err_even, err_odd)):
             return g
-        g = SuperMap(
-            sm.source,
-            sm.target,
-            tuple(x - e for x, e in zip(g.even, err_even)),
-            tuple(x - e for x, e in zip(g.odd, err_odd)),
-        )
+        g = _map(sm.source, sm.target,
+                 tuple(_add(x, e, -1) for x, e in zip(g.even, err_even)),
+                 tuple(_add(x, e, -1) for x, e in zip(g.odd, err_odd)))
         image = compose(sm, g, order)
     raise ValueError("automorphism is not invertible at this order")
 
@@ -188,16 +286,14 @@ def zeta(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int, a: int) -> L
 def split_trivialization(
     cover: Cover, degrees: SplitBundleDegrees, order: int
 ) -> Trivialization:
-    p, q = cover.n, degrees.rank
+    q = degrees.rank
     maps = {}
     for i, j in itertools.permutations(cover.charts, 2):
         f = cover.transition(i, j)
-        even = tuple(GrassmannElement.scalar(p, q, comp) for comp in f.components)
-        odd = tuple(
-            GrassmannElement.theta(p, q, a, zeta(cover, degrees, i, j, a))
-            for a in range(1, q + 1)
-        )
-        maps[(i, j)] = SuperMap(i, j, even, odd)
+        even = tuple({((), e): c for e, c in comp.terms.items()} for comp in f.components)
+        odd = tuple({((a,), e): c for e, c in zeta(cover, degrees, i, j, a).terms.items()}
+                    for a in range(1, q + 1))
+        maps[(i, j)] = _map(i, j, even, odd)
     return Trivialization(cover, degrees, order, maps)
 
 
@@ -217,9 +313,9 @@ def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     return cech.line_sum(cover, twists, labels=tuple(labels))
 
 
-def _add_scaled(terms: dict, poly: LaurentPoly, offset, coef) -> None:
-    """terms += coef * x^offset * poly, on exponent vectors."""
-    for e, c in poly.terms.items():
+def _add_scaled(terms: dict, poly: dict, offset, coef) -> None:
+    """terms += coef * x^offset * poly, on exponent vectors ``{exps: coef}``."""
+    for e, c in poly.items():
         key = tuple(map(add, e, offset))
         terms[key] = terms.get(key, 0) + c * coef
 
@@ -235,9 +331,10 @@ def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: Sh
                              coefs, simplex: tuple, j: int) -> dict:
     """Degree-slot coefficients of the map i -> j as slot terms on ``simplex``.
 
-    ``coefs[s][nu]`` is the coefficient of theta_I in even component nu of the
-    map (even slots, summand s labelled I) or in odd component a (odd slots,
-    one component, labelled (I, a)); arguments are in chart i = simplex[0].
+    ``coefs[s][nu]`` is the coefficient ``{exps: coef}`` of theta_I in even
+    component nu of the map (even slots, summand s labelled I) or in odd
+    component a (odd slots, one component, labelled (I, a)); arguments are
+    in chart i = simplex[0].
     Even slots pull the chart-j vector frame back to chart i through the
     tangent transport j -> i; odd slots divide by zeta_{ij,a}.  The identity
     on coefficients when i == j.
@@ -260,7 +357,8 @@ def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: Sh
 
 def _section_to_coefficients(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
                              sec, i: int, j: int):
-    """Inverse of ``_coefficients_to_section``: a chart-i section as map data.
+    """Inverse of ``_coefficients_to_section``: a chart-i section as map data,
+    each coefficient an ``{exps: coef}`` dict.
 
     Even slots push the chart-i vector frame to chart j with the Jacobian of
     transition(i, j), read transposed off the one-form transport j -> i; odd
@@ -272,18 +370,23 @@ def _section_to_coefficients(cover: Cover, degrees: SplitBundleDegrees, spec: Sh
         if spec.kind == cech.TANGENT:
             for mu in range(len(comps)):
                 for nu, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]:
-                    _add_scaled(terms[mu], comps[nu], offset, c)
+                    _add_scaled(terms[mu], comps[nu].terms, offset, c)
         else:
-            _add_scaled(terms[0], comps[0], _odd_shift(cover, degrees, spec, s, i, j), 1)
-        out.append(tuple(LaurentPoly(cover.n, t) for t in terms))
+            _add_scaled(terms[0], comps[0].terms, _odd_shift(cover, degrees, spec, s, i, j), 1)
+        out.append(tuple({e: _coerce(c) for e, c in t.items() if c} for t in terms))
     return tuple(out)
+
+
+def _word_part(comp: dict, word: tuple) -> dict:
+    """The theta_word coefficient ``{exps: coef}`` of a component."""
+    return {e: c for (w, e), c in comp.items() if w == word}
 
 
 def _slot_coefficients(spec: SheafSpec, even, odd):
     """The theta_I coefficients of a map's components, shaped like a section."""
     if spec.kind == cech.TANGENT:
-        return tuple(tuple(g.coeff(I) for g in even) for I in spec.labels)
-    return tuple((odd[a - 1].coeff(I),) for I, a in spec.labels)
+        return tuple(tuple(_word_part(g, I) for g in even) for I in spec.labels)
+    return tuple((_word_part(odd[a - 1], I),) for I, a in spec.labels)
 
 
 def _plus_slot(sm: SuperMap, spec: SheafSpec, coefs) -> SuperMap:
@@ -296,9 +399,9 @@ def _plus_slot(sm: SuperMap, spec: SheafSpec, coefs) -> SuperMap:
             I, a = label
             parts, positions = odd, [a - 1]
         for pos, coef in zip(positions, comps):
-            if not coef.is_zero():
-                parts[pos] = parts[pos] + GrassmannElement(sm.p, sm.q, {tuple(I): coef})
-    return SuperMap(sm.source, sm.target, tuple(even), tuple(odd))
+            if coef:
+                parts[pos] = _add(parts[pos], {(I, e): c for e, c in coef.items()})
+    return _map(sm.source, sm.target, tuple(even), tuple(odd))
 
 
 def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
@@ -403,15 +506,15 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
     m = t.order
     comp = compose(t.maps[(j, k)], t.maps[(i, j)], m + 1)
     ev, od = map_difference(t.maps[(i, k)], comp)
-    low_even = [g.truncate(m) for g in ev]
-    low_odd = [g.truncate(m) for g in od]
-    if any(not g.is_zero() for g in low_even + low_odd):
+    low_even = [_truncate(g, m) for g in ev]
+    low_odd = [_truncate(g, m) for g in od]
+    if any(low_even) or any(low_odd):
         raise CocycleViolation(
             f"cocycle condition fails at order {m} on triple {triple}",
             residual=(low_even, low_odd),
         )
-    top = [g.degree_part(m + 1) for g in (od if spec.kind == cech.TANGENT else ev)]
-    if any(not g.is_zero() for g in top):
+    wrong = od if spec.kind == cech.TANGENT else ev
+    if any(len(w) == m + 1 for g in wrong for w, _ in g):
         raise AssertionError("defect of the wrong parity at degree m + 1")
     return _slot_coefficients(spec, ev, od)
 
@@ -482,7 +585,7 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     pair_labels = expected.labels
     terms = {}
     for (i, j, k) in cover.triples:
-        raw = [[LaurentPoly.zero(p)] for _ in spec.twists]
+        raw = [[{}] for _ in spec.twists]
         f_ij = cover.transition(i, j)
         sec_ij = omega.section((i, j), i)
         # vector parts in the chart-j frame, arguments in chart i
@@ -496,14 +599,11 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
                     dz = f_ij.apply(zjk.partial(mu))
                     if dz.is_zero():
                         continue
-                    coef = vec[mu] * dz * zeta(cover, degrees, i, j, a)
-                    if coef.is_zero():
-                        continue
                     word = tuple(I) + (a,)
-                    target_I = tuple(sorted(word))
-                    _, sign = sort_index_tuple(word)
+                    target_I, sign = sort_index_tuple(word)
                     sidx = spec.labels.index((target_I, a))
-                    raw[sidx][0] = raw[sidx][0] + coef.scale(-sign)
+                    for offset, c in (dz * zeta(cover, degrees, i, j, a)).terms.items():
+                        _add_scaled(raw[sidx][0], vec[mu], offset, -sign * c)
         terms.update(_coefficients_to_section(cover, degrees, spec, raw, (i, j, k), k))
     return Cochain(spec, 2, terms)
 
@@ -557,8 +657,7 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
         if sm.source != c or sm.target != c:
             raise ValueError("lam must consist of chart automorphisms")
         dev_even, dev_odd = map_difference(sm, identity_map(c, p, q))
-        low = [g.truncate(1) for g in dev_even] + [g.truncate(1) for g in dev_odd]
-        if any(not g.is_zero() for g in low):
+        if any(len(w) <= 1 for g in dev_even + dev_odd for w, _ in g):
             raise ValueError("lam must restrict to the identity mod J^2")
     # conjugating one order beyond the truncation carries the induced
     # degree-(m+1) coefficients along
@@ -641,12 +740,28 @@ def random_trivialization(
 # thickening files
 
 
+def _component_to_json(comp: dict) -> list:
+    """[{"indices": word, "coef": [{"exps": ..., "coef": "num/den"}, ...]}, ...], sorted."""
+    words: dict = {}
+    for (word, exps), c in sorted(comp.items()):
+        words.setdefault(word, []).append({"exps": list(exps), "coef": fraction_to_str(c)})
+    return [{"indices": list(word), "coef": terms} for word, terms in words.items()]
+
+
+def _component_from_json(data: list) -> dict:
+    """Inverse of ``_component_to_json``; a repeated word or exponent vector
+    keeps its last entry."""
+    words = {tuple(t["indices"]): {tuple(c["exps"]): parse_rational(c["coef"]) for c in t["coef"]}
+             for t in data}
+    return {(word, exps): c for word, terms in words.items() for exps, c in terms.items()}
+
+
 def trivialization_to_json(t: Trivialization) -> dict:
     maps = {}
     for (i, j), sm in sorted(t.maps.items()):
         maps[f"{i},{j}"] = {
-            "even": [g.to_json() for g in sm.even],
-            "odd": [g.to_json() for g in sm.odd],
+            "even": [_component_to_json(g) for g in sm.even],
+            "odd": [_component_to_json(g) for g in sm.odd],
         }
     return {
         "space": f"P{t.cover.n}",
@@ -716,7 +831,12 @@ def _check_trivialization_shape(data) -> None:
 
 
 def trivialization_from_json(data: dict) -> Trivialization:
-    """Read a thickening file; a malformed shape or component count raises ValueError."""
+    """Read a thickening file; a malformed shape or component count raises ValueError.
+
+    The body of each even component must be the matching component of the
+    chart transition; a body that is not one monomial, or another monomial,
+    raises ValueError.
+    """
     _check_trivialization_shape(data)
     space = data["space"]
     cover = cech.standard_cover(int(space[1]))
@@ -724,12 +844,18 @@ def trivialization_from_json(data: dict) -> Trivialization:
     order = data["order"]
     t = split_trivialization(cover, degrees, order)
     maps = dict(t.maps)
-    p, q = cover.n, degrees.rank
     for key, payload in data.get("maps", {}).items():
         i, j = (int(x) for x in key.split(","))
-        even = tuple(GrassmannElement.from_json(p, q, g) for g in payload["even"])
-        odd = tuple(GrassmannElement.from_json(p, q, g) for g in payload["odd"])
-        maps[(i, j)] = SuperMap(i, j, even, odd)
+        sm = SuperMap(i, j, tuple(map(_component_from_json, payload["even"])),
+                      tuple(map(_component_from_json, payload["odd"])))
+        for nu, (comp, want) in enumerate(zip(sm.even, cover.transition(i, j).components)):
+            body = _word_part(comp, ())
+            if len(body) != 1:
+                raise ValueError(f"map {key} even component {nu}: the body is not one monomial")
+            if body != want.terms:
+                raise ValueError(f"map {key} even component {nu}: the body is not the chart "
+                                 f"transition {want!r}")
+        maps[(i, j)] = sm
     return Trivialization(cover, degrees, order, maps)
 
 

@@ -467,3 +467,27 @@ def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch)
     after = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
              for spec in specs for q in range(3)]
     assert after == before
+
+
+def test_cochain_constructor_checks_what_arithmetic_trusts():
+    spec = cech.tangent_twisted(cech.standard_cover(2), [1, -2])
+    for simplex in ((1, 0), (0, 1, 2), (2,)):  # unsorted, then two wrong lengths
+        with pytest.raises(ValueError, match="sorted 2-tuples"):
+            cech.Cochain(spec, 1, {cech.BasisSlot(simplex, 0, 0, (0, 0)): 1})
+    # plain tuples become slots, integral fractions become ints, zeros vanish
+    c = cech.Cochain(spec, 1, {((0, 1), 0, 1, (1, 0)): Fraction(4, 2), ((0, 2), 1, 0, (0, 0)): 0})
+    assert c.terms == {cech.BasisSlot((0, 1), 0, 1, (1, 0)): 2}
+    assert type(c.terms[cech.BasisSlot((0, 1), 0, 1, (1, 0))]) is int
+    # +, - and scale skip those checks: their results equal the checked build
+    rng = random.Random(17)
+    for _ in range(20):
+        a, b = (cech.random_cochain(spec, 1, rng, terms=3) for _ in range(2))
+        b = b + a.scale(rng.choice([-1, 1]))  # some slots cancel
+        slots = set(a.terms) | set(b.terms)
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            want = cech.Cochain(spec, 1, {s: a.terms.get(s, 0) + sign * b.terms.get(s, 0)
+                                          for s in slots})
+            assert got == want and all(got.terms.values())
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+        assert a.scale(Fraction(-3, 2)) == cech.Cochain(
+            spec, 1, {s: Fraction(-3, 2) * v for s, v in a.terms.items()})

@@ -222,6 +222,13 @@ def malformed_thickenings():
         payload["even"] = (payload["even"] * 2)[:n_even]
         payload["odd"] = payload["odd"][:n_odd]
         yield data
+    # an even body must be the chart transition, here 1/x: x + 1 is not a
+    # monomial, and 2/x is a monomial but another one
+    for body in ([{"exps": [1, 0], "coef": "1"}, {"exps": [0, 0], "coef": "1"}],
+                 [{"exps": [-1, 0], "coef": "2"}]):
+        data = split_model_json()
+        data["maps"]["0,1"]["even"][0] = [{"indices": [], "coef": body}]
+        yield data
 
 
 def test_malformed_thickening_file_exits_two(tmp_path, capsys):

@@ -1,12 +1,16 @@
-"""Differential tests of the int-first gluing kernel.
+"""Differential tests of the monomial-body gluing kernel.
 
-``supermap.compose`` builds one Taylor table per call (``exterior.taylor_rows``,
-then the rows times each odd word of the inner map) and evaluates every
-coefficient on it; coefficients are ``int`` wherever they are integral.  The
-references below are the per-coefficient bodies these replace: the old
-``substitute_nilpotent``, which rebuilt the wedge powers of the shifts for
-every coefficient, and the old ``compose``, which called it once per term and
-wedged the odd word onto each result.
+``supermap.compose`` works on flat components ``{(word, exps): coef}``: it
+writes each even component of the inner map as its monomial body times
+(1 + u_i), builds the rows u^k once per call and adds every term of the outer
+map by exponent arithmetic with integer binomials.  Coefficients are ``int``
+wherever they are integral.  ``reference_compose`` below is the
+Grassmann/Taylor kernel it replaced: one Taylor table per call
+(``exterior.taylor_rows``, then the rows times each odd word of the inner
+map), evaluated on every coefficient through ``exterior.taylor_add``.
+``reference_substitute_nilpotent`` is the per-coefficient body that the
+Taylor table replaced, which rebuilt the wedge powers of the shifts for every
+coefficient; it still checks ``substitute_nilpotent``.
 """
 
 import random
@@ -17,9 +21,10 @@ import pytest
 
 from superthick import cech, linalg, supermap
 from superthick.bott import SplitBundleDegrees
-from superthick.exterior import GrassmannElement, substitute_nilpotent
+from superthick.exterior import GrassmannElement, substitute_nilpotent, taylor_add, taylor_rows
 from superthick.laurent import ChartMap, LaurentPoly
 from superthick.supermap import SuperMap
+from test_acceptance import DEGREE_POOL
 
 
 def reference_substitute_nilpotent(poly, base, nilpotent, order):
@@ -74,21 +79,39 @@ def reference_substitute_nilpotent(poly, base, nilpotent, order):
     return result.truncate(order)
 
 
+def flat(g):
+    """A GrassmannElement as a flat component {(word, exps): coef}."""
+    return {(w, e): c for w, poly in g.terms.items() for e, c in poly.terms.items()}
+
+
+def grassmann(p, q, comp):
+    """A flat component as a GrassmannElement."""
+    words = {}
+    for (w, e), c in comp.items():
+        words.setdefault(w, {})[e] = c
+    return GrassmannElement(p, q, {w: LaurentPoly(p, terms) for w, terms in words.items()})
+
+
 def reference_compose(g, f, order):
-    """g after f, one substitution per coefficient."""
-    base = f.body_map()
-    nil = [comp.soul() for comp in f.even]
+    """g after f by the Grassmann/Taylor kernel: one Taylor table per call."""
+    p, q = f.p, f.q
+    f_even = [grassmann(p, q, comp) for comp in f.even]
+    f_odd = [grassmann(p, q, comp) for comp in f.odd]
+    base = ChartMap([comp.body() for comp in f_even])
+    tables = {(): taylor_rows(base, [comp.soul() for comp in f_even], order)}
+
+    def word_rows(idx):
+        if idx not in tables:
+            odd = f_odd[idx[-1] - 1]
+            grown = ((alpha, row.wedge(odd).truncate(order)) for alpha, row in word_rows(idx[:-1]))
+            tables[idx] = [(alpha, row) for alpha, row in grown if not row.is_zero()]
+        return tables[idx]
 
     def push(component):
-        acc = GrassmannElement.zero(f.p, f.q)
-        for idx, coef in component.terms.items():
-            piece = reference_substitute_nilpotent(coef, base, nil, order)
-            for i in idx:
-                piece = piece.wedge(f.odd[i - 1])
-                if piece.is_zero():
-                    break
-            acc = acc + piece.truncate(order)
-        return acc.truncate(order)
+        acc = {}
+        for idx, coef in grassmann(p, q, component).terms.items():
+            taylor_add(acc, coef, base, word_rows(idx))
+        return flat(GrassmannElement(p, q, acc))
 
     return SuperMap(f.source, g.target,
                     tuple(push(c) for c in g.even), tuple(push(c) for c in g.odd))
@@ -137,7 +160,16 @@ def rand_map(rng, source, target, p, q, order, fractions, monomial=True, negativ
     odd = tuple(GrassmannElement.theta(p, q, a, rand_poly(rng, p, 1, fractions, negative))
                 + rand_element(rng, p, q, odd_deg, order, fractions, negative)
                 for a in range(1, q + 1))
-    return SuperMap(source, target, even, odd)
+    return SuperMap(source, target, tuple(map(flat, even)), tuple(map(flat, odd)))
+
+
+def first_term_bodies(sm):
+    """``sm`` with each even body cut to its first term, the souls kept."""
+    even = []
+    for comp in sm.even:
+        first = min(e for w, e in comp if not w)
+        even.append({(w, e): c for (w, e), c in comp.items() if w or e == first})
+    return SuperMap(sm.source, sm.target, tuple(even), sm.odd)
 
 
 CASES = [(1, 2, order) for order in (1, 2, 3)] + [(2, 3, order) for order in (1, 2, 3)]
@@ -152,10 +184,50 @@ def test_compose_matches_per_coefficient_reference(p, q, order):
         g = rand_map(rng, 1, 2, p, q, order, fractions)
         for m in range(1, order + 1):
             assert supermap.compose(g, f, m) == reference_compose(g, f, m)
-    # a non-monomial body admits only nonnegative exponents in g
+    # f drawn with two-term bodies is refused; with each body cut to its
+    # first term it composes, keeping the same nilpotent parts
     f = rand_map(rng, 0, 1, p, q, order, True, monomial=False)
     g = rand_map(rng, 1, 2, p, q, order, True, monomial=False, negative=False)
+    if any(sum(not w for w, _ in comp) > 1 for comp in f.even):
+        with pytest.raises(ValueError, match="monomial"):
+            supermap.compose(g, f, order)
+    f = first_term_bodies(f)
     assert supermap.compose(g, f, order) == reference_compose(g, f, order)
+
+
+def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
+    # one seeded case of the acceptance pool, with the checks of a gluing
+    # benchmark operation; every compose call it makes is replayed
+    calls = []
+    kernel = supermap.compose
+
+    def recording(g, f, order):
+        out = kernel(g, f, order)
+        calls.append((g, f, order, out))
+        return out
+
+    monkeypatch.setattr(supermap, "compose", recording)
+    rng = random.Random(1)
+    cover = cech.standard_cover(2)
+    degrees = SplitBundleDegrees(DEGREE_POOL[1])
+    spec = supermap.slot_sheaf(cover, degrees, 2)
+    omega = cech.random_closed_cochain(spec, rng)
+    nu = cech.random_cochain(spec, 0, rng, terms=2)
+    t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
+    gamma = supermap.obstruction_cocycle(t)
+    assert not gamma.is_zero()
+    assert supermap.verify_gamma_cocycle(gamma, t)["pass"]
+    assert (supermap.pushforward_partial(omega, t) - gamma).is_zero()
+    lam = supermap.automorphism_from_increment(cover, degrees, 2, nu, 2)
+    conj = supermap.conjugate(t, lam)
+    assert supermap.residuals_all_zero(supermap.cocycle_residual(conj))
+    assert (supermap.obstruction_cocycle(conj) - gamma).is_zero()
+    shifted = supermap.act_torsor(t, cech.coboundary(nu))
+    assert supermap.equivalence_witness(t, shifted) is not None
+    assert len(calls) > 50
+    assert any(type(c) is Fraction for *_, out in calls for comp in out.even for c in comp.values())
+    for g, f, order, out in calls:
+        assert out == reference_compose(g, f, order)
 
 
 def test_taylor_table_covers_factorial_rows():
@@ -178,13 +250,10 @@ def test_taylor_table_covers_factorial_rows():
 
 
 def coefficients(obj):
-    """Every Laurent coefficient inside a SuperMap, GrassmannElement or LaurentPoly."""
+    """Every coefficient inside a SuperMap or a LaurentPoly."""
     if isinstance(obj, SuperMap):
         for comp in obj.even + obj.odd:
-            yield from coefficients(comp)
-    elif isinstance(obj, GrassmannElement):
-        for poly in obj.terms.values():
-            yield from coefficients(poly)
+            yield from comp.values()
     else:
         yield from obj.terms.values()
 
@@ -213,10 +282,10 @@ def test_no_float_coefficient_on_integer_input():
         ident = supermap.identity_map(0, p, q)
         dev = rand_map(rng, 0, 0, p, q, order, False)
         auto = SuperMap(0, 0,
-                        tuple(a + b.soul().truncate(order).degree_part(2) for a, b
-                              in zip(ident.even, dev.even)),
-                        tuple(a + b.soul().truncate(order).degree_part(3) for a, b
-                              in zip(ident.odd, dev.odd)))
+                        tuple({**a, **{k: c for k, c in b.items() if len(k[0]) == 2}}
+                              for a, b in zip(ident.even, dev.even)),
+                        tuple({**a, **{k: c for k, c in b.items() if len(k[0]) == 3}}
+                              for a, b in zip(ident.odd, dev.odd)))
         inv = supermap.invert(auto, order)
         assert all(type(c) is int for c in coefficients(inv))
     # an integer matrix reduces over Fraction, never float
@@ -229,8 +298,8 @@ def test_no_float_coefficient_on_integer_input():
 
 def test_split_gluing_stays_integral():
     # unit monomial transitions and integer increments keep every coefficient
-    # an int through composition: no row of the Taylor table needs 1/alpha!
-    # below theta-degree 4
+    # an int through composition: the rows u^k carry no 1/k!, and the
+    # binomials C(e, k) are integers for negative e too
     cover = cech.standard_cover(2)
     degrees = SplitBundleDegrees((4, -1, -7))
     spec = supermap.slot_sheaf(cover, degrees, 2)

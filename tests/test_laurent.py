@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superthick.laurent import ChartMap, LaurentPoly, NonInvertibleBaseError, fraction_to_str
+from superthick.laurent import ChartMap, LaurentPoly, fraction_to_str
 
 
 def rand_poly(rng, dim, terms=3, span=3):
@@ -94,8 +94,13 @@ def test_compose_monomial_chain():
 def test_compose_negative_power_needs_monomial():
     p = LaurentPoly.monomial(1, (-1,))
     base = LaurentPoly(1, {(1,): 1, (0,): 1})  # x + 1, not a monomial
-    with pytest.raises(NonInvertibleBaseError):
+    with pytest.raises(ValueError, match="monomial"):
         p.compose([base])
+    # a non-monomial part is refused for nonnegative powers too
+    with pytest.raises(ValueError, match="monomial"):
+        LaurentPoly.monomial(1, (2,)).compose([base])
+    with pytest.raises(ValueError, match="monomial"):
+        base.invert()
 
 
 def test_fraction_serialization():

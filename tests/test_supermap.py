@@ -5,8 +5,6 @@ import pytest
 
 from superthick import cech, supermap as sm
 from superthick.bott import SplitBundleDegrees
-from superthick.exterior import GrassmannElement
-from superthick.laurent import LaurentPoly
 from test_acceptance import DEGREE_POOL
 from test_pipeline import harmonic_h2_part
 
@@ -59,6 +57,34 @@ def test_compose_associativity_randomized():
             assert sm.difference_is_zero(sm.map_difference(lhs, rhs))
 
 
+def test_supermap_constructor_checks_what_internal_results_skip():
+    one = ((), (0, 0))
+    for even, odd, message in (
+        ({((1,), (0, 0)): 1}, {((1,), (0, 0)): 1}, "even component with odd terms"),
+        ({one: 1}, {((1, 2), (0, 0)): 1}, "odd component with even terms"),
+        ({one: 1}, {((4,), (0, 0)): 1}, "out of range"),
+        ({one: 1, ((2, 1), (0, 0)): 1}, {((1,), (0, 0)): 1}, "strictly increasing"),
+        ({((), (0,)): 1}, {((1,), (0, 0)): 1}, "wrong length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sm.SuperMap(0, 1, (even, even), (odd, odd, odd))
+    # zeros vanish and integral fractions become ints
+    got = sm.SuperMap(0, 0, ({((), (1,)): Fraction(4, 2), ((1, 2), (0,)): 0},),
+                      ({((1,), (0,)): 1}, {((2,), (0,)): 1}))
+    assert got.even == ({((), (1,)): 2},) and type(got.even[0][((), (1,))]) is int
+    # the maps this module computes pass the same checks unchanged
+    rng = random.Random(8)
+    t = sm.build_trivialization(COV2, DEG, 2, {2: closed_slot2(rng)})
+    lam = sm.automorphism_from_increment(
+        COV2, DEG, 2, cech.random_cochain(sm.slot_sheaf(COV2, DEG, 2), 0, rng, terms=2), 2)
+    made = [*t.maps.values(), sm.compose(t.maps[(1, 2)], t.maps[(0, 1)], 3),
+            sm.invert(lam[0], 3), sm.identity_map(2, 2, 3)]
+    for m in made:
+        assert sm.SuperMap(m.source, m.target, m.even, m.odd) == m
+    with pytest.raises(ValueError, match="not composable"):
+        sm.compose(sm.identity_map(0, 2, 2), sm.identity_map(0, 2, 3), 2)
+
+
 def test_taylor_cross_terms_on_p1():
     # adding f = c x^-1 th1 th2 to y = x^-1 forces the inverse map to carry
     # the hand-expanded correction of (x^-1 + c x^-1 th1 th2)^(-1)
@@ -69,7 +95,7 @@ def test_taylor_cross_terms_on_p1():
     t = sm.build_trivialization(COV1, degrees, 2, {2: omega})
     fwd = t.maps[(0, 1)]
     # the inserted slot sits in the chart-1 frame: jacobian of y = x^-1
-    assert fwd.even[0].coeff((1, 2)) == LaurentPoly.monomial(1, (-3,), Fraction(-5, 7))
+    assert sm._word_part(fwd.even[0], (1, 2)) == {(-3,): Fraction(-5, 7)}
     rev = t.maps[(1, 0)]
     comp = sm.compose(rev, fwd, 3)
     ident = sm.identity_map(0, 1, 3)
@@ -77,12 +103,12 @@ def test_taylor_cross_terms_on_p1():
     # hand expansion: x = y^-1 + c' y^-1 eta1 eta2 must invert y = x^-1 + ...
     y_of_x = fwd.even[0]
     x_of_y = rev.even[0]
-    c_fwd = y_of_x.coeff((1, 2))
-    c_rev = x_of_y.coeff((1, 2))
+    c_fwd = sm._word_part(y_of_x, (1, 2))
+    c_rev = sm._word_part(x_of_y, (1, 2))
     # composing the degree-2 parts: c_rev transported plus c_fwd jacobian term
     # cancels; equivalently c_rev = -J(f10) c_fwd zeta-transported, checked
     # numerically through the composition above; spot-check the shape:
-    assert not c_rev.is_zero()
+    assert c_fwd and c_rev
 
 
 def test_build_from_closed_increment_is_trivialisation():
@@ -111,7 +137,8 @@ def test_corrupted_map_reported_at_its_triple():
     t = split2()
     bad = t.maps[(0, 1)]
     even = list(bad.even)
-    even[0] = even[0] + GrassmannElement(2, 3, {(1, 2): LaurentPoly.one(2)})
+    assert sm._word_part(even[0], (1, 2)) == {}
+    even[0] = {**even[0], ((1, 2), (0, 0)): 1}  # plus theta_1 theta_2
     maps = {**t.maps, (0, 1): sm.SuperMap(0, 1, tuple(even), bad.odd)}
     res = sm.cocycle_residual(sm.Trivialization(COV2, DEG, 2, maps))
     assert not sm.difference_is_zero(res[(0, 1, 2)])
@@ -358,7 +385,7 @@ def test_conjugate_rejects_non_admissible():
     lam = {c: sm.identity_map(c, 2, 3) for c in COV2.charts}
     bad = lam[0]
     odd = list(bad.odd)
-    odd[0] = odd[0] + GrassmannElement.theta(2, 3, 2)  # degree-1 deviation
+    odd[0] = {**odd[0], ((2,), (0, 0)): 1}  # plus theta_2: a degree-1 deviation
     lam[0] = sm.SuperMap(0, 0, bad.even, tuple(odd))
     with pytest.raises(ValueError):
         sm.conjugate(t, lam)
