@@ -44,9 +44,10 @@ hands out one shared cover per n.  ``cohomology`` lists the concrete
 characters of the types that carry classes (finitely many, since cohomology is
 finite-dimensional); each character only fills in its slot exponents.
 ``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
-views of it, and ``solve_blocks`` reads the same classes to split a cocycle
-into an exact part and class coordinates.  The window is only an optional cap
-on the characters listed, and the closed formulas cross-check every total.
+views of it, and ``solve_blocks`` reads the same classes, with one cached
+reduction per sign type, to split a cocycle into an exact part and class
+coordinates.  The window is only an optional cap on the characters listed,
+and the closed formulas cross-check every total.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class Cover:
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
         # (kind, q, sign type) -> classes of H^q on a block of that type
         self.cohomology_table: dict[tuple[str, int, tuple], list] = {}
+        # (kind, q, sign type) -> pivot columns, left-transform columns and
+        # width of the rref of [image of the degree-(q-1) block | classes | I],
+        # which solves every degree-q block of that type; see _solve_block
+        self.solver_table: dict[tuple[str, int, tuple], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
@@ -548,8 +553,9 @@ def solve_blocks(target: Cochain):
     with a class part to its coordinates against that block's classes,
     ``block_cohomology(spec, degree, summand, g)``; coboundary(preimage) is
     the target minus that class part, which is checked.  Each block is solved
-    once against [image of the block one degree down | the block's classes]:
-    a cocycle block lies in that span, and its class coordinates are unique.
+    against [image of the block one degree down | the block's classes] by
+    its sign type's cached reduction, ``_solve_block``: a cocycle block lies
+    in that span, and its class coordinates are unique.
     """
     residual = coboundary(target)
     if not residual.is_zero():
@@ -562,24 +568,64 @@ def solve_blocks(target: Cochain):
     exact = target
     coords: dict[tuple[int, Char], list] = {}
     for (summand, g), coeffs in sorted(cochain_chars(target).items()):
-        dom, cod, mat = delta_block_matrix(spec, deg - 1, summand, g)
-        classes = block_cohomology(spec, deg, summand, g)
-        rhs = [Fraction(0)] * len(cod)
+        dom = char_basis(spec, deg - 1, summand, g)
+        cod = char_basis(spec, deg, summand, g)
+        rhs = [0] * len(cod)
         idx = {slot: i for i, slot in enumerate(cod)}
         for slot, coef in coeffs.items():
             rhs[idx[slot]] = coef
-        x = linalg.solve([row + [vec[r] for vec in classes] for r, row in enumerate(mat)], rhs)
+        x = _solve_block(spec, deg, summand, g, rhs)
         if x is None:
             raise AssertionError(f"cocycle block {(summand, g)} is not image plus classes")
         solution = solution + cochain_from_slots(spec, deg - 1, dom, x[: len(dom)])
         part = [_coerce(c) for c in x[len(dom):]]
         if any(part):
             coords[summand, g] = part
+            classes = block_cohomology(spec, deg, summand, g)
             harmonic = [sum(c * vec[r] for c, vec in zip(part, classes)) for r in range(len(cod))]
             exact = exact - cochain_from_slots(spec, deg, cod, harmonic)
     if not (coboundary(solution) - exact).is_zero():
         raise AssertionError("solver returned an invalid preimage")
     return solution, coords
+
+
+def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) -> list | None:
+    """One exact x with [image | classes] x = rhs on the degree-``deg`` block
+    of g, or None when there is none; rhs is indexed like the block's slots.
+
+    The image is that of the degree-(deg-1) block.  One rref of
+    [image | classes | I] gives [R | E] with E [image | classes] = R, so rhs
+    lies in the span exactly when E rhs vanishes past the rank, and x is then
+    E rhs on the pivot columns and 0 elsewhere: rref is unique, so this is
+    the x that an rref of [image | classes | rhs] reads off.  The pivots and
+    E depend on g only through its sign type, like the classes, so they are
+    kept in the cover's solver table under (kind, deg, sign type); E is kept
+    by columns, so a sparse rhs costs one sparse product.
+    """
+    key = (spec.kind, deg, _sign_type(g))
+    table = spec.cover.solver_table
+    if key not in table:
+        classes = block_cohomology(spec, deg, summand, g)
+        dom, cod, mat = delta_block_matrix(spec, deg - 1, summand, g)
+        width = len(dom) + len(classes)
+        joined = [row + [vec[r] for vec in classes] + [int(r == c) for c in range(len(cod))]
+                  for r, row in enumerate(mat)]
+        red, pivots = linalg.rref(joined)
+        columns = [[(r, row[width + c]) for r, row in enumerate(red) if row[width + c]]
+                   for c in range(len(cod))]
+        table[key] = ([p for p in pivots if p < width], columns, width)
+    pivots, columns, width = table[key]
+    y = [0] * len(columns)
+    for i, b in enumerate(rhs):
+        if b:
+            for r, v in columns[i]:
+                y[r] += v * b
+    if any(y[len(pivots):]):
+        return None
+    x = [0] * width
+    for pc, v in zip(pivots, y):
+        x[pc] = v
+    return x
 
 
 def solve_coboundary(target: Cochain):

@@ -66,18 +66,3 @@ def kernel_basis(mat: Matrix, ncols: int) -> list[list[Fraction]]:
         basis.append(v)
     return basis
 
-
-def solve(mat: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of mat*x = rhs, or None when inconsistent."""
-    rows = len(mat)
-    if rows == 0:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(mat[0])
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -242,18 +242,32 @@ def difference_is_zero(diff) -> bool:
 
 
 def invert(sm: SuperMap, order: int) -> SuperMap:
-    """Inverse modulo J^(order+1), by fixed-point iteration on the deviation."""
+    """Inverse modulo J^(order+1), by fixed-point iteration on the deviation.
+
+    Write sm = id + delta, with d_e and d_o the least theta-degrees of the
+    even and odd components of delta.  When d_e, d_o >= 2 and
+    min(d_e, d_o) + min(d_e, d_o - 1) > order, the first step id - delta is
+    the inverse, returned without composing.  Proof: sm o (id - delta) - id
+    is a sum of derivatives of delta, of degree >= min(d_e, d_o) less one per
+    odd derivative, times at least one shift, of degree >= d_e (even) or d_o
+    (odd); so every term has degree at least that bound.
+    """
     if sm.source != sm.target:
         raise ValueError("only chart automorphisms are inverted here")
     g = ident = identity_map(sm.source, sm.p, sm.q)
     image = sm.truncate(order)  # sm o id, known without composing
-    for _ in range(order + 2):
+    for step in range(order + 2):
         err_even, err_odd = map_difference(image, ident)
         if difference_is_zero((err_even, err_odd)):
             return g
         g = _map(sm.source, sm.target,
                  tuple(_add(x, e, -1) for x, e in zip(g.even, err_even)),
                  tuple(_add(x, e, -1) for x, e in zip(g.odd, err_odd)))
+        if step == 0:
+            d_e, d_o = (min((len(w) for comp in err for w, _ in comp), default=order + 1)
+                        for err in (err_even, err_odd))
+            if min(d_e, d_o) >= 2 and min(d_e, d_o) + min(d_e, d_o - 1) > order:
+                return g
         image = compose(sm, g, order)
     raise ValueError("automorphism is not invertible at this order")
 

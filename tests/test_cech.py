@@ -9,6 +9,10 @@ from superthick import bott, cech, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.laurent import ChartMap, LaurentPoly
 from superthick.obstruct import search_split_triples
+from superthick.pipeline import pipeline_obstructed_cp2
+from test_acceptance import DEGREE_POOL
+from test_golden import ADMISSIBLE
+from test_int_kernel import reference_solve, run_gluing_case
 
 
 def test_standard_cover_nerve():
@@ -446,6 +450,44 @@ def test_cohomology_table_is_reused_and_matches_fresh_covers(monkeypatch):
             want = [c.to_json() for c in fresh.representatives[q]]
             assert [c.to_json() for c in first[i][q].representatives[q]] == want, (spec, q)
             assert [c.to_json() for c in again[i][q].representatives[q]] == want, (spec, q)
+
+
+def test_cached_block_solver_matches_reference_solve(monkeypatch):
+    # every block that solve_blocks meets on the gluing pool and on the
+    # pipeline gammas of the admissible triples, solved by its sign type's
+    # cached reduction, equals a fresh solve of [image | classes]; so does
+    # every unit right-hand side of each sign type, some of them inconsistent
+    met = []
+    solve = cech._solve_block
+
+    def recording(spec, deg, summand, g, rhs):
+        x = solve(spec, deg, summand, g, rhs)
+        met.append((spec, deg, summand, g, rhs, x))
+        return x
+
+    monkeypatch.setattr(cech, "_solve_block", recording)
+    for seed, degrees in enumerate(DEGREE_POOL):
+        run_gluing_case(seed, degrees)
+    gluing = len(met)
+    for degrees in ADMISSIBLE:
+        pipeline_obstructed_cp2(degrees)
+    monkeypatch.undo()
+    assert 0 < gluing < len(met)
+    types, inconsistent = set(), 0
+    for spec, deg, summand, g, rhs, x in met:
+        _, cod, mat = cech.delta_block_matrix(spec, deg - 1, summand, g)
+        classes = cech.block_cohomology(spec, deg, summand, g)
+        block = [row + [vec[r] for vec in classes] for r, row in enumerate(mat)]
+        assert x is not None and x == reference_solve(block, rhs), (spec, deg, g)
+        if (spec.kind, deg, cech._sign_type(g)) in types:
+            continue
+        types.add((spec.kind, deg, cech._sign_type(g)))
+        for i in range(len(cod)):
+            unit = [int(r == i) for r in range(len(cod))]
+            want = reference_solve(block, unit)
+            assert cech._solve_block(spec, deg, summand, g, unit) == want, (spec, deg, g, i)
+            inconsistent += want is None
+    assert inconsistent > 0
 
 
 def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):

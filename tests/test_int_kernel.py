@@ -11,6 +11,13 @@ map), evaluated on every coefficient through ``exterior.taylor_add``.
 ``reference_substitute_nilpotent`` is the per-coefficient body that the
 Taylor table replaced, which rebuilt the wedge powers of the shifts for every
 coefficient; it still checks ``substitute_nilpotent``.
+
+``supermap.invert`` returns the first-order inverse id - delta without
+composing when a degree bound certifies it; ``reference_invert`` is the
+fixed-point loop that confirms every step by a ``compose``.
+``reference_solve`` is the exact solve that ``cech.solve_blocks`` ran per
+block, one rref of [matrix | rhs]; the cached block solver is checked against
+it in ``tests/test_cech.py``.
 """
 
 import random
@@ -195,9 +202,31 @@ def test_compose_matches_per_coefficient_reference(p, q, order):
     assert supermap.compose(g, f, order) == reference_compose(g, f, order)
 
 
+def run_gluing_case(seed: int, degrees: tuple):
+    """One seeded case of the acceptance pool with the checks of a gluing
+    benchmark operation: build, gamma, conjugate, torsor shift and witness.
+    Returns gamma."""
+    rng = random.Random(seed)
+    cover = cech.standard_cover(2)
+    degrees = SplitBundleDegrees(degrees)
+    spec = supermap.slot_sheaf(cover, degrees, 2)
+    omega = cech.random_closed_cochain(spec, rng)
+    nu = cech.random_cochain(spec, 0, rng, terms=2)
+    t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
+    gamma = supermap.obstruction_cocycle(t)
+    assert supermap.verify_gamma_cocycle(gamma, t)["pass"]
+    assert (supermap.pushforward_partial(omega, t) - gamma).is_zero()
+    lam = supermap.automorphism_from_increment(cover, degrees, 2, nu, 2)
+    conj = supermap.conjugate(t, lam)
+    assert supermap.residuals_all_zero(supermap.cocycle_residual(conj))
+    assert (supermap.obstruction_cocycle(conj) - gamma).is_zero()
+    shifted = supermap.act_torsor(t, cech.coboundary(nu))
+    assert supermap.equivalence_witness(t, shifted) is not None
+    return gamma
+
+
 def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
-    # one seeded case of the acceptance pool, with the checks of a gluing
-    # benchmark operation; every compose call it makes is replayed
+    # every compose call of one seeded case is replayed
     calls = []
     kernel = supermap.compose
 
@@ -207,27 +236,135 @@ def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
         return out
 
     monkeypatch.setattr(supermap, "compose", recording)
-    rng = random.Random(1)
-    cover = cech.standard_cover(2)
-    degrees = SplitBundleDegrees(DEGREE_POOL[1])
-    spec = supermap.slot_sheaf(cover, degrees, 2)
-    omega = cech.random_closed_cochain(spec, rng)
-    nu = cech.random_cochain(spec, 0, rng, terms=2)
-    t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
-    gamma = supermap.obstruction_cocycle(t)
-    assert not gamma.is_zero()
-    assert supermap.verify_gamma_cocycle(gamma, t)["pass"]
-    assert (supermap.pushforward_partial(omega, t) - gamma).is_zero()
-    lam = supermap.automorphism_from_increment(cover, degrees, 2, nu, 2)
-    conj = supermap.conjugate(t, lam)
-    assert supermap.residuals_all_zero(supermap.cocycle_residual(conj))
-    assert (supermap.obstruction_cocycle(conj) - gamma).is_zero()
-    shifted = supermap.act_torsor(t, cech.coboundary(nu))
-    assert supermap.equivalence_witness(t, shifted) is not None
+    assert not run_gluing_case(1, DEGREE_POOL[1]).is_zero()
     assert len(calls) > 50
     assert any(type(c) is Fraction for *_, out in calls for comp in out.even for c in comp.values())
     for g, f, order, out in calls:
         assert out == reference_compose(g, f, order)
+
+
+def record_inverts(monkeypatch, stage: list) -> tuple:
+    """Wrap compose and invert; returns the lists (compose orders, invert calls).
+
+    Each invert call is recorded as (map, order, result, number of compose
+    calls it made, stage[0] at the time of the call).
+    """
+    composed, inverted = [], []
+    kernel, inverse = supermap.compose, supermap.invert
+
+    def counting(g, f, order):
+        composed.append(order)
+        return kernel(g, f, order)
+
+    def recording(sm, order):
+        before = len(composed)
+        out = inverse(sm, order)
+        inverted.append((sm, order, out, len(composed) - before, stage[0]))
+        return out
+
+    monkeypatch.setattr(supermap, "compose", counting)
+    monkeypatch.setattr(supermap, "invert", recording)
+    return composed, inverted
+
+
+def test_gluing_operation_compose_budget(monkeypatch):
+    # one (4,-1,-7) operation: 16 inverses, all certified without composing;
+    # 72 compose calls when each inverse confirmed itself by one compose
+    composed, inverted = record_inverts(monkeypatch, ["operation"])
+    run_gluing_case(1, (4, -1, -7))
+    assert len(inverted) == 16 and all(n == 0 for *_, n, _ in inverted)
+    assert len(composed) == 56
+
+
+def reference_invert(sm, order):
+    """Inverse mod J^(order+1) by the fixed-point loop, every step composed."""
+    g = ident = supermap.identity_map(sm.source, sm.p, sm.q)
+    for _ in range(order + 2):
+        err_even, err_odd = supermap.map_difference(supermap.compose(sm, g, order), ident)
+        if supermap.difference_is_zero((err_even, err_odd)):
+            return g
+        g = SuperMap(g.source, g.target,
+                     tuple(supermap._add(x, e, -1) for x, e in zip(g.even, err_even)),
+                     tuple(supermap._add(x, e, -1) for x, e in zip(g.odd, err_odd)))
+    raise ValueError("automorphism is not invertible at this order")
+
+
+def assert_inverse(sm, inv, order):
+    """inv o sm and sm o inv are the identity mod J^(order+1)."""
+    ident = supermap.identity_map(sm.source, sm.p, sm.q)
+    for out in (supermap.compose(sm, inv, order), supermap.compose(inv, sm, order)):
+        assert supermap.difference_is_zero(supermap.map_difference(out, ident))
+
+
+def test_invert_matches_reference_on_every_call_of_gluing_and_rank4_extension(monkeypatch):
+    # every invert call of one seeded case per pool triple, then of rank-4
+    # data: extend_by_zero, whose reversed maps are already exact one order
+    # up, so the deviation has degree 4 and the certificate holds; and an
+    # order-3 build from the split reversed maps, where the deviation has
+    # degree 2, the bound 2 + 2 does not exceed the precision 4, and the loop runs
+    stage = ["gluing"]
+    _, calls = record_inverts(monkeypatch, stage)
+    for seed, degrees in enumerate(DEGREE_POOL):
+        run_gluing_case(seed, degrees)
+    cover = cech.standard_cover(2)
+    rng = random.Random(4)
+    for degrees in map(SplitBundleDegrees, [(2, 1, -1, -3), (3, 0, 0, -2)]):
+        omega = cech.random_closed_cochain(supermap.slot_sheaf(cover, degrees, 2), rng)
+        stage[0] = "gluing"
+        t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
+        stage[0] = "extend"
+        ext = supermap.extend_by_zero(t)
+        assert all(supermap.difference_is_zero(d) for d in supermap.inverse_residual(ext).values())
+        stage[0] = "order 3"
+        supermap.build_trivialization(cover, degrees, 3, {2: omega})
+    monkeypatch.undo()
+    loops = {}
+    for _, order, _, n, name in calls:
+        loops.setdefault(name, set()).add((order, n > 0))
+    assert loops == {"gluing": {(3, False)}, "extend": {(4, False)}, "order 3": {(4, True)}}
+    assert sum(name == "gluing" for *_, name in calls) == 16 * len(DEGREE_POOL) + 2 * 3
+    for sm, order, out, *_ in calls:
+        assert out == reference_invert(sm, order)
+        assert_inverse(sm, out, order)
+
+
+def test_invert_iterates_where_the_first_order_inverse_is_not_exact():
+    # x0 -> x0 + x0 th1 th2 + x1 th3 th4 at precision 4: d_e = 2, no odd
+    # deviation, bound 2 + 2 = 4, which does not exceed the precision; and
+    # id - delta misses by the x0-derivative of delta times delta
+    ident = supermap.identity_map(0, 2, 4)
+    delta = {((1, 2), (1, 0)): 1, ((3, 4), (0, 1)): 1}
+    auto = SuperMap(0, 0, (supermap._add(ident.even[0], delta), ident.even[1]), ident.odd)
+    first = SuperMap(0, 0, (supermap._add(ident.even[0], delta, -1), ident.even[1]), ident.odd)
+    even, odd = supermap.map_difference(supermap.compose(auto, first, 4), ident)
+    assert even == [{((1, 2, 3, 4), (0, 1)): -1}, {}] and not any(odd)
+    inv = supermap.invert(auto, 4)
+    assert inv != first
+    assert_inverse(auto, inv, 4)
+    # one order lower the bound exceeds the precision: id - delta is exact
+    assert supermap.invert(auto, 3) == first
+    assert_inverse(auto, first, 3)
+
+
+def rand_automorphism(rng, p, q, order, fractions):
+    """A chart automorphism id + delta, delta of theta-degree at least 2."""
+    ident = supermap.identity_map(0, p, q)
+    even = tuple(supermap._add(a, flat(rand_element(rng, p, q, (2, 4), order, fractions)))
+                 for a in ident.even)
+    odd = tuple(supermap._add(a, flat(rand_element(rng, p, q, (3,), order, fractions)))
+                for a in ident.odd)
+    return SuperMap(0, 0, even, odd)
+
+
+@pytest.mark.parametrize("p,q,order", CASES + [(2, 4, 3), (2, 4, 4), (1, 5, 5)])
+def test_invert_matches_reference_on_random_automorphisms(p, q, order):
+    rng = random.Random(f"invert-{p}-{q}-{order}")
+    for trial in range(6):
+        auto = rand_automorphism(rng, p, q, order, trial % 2 == 1)
+        for m in range(1, order + 1):
+            inv = supermap.invert(auto, m)
+            assert inv == reference_invert(auto, m)
+            assert_inverse(auto, inv, m)
 
 
 def test_taylor_table_covers_factorial_rows():
@@ -247,6 +384,21 @@ def test_taylor_table_covers_factorial_rows():
         for m in (2, 3, 4):
             expected = reference_substitute_nilpotent(poly, base, nil, m)
             assert substitute_nilpotent(poly, base, nil, m) == expected
+
+
+def reference_solve(mat, rhs):
+    """One exact solution of mat*x = rhs, or None when inconsistent."""
+    rows = len(mat)
+    if rows == 0:
+        return [] if all(b == 0 for b in rhs) else None
+    ncols = len(mat[0])
+    red, pivots = linalg.rref([mat[i][:] + [rhs[i]] for i in range(rows)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
 
 
 def coefficients(obj):
@@ -293,7 +445,7 @@ def test_no_float_coefficient_on_integer_input():
     red, pivots = linalg.rref(mat)
     assert pivots == [0, 1, 2]
     assert all(type(v) is Fraction for row in red for v in row)
-    assert linalg.solve(mat, [1, 0, 0]) == [Fraction(-1, 8), Fraction(7, 16), Fraction(-1, 16)]
+    assert reference_solve(mat, [1, 0, 0]) == [Fraction(-1, 8), Fraction(7, 16), Fraction(-1, 16)]
 
 
 def test_split_gluing_stays_integral():

@@ -133,7 +133,9 @@ def test_class_coordinates_match_all_negative_reader(twists):
         assert (sol is None) == bool(want) and (cert or []) == sorted(want)
 
 
-def test_second_pipeline_run_builds_only_image_blocks(monkeypatch):
+def test_second_pipeline_run_builds_no_block(monkeypatch):
+    # a warm run reads H^1, H^2 and every class-coordinate solve off the
+    # cover's cohomology and solver tables
     for degrees in [(4, -1, -7), (5, 2, -8)]:
         pipeline_obstructed_cp2(degrees)
         built, targets = [], []
@@ -153,4 +155,5 @@ def test_second_pipeline_run_builds_only_image_blocks(monkeypatch):
         monkeypatch.undo()
         assert rep["status"] == "obstructed-exhibited"
         (gamma,) = targets
-        assert built == [1] * len(cech.cochain_chars(gamma)), degrees
+        assert cech.cochain_chars(gamma)
+        assert built == [], degrees
