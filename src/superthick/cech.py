@@ -11,8 +11,9 @@ A cochain is a sparse map from slots to nonzero exact coefficients.  A slot
 (simplex, summand, component, exponents) is one monomial over a sorted
 simplex, presented entirely in the chart of the smallest index: arguments,
 vector frame and bundle frame alike; sorting the slots gives the canonical
-order.  Values on permuted index tuples are the stored value times the sign of
-the permutation, and ``Cochain.section`` presents them in any chart.  The
+order.  The value on one sorted simplex is its slot data
+``{(summand, comp, exps): coef}``, read by ``Cochain.on``; on a permuted
+index tuple it is that value times the sign of the permutation.  The
 coboundary is the classical alternating sum with transports made explicit,
 applied slot by slot, so delta ∘ delta = 0 holds exactly.
 
@@ -25,7 +26,7 @@ character, and solving them is complete: no truncation window enters.
 Every chart change goes through one exponent-level table,
 ``Cover.transport``: moving one monomial between charts is an integer matrix
 on its exponents, a twist-scaled line-factor vector, and one offset and
-constant per output component.  ``represent`` moves a section monomial by
+constant per output component.  ``represent`` moves slot data monomial by
 monomial with it.  The coboundary of one slot is a few such moves; a whole
 cochain's coboundary sums it over the cochain's slots, and
 ``delta_block_matrix`` fills each block column with it, so both share one
@@ -231,26 +232,21 @@ def oneform_twisted(cover: Cover, twists, labels=()) -> SheafSpec:
     return SheafSpec(cover, ONE_FORM, tuple(twists), tuple(labels))
 
 
-Section = tuple  # tuple over summands of tuples over components of LaurentPoly
-
-
-def represent(spec: SheafSpec, sec: Section, a: int, b: int) -> Section:
-    """Re-present a section from chart a to chart b (args, frames and twist).
+def represent(spec: SheafSpec, data: dict, a: int, b: int) -> dict:
+    """Re-present slot data ``{(summand, comp, exps): coef}`` from chart a to
+    chart b (arguments, frames and twist).
 
     Each monomial moves on its own through ``Cover.transport``.
     """
     if a == b:
-        return sec
+        return data
     cover = spec.cover
-    out = []
-    for twist, summand in zip(spec.twists, sec):
-        acc = [{} for _ in summand]
-        for comp, poly in enumerate(summand):
-            for exps, c in poly.terms.items():
-                for mu, image, coef in _move(cover, spec.kind, a, b, comp, twist, exps):
-                    acc[mu][image] = acc[mu].get(image, 0) + c * coef
-        out.append(tuple(LaurentPoly(cover.n, terms) for terms in acc))
-    return tuple(out)
+    out: dict = {}
+    for (s, comp, exps), c in data.items():
+        for mu, image, coef in _move(cover, spec.kind, a, b, comp, spec.twists[s], exps):
+            key = (s, mu, image)
+            out[key] = out.get(key, 0) + c * coef
+    return {key: _coerce(c) for key, c in out.items() if c}
 
 
 def _move(cover: Cover, kind: str, a: int, b: int, comp: int, twist: int, exps) -> list:
@@ -314,20 +310,14 @@ class Cochain:
             if list(simplex) != sorted(simplex) or len(simplex) != degree + 1:
                 raise ValueError(f"cochain keys must be sorted {degree + 1}-tuples: {simplex}")
 
-    def section(self, simplex, chart: int) -> Section:
-        """Alternating value on an ordered simplex, presented in ``chart``."""
+    def on(self, simplex) -> dict:
+        """Slot data ``{(summand, comp, exps): coef}`` of one sorted simplex,
+        presented in the chart of its first vertex."""
         simplex = tuple(simplex)
-        key = tuple(sorted(simplex))
-        spec = self.sheaf
-        sec = [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
-        if len(set(simplex)) == len(simplex):
-            sign = perm_sign(simplex)
-            for slot, coef in self.terms.items():
-                if slot.simplex == key:
-                    sec[slot.summand][slot.comp][slot.exps] = sign * coef
-        n = spec.cover.n
-        sec = tuple(tuple(LaurentPoly(n, terms) for terms in summand) for summand in sec)
-        return represent(spec, sec, key[0], chart)
+        if list(simplex) != sorted(set(simplex)) or len(simplex) != self.degree + 1:
+            raise ValueError(f"not a sorted {self.degree + 1}-simplex: {simplex}")
+        return {(slot.summand, slot.comp, slot.exps): c
+                for slot, c in self.terms.items() if slot.simplex == simplex}
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -231,8 +231,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except FileNotFoundError as err:
-        print(f"cannot read file: {err.filename}", file=sys.stderr)
+    except OSError as err:
+        print(f"cannot read file: {err.filename}: {err.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"bad input: {err}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -246,18 +246,6 @@ class LaurentPoly:
             else:
                 terms[ne] = s
         return _make(tdim, terms)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [
-            {"exps": list(e), "coef": fraction_to_str(c)}
-            for e, c in sorted(self.terms.items())
-        ]
-
-    @staticmethod
-    def from_json(dim: int, data: Iterable[dict]) -> "LaurentPoly":
-        return LaurentPoly(dim, {tuple(t["exps"]): parse_rational(t["coef"]) for t in data})
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -24,12 +24,14 @@ part of the odd components is the diagonal frame change zeta_{ij,a} =
 (z_j/z_i)^(k_a), and the degree-0 part of the even components is the chart
 transition.  Homogeneous degree-d data of a trivialisation is a Čech cochain
 valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd).
-A map's theta_I coefficients and the chart-i section of that cochain differ
-by the target frame: the Jacobian of the transition on even slots and zeta
-on odd slots, both read off ``Cover.transport``.  The obstruction cocycle
-of an order-m trivialisation is the homogeneous degree-(m+1) part of its
-composition defect, computed mod J^(m+2) with all new top coefficients set
-to zero.
+A map's theta_I coefficients are read and written as slot data
+``{(summand, comp, exps): coef}``, the format of ``Cochain.on``; they differ
+from the chart-i slots of that cochain by the target frame only, the
+Jacobian of the transition on even slots and zeta on odd slots, and
+``_reframe`` changes between the two with ``Cover.transport`` alone.  The
+obstruction cocycle of an order-m trivialisation is the homogeneous
+degree-(m+1) part of its composition defect, computed mod J^(m+2) with all
+new top coefficients set to zero.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec
 from .exterior import merge_sign, sort_index_tuple
-from .laurent import LaurentPoly, _coerce, _power, fraction_to_str, parse_rational
+from .laurent import _coerce, _power, fraction_to_str, parse_rational
 
 
 class CocycleViolation(ValueError):
@@ -292,21 +294,17 @@ class Trivialization:
         return self.degrees.rank
 
 
-def zeta(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int, a: int) -> LaurentPoly:
-    """Frame change of the a-th odd coordinate, as a chart-i monomial."""
-    return cover.line_factor(j, i, degrees.degrees[a - 1])
-
-
 def split_trivialization(
     cover: Cover, degrees: SplitBundleDegrees, order: int
 ) -> Trivialization:
-    q = degrees.rank
+    """The chart transitions with odd frame changes zeta_{ij,a}: the exponent
+    rows and the line vector of ``Cover.transport`` from j to i."""
     maps = {}
     for i, j in itertools.permutations(cover.charts, 2):
-        f = cover.transition(i, j)
-        even = tuple({((), e): c for e, c in comp.terms.items()} for comp in f.components)
-        odd = tuple({((a,), e): c for e, c in zeta(cover, degrees, i, j, a).terms.items()}
-                    for a in range(1, q + 1))
+        rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
+        even = tuple({((), row): 1} for row in rows)
+        odd = tuple({((a,), tuple(k * x for x in line)): 1}
+                    for a, k in enumerate(degrees.degrees, 1))
         maps[(i, j)] = _map(i, j, even, odd)
     return Trivialization(cover, degrees, order, maps)
 
@@ -327,68 +325,38 @@ def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     return cech.line_sum(cover, twists, labels=tuple(labels))
 
 
-def _add_scaled(terms: dict, poly: dict, offset, coef) -> None:
-    """terms += coef * x^offset * poly, on exponent vectors ``{exps: coef}``."""
-    for e, c in poly.items():
-        key = tuple(map(add, e, offset))
-        terms[key] = terms.get(key, 0) + c * coef
+def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: dict,
+             i: int, j: int, to_map: bool) -> dict:
+    """Slot data from the chart-i slot frame to the frame of the map i -> j,
+    or back when ``to_map`` is false; arguments stay in chart i.
 
-
-def _odd_shift(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, s: int,
-               i: int, j: int) -> tuple:
-    """Exponents of zeta_{ij,a} = x^(k_a line) for the odd slot summand s."""
-    k = degrees.degrees[spec.labels[s][1] - 1]
-    return tuple(k * x for x in cover.transport(cech.LINE_SUM, j, i, 0)[1])
-
-
-def _coefficients_to_section(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
-                             coefs, simplex: tuple, j: int) -> dict:
-    """Degree-slot coefficients of the map i -> j as slot terms on ``simplex``.
-
-    ``coefs[s][nu]`` is the coefficient ``{exps: coef}`` of theta_I in even
-    component nu of the map (even slots, summand s labelled I) or in odd
-    component a (odd slots, one component, labelled (I, a)); arguments are
-    in chart i = simplex[0].
-    Even slots pull the chart-j vector frame back to chart i through the
-    tangent transport j -> i; odd slots divide by zeta_{ij,a}.  The identity
-    on coefficients when i == j.
+    Even slots take the Jacobian of transition(i, j) to the map frame, read
+    transposed off the one-form transport j -> i, and the tangent transport
+    j -> i back.  Odd slots multiply by zeta_{ij,a} = x^(k_a line), line the
+    line vector of the transport j -> i, and divide by it back.  The
+    identity when i == j.
     """
-    i = simplex[0]
-    out = {}
-    for s, comps in enumerate(coefs):
-        terms = [{} for _ in comps]
-        if spec.kind == cech.TANGENT:
-            for nu, poly in enumerate(comps):
-                for mu, offset, c in cover.transport(cech.TANGENT, j, i, nu)[2]:
-                    _add_scaled(terms[mu], poly, offset, c)
-        else:
-            shift = _odd_shift(cover, degrees, spec, s, i, j)
-            _add_scaled(terms[0], comps[0], tuple(-x for x in shift), 1)
-        for mu, part in enumerate(terms):
-            out.update((cech.BasisSlot(simplex, s, mu, e), c) for e, c in part.items() if c)
-    return out
-
-
-def _section_to_coefficients(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec,
-                             sec, i: int, j: int):
-    """Inverse of ``_coefficients_to_section``: a chart-i section as map data,
-    each coefficient an ``{exps: coef}`` dict.
-
-    Even slots push the chart-i vector frame to chart j with the Jacobian of
-    transition(i, j), read transposed off the one-form transport j -> i; odd
-    slots multiply by zeta_{ij,a}.  The identity when i == j.
-    """
-    out = []
-    for s, comps in enumerate(sec):
-        terms = [{} for _ in comps]
-        if spec.kind == cech.TANGENT:
-            for mu in range(len(comps)):
-                for nu, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]:
-                    _add_scaled(terms[mu], comps[nu].terms, offset, c)
-        else:
-            _add_scaled(terms[0], comps[0].terms, _odd_shift(cover, degrees, spec, s, i, j), 1)
-        out.append(tuple({e: _coerce(c) for e, c in t.items() if c} for t in terms))
-    return tuple(out)
+    if i == j:
+        return data
+    comps = range(cover.n)
+    if spec.kind == cech.TANGENT and to_map:
+        frame = [[(mu, offset, c) for mu in comps
+                  for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2] if col == nu]
+                 for nu in comps]
+        frames = [frame] * spec.nsummands
+    elif spec.kind == cech.TANGENT:
+        frames = [[cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps]] * spec.nsummands
+    else:
+        line = cover.transport(cech.LINE_SUM, j, i, 0)[1]
+        sign = 1 if to_map else -1
+        frames = [[((0, tuple(sign * degrees.degrees[a - 1] * x for x in line), 1),)]
+                  for _, a in spec.labels]
+    out: dict = {}
+    for (s, comp, exps), c in data.items():
+        for mu, offset, x in frames[s][comp]:
+            key = (s, mu, tuple(map(add, exps, offset)))
+            out[key] = out.get(key, 0) + c * x
+    return {key: _coerce(c) for key, c in out.items() if c}
 
 
 def _word_part(comp: dict, word: tuple) -> dict:
@@ -396,25 +364,32 @@ def _word_part(comp: dict, word: tuple) -> dict:
     return {e: c for (w, e), c in comp.items() if w == word}
 
 
-def _slot_coefficients(spec: SheafSpec, even, odd):
-    """The theta_I coefficients of a map's components, shaped like a section."""
+def _read_slots(spec: SheafSpec, even, odd) -> dict:
+    """The theta_I coefficients of a map's components as slot data in the
+    map's frame: even component nu of summand I, or odd component a of
+    summand (I, a) as its one component."""
+    index = {label: s for s, label in enumerate(spec.labels)}
     if spec.kind == cech.TANGENT:
-        return tuple(tuple(_word_part(g, I) for g in even) for I in spec.labels)
-    return tuple((_word_part(odd[a - 1], I),) for I, a in spec.labels)
+        return {(index[w], nu, e): c for nu, comp in enumerate(even)
+                for (w, e), c in comp.items() if w in index}
+    return {(index[w, a], 0, e): c for a, comp in enumerate(odd, 1)
+            for (w, e), c in comp.items() if (w, a) in index}
 
 
-def _plus_slot(sm: SuperMap, spec: SheafSpec, coefs) -> SuperMap:
-    """``sm`` with section-shaped theta_I coefficients added to its components."""
-    even, odd = list(sm.even), list(sm.odd)
-    for label, comps in zip(spec.labels, coefs):
+def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
+    """``sm`` plus slot data in its frame; ``_read_slots`` reads it back."""
+    even, odd = [dict(g) for g in sm.even], [dict(g) for g in sm.odd]
+    for (s, comp, e), c in data.items():
         if spec.kind == cech.TANGENT:
-            I, parts, positions = label, even, range(len(comps))
+            part, key = even[comp], (spec.labels[s], e)
         else:
-            I, a = label
-            parts, positions = odd, [a - 1]
-        for pos, coef in zip(positions, comps):
-            if coef:
-                parts[pos] = _add(parts[pos], {(I, e): c for e, c in coef.items()})
+            word, a = spec.labels[s]
+            part, key = odd[a - 1], (word, e)
+        total = part.get(key, 0) + c
+        if total:
+            part[key] = total
+        else:
+            part.pop(key, None)
     return _map(sm.source, sm.target, tuple(even), tuple(odd))
 
 
@@ -432,9 +407,8 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
         raise ValueError("increment sheaf does not match the degree slot")
     new_maps = dict(t.maps)
     for (i, j) in t.cover.pairs:
-        sec = inc.section((i, j), i)
-        coefs = _section_to_coefficients(t.cover, t.degrees, expected, sec, i, j)
-        new_maps[(i, j)] = _plus_slot(t.maps[(i, j)], expected, coefs)
+        data = _reframe(t.cover, t.degrees, expected, inc.on((i, j)), i, j, True)
+        new_maps[(i, j)] = _add_slots(t.maps[(i, j)], expected, data)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
 
 
@@ -444,8 +418,8 @@ def slot_cochain(t: Trivialization, d: int) -> Cochain:
     terms = {}
     for (i, j) in t.cover.pairs:
         sm = t.maps[(i, j)]
-        coefs = _slot_coefficients(spec, sm.even, sm.odd)
-        terms.update(_coefficients_to_section(t.cover, t.degrees, spec, coefs, (i, j), j))
+        data = _reframe(t.cover, t.degrees, spec, _read_slots(spec, sm.even, sm.odd), i, j, False)
+        terms.update({((i, j), *key): c for key, c in data.items()})
     return Cochain(spec, 1, terms)
 
 
@@ -512,8 +486,8 @@ def gamma_sheaf(t: Trivialization) -> SheafSpec:
 def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
     """Degree-(m+1) composition defect on one ordered triple (i, j, k).
 
-    The result is the defect's theta_I coefficients, shaped like a section,
-    with arguments in chart i and frames of chart k.  Raises CocycleViolation
+    The result is the defect's theta_I coefficients as slot data in the frame
+    of the map i -> k, with arguments in chart i.  Raises CocycleViolation
     when the defect has parts of degree <= t.order.
     """
     i, j, k = triple
@@ -530,7 +504,7 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
     wrong = od if spec.kind == cech.TANGENT else ev
     if any(len(w) == m + 1 for g in wrong for w, _ in g):
         raise AssertionError("defect of the wrong parity at degree m + 1")
-    return _slot_coefficients(spec, ev, od)
+    return _read_slots(spec, ev, od)
 
 
 def obstruction_cocycle(t: Trivialization) -> Cochain:
@@ -542,9 +516,10 @@ def obstruction_cocycle(t: Trivialization) -> Cochain:
     """
     spec = gamma_sheaf(t)
     terms = {}
-    for triple in t.cover.triples:
-        coefs = _defect_coefficients(t, triple, spec)
-        terms.update(_coefficients_to_section(t.cover, t.degrees, spec, coefs, triple, triple[2]))
+    for (i, j, k) in t.cover.triples:
+        data = _reframe(t.cover, t.degrees, spec, _defect_coefficients(t, (i, j, k), spec),
+                        i, k, False)
+        terms.update({((i, j, k), *key): c for key, c in data.items()})
     return Cochain(spec, 2, terms)
 
 
@@ -554,8 +529,9 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
     The twisted coboundary needs quadruple overlaps, which the standard
     covers lack, so it is checked formally; the substantive checks are
     alternation and value consistency: the defect recomputed on every ordered
-    triple must equal the sign-adjusted stored value, compared as map
-    coefficients.
+    triple (i, j, k) must equal the sign-adjusted stored value, moved from the
+    smallest chart to chart i by ``cech.represent`` and compared as map
+    coefficients in the frame of chart k.
     """
     spec = gamma.sheaf
     problems = []
@@ -565,7 +541,11 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
             direct = _defect_coefficients(t, triple, spec)
         except CocycleViolation as err:
             return {"pass": False, "residual": err.residual, "problems": ["precondition"]}
-        stored = _section_to_coefficients(t.cover, t.degrees, spec, gamma.section(triple, i), i, k)
+        key = tuple(sorted(triple))
+        sign = cech.perm_sign(triple)
+        value = {slot: sign * c for slot, c in gamma.on(key).items()}
+        moved = cech.represent(spec, value, key[0], i)
+        stored = _reframe(t.cover, t.degrees, spec, moved, i, k, True)
         if direct != stored:
             problems.append((triple, direct, stored))
     delta = cech.coboundary(gamma)
@@ -594,31 +574,29 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
         raise ValueError("omega does not live in the degree-2 slot sheaf")
     cover = t.cover
     degrees = t.degrees
-    p, q = t.p, t.q
     spec = slot_sheaf(cover, degrees, 3)
-    pair_labels = expected.labels
     terms = {}
     for (i, j, k) in cover.triples:
-        raw = [[{}] for _ in spec.twists]
-        f_ij = cover.transition(i, j)
-        sec_ij = omega.section((i, j), i)
         # vector parts in the chart-j frame, arguments in chart i
-        vecs = _section_to_coefficients(cover, degrees, expected, sec_ij, i, j)
-        for I, vec in zip(pair_labels, vecs):
-            for a in range(1, q + 1):
-                if a in I:
+        vecs = _reframe(cover, degrees, expected, omega.on((i, j)), i, j, True)
+        line = cover.transport(cech.LINE_SUM, k, j, 0)[1]
+        raw: dict = {}
+        for (s, mu, e), c in vecs.items():
+            I = expected.labels[s]
+            for a, k_a in enumerate(degrees.degrees, 1):
+                # d zeta_{jk,a} / d y^mu = dz y^z, pulled back to chart i and
+                # times zeta_{ij,a} by one line-bundle move j -> i
+                z = [k_a * x for x in line]
+                dz = z[mu]
+                if a in I or not dz:
                     continue
-                zjk = zeta(cover, degrees, j, k, a)
-                for mu in range(p):
-                    dz = f_ij.apply(zjk.partial(mu))
-                    if dz.is_zero():
-                        continue
-                    word = tuple(I) + (a,)
-                    target_I, sign = sort_index_tuple(word)
-                    sidx = spec.labels.index((target_I, a))
-                    for offset, c in (dz * zeta(cover, degrees, i, j, a)).terms.items():
-                        _add_scaled(raw[sidx][0], vec[mu], offset, -sign * c)
-        terms.update(_coefficients_to_section(cover, degrees, spec, raw, (i, j, k), k))
+                z[mu] -= 1
+                (_, offset, _), = cech._move(cover, cech.LINE_SUM, j, i, 0, k_a, z)
+                target_I, sign = sort_index_tuple(I + (a,))
+                key = (spec.labels.index((target_I, a)), 0, tuple(map(add, e, offset)))
+                raw[key] = raw.get(key, 0) - sign * dz * c
+        data = _reframe(cover, degrees, spec, raw, i, k, False)
+        terms.update({((i, j, k), *key): c for key, c in data.items()})
     return Cochain(spec, 2, terms)
 
 
@@ -653,8 +631,7 @@ def automorphism_from_increment(
         raise ValueError("0-cochain does not live in the degree slot sheaf")
     lam = {}
     for c in cover.charts:
-        coefs = _section_to_coefficients(cover, degrees, expected, nu.section((c,), c), c, c)
-        lam[c] = _plus_slot(identity_map(c, cover.n, degrees.rank), expected, coefs)
+        lam[c] = _add_slots(identity_map(c, cover.n, degrees.rank), expected, nu.on((c,)))
     return lam
 
 
@@ -862,13 +839,13 @@ def trivialization_from_json(data: dict) -> Trivialization:
         i, j = (int(x) for x in key.split(","))
         sm = SuperMap(i, j, tuple(map(_component_from_json, payload["even"])),
                       tuple(map(_component_from_json, payload["odd"])))
-        for nu, (comp, want) in enumerate(zip(sm.even, cover.transition(i, j).components)):
-            body = _word_part(comp, ())
+        for nu, (comp, split) in enumerate(zip(sm.even, t.maps[(i, j)].even)):
+            body, want = _word_part(comp, ()), _word_part(split, ())
             if len(body) != 1:
                 raise ValueError(f"map {key} even component {nu}: the body is not one monomial")
-            if body != want.terms:
+            if body != want:
                 raise ValueError(f"map {key} even component {nu}: the body is not the chart "
-                                 f"transition {want!r}")
+                                 f"transition x^{next(iter(want))}")
         maps[(i, j)] = sm
     return Trivialization(cover, degrees, order, maps)
 
@@ -880,5 +857,10 @@ def write_trivialization(t: Trivialization, path: str):
 
 
 def read_trivialization(path: str) -> Trivialization:
+    """Read a thickening file; JSON nested too deeply to parse raises ValueError."""
     with open(path) as fh:
-        return trivialization_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    return trivialization_from_json(data)

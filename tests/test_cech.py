@@ -49,7 +49,7 @@ def test_untwisted_coboundary_of_constants():
     nu = cech.Cochain(spec, 0, terms)
     d = cech.coboundary(nu)
     for (i, j) in cov.pairs:
-        assert d.section((i, j), i)[0][0] == LaurentPoly.const(2, j - i)
+        assert d.on((i, j)) == {(0, 0, (0, 0)): j - i}
 
 
 def test_alternating_lookup():
@@ -57,10 +57,14 @@ def test_alternating_lookup():
     spec = cech.line_sum(cov, [1])
     rng = random.Random(0)
     c = cech.random_cochain(spec, 1, rng, terms=2)
-    v = c.section((1, 0), 0)
-    assert v == tuple(tuple(-comp for comp in summand) for summand in c.section((0, 1), 0))
-    assert not c.is_zero() and v != c.section((0, 1), 0)
-    assert all(comp.is_zero() for summand in c.section((1, 1), 1) for comp in summand)
+    # each sorted pair holds its own slots; permuted or repeated vertices
+    # are no stored simplex (their value is the sign times the sorted one's)
+    assert not c.is_zero()
+    assert {((i, j), *key): x for (i, j) in cov.pairs for key, x in c.on((i, j)).items()} \
+        == c.terms
+    for bad in ((1, 0), (1, 1), (0, 1, 2)):
+        with pytest.raises(ValueError, match="sorted"):
+            c.on(bad)
 
 
 @pytest.mark.parametrize("kind,twists", [

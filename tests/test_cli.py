@@ -132,6 +132,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "sufficient-l", "--k-prime", "0")
     assert code == 2
+    # a directory and JSON nested past the parser's recursion limit are
+    # unreadable input, not a negative certificate (exit 1) or a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path, message in ((tmp_path, "cannot read file"), (deep, "bad input")):
+        for command in ("verify", "gamma"):
+            code, out, err = run(capsys, command, "--file", str(path))
+            assert code == 2 and out == "" and message in err, (command, path)
+            assert "Traceback" not in err
 
 
 def test_window_env_override(monkeypatch):

@@ -20,16 +20,18 @@ block, one rref of [matrix | rhs]; the cached block solver is checked against
 it in ``tests/test_cech.py``.
 """
 
+import collections
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from superthick import cech, linalg, supermap
+from superthick import cech, laurent, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import GrassmannElement, substitute_nilpotent, taylor_add, taylor_rows
 from superthick.laurent import ChartMap, LaurentPoly
+from superthick.pipeline import pipeline_obstructed_cp2
 from superthick.supermap import SuperMap
 from test_acceptance import DEGREE_POOL
 
@@ -274,6 +276,29 @@ def test_gluing_operation_compose_budget(monkeypatch):
     run_gluing_case(1, (4, -1, -7))
     assert len(inverted) == 16 and all(n == 0 for *_, n, _ in inverted)
     assert len(composed) == 56
+
+
+def test_warm_gluing_and_pipeline_make_no_laurent_arithmetic(monkeypatch):
+    # every chart change on the run path is exponent arithmetic through the
+    # cover's transport tables: once they are warm, a gluing operation and a
+    # pipeline run build, multiply, substitute and differentiate no
+    # LaurentPoly at all
+    run_gluing_case(1, (4, -1, -7))
+    pipeline_obstructed_cp2((4, -1, -7))
+    calls = collections.Counter()
+    for owner, name in ((LaurentPoly, "__init__"), (LaurentPoly, "__mul__"),
+                        (LaurentPoly, "compose"), (LaurentPoly, "partial"),
+                        (ChartMap, "apply"), (laurent, "_make")):
+        def counting(*args, _fn=getattr(owner, name), _key=name, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    run_gluing_case(1, (4, -1, -7))
+    assert pipeline_obstructed_cp2((4, -1, -7))["status"] == "obstructed-exhibited"
+    assert calls == {}
+    # the counters are live
+    LaurentPoly.monomial(1, (2,)).partial(0) * LaurentPoly.one(1)
+    assert calls["__init__"] and calls["__mul__"] and calls["partial"]
 
 
 def reference_invert(sm, order):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superthick.laurent import ChartMap, LaurentPoly, fraction_to_str
+from superthick.laurent import ChartMap, LaurentPoly, _coerce, fraction_to_str, parse_rational
 
 
 def rand_poly(rng, dim, terms=3, span=3):
@@ -106,16 +106,19 @@ def test_compose_negative_power_needs_monomial():
 def test_fraction_serialization():
     assert fraction_to_str(Fraction(3)) == "3"
     assert fraction_to_str(Fraction(-4, 6)) == "-2/3"
-    p = LaurentPoly(2, {(1, -2): Fraction(1, 3), (0, 0): -2})
-    assert LaurentPoly.from_json(2, p.to_json()) == p
+    for c in (Fraction(1, 3), -2, Fraction(-7, 4), Fraction(6, 3)):
+        assert parse_rational(fraction_to_str(c)) == c
+        assert type(parse_rational(fraction_to_str(c))) is type(_coerce(c))
 
 
+# the thickening reader reads every coefficient through parse_rational
 @pytest.mark.parametrize("text,value", [("7", 7), ("-3/2", Fraction(-3, 2)), ("+4/2", 2), (5, 5)])
 def test_from_json_reads_integer_syntax(text, value):
-    assert LaurentPoly.from_json(1, [{"exps": [0], "coef": text}]) == LaurentPoly.const(1, value)
+    got = parse_rational(text)
+    assert got == value and type(got) is type(_coerce(Fraction(value)))
 
 
 @pytest.mark.parametrize("text", ["1e3", "1.5", " 2", "4/-2", "1/0", "", "1_0", True])
 def test_from_json_rejects_other_rational_syntax(text):
     with pytest.raises(ValueError):
-        LaurentPoly.from_json(1, [{"exps": [0], "coef": text}])
+        parse_rational(text)

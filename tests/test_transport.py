@@ -1,13 +1,15 @@
 """Differential tests of the monomial transport layer.
 
 Every chart change moves monomials on exponents through ``Cover.transport``:
-``cech.represent`` and ``Cochain.section`` monomial by monomial,
-``cech.coboundary`` and ``cech.delta_block_matrix`` one slot at a time, and
-the gluing maps' frame changes in ``supermap``.  ``LaurentPoly.compose`` maps
-each term to one monomial; every substituted part must be a monomial.  The
-references below are the slow paths those replace: re-presentation by Laurent
-pullback, Jacobian products and line factors, the coboundary built on it
-section by section, the hand-rolled Jacobian and zeta frame changes, and
+``cech.represent`` moves slot data ``{(summand, comp, exps): coef}`` monomial
+by monomial, ``cech.coboundary`` and ``cech.delta_block_matrix`` move one
+slot at a time, and ``supermap._reframe`` changes between the slot frame and
+a gluing map's frame.  ``LaurentPoly.compose`` maps each term to one
+monomial; every substituted part must be a monomial.  The references below
+are the slow paths those replace, on sections (tuples over summands of tuples
+over components of ``LaurentPoly``): re-presentation by Laurent pullback,
+Jacobian products and line factors, the coboundary built on it section by
+section, the hand-rolled Jacobian and line-factor frame changes, and
 substitution by multiplying powers.
 """
 
@@ -79,26 +81,40 @@ def section_neg(a):
     return section_map(lambda x: -x, a)
 
 
-def section_is_zero(a):
-    return all(comp.is_zero() for summand in a for comp in summand)
-
-
-def section_from_terms(spec, terms):
-    """The section of slot terms that share one simplex."""
+def section_of(spec, data):
+    """The section of slot data ``{(summand, comp, exps): coef}``."""
     sec = [[{} for _ in range(spec.ncomp)] for _ in spec.twists]
-    for slot, coef in terms.items():
-        sec[slot.summand][slot.comp][slot.exps] = coef
+    for (s, comp, exps), coef in data.items():
+        sec[s][comp][exps] = coef
     return tuple(tuple(LaurentPoly(spec.cover.n, t) for t in summand) for summand in sec)
+
+
+def data_of(sec):
+    """The slot data of a section, inverse of ``section_of``."""
+    return {(s, comp, exps): coef
+            for s, summand in enumerate(sec)
+            for comp, poly in enumerate(summand)
+            for exps, coef in poly.terms.items()}
+
+
+def slot_data(terms):
+    """Slot terms that share one simplex as slot data, zeros dropped and
+    integral coefficients as ints."""
+    return {(slot.summand, slot.comp, slot.exps): c if c.denominator != 1 else c.numerator
+            for slot, c in terms.items() if c}
+
+
+def canonical(data):
+    """Every coefficient an int when integral, a reduced Fraction otherwise."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in data.values())
 
 
 def cochain_from_sections(spec, degree, values):
     """The cochain with one section per sorted simplex, as slot terms."""
     return cech.Cochain(spec, degree, {
-        cech.BasisSlot(simplex, s, comp, exps): coef
-        for simplex, sec in values.items()
-        for s, summand in enumerate(sec)
-        for comp, poly in enumerate(summand)
-        for exps, coef in poly.terms.items()
+        (simplex, *key): coef for simplex, sec in values.items()
+        for key, coef in data_of(sec).items()
     })
 
 
@@ -110,14 +126,10 @@ def reference_coboundary(c):
         acc = section_zero(spec)
         for j in range(len(simplex)):
             face = simplex[:j] + simplex[j + 1 :]
-            sec = reference_represent(spec, c.section(face, face[0]), face[0], simplex[0])
+            sec = reference_represent(spec, section_of(spec, c.on(face)), face[0], simplex[0])
             acc = section_add(acc, section_neg(sec) if j % 2 else sec)
         out[simplex] = acc
     return cochain_from_sections(spec, c.degree + 1, out)
-
-
-def section_json(sec):
-    return [[comp.to_json() for comp in summand] for summand in sec]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -132,13 +144,13 @@ def test_represent_matches_laurent_reference(kind, n):
         for simplex in cover.simplices(1) + cover.simplices(2):
             for a, b in itertools.permutations(simplex, 2):
                 chart_first = (a,) + tuple(v for v in simplex if v != a)
-                sec = section_from_terms(
-                    spec, cech.random_section(spec, chart_first, rng, terms=4, span=3))
-                fast = cech.represent(spec, sec, a, b)
-                slow = reference_represent(spec, sec, a, b)
-                assert fast == slow and section_json(fast) == section_json(slow)
-                assert cech.represent(spec, fast, b, a) == sec
-                moved += not section_is_zero(sec)
+                data = slot_data(cech.random_section(spec, chart_first, rng, terms=4, span=3))
+                fast = cech.represent(spec, data, a, b)
+                slow = reference_represent(spec, section_of(spec, data), a, b)
+                assert fast == data_of(slow) and section_of(spec, fast) == slow
+                assert canonical(fast)
+                assert cech.represent(spec, fast, b, a) == data
+                moved += bool(data)
     assert moved >= 100
 
 
@@ -214,6 +226,8 @@ def test_coboundary_matches_reference_on_random_cochains(kind, n, degree):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2])
 def test_section_view_matches_reference_represent(kind, n):
+    # the value on an ordered simplex in any chart: the permutation's sign
+    # times the stored slot data, moved from the smallest chart by represent
     rng = random.Random(f"section-{kind}-{n}")
     cover = cech.standard_cover(n)
     for _ in range(10):
@@ -222,16 +236,24 @@ def test_section_view_matches_reference_represent(kind, n):
         for degree in range(n + 1):
             c = cech.random_cochain(spec, degree, rng, terms=4, span=2)
             for key in cover.simplices(degree):
-                stored = section_from_terms(
-                    spec, {slot: x for slot, x in c.terms.items() if slot.simplex == key})
+                data = c.on(key)
+                assert data == slot_data(
+                    {slot: x for slot, x in c.terms.items() if slot.simplex == key})
+                stored = section_of(spec, data)
                 for simplex in itertools.permutations(key):
                     sign = cech.perm_sign(simplex)
                     for chart in cover.charts:
                         want = reference_represent(spec, stored, key[0], chart)
                         want = want if sign == 1 else section_neg(want)
-                        assert c.section(simplex, chart) == want, (simplex, chart)
-                if degree:  # a repeated vertex gives zero
-                    assert section_is_zero(c.section((key[0],) * (degree + 1), key[0]))
+                        value = {slot: sign * x for slot, x in data.items()}
+                        got = cech.represent(spec, value, key[0], chart)
+                        assert section_of(spec, got) == want, (simplex, chart)
+                    if simplex != key:  # only sorted simplices are stored
+                        with pytest.raises(ValueError, match="sorted"):
+                            c.on(simplex)
+                if degree:  # a repeated vertex is no simplex
+                    with pytest.raises(ValueError, match="sorted"):
+                        c.on((key[0],) * (degree + 1))
 
 
 def reference_compose(poly, parts):
@@ -350,7 +372,8 @@ def reference_to_coefficients(cover, degrees, spec, sec, i, j):
                 for mu in range(n)
             ))
         else:
-            out.append((comps[0] * supermap.zeta(cover, degrees, i, j, spec.labels[s][1]),))
+            zeta = cover.line_factor(j, i, degrees.degrees[spec.labels[s][1] - 1])
+            out.append((comps[0] * zeta,))
     return tuple(out)
 
 
@@ -369,7 +392,7 @@ def reference_to_section(cover, degrees, spec, coefs, i, j):
                 for mu in range(n)
             ))
         else:
-            zeta = supermap.zeta(cover, degrees, i, j, spec.labels[s][1])
+            zeta = cover.line_factor(j, i, degrees.degrees[spec.labels[s][1] - 1])
             out.append((raw[0] * zeta.invert(),))
     return tuple(out)
 
@@ -384,20 +407,18 @@ def test_frame_helpers_round_trip_on_every_pair(d):
         spec = supermap.slot_sheaf(cover, degrees, d)
         for i, j in itertools.product(cover.charts, repeat=2):
             simplex = (i,) + tuple(v for v in cover.charts if v != i)
-            terms = cech.random_section(spec, simplex, rng, terms=6, span=3)
-            terms = {slot: c for slot, c in terms.items() if c}
-            sec = section_from_terms(spec, terms)
-            coefs = supermap._section_to_coefficients(cover, degrees, spec, sec, i, j)
-            back = supermap._coefficients_to_section(cover, degrees, spec, coefs, simplex, j)
-            assert back == terms
-            # map coefficients are {exps: coef} dicts; compare them as polynomials
-            polys = tuple(tuple(LaurentPoly(cover.n, c) for c in comps) for comps in coefs)
+            data = slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
+            coefs = supermap._reframe(cover, degrees, spec, data, i, j, True)
+            back = supermap._reframe(cover, degrees, spec, coefs, i, j, False)
+            assert back == data and canonical(coefs)
             if i == j:
-                assert polys == sec
-            assert polys == reference_to_coefficients(cover, degrees, spec, sec, i, j)
-            assert section_from_terms(spec, back) == reference_to_section(
-                cover, degrees, spec, polys, i, j)
-            checked += not section_is_zero(sec)
+                assert coefs == data
+            sec = section_of(spec, data)
+            assert section_of(spec, coefs) == reference_to_coefficients(
+                cover, degrees, spec, sec, i, j)
+            assert sec == reference_to_section(
+                cover, degrees, spec, section_of(spec, coefs), i, j)
+            checked += bool(data)
     assert checked >= 40
 
 
