@@ -5,7 +5,8 @@ Conventions.  Chart i of P^n is {z_i != 0} with affine coordinates
 z_l/z_i for l != i, listed in increasing l.  All transition maps are monomial,
 so every transport (pullback of arguments, Jacobian action on tangent
 components, inverse Jacobian on one-forms, monomial factor per line-bundle
-twist) is exact Laurent arithmetic.
+twist) is integer arithmetic on exponents, read off the charts' exponent
+vectors; no polynomial object is built.
 
 A cochain is a sparse map from slots to nonzero exact coefficients.  A slot
 (simplex, summand, component, exponents) is one monomial over a sorted
@@ -36,19 +37,19 @@ Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
 with adjust_l in {-1, 0, 1}, and the transport coefficients ignore the
 exponents; so every block depends on g only through its sign type, each
-entry clamped to [-2, 1].  ``block_cohomology`` computes H^q of one block in
-any degree q: the kernel of the degree-q block, reduced modulo the image of
-the degree-(q-1) block by one rref, and keeps the classes in the cover's
-cohomology table under (kind, q, sign type).  So each sign type is solved once
-per cover, for every twist, summand, character and caller: ``standard_cover``
-hands out one shared cover per n.  ``cohomology`` lists the concrete
-characters of the types that carry classes (finitely many, since cohomology is
-finite-dimensional); each character only fills in its slot exponents.
-``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
-views of it, and ``solve_blocks`` reads the same classes, with one cached
-reduction per sign type, to split a cocycle into an exact part and class
-coordinates.  The window is only an optional cap on the characters listed,
-and the closed formulas cross-check every total.
+entry clamped to [-2, 1].  One record per (kind, q, sign type), kept in the
+cover's cohomology table, holds H^q of such a block in any degree q and the
+solver of its degree-q blocks, both from one rref of the kernel of the
+degree-q block against the image of the degree-(q-1) block.  So each sign
+type is reduced once per cover, for every twist, summand, character and
+caller: ``standard_cover`` hands out one shared cover per n.  ``cohomology``
+lists the concrete characters of the types that carry classes (finitely
+many; types unbounded both ways carry none and are not listed); each
+character only fills in its slot exponents.  ``h1_representatives``,
+``windowed_dims`` and ``line_bundle_cohomology`` are views of it, and
+``solve_blocks`` reads the same records to split a cocycle into an exact part
+and class coordinates.  The window is only an optional cap on the characters
+listed, and the closed formulas cross-check every total.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
-from .laurent import ChartMap, LaurentPoly, _coerce, fraction_to_str
+from .laurent import _coerce, fraction_to_str
 from . import linalg
 
 
@@ -77,43 +78,24 @@ class Cover:
         self.n = n
         self.charts = tuple(range(n + 1))
         self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
-        self._transitions: dict[tuple[int, int], ChartMap] = {}
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
-        # (kind, q, sign type) -> classes of H^q on a block of that type
-        self.cohomology_table: dict[tuple[str, int, tuple], list] = {}
-        # (kind, q, sign type) -> pivot columns, left-transform columns and
-        # width of the rref of [image of the degree-(q-1) block | classes | I],
-        # which solves every degree-q block of that type; see _solve_block
-        self.solver_table: dict[tuple[str, int, tuple], tuple] = {}
+        # (kind, q, sign type) -> the classes of H^q on a block of that type
+        # and the solver of its degree-q blocks; see _type_record
+        self.cohomology_table: dict[tuple[str, int, tuple], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
         return self._chart_vars[i]
 
-    def var_pos(self, i: int, l: int) -> int:
-        return self.chart_vars(i).index(l)
+    def _unit(self, i: int, l: int) -> tuple[int, ...]:
+        """Exponent vector of z_l/z_i in chart i: a unit vector, zero for l == i."""
+        return tuple(int(m == l) for m in self.chart_vars(i))
 
-    def transition(self, i: int, j: int) -> ChartMap:
-        """Chart-j coordinates as monomial functions of chart-i coordinates."""
-        key = (i, j)
-        if key not in self._transitions:
-            n = self.n
-            comps = []
-            for l in self.chart_vars(j):
-                exps = [0] * n
-                if l != i:
-                    exps[self.var_pos(i, l)] += 1
-                exps[self.var_pos(i, j)] -= 1
-                comps.append(LaurentPoly.monomial(n, exps))
-            self._transitions[key] = ChartMap(comps)
-        return self._transitions[key]
-
-    def line_factor(self, a: int, b: int, k: int) -> LaurentPoly:
-        """(z_a / z_b)^k as a chart-b monomial; re-presents O(k) data a -> b."""
-        exps = [0] * self.n
-        if a != b:
-            exps[self.var_pos(b, a)] = k
-        return LaurentPoly.monomial(self.n, exps)
+    def _coords(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+        """Exponent vectors in chart b of the chart-a coordinates z_l/z_a,
+        each (z_l/z_b) / (z_a/z_b)."""
+        line = self._unit(b, a)
+        return tuple(tuple(map(sub, self._unit(b, l), line)) for l in self.chart_vars(a))
 
     def transport(self, kind: str, a: int, b: int, comp: int) -> tuple:
         """How one monomial of a slot component moves from chart a to chart b.
@@ -122,44 +104,32 @@ class Cover:
         component ``comp`` of a summand twisted by t re-presents in chart b as
         the sum over (mu, offset, coef) in outputs of
         c * coef * x^(sum_i e_i rows[i] + t line + offset) in component mu.
-        rows are the exponent vectors of transition(b, a), line that of
-        line_factor(a, b, 1), and each output is one entry of the Jacobian of
-        transition(a, b) pulled back to chart b (tangent) or of the Jacobian
-        of transition(b, a) (one-forms).  Every chart change in the package
-        reads this table: ``represent`` and the coboundary blocks move whole
-        monomials, and the gluing maps' frame changes use the outputs and line.
+        rows are the exponent vectors of the chart-a coordinates in chart b,
+        line that of z_a/z_b, and each output is one nonzero Jacobian entry,
+        from d/dx_nu x^r = r_nu x^(r - e_nu): of the chart-b coordinates in
+        chart-a variables, pulled back to chart b (tangent), or of the chart-a
+        coordinates in chart-b variables (one-forms).  Every chart change in
+        the package reads this table: ``represent`` and the coboundary blocks
+        move whole monomials, and the gluing maps' frame changes use the
+        outputs and line.
         """
         key = (kind, a, b, comp)
         if key in self._transport:
             return self._transport[key]
         n = self.n
-        zero = (0,) * n
-        if a == b:
-            rows = tuple(tuple(int(i == t) for t in range(n)) for i in range(n))
-            entry = (rows, zero, ((comp, zero, Fraction(1)),))
+        rows, line = self._coords(a, b), self._unit(b, a)
+        eye = [tuple(int(t == mu) for t in range(n)) for mu in range(n)]
+        if kind == LINE_SUM:
+            outputs = ((0, (0,) * n, 1),)
+        elif kind == TANGENT:
+            # chart-b coordinate mu is x^r in chart a; pulled back to chart b,
+            # x^(r - e_comp) is x^(e_mu - rows[comp])
+            outputs = tuple((mu, tuple(map(sub, eye[mu], rows[comp])), r[comp])
+                            for mu, r in enumerate(self._coords(b, a)) if r[comp])
         else:
-            f_ba = self.transition(b, a)
-            rows = []
-            for part in f_ba.components:
-                (exps, coef), = part.terms.items()
-                if coef != 1:
-                    raise AssertionError(f"transition {b}->{a} is not a unit monomial map")
-                rows.append(exps)
-            (line, _), = self.line_factor(a, b, 1).terms.items()
-            if kind == LINE_SUM:
-                factors = [LaurentPoly.one(n)]
-            elif kind == TANGENT:
-                jac = self.transition(a, b).jacobian()
-                factors = [f_ba.apply(jac[mu][comp]) for mu in range(n)]
-            else:
-                factors = f_ba.jacobian()[comp]
-            outputs = []
-            for mu, factor in enumerate(factors):
-                if len(factor.terms) > 1:
-                    raise AssertionError(f"jacobian entry {factor} is not a monomial")
-                for exps, coef in factor.terms.items():
-                    outputs.append((mu, exps, coef))
-            entry = (tuple(rows), line, tuple(outputs))
+            r = rows[comp]
+            outputs = tuple((mu, tuple(map(sub, r, eye[mu])), r[mu]) for mu in range(n) if r[mu])
+        entry = (rows, line, outputs)
         self._transport[key] = entry
         return entry
 
@@ -583,28 +553,19 @@ def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) ->
     """One exact x with [image | classes] x = rhs on the degree-``deg`` block
     of g, or None when there is none; rhs is indexed like the block's slots.
 
-    The image is that of the degree-(deg-1) block.  One rref of
-    [image | classes | I] gives [R | E] with E [image | classes] = R, so rhs
-    lies in the span exactly when E rhs vanishes past the rank, and x is then
-    E rhs on the pivot columns and 0 elsewhere: rref is unique, so this is
-    the x that an rref of [image | classes | rhs] reads off.  The pivots and
-    E depend on g only through its sign type, like the classes, so they are
-    kept in the cover's solver table under (kind, deg, sign type); E is kept
-    by columns, so a sparse rhs costs one sparse product.
+    The image is that of the degree-(deg-1) block.  The solver of g's sign
+    type, from ``_type_record``, holds the rref [R | E] of
+    [image | classes | I], with E [image | classes] = R: rhs lies in the span
+    exactly when E rhs vanishes past the rank, and x is then E rhs on the
+    pivot columns and 0 elsewhere.  rref is unique, so this is the x that an
+    rref of [image | classes | rhs] reads off.  E is kept by columns, so a
+    sparse rhs costs one sparse product.  A type without kernel has no
+    solver: it holds no nonzero cocycle block.
     """
-    key = (spec.kind, deg, _sign_type(g))
-    table = spec.cover.solver_table
-    if key not in table:
-        classes = block_cohomology(spec, deg, summand, g)
-        dom, cod, mat = delta_block_matrix(spec, deg - 1, summand, g)
-        width = len(dom) + len(classes)
-        joined = [row + [vec[r] for vec in classes] + [int(r == c) for c in range(len(cod))]
-                  for r, row in enumerate(mat)]
-        red, pivots = linalg.rref(joined)
-        columns = [[(r, row[width + c]) for r, row in enumerate(red) if row[width + c]]
-                   for c in range(len(cod))]
-        table[key] = ([p for p in pivots if p < width], columns, width)
-    pivots, columns, width = table[key]
+    solver = _type_record(spec, deg, summand, g)[1]
+    if solver is None:
+        return None
+    pivots, columns, width = solver
     y = [0] * len(columns)
     for i, b in enumerate(rhs):
         if b:
@@ -676,16 +637,21 @@ def _sign_type(g: Char) -> tuple:
 
 
 def _sign_types(n: int, twist: int):
-    """(sign type, representative character) for every feasible sign type.
+    """(sign type, representative character) for every feasible sign type
+    that can carry cohomology.
 
     A sign type clamps each entry of a character to [-2, 1]: the classes
     <= -2, -1, 0 and >= 1.  Slot existence only compares entries with the
     thresholds -1, 0 and 1, and the block matrices depend on the slots alone,
     so every block is constant on a type.  Types whose entries cannot sum to
-    the twist are skipped; the representative moves the surplus onto the
-    first unbounded entry.
+    the twist are skipped, and so are types unbounded both ways (an entry 1
+    and an entry -2): no block of those has a class in any degree, which
+    ``tests/test_cech.py`` checks on every kind, degree and such type.  The
+    representative moves the surplus onto the first unbounded entry.
     """
     for sign_type in itertools.product((-2, -1, 0, 1), repeat=n + 1):
+        if 1 in sign_type and -2 in sign_type:
+            continue
         surplus = twist - sum(sign_type)
         if surplus == 0:
             yield sign_type, sign_type
@@ -699,18 +665,12 @@ def _sign_types(n: int, twist: int):
 
 
 def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
-    """All characters of a sign type on the twist's stratum.
-
-    Finite exactly when every unbounded entry points the same way; a type
-    unbounded both ways raises, since the callers only list types that carry
-    cohomology, which is finite-dimensional.
-    """
-    up = [l for l, e in enumerate(sign_type) if e == 1]
-    down = [l for l, e in enumerate(sign_type) if e == -2]
-    if up and down:
-        raise AssertionError(f"sign type {sign_type} has infinitely many characters")
+    """All characters of a sign type on the twist's stratum, for a type that
+    ``_sign_types`` lists: its unbounded entries all point the same way, so
+    there are finitely many."""
     surplus = twist - sum(sign_type)
-    free, step = (up, 1) if surplus >= 0 else (down, -1)
+    end, step = (1, 1) if surplus >= 0 else (-2, -1)
+    free = [l for l, e in enumerate(sign_type) if e == end]
     if not free:
         return [sign_type] if surplus == 0 else []
     chars = []
@@ -729,25 +689,47 @@ def _in_window(g: Char, window: int | None) -> bool:
 def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char) -> list[list[Fraction]]:
     """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
+    The vectors are indexed like ``char_basis(spec, q, summand, g)``; they
+    are the classes of g's sign-type record, see ``_type_record``.
+    """
+    return _type_record(spec, q, summand, g)[0]
+
+
+def _type_record(spec: SheafSpec, q: int, summand: int, g: Char) -> tuple:
+    """(classes, solver) of the degree-q blocks of g's sign type.
+
     One rref of [image of the degree-(q-1) block | kernel of the degree-q
-    block] picks the kernel vectors independent modulo the image: the pivots
-    among the kernel columns.  In degree 0 the kernel is the cohomology.  The
-    vectors are indexed like ``char_basis(spec, q, summand, g)`` and depend on
-    g only through its sign type, so they are kept in the cover's cohomology
-    table under (kind, q, sign type) and serve every twist, summand and
-    character of the type.
+    block | I] gives both.  The classes are the kernel vectors independent
+    modulo the image: the pivots among the kernel columns.  In degree 0 the
+    kernel is the cohomology.  Dropping the other kernel columns leaves the
+    rref of [image | classes | I], since rref is unique; the solver keeps its
+    pivot columns below the identity, its identity part E by columns, and
+    the width of [image | classes] (see ``_solve_block``).  A type whose
+    kernel is empty gets no image block and no solver.  The record depends
+    on g only through its sign type, so it is kept in the cover's cohomology
+    table under (kind, q, sign type) and serves every twist, summand, caller
+    and character of the type.
     """
     key = (spec.kind, q, _sign_type(g))
     table = spec.cover.cohomology_table
     if key not in table:
         dom, _, mat = delta_block_matrix(spec, q, summand, g)
         kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
+        solver = None
         if kernel and q > 0:
             dom0, _, mat0 = delta_block_matrix(spec, q - 1, summand, g)
-            joined = [row + [vec[r] for vec in kernel] for r, row in enumerate(mat0)]
-            _, pivots = linalg.rref(joined)
-            kernel = [kernel[p - len(dom0)] for p in pivots if p >= len(dom0)]
-        table[key] = kernel
+            m, k = len(dom0), len(kernel)
+            joined = [row + [vec[r] for vec in kernel] + [int(r == c) for c in range(len(dom))]
+                      for r, row in enumerate(mat0)]
+            red, pivots = linalg.rref(joined)
+            picked = [p - m for p in pivots if m <= p < m + k]
+            kernel = [kernel[i] for i in picked]
+            width = m + len(picked)
+            solver = ([p for p in pivots if p < m] + list(range(m, width)),
+                      [[(r, row[m + k + c]) for r, row in enumerate(red) if row[m + k + c]]
+                       for c in range(len(dom))],
+                      width)
+        table[key] = (kernel, solver)
     return table[key]
 
 

@@ -740,11 +740,15 @@ def _component_to_json(comp: dict) -> list:
 
 
 def _component_from_json(data: list) -> dict:
-    """Inverse of ``_component_to_json``; a repeated word or exponent vector
-    keeps its last entry."""
-    words = {tuple(t["indices"]): {tuple(c["exps"]): parse_rational(c["coef"]) for c in t["coef"]}
-             for t in data}
-    return {(word, exps): c for word, terms in words.items() for exps, c in terms.items()}
+    """Inverse of ``_component_to_json``; an odd word listed twice, or an
+    exponent vector listed twice within one word, raises ValueError."""
+    words = [tuple(t["indices"]) for t in data]
+    comp = {(word, tuple(c["exps"])): parse_rational(c["coef"])
+            for word, t in zip(words, data) for c in t["coef"]}
+    if len(set(words)) < len(words) or len(comp) < sum(len(t["coef"]) for t in data):
+        raise ValueError("a component lists an odd word twice, or an exponent vector twice "
+                         "within one word")
+    return comp
 
 
 def trivialization_to_json(t: Trivialization) -> dict:

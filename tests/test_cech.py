@@ -7,7 +7,6 @@ import pytest
 
 from superthick import bott, cech, linalg, supermap
 from superthick.bott import SplitBundleDegrees
-from superthick.laurent import ChartMap, LaurentPoly
 from superthick.obstruct import search_split_triples
 from superthick.pipeline import pipeline_obstructed_cp2
 from test_acceptance import DEGREE_POOL
@@ -24,22 +23,31 @@ def test_standard_cover_nerve():
         cech.standard_cover(3)
 
 
-def after(f, g):
-    """f ∘ g: the components of f pulled back along g."""
-    return ChartMap([g.apply(c) for c in f.components])
+def chart_rows(cover, a, b):
+    """The integer matrix of the chart change a -> b on exponents: x^e in
+    chart a is x^(e M) in chart b, up to the line factor."""
+    return cover.transport(cech.LINE_SUM, a, b, 0)[0]
+
+
+def matmul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0])))
+                 for i in range(len(x)))
 
 
 def test_transitions_are_monomial_cocycles():
     c1 = cech.standard_cover(1)
-    f01 = c1.transition(0, 1)
-    assert f01.components[0] == LaurentPoly.monomial(1, (-1,))
-    assert after(c1.transition(1, 0), f01) == ChartMap.identity(1)
-    c2 = cech.standard_cover(2)
-    for i, j, k in [(0, 1, 2), (2, 1, 0), (1, 0, 2)]:
-        lhs = after(c2.transition(j, k), c2.transition(i, j))
-        assert lhs == c2.transition(i, k)
-    for i, j in c2.pairs:
-        assert after(c2.transition(j, i), c2.transition(i, j)) == ChartMap.identity(2)
+    assert chart_rows(c1, 0, 1) == ((-1,),)  # x -> 1/x
+    for n in (1, 2):
+        cover = cech.standard_cover(n)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for i, j, k in itertools.product(cover.charts, repeat=3):
+            # M_ij M_jk = M_ik, and the line vectors of z_i/z_j compose the same way
+            m_ij, m_jk, m_ik = (chart_rows(cover, a, b) for a, b in ((i, j), (j, k), (i, k)))
+            assert matmul(m_ij, m_jk) == m_ik
+            line = [cover.transport(cech.LINE_SUM, a, b, 0)[1] for a, b in ((i, j), (j, k), (i, k))]
+            assert tuple(x + y for x, y in zip(matmul((line[0],), m_jk)[0], line[1])) == line[2]
+        for i, j in itertools.product(cover.charts, repeat=2):
+            assert matmul(chart_rows(cover, i, j), chart_rows(cover, j, i)) == identity
 
 
 def test_untwisted_coboundary_of_constants():
@@ -405,21 +413,26 @@ def test_h1_builds_each_block_once(monkeypatch):
     assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps]
 
 
-def test_infinite_sign_type_with_classes_raises(monkeypatch):
-    """A class on every type, as a broken block builder would give, must not be listed."""
-    spec = cech.tangent_twisted(cech.Cover(2), [-3])
-    slot = cech.BasisSlot((0, 1), 0, 0, (0, 0))
-
-    def one_class_everywhere(spec, degree, summand, g):
-        if degree == 1:
-            return [slot], [], []
-        return [], [slot], [[]]
-
-    monkeypatch.setattr(cech, "delta_block_matrix", one_class_everywhere)
-    with pytest.raises(AssertionError, match="infinitely many characters"):
-        cech.h1_representatives(spec)
-    with pytest.raises(AssertionError, match="infinitely many characters"):
-        cech.windowed_dims(spec)
+def test_types_unbounded_both_ways_carry_no_cohomology():
+    """Why ``_sign_types`` skips a type with an entry 1 and an entry -2: on
+    P^1 and P^2, in every kind and degree, no block of such a type has a
+    class.  Each type is reduced on its own clamped character and on one with
+    the unbounded entries pushed 2 further out, each on a fresh cover."""
+    reduced = 0
+    for n in (1, 2):
+        types = [t for t in itertools.product((-2, -1, 0, 1), repeat=n + 1) if 1 in t and -2 in t]
+        for push in (0, 2):
+            cover = cech.Cover(n)
+            for kind, q, sign_type in itertools.product(
+                    [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM], range(n + 1), types):
+                g = tuple(e + push if e == 1 else e - push if e == -2 else e for e in sign_type)
+                assert cech._sign_type(g) == sign_type
+                spec = cech.SheafSpec(cover, kind, (sum(g),))
+                assert cech.block_cohomology(spec, q, 0, g) == [], (kind, q, g)
+                reduced += push == 0
+        for twist in range(-12, 13):
+            assert all(not (1 in t and -2 in t) for t, _ in cech._sign_types(n, twist))
+    assert reduced == 174
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,15 @@ def malformed_thickenings():
         payload["even"] = (payload["even"] * 2)[:n_even]
         payload["odd"] = payload["odd"][:n_odd]
         yield data
+    # a word listed twice in one component, or exponents listed twice within
+    # one word, would lose a term on reading
+    for terms in ([{"indices": [1, 2], "coef": [{"exps": [0, 0], "coef": "5"}]},
+                   {"indices": [1, 2], "coef": [{"exps": [1, 0], "coef": "7"}]}],
+                  [{"indices": [1, 2], "coef": [{"exps": [0, 0], "coef": "5"},
+                                                {"exps": [0, 0], "coef": "7"}]}]):
+        data = split_model_json()
+        data["maps"]["0,1"]["even"][0].extend(terms)
+        yield data
     # an even body must be the chart transition, here 1/x: x + 1 is not a
     # monomial, and 2/x is a monomial but another one
     for body in ([{"exps": [1, 0], "coef": "1"}, {"exps": [0, 0], "coef": "1"}],

@@ -21,6 +21,7 @@ it in ``tests/test_cech.py``.
 """
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -278,27 +279,51 @@ def test_gluing_operation_compose_budget(monkeypatch):
     assert len(composed) == 56
 
 
-def test_warm_gluing_and_pipeline_make_no_laurent_arithmetic(monkeypatch):
-    # every chart change on the run path is exponent arithmetic through the
-    # cover's transport tables: once they are warm, a gluing operation and a
-    # pipeline run build, multiply, substitute and differentiate no
-    # LaurentPoly at all
-    run_gluing_case(1, (4, -1, -7))
-    pipeline_obstructed_cp2((4, -1, -7))
+def count_laurent_calls(monkeypatch) -> collections.Counter:
+    """Count every build, product, substitution and derivative of a
+    LaurentPoly and every ChartMap built or applied, by method name."""
     calls = collections.Counter()
     for owner, name in ((LaurentPoly, "__init__"), (LaurentPoly, "__mul__"),
                         (LaurentPoly, "compose"), (LaurentPoly, "partial"),
-                        (ChartMap, "apply"), (laurent, "_make")):
-        def counting(*args, _fn=getattr(owner, name), _key=name, **kwargs):
+                        (ChartMap, "__init__"), (ChartMap, "apply"), (laurent, "_make")):
+        def counting(*args, _fn=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
             calls[_key] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_warm_gluing_and_pipeline_make_no_laurent_arithmetic(monkeypatch):
+    # every chart change on the run path is exponent arithmetic through the
+    # cover's transport tables: a gluing operation and a pipeline run build,
+    # multiply, substitute and differentiate no LaurentPoly at all
+    run_gluing_case(1, (4, -1, -7))
+    pipeline_obstructed_cp2((4, -1, -7))
+    calls = count_laurent_calls(monkeypatch)
     run_gluing_case(1, (4, -1, -7))
     assert pipeline_obstructed_cp2((4, -1, -7))["status"] == "obstructed-exhibited"
     assert calls == {}
     # the counters are live
-    LaurentPoly.monomial(1, (2,)).partial(0) * LaurentPoly.one(1)
-    assert calls["__init__"] and calls["__mul__"] and calls["partial"]
+    ChartMap.identity(1).apply(LaurentPoly.monomial(1, (2,)).partial(0) * LaurentPoly.one(1))
+    assert all(calls.values()) and len(calls) == 7
+
+
+def test_cold_cover_makes_no_polynomial_objects(monkeypatch):
+    # a fresh cover reads its transport entries off the charts' exponents,
+    # and its cohomology and block solves run on them alone
+    calls = count_laurent_calls(monkeypatch)
+    for n in (1, 2):
+        cover = cech.Cover(n)
+        for kind in (cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM):
+            for a, b in itertools.product(cover.charts, repeat=2):
+                for comp in range(cech.SheafSpec(cover, kind, (0,)).ncomp):
+                    cover.transport(kind, a, b, comp)
+    spec = cech.tangent_twisted(cech.Cover(2), [-3, 2])
+    classes = cech.cohomology(spec, 1).representatives[1]
+    target = cech.random_closed_cochain(spec, random.Random(5), harmonic=classes, terms=3)
+    _, coords = cech.solve_blocks(target)
+    assert len(classes) == 1 and coords
+    assert calls == {}
 
 
 def reference_invert(sm, order):

@@ -1,13 +1,16 @@
 """Differential tests of the monomial transport layer.
 
-Every chart change moves monomials on exponents through ``Cover.transport``:
+Every chart change moves monomials on exponents through ``Cover.transport``,
+whose entries are integer arithmetic on the charts' exponent vectors:
 ``cech.represent`` moves slot data ``{(summand, comp, exps): coef}`` monomial
 by monomial, ``cech.coboundary`` and ``cech.delta_block_matrix`` move one
 slot at a time, and ``supermap._reframe`` changes between the slot frame and
 a gluing map's frame.  ``LaurentPoly.compose`` maps each term to one
 monomial; every substituted part must be a monomial.  The references below
-are the slow paths those replace, on sections (tuples over summands of tuples
-over components of ``LaurentPoly``): re-presentation by Laurent pullback,
+are the slow paths those replace, built on Laurent polynomials: the chart
+transitions as ``ChartMap``s of monomials and the line factors z_a/z_b, the
+transport entries read off them, re-presentation of sections (tuples over
+summands of tuples over components of ``LaurentPoly``) by Laurent pullback,
 Jacobian products and line factors, the coboundary built on it section by
 section, the hand-rolled Jacobian and line-factor frame changes, and
 substitution by multiplying powers.
@@ -21,10 +24,73 @@ import pytest
 
 from superthick import cech, supermap
 from superthick.bott import SplitBundleDegrees
-from superthick.laurent import LaurentPoly
+from superthick.laurent import ChartMap, LaurentPoly
 from test_acceptance import DEGREE_POOL
 
 KINDS = [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM]
+
+
+def reference_transition(cover, i, j):
+    """Chart-j coordinates z_l/z_j = (z_l/z_i) / (z_j/z_i) as monomial
+    functions of chart-i coordinates."""
+    n = cover.n
+    if i == j:
+        return ChartMap.identity(n)
+    comps = []
+    for l in cover.chart_vars(j):
+        exps = [0] * n
+        if l != i:
+            exps[cover.chart_vars(i).index(l)] += 1
+        exps[cover.chart_vars(i).index(j)] -= 1
+        comps.append(LaurentPoly.monomial(n, exps))
+    return ChartMap(comps)
+
+
+def reference_line_factor(cover, a, b, k):
+    """(z_a / z_b)^k as a chart-b monomial; re-presents O(k) data a -> b."""
+    exps = [0] * cover.n
+    if a != b:
+        exps[cover.chart_vars(b).index(a)] = k
+    return LaurentPoly.monomial(cover.n, exps)
+
+
+def reference_transport(cover, kind, a, b, comp):
+    """The ``Cover.transport`` entry read off the reference transitions: the
+    exponent rows of transition(b, a), the line vector of z_a/z_b, and the
+    Jacobian of transition(a, b) pulled back to chart b (tangent) or of
+    transition(b, a) (one-forms), one monomial per output."""
+    n = cover.n
+    f_ba = reference_transition(cover, b, a)
+    rows = []
+    for part in f_ba.components:
+        (exps, coef), = part.terms.items()
+        assert coef == 1
+        rows.append(exps)
+    (line, _), = reference_line_factor(cover, a, b, 1).terms.items()
+    if kind == cech.LINE_SUM:
+        factors = [LaurentPoly.one(n)]
+    elif kind == cech.TANGENT:
+        jac = reference_transition(cover, a, b).jacobian()
+        factors = [f_ba.apply(jac[mu][comp]) for mu in range(n)]
+    else:
+        factors = f_ba.jacobian()[comp]
+    assert all(len(factor.terms) <= 1 for factor in factors)
+    outputs = tuple((mu, exps, coef) for mu, factor in enumerate(factors)
+                    for exps, coef in factor.terms.items())
+    return tuple(rows), line, outputs
+
+
+def test_transport_matches_reference_transitions():
+    entries = 0
+    for n in (1, 2):
+        cover = cech.Cover(n)
+        for kind in KINDS:
+            for a, b in itertools.product(cover.charts, repeat=2):
+                for comp in range(cech.SheafSpec(cover, kind, (0,)).ncomp):
+                    want = reference_transport(cover, kind, a, b, comp)
+                    assert cover.transport(kind, a, b, comp) == want, (n, kind, a, b, comp)
+                    entries += 1
+    assert entries == 57
 
 
 def reference_represent(spec, sec, a, b):
@@ -34,15 +100,16 @@ def reference_represent(spec, sec, a, b):
     cover = spec.cover
     n = cover.n
     zero = LaurentPoly.zero(n)
-    f_ba = cover.transition(b, a)
+    f_ba = reference_transition(cover, b, a)
     out = []
     for s, twist in enumerate(spec.twists):
-        lf = cover.line_factor(a, b, twist)
+        lf = reference_line_factor(cover, a, b, twist)
         comps = sec[s]
         if spec.kind == cech.LINE_SUM:
             new = (lf * f_ba.apply(comps[0]),)
         elif spec.kind == cech.TANGENT:
-            jac = cover.transition(a, b).jacobian()  # d x^(b)_mu / d x^(a)_nu, chart-a args
+            # d x^(b)_mu / d x^(a)_nu, chart-a args
+            jac = reference_transition(cover, a, b).jacobian()
             new = tuple(
                 lf * sum((f_ba.apply(jac[mu][nu]) * f_ba.apply(comps[nu]) for nu in range(n)),
                          zero)
@@ -363,7 +430,7 @@ def reference_to_coefficients(cover, degrees, spec, sec, i, j):
     if i == j:
         return sec
     n = cover.n
-    jac = cover.transition(i, j).jacobian()
+    jac = reference_transition(cover, i, j).jacobian()
     out = []
     for s, comps in enumerate(sec):
         if spec.kind == cech.TANGENT:
@@ -372,7 +439,7 @@ def reference_to_coefficients(cover, degrees, spec, sec, i, j):
                 for mu in range(n)
             ))
         else:
-            zeta = cover.line_factor(j, i, degrees.degrees[spec.labels[s][1] - 1])
+            zeta = reference_line_factor(cover, j, i, degrees.degrees[spec.labels[s][1] - 1])
             out.append((comps[0] * zeta,))
     return tuple(out)
 
@@ -382,8 +449,8 @@ def reference_to_section(cover, degrees, spec, coefs, i, j):
     if i == j:
         return coefs
     n = cover.n
-    f_ij = cover.transition(i, j)
-    back = cover.transition(j, i).jacobian()  # chart-j args
+    f_ij = reference_transition(cover, i, j)
+    back = reference_transition(cover, j, i).jacobian()  # chart-j args
     out = []
     for s, raw in enumerate(coefs):
         if spec.kind == cech.TANGENT:
@@ -392,7 +459,7 @@ def reference_to_section(cover, degrees, spec, coefs, i, j):
                 for mu in range(n)
             ))
         else:
-            zeta = cover.line_factor(j, i, degrees.degrees[spec.labels[s][1] - 1])
+            zeta = reference_line_factor(cover, j, i, degrees.degrees[spec.labels[s][1] - 1])
             out.append((raw[0] * zeta.invert(),))
     return tuple(out)
 
