@@ -42,14 +42,16 @@ cover's cohomology table, holds H^q of such a block in any degree q and the
 solver of its degree-q blocks, both from one rref of the kernel of the
 degree-q block against the image of the degree-(q-1) block.  So each sign
 type is reduced once per cover, for every twist, summand, character and
-caller: ``standard_cover`` hands out one shared cover per n.  ``cohomology``
-lists the concrete characters of the types that carry classes (finitely
-many; types unbounded both ways carry none and are not listed); each
-character only fills in its slot exponents.  ``h1_representatives``,
-``windowed_dims`` and ``line_bundle_cohomology`` are views of it, and
-``solve_blocks`` reads the same records to split a cocycle into an exact part
-and class coordinates.  The window is only an optional cap on the characters
-listed, and the closed formulas cross-check every total.
+caller: ``standard_cover`` hands out one shared cover per n.
+``class_blocks`` lists the concrete characters of the types that carry
+classes (finitely many; types unbounded both ways carry none and are not
+listed) with their classes, and builds no cochain; ``cohomology`` fills in
+each character's slot exponents to make representatives.
+``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
+views of it, and ``solve_blocks`` reads the same records to split a cocycle
+into an exact part and class coordinates.  The window is only an optional
+cap on the characters listed, and the closed formulas cross-check every
+total in ``class_blocks``.
 """
 
 from __future__ import annotations
@@ -748,33 +750,48 @@ def enumerate_chars(spec: SheafSpec, summand: int, window: int | None, q: int = 
     return sorted(chars, key=lambda g: g[1:])
 
 
+def class_blocks(
+    spec: SheafSpec, q: int, window: int | None = None
+) -> tuple[list[tuple[int, Char, list[list[Fraction]]]], list[str]]:
+    """(blocks, notes): every (summand, character, classes) block with H^q.
+
+    Summands come in order and their characters as ``enumerate_chars`` lists
+    them; the classes are ``block_cohomology``'s kernel vectors, so the walk
+    reads the cover's cohomology table and builds no cochain.  ``window``
+    caps the characters listed.  The number of classes is cross-checked
+    against the closed formula per summand: with a cap, a shortfall is noted
+    as an incomplete window rather than silently truncated; without one, it
+    is a failed self-check.
+    """
+    if not 0 <= q <= spec.cover.n:
+        return [], []
+    blocks = []
+    expected = 0
+    for summand in range(spec.nsummands):
+        blocks.extend((summand, g, block_cohomology(spec, q, summand, g))
+                      for g in enumerate_chars(spec, summand, window, q))
+        expected += _summand_bott_dim(spec, summand, q)
+    found = sum(len(classes) for _, _, classes in blocks)
+    if found == expected:
+        return blocks, []
+    if window is None:
+        raise AssertionError(f"H^{q} has {found} classes, closed formula gives {expected}")
+    return blocks, [f"window incomplete: found {found} classes, closed formula gives {expected}"]
+
+
 def cohomology(spec: SheafSpec, q: int, window: int | None = None) -> CohomologyReport:
     """Kernel-mod-image basis of H^q, character by character.
 
     Each sign type's block is solved once per cover (see
     ``block_cohomology``); a concrete character reuses its type's classes and
-    only fills in its own slot exponents.  ``window`` caps the characters
-    listed.  The total is cross-checked against the closed formula per
-    summand: with a cap, a shortfall is reported as an incomplete window
-    rather than silently truncated; without one, it is a failed self-check.
+    only fills in its own slot exponents.  The blocks, the window cap and the
+    closed-formula cross-check are those of ``class_blocks``.
     """
-    if not 0 <= q <= spec.cover.n:
-        return CohomologyReport({q: 0}, {q: []}, "sign-type-linear-algebra")
+    blocks, notes = class_blocks(spec, q, window)
     reps: list[Cochain] = []
-    expected = 0
-    for summand in range(spec.nsummands):
-        for g in enumerate_chars(spec, summand, window, q):
-            slots = char_basis(spec, q, summand, g)
-            reps.extend(cochain_from_slots(spec, q, slots, vec)
-                        for vec in block_cohomology(spec, q, summand, g))
-        expected += _summand_bott_dim(spec, summand, q)
-    notes = []
-    if len(reps) != expected:
-        if window is None:
-            raise AssertionError(f"H^{q} has {len(reps)} classes, closed formula gives {expected}")
-        notes.append(
-            f"window incomplete: found {len(reps)} classes, closed formula gives {expected}"
-        )
+    for summand, g, classes in blocks:
+        slots = char_basis(spec, q, summand, g)
+        reps.extend(cochain_from_slots(spec, q, slots, vec) for vec in classes)
     return CohomologyReport(
         {q: len(reps)}, {q: reps}, "sign-type-linear-algebra", not notes, notes
     )

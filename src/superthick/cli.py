@@ -9,6 +9,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,9 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, which every ``main`` call reuses.
+
+    Parsing leaves an argparse parser unchanged.  ``--window`` defaults to
+    None, so ``SUPERTHICK_WINDOW`` is read when a pushforward runs, not here.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.fn(args)

@@ -26,11 +26,13 @@ def normalize_generator(c: Cochain) -> Cochain:
 def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
     """(summand, character) label of each class of H^2, in canonical order.
 
-    The classes are those of ``cech.cohomology(spec, 2)``, ordered by summand
-    and then by character in decreasing lexicographic order.
+    The labels are read off the cover's cohomology table by
+    ``cech.class_blocks``, which builds no representative cochain and
+    cross-checks the count against the closed formula; they are ordered by
+    summand and then by character in decreasing lexicographic order.
     """
-    labels = [next(iter(cech.cochain_chars(rep)))
-              for rep in cech.cohomology(spec, 2).representatives[2]]
+    blocks, _ = cech.class_blocks(spec, 2)
+    labels = [(summand, g) for summand, g, classes in blocks for _ in classes]
     return sorted(labels, key=lambda label: (label[0], [-e for e in label[1]]))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from superthick import cech, supermap
+from superthick import cech, cli, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.cli import main
 
@@ -197,6 +197,63 @@ def test_bad_window_values_exit_two(monkeypatch, capsys):
     for raw, window in (("-4,4", 4), ("-5,5", 5), ("7", 7), ("0", 0)):
         monkeypatch.setenv("SUPERTHICK_WINDOW", raw)
         assert default_window() == window
+
+
+def test_reused_parser_matches_fresh_parser(monkeypatch, capsys):
+    # main parses every call with one parser per process; a call mixed among
+    # others must print and exit exactly as a call through a freshly built one
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        return code, capsys.readouterr().out
+
+    def fresh(argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            return outcome(argv)
+
+    assert cli._parser() is cli._parser()
+    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
+    p1 = ["pushforward", "--degrees", "3,0,-6", "--space", "P1", "--json"]
+    bott = ["bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0"]
+    calls = [
+        (None, ["pushforward", "--degrees", "4,-1,-7", "--window", "3", "--json"]),
+        (None, ["pushforward", "--degrees", "4,-1,-7", "--json"]),
+        (None, bott + ["--json"]),
+        (None, bott),
+        (None, ["bott", "--n", "2"]),
+        (None, bott),
+        ("-4,4", p1),
+        ("6", p1),
+    ]
+    seen = []
+    for window, argv in calls:
+        if window is not None:
+            monkeypatch.setenv("SUPERTHICK_WINDOW", window)
+        reused = outcome(argv)
+        assert reused == fresh(argv), argv
+        seen.append(reused)
+    windows = [json.loads(out)["inputs"]["window"] for _, out in seen[:2] + seen[-2:]]
+    assert windows == [3, 10, 4, 6]
+    assert json.loads(seen[2][1])["outputs"] == {"dim": 1} and seen[3][1] == "1\n"
+    assert seen[4] == (2, "") and seen[5] == (0, "1\n")
+
+
+def test_subprocess_matches_in_process_bytes(monkeypatch, capsys):
+    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
+    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    run(capsys, "bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0")  # a warm parser
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTHICK_WINDOW"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-m", "superthick.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert code == 0 and json.loads(out)["outputs"]["status"] == "obstructed-exhibited"
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def split_model_json():

@@ -5,6 +5,7 @@ import pytest
 
 from superthick import cech, supermap
 from superthick.bott import SplitBundleDegrees
+from superthick.cli import main
 from superthick.obstruct import search_split_triples
 from superthick.pipeline import (
     class_coordinates,
@@ -110,7 +111,45 @@ def test_h2_basis_matches_all_negative_reader():
     assert h2_basis(spec) == line_h2_basis(spec)
 
 
-@pytest.mark.parametrize("twists", [[-3], [-5, 1], [-4, -7], [2, -6, -3]])
+def representative_h2_basis(spec):
+    """H^2 labels read back off the representative cochains of
+    ``cech.cohomology``, the reader ``h2_basis`` replaces."""
+    labels = [next(iter(cech.cochain_chars(rep)))
+              for rep in cech.cohomology(spec, 2).representatives[2]]
+    return sorted(labels, key=lambda label: (label[0], [-e for e in label[1]]))
+
+
+LINE_SUM_TWISTS = [[-3], [-5, 1], [-4, -7], [2, -6, -3]]
+
+
+def test_h2_basis_matches_representative_reader():
+    cov = cech.standard_cover(2)
+    specs = [supermap.slot_sheaf(cov, hit.degrees, d)
+             for hit in search_split_triples(-8, 8) for d in (2, 3)]
+    specs += [cech.line_sum(cov, twists) for twists in LINE_SUM_TWISTS]
+    for spec in specs:
+        labels = h2_basis(spec)
+        assert labels == representative_h2_basis(spec), spec.twists
+
+
+def test_h2_basis_keeps_the_closed_formula_check(monkeypatch, capsys):
+    spec = supermap.slot_sheaf(cech.standard_cover(2), SplitBundleDegrees((4, -1, -7)), 3)
+    h2_basis(spec)  # a warm table: the check must not live in the blocks' first build
+    bott_dim = cech._summand_bott_dim
+    monkeypatch.setattr(cech, "_summand_bott_dim",
+                        lambda spec, summand, q: bott_dim(spec, summand, q) + (q == 2))
+    with pytest.raises(AssertionError, match="closed formula"):
+        h2_basis(spec)
+    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
+    code = main(["pushforward", "--degrees", "4,-1,-7", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("internal self-check failed: H^2 has 22 classes")
+    assert len(lines) == 2 and lines[1].startswith("[")  # the timing line
+
+
+@pytest.mark.parametrize("twists", LINE_SUM_TWISTS)
 def test_class_coordinates_match_all_negative_reader(twists):
     cov = cech.standard_cover(2)
     spec = cech.line_sum(cov, twists)
