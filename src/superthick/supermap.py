@@ -19,6 +19,14 @@ mod J^(m+1), with the generalized binomial C(e, k), an integer for every
 integer e, negative ones too.  The sum is finite because each u_i has
 theta-degree at least 2.
 
+The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
+coefficients 1) have no soul, so composing with one is exponent
+substitution.  Reversed maps and conjugates are built from them by
+first-order formulas, exponent arithmetic on the deviation from S, whenever
+the degree certificate of ``invert`` makes those formulas exact
+(``normalize_inverses``, ``conjugate``); data beyond it composes.  The
+checks of gluing data always compose.
+
 Degree bookkeeping for a split bundle with degrees (k_1..k_q): the degree-1
 part of the odd components is the diagonal frame change zeta_{ij,a} =
 (z_j/z_i)^(k_a), and the degree-0 part of the even components is the chart
@@ -40,7 +48,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import cech
 from .bott import SplitBundleDegrees
@@ -243,16 +251,31 @@ def difference_is_zero(diff) -> bool:
     return not any(ev) and not any(od)
 
 
+def _first_order_exact(devs, order: int) -> bool:
+    """Whether first-order formulas in the deviations ``devs``, each a pair
+    (even, odd) of component lists, are exact mod J^(order+1).
+
+    With d_e and d_o the least theta-degrees of all even and all odd
+    components, every term such a formula neglects is a derivative of a map,
+    of degree >= min(d_e, d_o) less one per odd derivative when the map is a
+    deviation, times at least one deviation, of degree >= d_e (even) or d_o
+    (odd); a split map needs two of them, since it is linear in theta.  So
+    when d_e, d_o >= 2 every neglected term has degree at least
+    min(d_e, d_o) + min(d_e, d_o - 1), and the formula is exact when that
+    exceeds ``order``.
+    """
+    d_e, d_o = (min((len(w) for dev in devs for comp in dev[part] for w, _ in comp),
+                    default=order + 1) for part in (0, 1))
+    return min(d_e, d_o) >= 2 and min(d_e, d_o) + min(d_e, d_o - 1) > order
+
+
 def invert(sm: SuperMap, order: int) -> SuperMap:
     """Inverse modulo J^(order+1), by fixed-point iteration on the deviation.
 
-    Write sm = id + delta, with d_e and d_o the least theta-degrees of the
-    even and odd components of delta.  When d_e, d_o >= 2 and
-    min(d_e, d_o) + min(d_e, d_o - 1) > order, the first step id - delta is
-    the inverse, returned without composing.  Proof: sm o (id - delta) - id
-    is a sum of derivatives of delta, of degree >= min(d_e, d_o) less one per
-    odd derivative, times at least one shift, of degree >= d_e (even) or d_o
-    (odd); so every term has degree at least that bound.
+    Write sm = id + delta.  When ``_first_order_exact`` holds for delta, the
+    first step id - delta is the inverse, returned without composing:
+    sm o (id - delta) - id is a sum of derivatives of delta times shifts by
+    delta, the terms that certificate bounds.
     """
     if sm.source != sm.target:
         raise ValueError("only chart automorphisms are inverted here")
@@ -265,13 +288,75 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
         g = _map(sm.source, sm.target,
                  tuple(_add(x, e, -1) for x, e in zip(g.even, err_even)),
                  tuple(_add(x, e, -1) for x, e in zip(g.odd, err_odd)))
-        if step == 0:
-            d_e, d_o = (min((len(w) for comp in err for w, _ in comp), default=order + 1)
-                        for err in (err_even, err_odd))
-            if min(d_e, d_o) >= 2 and min(d_e, d_o) + min(d_e, d_o - 1) > order:
-                return g
+        if step == 0 and _first_order_exact([(err_even, err_odd)], order):
+            return g
         image = compose(sm, g, order)
     raise ValueError("automorphism is not invertible at this order")
+
+
+# ---------------------------------------------------------------------------
+# split maps and first-order moves
+
+
+def _split_exponents(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
+    """The split map i -> j as exponents: the even rows, x^row, read off the
+    transport j -> i, and the odd z_a = k_a line, x^(z_a) theta_a."""
+    rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
+    return rows, tuple(tuple(k * x for x in line) for k in degrees.degrees)
+
+
+def _split_map(i: int, j: int, split: tuple) -> SuperMap:
+    """The split map i -> j from its exponents."""
+    rows, zs = split
+    return _map(i, j, tuple({((), row): 1} for row in rows),
+                tuple({((a,), z): 1} for a, z in enumerate(zs, 1)))
+
+
+def _pull(comp: dict, split: tuple) -> dict:
+    """comp o S for a split map S, which has no soul: x^e theta_w becomes
+    x^(sum_mu e_mu row_mu + sum_(a in w) z_a) theta_w."""
+    rows, zs = split
+    out = {}
+    for (w, e), c in comp.items():
+        exps = [sum(map(mul, e, col)) for col in zip(*rows)]
+        for a in w:
+            exps = list(map(add, exps, zs[a - 1]))
+        out[(w, tuple(exps))] = c
+    return out
+
+
+def _tangent(split: tuple, vector: list, order: int) -> list:
+    """DS v: the first-order change of the split map S when its argument
+    moves by the vector v, given as components, the even ones first.
+
+    A term x^row theta_w of S moves by sum_k row_k x^(row - e_k) v^k theta_w
+    and, for w = (a,), by x^row v^a_odd.
+    """
+    rows, zs = split
+    p = len(rows)
+    out = []
+    for w, row in [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]:
+        moves = [(r, tuple(x - (n == k) for n, x in enumerate(row)), vector[k], w)
+                 for k, r in enumerate(row) if r]
+        acc: dict = {}
+        for r, shift, comp, word in moves + [(1, row, vector[p + a - 1], ()) for a in w]:
+            for (u, e), c in comp.items():
+                sign = merge_sign(u, word)
+                if sign and len(u) + len(word) <= order:
+                    key = (tuple(sorted(u + word)), tuple(map(add, e, shift)))
+                    acc[key] = acc.get(key, 0) + sign * r * c
+        out.append({key: c for key, c in acc.items() if c})
+    return out
+
+
+def _moved(sm: SuperMap, parts, order: int) -> SuperMap:
+    """sm plus sign times each list of components (the even ones first) in
+    ``parts``, mod J^(order+1), with integral coefficients as ints."""
+    comps = sm.even + sm.odd
+    for sign, part in parts:
+        comps = [_add(g, move, sign) for g, move in zip(comps, part)]
+    comps = [{key: _coerce(c) for key, c in _truncate(g, order).items()} for g in comps]
+    return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +384,8 @@ def split_trivialization(
 ) -> Trivialization:
     """The chart transitions with odd frame changes zeta_{ij,a}: the exponent
     rows and the line vector of ``Cover.transport`` from j to i."""
-    maps = {}
-    for i, j in itertools.permutations(cover.charts, 2):
-        rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
-        even = tuple({((), row): 1} for row in rows)
-        odd = tuple({((a,), tuple(k * x for x in line)): 1}
-                    for a, k in enumerate(degrees.degrees, 1))
-        maps[(i, j)] = _map(i, j, even, odd)
+    maps = {(i, j): _split_map(i, j, _split_exponents(cover, degrees, i, j))
+            for i, j in itertools.permutations(cover.charts, 2)}
     return Trivialization(cover, degrees, order, maps)
 
 
@@ -385,7 +465,7 @@ def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
         else:
             word, a = spec.labels[s]
             part, key = odd[a - 1], (word, e)
-        total = part.get(key, 0) + c
+        total = _coerce(part.get(key, 0) + c)
         if total:
             part[key] = total
         else:
@@ -429,17 +509,46 @@ def normalize_inverses(t: Trivialization) -> Trivialization:
     Data on sorted pairs is authoritative; making the reversed maps exact
     inverses one order beyond the truncation is what turns the raw
     composition defect on permuted triples into an honest alternating
-    cochain.  This is the one place reversed maps are made: the old ones
-    only seed the inversion, and the inverse mod J^(order+2) is unique.
+    cochain.  This is the one place reversed maps are made, and the inverse
+    mod J^(order+2) is unique.
+
+    Write fwd = S_ij + delta, S the split maps, which have no soul, so
+    composing with one is exponent substitution.  When ``_first_order_exact``
+    holds for delta at the precision, the inverse is S_ji - D o S_ji, where
+    D = DS_ji delta, at the point S_ij, is the first-order part of
+    S_ji o fwd - id: sum_mu R_(nu mu) x^(e_nu - r_mu) delta^mu on even nu,
+    and x^(-z_a) delta_odd^a + (sum_mu z'_(a mu) u_mu) theta_a on odd a, with
+    u_mu = delta^mu / x^(r_mu), x^(r_mu) and x^(z_a) theta_a the split map
+    S_ij, and R, z' the exponents of S_ji.  Since S_ij o S_ji = id,
+    D o S_ji = DS_ji (delta o S_ji), with the derivative at the identity,
+    which is how it is computed.  Proof: (S_ji - D o S_ji) o fwd =
+    (id - D) o (id + D + H), with H the rest of S_ji o fwd - id, whose terms
+    are products of two shifts by delta.  This differs from id by H and by
+    derivatives of D times D + H; D has least degrees d_e and
+    min(d_o, d_e + 1), and the certificate bounds both kinds.  Otherwise, as
+    for order-3 rank-4 data at precision 4, the old reversed map seeds an
+    inversion by ``compose`` and ``invert``.
     """
     precision = t.order + 1
     new_maps = dict(t.maps)
     for (i, j) in t.cover.pairs:
-        fwd = t.maps[(i, j)]
-        seed = t.maps[(j, i)]
-        around = compose(fwd, seed, precision)  # chart-j automorphism
-        new_maps[(j, i)] = compose(seed, invert(around, precision), precision)
+        new_maps[(j, i)], exact = _first_order_inverse(t, i, j, precision)
+        if not exact:
+            fwd, seed = t.maps[(i, j)], t.maps[(j, i)]
+            around = compose(fwd, seed, precision)  # chart-j automorphism
+            new_maps[(j, i)] = compose(seed, invert(around, precision), precision)
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
+
+
+def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> tuple:
+    """S_ji - DS_ji (delta o S_ji) for the map i -> j (see
+    ``normalize_inverses``), and whether ``_first_order_exact`` makes it the
+    inverse mod J^(precision+1)."""
+    there, back = (_split_exponents(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
+    even, odd = map_difference(t.maps[(i, j)], _split_map(i, j, there))
+    move = _tangent(back, [_pull(g, back) for g in even + odd], precision)
+    return (_moved(_split_map(j, i, back), [(-1, move)], precision),
+            _first_order_exact([(even, odd)], precision))
 
 
 def build_trivialization(
@@ -639,25 +748,48 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
     """Conjugated trivialisation lam_j o rho_ij o lam_i^(-1), same order.
 
     Each lam must be an invertible chart automorphism equal to the identity
-    mod J^2.  Only the sorted-pair maps are conjugated, so only the lam of
-    their source charts are inverted; ``normalize_inverses`` remakes the rest.
+    mod J^2.  Only the sorted-pair maps are conjugated, one order beyond the
+    truncation; ``normalize_inverses`` remakes the rest.
+
+    Write lam_c = id + nu_c and rho_ij = S_ij + delta.  When
+    ``_first_order_exact`` holds for all nu_c and delta together at the
+    precision, the conjugate is rho_ij + nu_j o S_ij - DS_ij nu_i, where
+    nu_j o S_ij is exponent substitution and DS_ij nu_i is ``_tangent``.
+    Proof: lam_i^(-1) = id - nu_i, as ``invert`` certifies.  The conjugate
+    differs from the sum by three kinds of terms: second derivatives of S_ij
+    times two shifts by nu_i, derivatives of delta times nu_i, and
+    derivatives of nu_j times rho_ij o (id - nu_i) - S_ij, whose least even
+    and odd degrees are d_e and min(d_o, d_e + 1).  The certificate bounds
+    all three.  Otherwise the lam of the sorted pairs' source charts are
+    inverted and everything is composed.
     """
     m = t.order
     p, q = t.p, t.q
+    nu = {}
     for c, sm in lam.items():
         if sm.source != c or sm.target != c:
             raise ValueError("lam must consist of chart automorphisms")
-        dev_even, dev_odd = map_difference(sm, identity_map(c, p, q))
-        if any(len(w) <= 1 for g in dev_even + dev_odd for w, _ in g):
+        nu[c] = map_difference(sm, identity_map(c, p, q))
+        if any(len(w) <= 1 for g in nu[c][0] + nu[c][1] for w, _ in g):
             raise ValueError("lam must restrict to the identity mod J^2")
     # conjugating one order beyond the truncation carries the induced
     # degree-(m+1) coefficients along
     precision = m + 1
-    inverses = {c: invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
+    splits = {(i, j): _split_exponents(t.cover, t.degrees, i, j) for i, j in t.cover.pairs}
+    devs = [map_difference(t.maps[pair], _split_map(*pair, split))
+            for pair, split in splits.items()]
+    devs += [nu[c] for c in {c for pair in t.cover.pairs for c in pair}]
     new_maps = dict(t.maps)
-    for (i, j) in t.cover.pairs:
-        new_maps[(i, j)] = compose(lam[j], compose(t.maps[(i, j)], inverses[i], precision),
-                                   precision)
+    if _first_order_exact(devs, precision):
+        for (i, j), split in splits.items():
+            new_maps[(i, j)] = _moved(t.maps[(i, j)], [
+                (1, [_pull(g, split) for g in nu[j][0] + nu[j][1]]),
+                (-1, _tangent(split, nu[i][0] + nu[i][1], precision))], precision)
+    else:
+        inverses = {c: invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
+        for (i, j) in t.cover.pairs:
+            new_maps[(i, j)] = compose(lam[j], compose(t.maps[(i, j)], inverses[i], precision),
+                                       precision)
     return normalize_inverses(Trivialization(t.cover, t.degrees, m, new_maps))
 
 

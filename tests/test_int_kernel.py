@@ -14,7 +14,11 @@ coefficient; it still checks ``substitute_nilpotent``.
 
 ``supermap.invert`` returns the first-order inverse id - delta without
 composing when a degree bound certifies it; ``reference_invert`` is the
-fixed-point loop that confirms every step by a ``compose``.
+fixed-point loop that confirms every step by a ``compose``.  Under the same
+bound ``supermap.normalize_inverses`` and ``supermap.conjugate`` build their
+maps by first-order formulas on the split maps; ``reference_normalize_inverses``
+and ``reference_conjugate`` are the compose-and-invert bodies they replaced,
+which still serve data beyond the bound.
 ``reference_solve`` is the exact solve that ``cech.solve_blocks`` ran per
 block, one rref of [matrix | rhs]; the cached block solver is checked against
 it in ``tests/test_cech.py``.
@@ -205,16 +209,10 @@ def test_compose_matches_per_coefficient_reference(p, q, order):
     assert supermap.compose(g, f, order) == reference_compose(g, f, order)
 
 
-def run_gluing_case(seed: int, degrees: tuple):
-    """One seeded case of the acceptance pool with the checks of a gluing
-    benchmark operation: build, gamma, conjugate, torsor shift and witness.
-    Returns gamma."""
-    rng = random.Random(seed)
+def gluing_checks(degrees, omega, nu):
+    """The checks of a gluing benchmark operation on one case: build, gamma,
+    conjugate, torsor shift and witness.  Returns gamma."""
     cover = cech.standard_cover(2)
-    degrees = SplitBundleDegrees(degrees)
-    spec = supermap.slot_sheaf(cover, degrees, 2)
-    omega = cech.random_closed_cochain(spec, rng)
-    nu = cech.random_cochain(spec, 0, rng, terms=2)
     t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
     gamma = supermap.obstruction_cocycle(t)
     assert supermap.verify_gamma_cocycle(gamma, t)["pass"]
@@ -226,6 +224,29 @@ def run_gluing_case(seed: int, degrees: tuple):
     shifted = supermap.act_torsor(t, cech.coboundary(nu))
     assert supermap.equivalence_witness(t, shifted) is not None
     return gamma
+
+
+def run_gluing_case(seed: int, degrees: tuple):
+    """One seeded case of the acceptance pool through ``gluing_checks``."""
+    rng = random.Random(seed)
+    degrees = SplitBundleDegrees(degrees)
+    spec = supermap.slot_sheaf(cech.standard_cover(2), degrees, 2)
+    omega = cech.random_closed_cochain(spec, rng)
+    nu = cech.random_cochain(spec, 0, rng, terms=2)
+    return gluing_checks(degrees, omega, nu)
+
+
+def gluing_pool(seed: int) -> list:
+    """The cases (degrees, omega, nu) of the gluing benchmark workload for one
+    seed, drawn as ``perfbench/workloads.py`` draws them: 8 per pool triple."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(8 * len(DEGREE_POOL)):
+        degrees = SplitBundleDegrees(DEGREE_POOL[i % len(DEGREE_POOL)])
+        spec = supermap.slot_sheaf(cech.standard_cover(2), degrees, 2)
+        omega = cech.random_closed_cochain(spec, rng)
+        cases.append((degrees, omega, cech.random_cochain(spec, 0, rng, terms=2)))
+    return cases
 
 
 def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
@@ -240,7 +261,7 @@ def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
 
     monkeypatch.setattr(supermap, "compose", recording)
     assert not run_gluing_case(1, DEGREE_POOL[1]).is_zero()
-    assert len(calls) > 50
+    assert len(calls) == 20
     assert any(type(c) is Fraction for *_, out in calls for comp in out.even for c in comp.values())
     for g, f, order, out in calls:
         assert out == reference_compose(g, f, order)
@@ -271,12 +292,15 @@ def record_inverts(monkeypatch, stage: list) -> tuple:
 
 
 def test_gluing_operation_compose_budget(monkeypatch):
-    # one (4,-1,-7) operation: 16 inverses, all certified without composing;
-    # 72 compose calls when each inverse confirmed itself by one compose
+    # one (4,-1,-7) operation: reversed and conjugated maps come from the
+    # first-order formulas, so no inverse is taken and only the checks
+    # compose: gamma and its check (1 + 6), the conjugate's residual and
+    # gamma (6 + 1) and the torsor shift's residual (6); 56 composes and 16
+    # inverses when those maps were composed
     composed, inverted = record_inverts(monkeypatch, ["operation"])
     run_gluing_case(1, (4, -1, -7))
-    assert len(inverted) == 16 and all(n == 0 for *_, n, _ in inverted)
-    assert len(composed) == 56
+    assert not inverted
+    assert len(composed) == 20
 
 
 def count_laurent_calls(monkeypatch) -> collections.Counter:
@@ -348,10 +372,12 @@ def assert_inverse(sm, inv, order):
 
 def test_invert_matches_reference_on_every_call_of_gluing_and_rank4_extension(monkeypatch):
     # every invert call of one seeded case per pool triple, then of rank-4
-    # data: extend_by_zero, whose reversed maps are already exact one order
-    # up, so the deviation has degree 4 and the certificate holds; and an
-    # order-3 build from the split reversed maps, where the deviation has
-    # degree 2, the bound 2 + 2 does not exceed the precision 4, and the loop runs
+    # data.  Order-2 gluing inverts nothing: its reversed and conjugated maps
+    # are first-order formulas.  extend_by_zero composes, and its reversed
+    # maps are already exact one order up, so the deviation has degree 4 and
+    # the certificate holds; an order-3 build from the split reversed maps
+    # has a degree-2 deviation, the bound 2 + 2 does not exceed the
+    # precision 4, and the loop runs
     stage = ["gluing"]
     _, calls = record_inverts(monkeypatch, stage)
     for seed, degrees in enumerate(DEGREE_POOL):
@@ -371,11 +397,133 @@ def test_invert_matches_reference_on_every_call_of_gluing_and_rank4_extension(mo
     loops = {}
     for _, order, _, n, name in calls:
         loops.setdefault(name, set()).add((order, n > 0))
-    assert loops == {"gluing": {(3, False)}, "extend": {(4, False)}, "order 3": {(4, True)}}
-    assert sum(name == "gluing" for *_, name in calls) == 16 * len(DEGREE_POOL) + 2 * 3
+    assert loops == {"extend": {(4, False)}, "order 3": {(4, True)}}
+    assert sum(name == "extend" for *_, name in calls) == 2 * 3
     for sm, order, out, *_ in calls:
         assert out == reference_invert(sm, order)
         assert_inverse(sm, out, order)
+
+
+def reference_normalize_inverses(t):
+    """Reversed maps by composing: the old reversed map seeds an inversion of
+    the chart-j automorphism fwd o seed."""
+    precision = t.order + 1
+    new_maps = dict(t.maps)
+    for (i, j) in t.cover.pairs:
+        fwd, seed = t.maps[(i, j)], t.maps[(j, i)]
+        around = supermap.compose(fwd, seed, precision)
+        new_maps[(j, i)] = supermap.compose(seed, supermap.invert(around, precision), precision)
+    return supermap.Trivialization(t.cover, t.degrees, t.order, new_maps)
+
+
+def reference_conjugate(t, lam):
+    """lam_j o rho_ij o lam_i^(-1) on sorted pairs by composing, one order
+    beyond the truncation, then ``reference_normalize_inverses``."""
+    precision = t.order + 1
+    inverses = {c: supermap.invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
+    new_maps = dict(t.maps)
+    for (i, j) in t.cover.pairs:
+        inner = supermap.compose(t.maps[(i, j)], inverses[i], precision)
+        new_maps[(i, j)] = supermap.compose(lam[j], inner, precision)
+    return reference_normalize_inverses(
+        supermap.Trivialization(t.cover, t.degrees, t.order, new_maps))
+
+
+REFERENCES = {"normalize_inverses": reference_normalize_inverses,
+              "conjugate": reference_conjugate}
+
+
+def record_gluing_maps(monkeypatch) -> list:
+    """Wrap normalize_inverses and conjugate; each call is recorded as
+    (name, arguments, result, number of compose calls it made)."""
+    calls, composed = [], [0]
+    kernel = supermap.compose
+
+    def counting(g, f, order):
+        composed[0] += 1
+        return kernel(g, f, order)
+
+    monkeypatch.setattr(supermap, "compose", counting)
+    for name in REFERENCES:
+        def recording(*args, _fn=getattr(supermap, name), _name=name):
+            before = composed[0]
+            out = _fn(*args)
+            calls.append((_name, args, out, composed[0] - before))
+            return out
+        monkeypatch.setattr(supermap, name, recording)
+    return calls
+
+
+def test_first_order_maps_match_compose_on_every_gluing_call(monkeypatch):
+    # every normalize_inverses and conjugate call of the gluing benchmark's
+    # seed-1 cases and of one seeded case per pool triple meets the
+    # certificate, so none composes, and each equals the compose path, with
+    # an int wherever a coefficient is integral
+    calls = record_gluing_maps(monkeypatch)
+    for case in gluing_pool(1):
+        gluing_checks(*case)
+    for seed, degrees in enumerate(DEGREE_POOL):
+        run_gluing_case(seed, degrees)
+    monkeypatch.undo()
+    cases = 9 * len(DEGREE_POOL)
+    assert collections.Counter(name for name, *_ in calls) == {
+        "normalize_inverses": 4 * cases, "conjugate": 2 * cases}
+    assert all(n == 0 for *_, n in calls)
+    values = [c for _, _, out, _ in calls for sm in out.maps.values() for c in coefficients(sm)]
+    assert all(type(c) is int or c.denominator > 1 for c in values)
+    assert any(type(c) is Fraction for c in values)
+    for name, args, out, _ in calls:
+        assert out.maps == REFERENCES[name](*args).maps
+
+
+def test_rank4_order3_maps_take_the_compose_path(monkeypatch):
+    # degree-2 data at precision 4 is beyond the bound 2 + 2: extend_by_zero,
+    # an order-3 build and an order-3 conjugate compose, and equal the
+    # references; the order-2 builds of the same data do not compose
+    calls = record_gluing_maps(monkeypatch)
+    cover = cech.standard_cover(2)
+    rng = random.Random(4)
+    for degrees in map(SplitBundleDegrees, [(2, 1, -1, -3), (3, 0, 0, -2)]):
+        spec = supermap.slot_sheaf(cover, degrees, 2)
+        omega = cech.random_closed_cochain(spec, rng)
+        supermap.extend_by_zero(supermap.build_trivialization(cover, degrees, 2, {2: omega}))
+        t = supermap.build_trivialization(cover, degrees, 3, {2: omega})
+        nu = cech.random_cochain(spec, 0, rng, terms=2)
+        supermap.conjugate(t, supermap.automorphism_from_increment(cover, degrees, 3, nu, 2))
+    monkeypatch.undo()
+    assert {(name, args[0].order, n > 0) for name, args, _, n in calls} == {
+        ("normalize_inverses", 2, False), ("normalize_inverses", 3, True), ("conjugate", 3, True)}
+    for name, args, out, _ in calls:
+        assert out.maps == REFERENCES[name](*args).maps
+
+
+def test_normalize_inverses_composes_where_the_first_order_inverse_is_not_exact():
+    # on P^1 with rank 4, fwd = S + x^-2 th1 th2 + th3 th4 at precision 4:
+    # d_e = 2, no odd deviation, bound 2 + 2 = 4, which does not exceed the
+    # precision; S_10 - D o S_10 misses the square of the shift, a
+    # th1 th2 th3 th4 term, and the compose path returns the exact inverse
+    cover = cech.standard_cover(1)
+    degrees = SplitBundleDegrees((1, 0, -1, -2))
+    split = supermap.split_trivialization(cover, degrees, 3)
+    fwd = split.maps[(0, 1)]
+    fwd = SuperMap(0, 1, (supermap._add(fwd.even[0], {((1, 2), (-2,)): 1, ((3, 4), (0,)): 1}),),
+                   fwd.odd)
+    t = supermap.Trivialization(cover, degrees, 3, {**split.maps, (0, 1): fwd})
+    first, exact = supermap._first_order_inverse(t, 0, 1, 4)
+    assert not exact
+    ident = supermap.identity_map(0, 1, 4)
+    even, odd = supermap.map_difference(supermap.compose(first, fwd, 4), ident)
+    assert even == [{((1, 2, 3, 4), (1,)): -2}] and not any(odd)
+    rev = supermap.normalize_inverses(t).maps[(1, 0)]
+    assert rev != first
+    assert rev == reference_normalize_inverses(t).maps[(1, 0)]
+    for out in (supermap.compose(rev, fwd, 4), supermap.compose(fwd, rev, 4)):
+        assert supermap.difference_is_zero(
+            supermap.map_difference(out, supermap.identity_map(out.source, 1, 4)))
+    # one order lower the bound exceeds the precision: S_10 - D o S_10 is exact
+    low = supermap.Trivialization(cover, degrees, 2, t.maps)
+    assert supermap._first_order_inverse(low, 0, 1, 3) == (first, True)
+    assert supermap.normalize_inverses(low).maps[(1, 0)] == first
 
 
 def test_invert_iterates_where_the_first_order_inverse_is_not_exact():

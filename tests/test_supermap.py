@@ -398,15 +398,50 @@ def test_conjugate_rejects_non_admissible():
 def test_reversed_maps_do_not_depend_on_their_seed():
     # normalize_inverses makes every reversed map as the exact inverse mod
     # J^(order+2), which is unique: seeding it with the built maps or with the
-    # split model's gives the same maps
+    # split model's gives the same maps.  Order-2 data takes the first-order
+    # formula, which reads no seed; order-3 rank-4 data composes from the seed
     rng = random.Random(15)
-    for degrees in map(SplitBundleDegrees, DEGREE_POOL):
-        t = sm.build_trivialization(COV2, degrees, 2, {2: closed_slot2(rng, degrees)})
-        split = sm.split_trivialization(COV2, degrees, 2)
+    cases = [(SplitBundleDegrees(d), 2) for d in DEGREE_POOL]
+    for degrees, order in cases + [(SplitBundleDegrees((2, 1, -1, -3)), 3)]:
+        omega = closed_slot2(rng, degrees)
+        t = sm.build_trivialization(COV2, degrees, order, {2: omega})
+        split = sm.split_trivialization(COV2, degrees, order)
         reseeded = {**t.maps, **{(j, i): split.maps[(j, i)] for i, j in COV2.pairs}}
         assert reseeded != t.maps, degrees
-        other = sm.normalize_inverses(sm.Trivialization(COV2, degrees, 2, reseeded))
+        other = sm.normalize_inverses(sm.Trivialization(COV2, degrees, order, reseeded))
         assert sm.normalize_inverses(t).maps == other.maps == t.maps, degrees
+
+
+def rand_component(rng, p, q, parity):
+    """A flat component of one parity: up to four terms with negative
+    exponents and Fraction coefficients."""
+    comp = {}
+    for _ in range(rng.randint(0, 4)):
+        word = tuple(sorted(rng.sample(range(1, q + 1), rng.randrange(parity, q + 1, 2))))
+        exps = tuple(rng.randint(-3, 3) for _ in range(p))
+        comp[(word, exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return comp
+
+
+def test_flat_algebra_laws():
+    # the component algebra under compose and the first-order gluing maps:
+    # associativity, the graded-commutativity sign, distributivity over _add,
+    # truncation as a ring map and a - a == 0, on seeded homogeneous components
+    rng = random.Random(1616)
+    for _ in range(400):
+        p, q = rng.choice([(1, 3), (2, 3), (2, 4), (1, 5)])
+        pa, pb = rng.randrange(2), rng.randrange(2)
+        a, b, d = (rand_component(rng, p, q, parity) for parity in (pa, pb, pb))
+        c = rand_component(rng, p, q, rng.randrange(2))
+        m = rng.randrange(q + 1)
+        wedge = sm._wedge
+        assert wedge(wedge(a, b, m), c, m) == wedge(a, wedge(b, c, m), m)
+        sign = -1 if pa and pb else 1
+        assert wedge(a, b, q) == {key: sign * v for key, v in wedge(b, a, q).items()}
+        assert wedge(a, sm._add(b, d), q) == sm._add(wedge(a, b, q), wedge(a, d, q))
+        assert sm._truncate(wedge(a, b, q), m) == wedge(sm._truncate(a, m), sm._truncate(b, m), m)
+        assert sm._add(a, a, -1) == {}
+        assert sm._add(sm._add(a, b), b, -1) == a
 
 
 def test_p1_extensions_always_unobstructed():
