@@ -9,7 +9,7 @@ cochain, and conjugating by chart automorphisms.
 import random
 
 from superthick import cech, supermap as sm
-from superthick.bott import SplitBundleDegrees
+from superthick.bott import SplitBundleDegrees, split_sheaf_dims
 from superthick.pipeline import class_coordinates, h2_basis
 
 
@@ -20,8 +20,9 @@ def main():
     spec = sm.slot_sheaf(cover, degrees, 2)
 
     print("First-order extension classes for E = O(4) + O(-1) + O(-7):")
-    h1 = cech.h1_representatives(spec, window=6)
-    print(f"  dim H^1 = {h1.dims[1]} (certified by the closed formula: {h1.complete})")
+    h1 = cech.h1_representatives(spec)
+    closed, _ = split_sheaf_dims(degrees, "tangent_wedge", 1, m=2)
+    print(f"  dim H^1 = {h1.dims[1]} (certified by the closed formula: {h1.dims[1] == closed})")
     omega = h1.representatives[1][0]
 
     t = sm.build_trivialization(cover, degrees, 2, {2: omega})

@@ -43,22 +43,21 @@ solver of its degree-q blocks, both from one rref of the kernel of the
 degree-q block against the image of the degree-(q-1) block.  So each sign
 type is reduced once per cover, for every twist, summand, character and
 caller: ``standard_cover`` hands out one shared cover per n.
-``class_blocks`` lists the concrete characters of the types that carry
+``class_blocks`` lists every concrete character of the types that carry
 classes (finitely many; types unbounded both ways carry none and are not
 listed) with their classes, and builds no cochain; ``cohomology`` fills in
 each character's slot exponents to make representatives.
-``h1_representatives``, ``windowed_dims`` and ``line_bundle_cohomology`` are
-views of it, and ``solve_blocks`` reads the same records to split a cocycle
-into an exact part and class coordinates.  The window is only an optional
-cap on the characters listed, and the closed formulas cross-check every
-total in ``class_blocks``.
+``h1_representatives`` and ``line_bundle_cohomology`` are views of it, and
+``solve_blocks`` reads the same records to split a cocycle into an exact part
+and class coordinates.  The closed formulas cross-check every total in
+``class_blocks``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
@@ -604,8 +603,6 @@ class CohomologyReport:
     dims: dict[int, int]
     representatives: dict[int, list[Cochain]]
     method: str
-    complete: bool = True
-    notes: list[str] = field(default_factory=list)
 
 
 def _compositions(total: int, parts: int, lower: int):
@@ -684,10 +681,6 @@ def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
     return chars
 
 
-def _in_window(g: Char, window: int | None) -> bool:
-    return window is None or all(-window <= e <= window for e in g)
-
-
 def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char) -> list[list[Fraction]]:
     """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
@@ -735,76 +728,62 @@ def _type_record(spec: SheafSpec, q: int, summand: int, g: Char) -> tuple:
     return table[key]
 
 
-def enumerate_chars(spec: SheafSpec, summand: int, window: int | None, q: int = 1) -> list[Char]:
-    """Candidate characters of one summand: those whose block has H^q.
+def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> list[tuple[Char, list]]:
+    """(character, classes) for every character of one summand whose block
+    has H^q, ordered by g[1:].
 
-    H^q is read per sign type from the cover's cohomology table; the concrete
-    characters of the types with classes are listed, capped to entries in
-    [-window, window] unless window is None, and ordered by g[1:].
+    H^q is read once per sign type from the cover's cohomology table, and
+    every concrete character of a type with classes shares them.
     """
     twist = spec.twists[summand]
-    chars = []
+    found = []
     for sign_type, g in _sign_types(spec.cover.n, twist):
-        if block_cohomology(spec, q, summand, g):
-            chars.extend(c for c in _type_chars(sign_type, twist) if _in_window(c, window))
-    return sorted(chars, key=lambda g: g[1:])
+        classes = block_cohomology(spec, q, summand, g)
+        if classes:
+            found.extend((c, classes) for c in _type_chars(sign_type, twist))
+    return sorted(found, key=lambda pair: pair[0][1:])
 
 
-def class_blocks(
-    spec: SheafSpec, q: int, window: int | None = None
-) -> tuple[list[tuple[int, Char, list[list[Fraction]]]], list[str]]:
-    """(blocks, notes): every (summand, character, classes) block with H^q.
+def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[Fraction]]]]:
+    """Every (summand, character, classes) block with H^q.
 
     Summands come in order and their characters as ``enumerate_chars`` lists
     them; the classes are ``block_cohomology``'s kernel vectors, so the walk
-    reads the cover's cohomology table and builds no cochain.  ``window``
-    caps the characters listed.  The number of classes is cross-checked
-    against the closed formula per summand: with a cap, a shortfall is noted
-    as an incomplete window rather than silently truncated; without one, it
-    is a failed self-check.
+    reads the cover's cohomology table and builds no cochain.  The number of
+    classes is cross-checked against the closed formula; a difference is a
+    failed self-check.
     """
     if not 0 <= q <= spec.cover.n:
-        return [], []
+        return []
     blocks = []
     expected = 0
     for summand in range(spec.nsummands):
-        blocks.extend((summand, g, block_cohomology(spec, q, summand, g))
-                      for g in enumerate_chars(spec, summand, window, q))
+        blocks.extend((summand, g, classes) for g, classes in enumerate_chars(spec, summand, q))
         expected += _summand_bott_dim(spec, summand, q)
     found = sum(len(classes) for _, _, classes in blocks)
-    if found == expected:
-        return blocks, []
-    if window is None:
+    if found != expected:
         raise AssertionError(f"H^{q} has {found} classes, closed formula gives {expected}")
-    return blocks, [f"window incomplete: found {found} classes, closed formula gives {expected}"]
+    return blocks
 
 
-def cohomology(spec: SheafSpec, q: int, window: int | None = None) -> CohomologyReport:
+def cohomology(spec: SheafSpec, q: int) -> CohomologyReport:
     """Kernel-mod-image basis of H^q, character by character.
 
     Each sign type's block is solved once per cover (see
     ``block_cohomology``); a concrete character reuses its type's classes and
-    only fills in its own slot exponents.  The blocks, the window cap and the
-    closed-formula cross-check are those of ``class_blocks``.
+    only fills in its own slot exponents.  The blocks and the closed-formula
+    cross-check are those of ``class_blocks``.
     """
-    blocks, notes = class_blocks(spec, q, window)
     reps: list[Cochain] = []
-    for summand, g, classes in blocks:
+    for summand, g, classes in class_blocks(spec, q):
         slots = char_basis(spec, q, summand, g)
         reps.extend(cochain_from_slots(spec, q, slots, vec) for vec in classes)
-    return CohomologyReport(
-        {q: len(reps)}, {q: reps}, "sign-type-linear-algebra", not notes, notes
-    )
+    return CohomologyReport({q: len(reps)}, {q: reps}, "sign-type-linear-algebra")
 
 
-def h1_representatives(spec: SheafSpec, window: int = 10) -> CohomologyReport:
-    """H^1 with at most ``window`` in absolute value per character entry."""
-    return cohomology(spec, 1, window)
-
-
-def windowed_dims(spec: SheafSpec, window: int = 10) -> dict[int, int]:
-    """All cohomology dimensions of the complex, counting characters in the window."""
-    return {q: cohomology(spec, q, window).dims[q] for q in range(spec.cover.n + 1)}
+def h1_representatives(spec: SheafSpec) -> CohomologyReport:
+    """H^1 with one representative per class, over every character."""
+    return cohomology(spec, 1)
 
 
 def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:

@@ -11,33 +11,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
 from . import __version__, cech, supermap
 from .bott import SplitBundleDegrees, bott_dim
 from .obstruct import check_split_conditions, search_split_triples, sufficient_l_nonsplit
-from .pipeline import pipeline_obstructed_cp2
+from .pipeline import DEFAULT_WINDOW, pipeline_obstructed_cp2
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_SELF_CHECK = 3
-
-
-def default_window() -> int:
-    """The window from SUPERTHICK_WINDOW, written W or -W,W with W >= 0."""
-    raw = os.environ.get("SUPERTHICK_WINDOW", "-10,10")
-    try:
-        bounds = [int(x) for x in raw.split(",")]
-    except ValueError as err:
-        raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r}") from err
-    if len(bounds) == 2 and bounds[0] == -bounds[1]:
-        bounds = bounds[1:]
-    if len(bounds) != 1 or bounds[0] < 0:
-        raise ValueError(f"bad SUPERTHICK_WINDOW: {raw!r} (want W or -W,W with W >= 0)")
-    return bounds[0]
 
 
 def emit(args, payload: dict, human: str):
@@ -140,12 +125,11 @@ def cmd_gamma(args) -> int:
 
 def cmd_pushforward(args) -> int:
     degrees = parse_degrees(args.degrees)
-    window = default_window() if args.window is None else args.window
-    if window < 0:
-        raise ValueError(f"--window must be nonnegative, got {window}")
-    report = pipeline_obstructed_cp2(degrees.degrees, window=window, space=args.space)
+    if args.window < 0:
+        raise ValueError(f"--window must be nonnegative, got {args.window}")
+    report = pipeline_obstructed_cp2(degrees.degrees, window=args.window, space=args.space)
     payload = {"command": "pushforward", "inputs": {"degrees": list(degrees.degrees),
-               "window": window, "space": args.space}, "outputs": report,
+               "window": args.window, "space": args.space}, "outputs": report,
                "exact": report.get("exact", True)}
     human = [f"status: {report['status']}"]
     if "classes" in report:
@@ -215,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pushforward", cmd_pushforward,
             help="end-to-end obstructedness certificate for split degrees")
     p.add_argument("--degrees", required=True, help="k1,k2,k3")
-    p.add_argument("--window", type=int, default=None,
-                   help="character window (default: SUPERTHICK_WINDOW, else 10)")
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                   help=f"cap on the H^1 characters used (default {DEFAULT_WINDOW})")
     p.add_argument("--space", choices=("P1", "P2"), default="P2")
 
     p = add("sufficient-l", cmd_sufficient_l,
@@ -228,11 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, which every ``main`` call reuses.
-
-    Parsing leaves an argparse parser unchanged.  ``--window`` defaults to
-    None, so ``SUPERTHICK_WINDOW`` is read when a pushforward runs, not here.
-    """
+    """The one parser of this process, which every ``main`` call reuses:
+    parsing leaves an argparse parser unchanged."""
     return build_parser()
 
 

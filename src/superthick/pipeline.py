@@ -15,6 +15,8 @@ from .cech import Cochain
 from .laurent import fraction_to_str
 from .obstruct import check_split_conditions
 
+DEFAULT_WINDOW = 10
+
 
 def normalize_generator(c: Cochain) -> Cochain:
     """Scale so the first nonzero coefficient in canonical order is 1."""
@@ -31,8 +33,7 @@ def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
     cross-checks the count against the closed formula; they are ordered by
     summand and then by character in decreasing lexicographic order.
     """
-    blocks, _ = cech.class_blocks(spec, 2)
-    labels = [(summand, g) for summand, g, classes in blocks for _ in classes]
+    labels = [(summand, g) for summand, g, classes in cech.class_blocks(spec, 2) for _ in classes]
     return sorted(labels, key=lambda label: (label[0], [-e for e in label[1]]))
 
 
@@ -52,7 +53,12 @@ def class_coordinates(gamma: Cochain, basis: list[tuple[int, tuple]]) -> tuple[l
     return basis, coords
 
 
-def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dict:
+def in_window(c: Cochain, window: int) -> bool:
+    """Whether every character entry of the cochain lies in [-window, window]."""
+    return all(-window <= e <= window for _, g in cech.cochain_chars(c) for e in g)
+
+
+def pipeline_obstructed_cp2(degrees, window: int = DEFAULT_WINDOW, space: str = "P2") -> dict:
     """Decide whether the first-order extensions of the split model admit an
     obstructed second-order thickening, with exact class coordinates.
 
@@ -60,6 +66,12 @@ def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dic
     "vacuously-unobstructed", "refused-preconditions", "inconclusive-window"}
     and, when a verdict is reached, the exact coordinates of the obstruction
     class in the canonical second-cohomology basis.
+
+    H^1 is computed over every character; ``window`` is a cap on what the
+    report may use.  When a class has a character entry outside
+    [-window, window], the report is "inconclusive-window" with the classes
+    inside counted in h1_dim.  Every class of the slot sheaf has character
+    (-1, -1, -1), so only window 0 cuts.
     """
     degrees = SplitBundleDegrees(tuple(degrees))
     report: dict = {
@@ -83,12 +95,14 @@ def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dic
 
     cover = cech.standard_cover(2)
     spec2 = supermap.slot_sheaf(cover, degrees, 2)
-    h1 = cech.h1_representatives(spec2, window=window)
-    report["h1_dim"] = h1.dims[1]
-    if not h1.complete:
+    h1 = cech.h1_representatives(spec2)
+    generators = [c for c in h1.representatives[1] if in_window(c, window)]
+    report["h1_dim"] = len(generators)
+    if len(generators) < h1.dims[1]:
         report["status"] = "inconclusive-window"
         report["exact"] = False
-        report["detail"] = h1.notes
+        report["detail"] = [f"window incomplete: found {len(generators)} classes, "
+                            f"closed formula gives {h1.dims[1]}"]
         return report
 
     gamma_spec = supermap.slot_sheaf(cover, degrees, 3)
@@ -101,7 +115,7 @@ def pipeline_obstructed_cp2(degrees, window: int = 10, space: str = "P2") -> dic
 
     classes = []
     any_nonzero = False
-    for raw in h1.representatives[1]:
+    for raw in generators:
         omega = normalize_generator(raw)
         t = supermap.build_trivialization(cover, degrees, 2, {2: omega})
         gamma = supermap.obstruction_cocycle(t)

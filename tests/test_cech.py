@@ -8,7 +8,7 @@ import pytest
 from superthick import bott, cech, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.obstruct import search_split_triples
-from superthick.pipeline import pipeline_obstructed_cp2
+from superthick.pipeline import in_window, pipeline_obstructed_cp2
 from test_acceptance import DEGREE_POOL
 from test_golden import ADMISSIBLE
 from test_int_kernel import reference_solve, run_gluing_case
@@ -194,7 +194,7 @@ def test_line_bundle_cohomology_matches_pole_set_oracle(n):
         for q in range(-1, n + 2):
             got = cech.line_bundle_cohomology(n, k, q)
             dim, want = oracle_cohomology(n, k, q)
-            assert got.dims == {q: dim} and got.complete, (n, k, q)
+            assert got.dims == {q: dim}, (n, k, q)
             by_char = {}
             for c in got.representatives[q]:
                 (key,) = cech.cochain_chars(c)
@@ -225,7 +225,7 @@ def test_middle_characters_are_acyclic():
         for h in scan_chars(spec, 0, window):
             for q, d in char_complex_dims(2, h).items():
                 want[q] += d
-        assert cech.windowed_dims(spec, window) == want, g
+        assert windowed_dims(spec, window) == want, g
 
 
 def test_solve_coboundary_roundtrip():
@@ -277,8 +277,8 @@ def test_p1_degree_minus_two_class():
 
 def test_h1_representatives_tangent():
     cov = cech.standard_cover(2)
-    rep = cech.h1_representatives(cech.tangent_twisted(cov, [-3]), window=6)
-    assert rep.dims[1] == 1 and rep.complete
+    rep = cech.h1_representatives(cech.tangent_twisted(cov, [-3]))
+    assert rep.dims[1] == 1
     gen = rep.representatives[1][0]
     assert cech.coboundary(gen).is_zero()
     sol, cert = cech.solve_coboundary(gen)
@@ -287,29 +287,47 @@ def test_h1_representatives_tangent():
 
 def test_h1_representatives_line_cases():
     cov1 = cech.standard_cover(1)
-    assert cech.h1_representatives(cech.line_sum(cov1, [0]), window=5).dims[1] == 0
+    assert cech.h1_representatives(cech.line_sum(cov1, [0])).dims[1] == 0
     cov2 = cech.standard_cover(2)
-    assert cech.h1_representatives(cech.line_sum(cov2, [-3]), window=5).dims[1] == 0
+    assert cech.h1_representatives(cech.line_sum(cov2, [-3])).dims[1] == 0
 
 
 def test_h1_window_incomplete_diagnostic():
+    # the engine lists the one class of T(-3); window 0 cuts it, and the
+    # scan over the same window finds none either
     cov = cech.standard_cover(2)
-    rep = cech.h1_representatives(cech.tangent_twisted(cov, [-3]), window=0)
-    assert not rep.complete
-    assert any("window incomplete" in n for n in rep.notes)
+    spec = cech.tangent_twisted(cov, [-3])
+    assert cech.h1_representatives(spec).dims[1] == 1
+    assert windowed_h1(spec, 0) == []
+    assert scan_h1(spec, 0)[0] == 0
+    assert windowed_dims(spec, 0)[1] == 0
 
 
 def test_windowed_dims_match_tangent_identification():
     cov = cech.standard_cover(2)
     for l in (-3, 0):
-        got = cech.windowed_dims(cech.tangent_twisted(cov, [l]), window=6)
+        got = windowed_dims(cech.tangent_twisted(cov, [l]), window=6)
         assert got == {q: bott.tangent_dim(2, q, l) for q in range(3)}
-    got = cech.windowed_dims(cech.oneform_twisted(cov, [0]), window=6)
+    got = windowed_dims(cech.oneform_twisted(cov, [0]), window=6)
     assert got == {q: bott.bott_dim(2, 1, q, 0) for q in range(3)}
 
 
 # ---------------------------------------------------------------------------
-# the sign-type engine against the character-window scan it replaces
+# the sign-type engine against the character-window scan it replaces; the
+# engine lists every character, so the scan's window is applied to its output
+
+
+def windowed_dims(spec, window):
+    """The engine's class count in each degree over characters with entries
+    in [-window, window]."""
+    return {q: sum(len(classes) for _, g, classes in cech.class_blocks(spec, q)
+                   if all(-window <= e <= window for e in g))
+            for q in range(spec.cover.n + 1)}
+
+
+def windowed_h1(spec, window):
+    """The engine's H^1 representatives that the pipeline keeps under the window."""
+    return [c for c in cech.h1_representatives(spec).representatives[1] if in_window(c, window)]
 
 
 def scan_chars(spec, summand, window):
@@ -360,11 +378,11 @@ def scan_dims(spec, window):
 
 
 def assert_matches_scan(spec, window=10):
-    got = cech.h1_representatives(spec, window=window)
+    got = windowed_h1(spec, window)
     dim, reps = scan_h1(spec, window)
-    assert got.dims[1] == dim, spec
-    assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps], spec
-    assert cech.windowed_dims(spec, window=window) == scan_dims(spec, window), spec
+    assert len(got) == dim, spec
+    assert [c.to_json() for c in got] == [c.to_json() for c in reps], spec
+    assert windowed_dims(spec, window) == scan_dims(spec, window), spec
     return got
 
 
@@ -384,15 +402,18 @@ def test_sign_types_match_window_scan_on_admissible_slot_sheaves():
     triples = [h.degrees for h in search_split_triples(-8, 8) if h.direct_all]
     assert len(triples) == 12
     for degrees in triples:
-        assert assert_matches_scan(supermap.slot_sheaf(cov, degrees, 2)).complete
+        spec = supermap.slot_sheaf(cov, degrees, 2)
+        assert len(assert_matches_scan(spec)) == cech.h1_representatives(spec).dims[1]
 
 
 def test_sign_types_window_zero_stays_incomplete():
     cov = cech.standard_cover(2)
     spec = supermap.slot_sheaf(cov, SplitBundleDegrees((4, -1, -7)), 2)
-    rep = cech.h1_representatives(spec, window=0)
-    assert not rep.complete and rep.dims[1] == scan_h1(spec, 0)[0] == 0
-    assert cech.enumerate_chars(spec, 0, 0) == []
+    assert cech.h1_representatives(spec).dims[1] == 1
+    assert windowed_h1(spec, 0) == [] and scan_h1(spec, 0)[0] == 0
+    rep = pipeline_obstructed_cp2((4, -1, -7), window=0)
+    assert rep["status"] == "inconclusive-window" and rep["exact"] is False
+    assert rep["detail"] == ["window incomplete: found 0 classes, closed formula gives 1"]
 
 
 def test_h1_builds_each_block_once(monkeypatch):
@@ -409,7 +430,7 @@ def test_h1_builds_each_block_once(monkeypatch):
     monkeypatch.undo()
     assert max(built.values()) == 1 and sum(built.values()) <= 101
     dim, reps = scan_h1(spec, 10)
-    assert got.dims[1] == dim and got.complete
+    assert got.dims[1] == dim
     assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps]
 
 

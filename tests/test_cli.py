@@ -76,7 +76,7 @@ def test_gamma_command(tmp_path, capsys):
     cov = cech.standard_cover(2)
     deg = SplitBundleDegrees((4, -1, -7))
     spec = supermap.slot_sheaf(cov, deg, 2)
-    gen = cech.h1_representatives(spec, window=6).representatives[1][0]
+    gen = cech.h1_representatives(spec).representatives[1][0]
     t = supermap.build_trivialization(cov, deg, 2, {2: gen})
     path = tmp_path / "gen.json"
     supermap.write_trivialization(t, str(path))
@@ -143,30 +143,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert "Traceback" not in err
 
 
-def test_window_env_override(monkeypatch):
-    from superthick.cli import default_window
-
-    monkeypatch.setenv("SUPERTHICK_WINDOW", "-4,4")
-    assert default_window() == 4
-    monkeypatch.setenv("SUPERTHICK_WINDOW", "7")
-    assert default_window() == 7
-    monkeypatch.delenv("SUPERTHICK_WINDOW")
-    assert default_window() == 10
-
-
-def test_window_env_read_only_by_pushforward(monkeypatch, capsys):
-    monkeypatch.setenv("SUPERTHICK_WINDOW", "abc")
-    code, out, _ = run(capsys, "bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0")
-    assert code == 0 and out.strip() == "1"
-    code, out, err = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
-    assert code == 2 and out == ""
-    assert "SUPERTHICK_WINDOW" in err
+def test_window_flag_sets_pushforward_input(capsys):
     argv = ["pushforward", "--degrees", "3,0,-6", "--space", "P1", "--json"]
     code, out, _ = run(capsys, *argv, "--window", "3")
     assert code == 1 and json.loads(out)["inputs"]["window"] == 3
-    monkeypatch.setenv("SUPERTHICK_WINDOW", "-5,5")
     code, out, _ = run(capsys, *argv)
-    assert code == 1 and json.loads(out)["inputs"]["window"] == 5
+    assert code == 1 and json.loads(out)["inputs"]["window"] == 10
 
 
 def test_json_output_is_byte_stable(capsys):
@@ -184,19 +166,10 @@ def test_malformed_degrees_exit_two(capsys):
         assert code == 2 and out == "" and "bad degrees" in err
 
 
-def test_bad_window_values_exit_two(monkeypatch, capsys):
-    from superthick.cli import default_window
-
+def test_bad_window_values_exit_two(capsys):
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     code, out, err = run(capsys, *argv, "--window", "-3")
     assert code == 2 and out == "" and "--window" in err
-    for raw in ("-2,8", "8,-8", "-3", "1,2,3", ""):
-        monkeypatch.setenv("SUPERTHICK_WINDOW", raw)
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and "SUPERTHICK_WINDOW" in err, raw
-    for raw, window in (("-4,4", 4), ("-5,5", 5), ("7", 7), ("0", 0)):
-        monkeypatch.setenv("SUPERTHICK_WINDOW", raw)
-        assert default_window() == window
 
 
 def test_reused_parser_matches_fresh_parser(monkeypatch, capsys):
@@ -215,39 +188,35 @@ def test_reused_parser_matches_fresh_parser(monkeypatch, capsys):
             return outcome(argv)
 
     assert cli._parser() is cli._parser()
-    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
     p1 = ["pushforward", "--degrees", "3,0,-6", "--space", "P1", "--json"]
     bott = ["bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0"]
     calls = [
-        (None, ["pushforward", "--degrees", "4,-1,-7", "--window", "3", "--json"]),
-        (None, ["pushforward", "--degrees", "4,-1,-7", "--json"]),
-        (None, bott + ["--json"]),
-        (None, bott),
-        (None, ["bott", "--n", "2"]),
-        (None, bott),
-        ("-4,4", p1),
-        ("6", p1),
+        ["pushforward", "--degrees", "4,-1,-7", "--window", "3", "--json"],
+        ["pushforward", "--degrees", "4,-1,-7", "--json"],
+        bott + ["--json"],
+        bott,
+        ["bott", "--n", "2"],
+        bott,
+        p1 + ["--window", "4"],
+        p1,
     ]
     seen = []
-    for window, argv in calls:
-        if window is not None:
-            monkeypatch.setenv("SUPERTHICK_WINDOW", window)
+    for argv in calls:
         reused = outcome(argv)
         assert reused == fresh(argv), argv
         seen.append(reused)
     windows = [json.loads(out)["inputs"]["window"] for _, out in seen[:2] + seen[-2:]]
-    assert windows == [3, 10, 4, 6]
+    assert windows == [3, 10, 4, 10]
     assert json.loads(seen[2][1])["outputs"] == {"dim": 1} and seen[3][1] == "1\n"
     assert seen[4] == (2, "") and seen[5] == (0, "1\n")
 
 
-def test_subprocess_matches_in_process_bytes(monkeypatch, capsys):
-    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
+def test_subprocess_matches_in_process_bytes(capsys):
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     run(capsys, "bott", "--n", "2", "--p", "1", "--q", "1", "--k", "0")  # a warm parser
     code, out, _ = run(capsys, *argv)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "SUPERTHICK_WINDOW"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run([sys.executable, "-m", "superthick.cli", *argv],

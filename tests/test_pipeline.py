@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -47,15 +48,59 @@ def test_pipeline_vacuous_on_p1():
 
 
 def test_pipeline_inconclusive_window_flagged():
-    rep = pipeline_obstructed_cp2((3, 0, -6), window=0)
-    assert rep["status"] == "inconclusive-window"
-    assert rep["exact"] is False
+    # H^1 is computed over every character; window 0 leaves out its one
+    # class, at (-1, -1, -1), and the report says so
+    for degrees in [(3, 0, -6), (4, -1, -7)]:
+        rep = pipeline_obstructed_cp2(degrees, window=0)
+        assert rep["status"] == "inconclusive-window"
+        assert rep["exact"] is False
+        assert rep["h1_dim"] == 0
+        assert rep["detail"] == ["window incomplete: found 0 classes, closed formula gives 1"]
+        assert "classes" not in rep and "h2_dim" not in rep
+
+
+def test_window_never_cuts_an_admissible_triple(capsys):
+    # by Bott's formula h^1(T(s)) is nonzero only at s = -3, and that class
+    # has character (-1, -1, -1); so every window but 0 keeps every class
+    cov = cech.standard_cover(2)
+    triples = [h.degrees for h in search_split_triples(-12, 12) if h.direct_all]
+    assert len(triples) == 56
+    for degrees in triples:
+        reps = cech.h1_representatives(supermap.slot_sheaf(cov, degrees, 2)).representatives[1]
+        chars = [g for c in reps for _, g in cech.cochain_chars(c)]
+        assert chars and set(chars) == {(-1, -1, -1)}, degrees
+        argv = ["pushforward", "--degrees", ",".join(map(str, degrees.degrees)), "--json"]
+        runs = []
+        for extra, window in (([], 10), (["--window", "1"], 1)):
+            code = main(argv + extra)
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["inputs"].pop("window") == window, degrees
+            runs.append((code, payload))
+        assert runs[0] == runs[1], degrees
+
+
+def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
+    # enumerate_chars hands every character of a sign type the classes it
+    # read once for the type, so no character repeats the table lookup
+    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    main(argv)
+    lookups = []
+    lookup = cech.block_cohomology
+
+    def counting(*args):
+        lookups.append(args)
+        return lookup(*args)
+
+    monkeypatch.setattr(cech, "block_cohomology", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(lookups) == 97
 
 
 def test_normalize_generator_leading_coefficient():
     cov = cech.standard_cover(2)
     spec = supermap.slot_sheaf(cov, SplitBundleDegrees((3, 0, -6)), 2)
-    gen = cech.h1_representatives(spec, window=6).representatives[1][0]
+    gen = cech.h1_representatives(spec).representatives[1][0]
     normed = normalize_generator(gen.scale(Fraction(-7, 3)))
     # the first coefficient of the canonical JSON: sorted simplices, then
     # summands, components and sorted exponents
@@ -140,7 +185,6 @@ def test_h2_basis_keeps_the_closed_formula_check(monkeypatch, capsys):
                         lambda spec, summand, q: bott_dim(spec, summand, q) + (q == 2))
     with pytest.raises(AssertionError, match="closed formula"):
         h2_basis(spec)
-    monkeypatch.delenv("SUPERTHICK_WINDOW", raising=False)
     code = main(["pushforward", "--degrees", "4,-1,-7", "--json"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""

@@ -24,7 +24,7 @@ def closed_slot2(rng, degrees=DEG, cover=COV2, harmonic=None):
 
 def generator(degrees=DEG, cover=COV2):
     spec = sm.slot_sheaf(cover, degrees, 2)
-    return cech.h1_representatives(spec, window=6).representatives[1][0]
+    return cech.h1_representatives(spec).representatives[1][0]
 
 
 def test_split_model_is_strict_cocycle():
