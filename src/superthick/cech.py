@@ -563,7 +563,7 @@ def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) ->
     sparse rhs costs one sparse product.  A type without kernel has no
     solver: it holds no nonzero cocycle block.
     """
-    solver = _type_record(spec, deg, summand, g)[1]
+    solver = _type_record(spec, deg, summand, _sign_type(g), g)[1]
     if solver is None:
         return None
     pivots, columns, width = solver
@@ -684,14 +684,16 @@ def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
 def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char) -> list[list[Fraction]]:
     """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
-    The vectors are indexed like ``char_basis(spec, q, summand, g)``; they
-    are the classes of g's sign-type record, see ``_type_record``.
+    The per-character lookup: g is clamped to its sign type once and the
+    classes are that type's record, see ``_type_record``.  The vectors are
+    indexed like ``char_basis(spec, q, summand, g)``.
     """
-    return _type_record(spec, q, summand, g)[0]
+    return _type_record(spec, q, summand, _sign_type(g), g)[0]
 
 
-def _type_record(spec: SheafSpec, q: int, summand: int, g: Char) -> tuple:
-    """(classes, solver) of the degree-q blocks of g's sign type.
+def _type_record(spec: SheafSpec, q: int, summand: int, sign_type: tuple, g: Char) -> tuple:
+    """(classes, solver) of the degree-q blocks of a sign type, g being any
+    character of the type.
 
     One rref of [image of the degree-(q-1) block | kernel of the degree-q
     block | I] gives both.  The classes are the kernel vectors independent
@@ -705,9 +707,10 @@ def _type_record(spec: SheafSpec, q: int, summand: int, g: Char) -> tuple:
     table under (kind, q, sign type) and serves every twist, summand, caller
     and character of the type.
     """
-    key = (spec.kind, q, _sign_type(g))
+    key = (spec.kind, q, sign_type)
     table = spec.cover.cohomology_table
-    if key not in table:
+    record = table.get(key)
+    if record is None:
         dom, _, mat = delta_block_matrix(spec, q, summand, g)
         kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
         solver = None
@@ -724,21 +727,27 @@ def _type_record(spec: SheafSpec, q: int, summand: int, g: Char) -> tuple:
                       [[(r, row[m + k + c]) for r, row in enumerate(red) if row[m + k + c]]
                        for c in range(len(dom))],
                       width)
-        table[key] = (kernel, solver)
-    return table[key]
+        record = table[key] = (kernel, solver)
+    return record
 
 
 def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> list[tuple[Char, list]]:
     """(character, classes) for every character of one summand whose block
     has H^q, ordered by g[1:].
 
-    H^q is read once per sign type from the cover's cohomology table, and
-    every concrete character of a type with classes shares them.
+    The walk reads each sign type's record from the cover's cohomology table
+    by its (kind, q, sign type) key, once per type; only a type missing from
+    the table goes to ``_type_record``.  Every concrete character of a type
+    with classes shares them.
     """
     twist = spec.twists[summand]
+    table = spec.cover.cohomology_table
     found = []
     for sign_type, g in _sign_types(spec.cover.n, twist):
-        classes = block_cohomology(spec, q, summand, g)
+        record = table.get((spec.kind, q, sign_type))
+        if record is None:
+            record = _type_record(spec, q, summand, sign_type, g)
+        classes = record[0]
         if classes:
             found.extend((c, classes) for c in _type_chars(sign_type, twist))
     return sorted(found, key=lambda pair: pair[0][1:])

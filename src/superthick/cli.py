@@ -25,10 +25,67 @@ EXIT_USAGE = 2
 EXIT_SELF_CHECK = 3
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(obj) -> str:
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=1)``.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder; this writer
+    builds the same text with the C string escaper.  It takes str-keyed
+    dicts, lists, tuples, str, int, bool and None, and raises ``TypeError``
+    on anything else, floats included: the engine is exact.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list) -> None:
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + " "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _escape(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit(args, payload: dict, human: str):
+    """Print the human text, or with ``--json`` the canonical JSON of the
+    payload, tagged with the tool and its version (see ``canonical_json``)."""
     if args.json:
         payload = {"tool": "superthick", "version": __version__, **payload}
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(canonical_json(payload))
     else:
         print(human)
 

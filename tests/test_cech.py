@@ -456,6 +456,40 @@ def test_types_unbounded_both_ways_carry_no_cohomology():
     assert reduced == 174
 
 
+def reference_class_blocks(spec, q):
+    """class_blocks by per-character lookups: every character of each
+    summand in a box, ordered by g[1:], through block_cohomology.  A
+    character with classes has no entry 1 together with an entry -2, so its
+    entries lie in [t, 0] or in [-1, t + n] for twist t; the box holds both."""
+    n = spec.cover.n
+    blocks = []
+    for summand, t in enumerate(spec.twists):
+        bound = abs(t) + n + 2
+        for tail in itertools.product(range(-bound, bound + 1), repeat=n):
+            g = (t - sum(tail),) + tail
+            classes = cech.block_cohomology(spec, q, summand, g)
+            if classes:
+                blocks.append((summand, g, classes))
+    return blocks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_class_blocks_match_per_character_lookups(n):
+    # the walk reads the table by sign type; the reference looks every
+    # concrete character up, each on its own fresh cover, and the walk runs
+    # once cold and once on the table it filled
+    twists = range(-12, 13)
+    for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
+        walk_spec, ref_spec = make(cech.Cover(n), twists), make(cech.Cover(n), twists)
+        classes = 0
+        for q in range(n + 1):
+            want = reference_class_blocks(ref_spec, q)
+            assert cech.class_blocks(walk_spec, q) == want, (walk_spec.kind, q)
+            assert cech.class_blocks(walk_spec, q) == want, (walk_spec.kind, q)
+            classes += sum(len(c) for *_, c in want)
+        assert classes > 0, walk_spec.kind
+
+
 # ---------------------------------------------------------------------------
 # the cover's cohomology table
 

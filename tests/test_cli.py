@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from superthick import cech, cli, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.cli import main
+from test_golden import ADMISSIBLE
 
 
 def run(capsys, *argv):
@@ -401,3 +403,101 @@ def test_exponent_notation_coefficient_exits_two_quickly(tmp_path):
                               capture_output=True, text=True, timeout=10, env=env)
         assert proc.returncode == 2 and proc.stdout == "", (command, proc.stderr)
         assert "malformed term" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the canonical JSON writer against json.dumps(obj, sort_keys=True, indent=1)
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def gluing_files(tmp_path):
+    """A valid thickening with a nonzero gamma, the split model, and a map
+    edited off the cocycle condition (gamma reports a CocycleViolation)."""
+    cov = cech.standard_cover(2)
+    deg = SplitBundleDegrees((4, -1, -7))
+    gen = cech.h1_representatives(supermap.slot_sheaf(cov, deg, 2)).representatives[1][0]
+    built = tmp_path / "gen.json"
+    supermap.write_trivialization(supermap.build_trivialization(cov, deg, 2, {2: gen}), str(built))
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(split_model_json()))
+    data = split_model_json()
+    data["maps"]["0,1"]["even"][0].append(
+        {"indices": [1, 2], "coef": [{"exps": [0, 0], "coef": "1"}]}
+    )
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(json.dumps(data))
+    return [str(built), str(split), str(corrupt)]
+
+
+def test_writer_matches_json_dumps_on_every_command_payload(tmp_path, monkeypatch, capsys):
+    files = gluing_files(tmp_path)
+    calls = [
+        ["bott", "--n", "2", "--p", "1", "--q", "1", "--k", "-3"],
+        ["cohomology", "--n", "2", "--k", "-5", "--q", "2"],
+        ["check-lemma71", "--degrees", "4,-1,-7"],
+        ["check-lemma71", "--degrees", "1,1,1"],
+        ["search", "--lo", "-8", "--hi", "8"],
+        ["search", "--lo", "0", "--hi", "1"],
+        ["sufficient-l", "--k-prime", "-3"],
+        ["pushforward", "--degrees", "1,1,1"],
+        ["pushforward", "--degrees", "4,-1,-7", "--space", "P1"],
+        ["pushforward", "--degrees", "4,-1,-7", "--window", "0"],
+    ] + [["pushforward", "--degrees", ",".join(map(str, k))] for k in ADMISSIBLE]
+    calls += [[command, "--file", path] for command in ("verify", "gamma") for path in files]
+    written = []
+    write = cli.canonical_json
+
+    def recording(obj):
+        text = write(obj)
+        written.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    for argv in calls:
+        main(argv + ["--json"])
+        obj, text = written[-1]
+        assert capsys.readouterr().out == text + "\n", argv
+        assert text == reference_json(obj), argv
+    assert len(written) == len(calls)
+    commands = {obj["command"] for obj, _ in written}
+    assert commands == {"bott", "cohomology", "check-lemma71", "search", "verify", "gamma",
+                        "pushforward", "sufficient-l"}
+    assert any("error" in obj["outputs"] for obj, _ in written if obj["command"] == "gamma")
+    statuses = {obj["outputs"]["status"] for obj, _ in written if obj["command"] == "pushforward"}
+    assert statuses == {"refused-preconditions", "vacuously-unobstructed", "inconclusive-window",
+                        "obstructed-exhibited", "unobstructed"}
+
+
+def test_writer_matches_json_dumps_on_trivializations(tmp_path):
+    models = SPLIT_MODELS + [json.loads(Path(gluing_files(tmp_path)[0]).read_text())]
+    for data in models:
+        assert cli.canonical_json(data) == reference_json(data)
+
+
+JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "\"", "\\", "\x00", "\x1f\x7f", "\n\t\r\b\f", "\u00e9\u2028", "\U0001f600", "a\"b\\c"])
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 200), 2 ** 200)
+    | st.sampled_from([0, -1, 2 ** 63, -(2 ** 64)]) | JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(obj=WRITER_VALUES)
+def test_writer_matches_json_dumps_on_random_trees(obj):
+    assert cli.canonical_json(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, 0.0, Fraction(1, 2), {1, 2}, {1: "a"}, {None: 1},
+    {"a": [1, 2.0]}, [{"b": Fraction(3)}], (frozenset(),), b"bytes",
+])
+def test_writer_refuses_values_outside_exact_json(obj):
+    with pytest.raises(TypeError):
+        cli.canonical_json(obj)

@@ -80,21 +80,46 @@ def test_window_never_cuts_an_admissible_triple(capsys):
 
 
 def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
-    # enumerate_chars hands every character of a sign type the classes it
-    # read once for the type, so no character repeats the table lookup
+    # the H^q walk reads each sign type's record from the cohomology table
+    # by its type key, once per type and walk; solve_blocks looks its class
+    # block up per character through block_cohomology
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     main(argv)
-    lookups = []
-    lookup = cech.block_cohomology
+    cover = cech.standard_cover(2)
+    walks, per_char = [], []
 
-    def counting(*args):
-        lookups.append(args)
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            if walking:
+                walks[-1].append(key)
+            return super().get(key, default)
+
+    walking = False
+    walk, lookup = cech.enumerate_chars, cech.block_cohomology
+
+    def counting_walk(*args):
+        nonlocal walking
+        walks.append([])
+        walking = True
+        try:
+            return walk(*args)
+        finally:
+            walking = False
+
+    def counting_lookup(*args):
+        per_char.append(args)
         return lookup(*args)
 
-    monkeypatch.setattr(cech, "block_cohomology", counting)
+    monkeypatch.setattr(cover, "cohomology_table", CountingTable(cover.cohomology_table))
+    monkeypatch.setattr(cech, "enumerate_chars", counting_walk)
+    monkeypatch.setattr(cech, "block_cohomology", counting_lookup)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(lookups) == 97
+    walked = [key for keys in walks for key in keys]
+    assert (len(walked), len(per_char)) == (96, 1)  # 97 lookups in all
+    for keys in walks:
+        assert len(keys) == len(set(keys)), keys
+    assert all(sign_type == cech._sign_type(sign_type) for _, _, sign_type in walked)
 
 
 def test_normalize_generator_leading_coefficient():
