@@ -1,11 +1,12 @@
 """superthick: exact computations with super-geometric thickenings of
 complex projective spaces.
 
-Everything is exact rational arithmetic: Laurent polynomial coefficient
-rings, Grassmann algebras on the odd coordinates, Čech cochains on the
-standard covers of P^1 and P^2, closed-form sheaf-cohomology dimensions
-cross-checked by exact Čech cohomology with representatives, and the
-obstruction calculus for extending a thickening one order higher.
+Everything is exact rational arithmetic on flat monomial data: gluing maps
+as exponent vectors and odd-index words with rational coefficients, Čech
+cochains on the standard covers of P^1 and P^2, closed-form
+sheaf-cohomology dimensions cross-checked by exact Čech cohomology with
+representatives, and the obstruction calculus for extending a thickening
+one order higher.
 """
 
 __version__ = "0.1.0"
@@ -24,8 +25,6 @@ from .cech import (
     standard_cover,
     tangent_twisted,
 )
-from .exterior import GrassmannElement, substitute_nilpotent
-from .laurent import ChartMap, LaurentPoly
 from .obstruct import check_split_conditions, search_split_triples, sufficient_l_nonsplit
 from .pipeline import pipeline_obstructed_cp2
 from .supermap import (

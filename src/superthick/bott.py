@@ -75,7 +75,10 @@ class SplitBundleDegrees:
         return sum(self.degrees)
 
     def wedge_summands(self, m: int) -> list[tuple[tuple[int, ...], int]]:
-        """(index subset, twist) for each summand of the m-th wedge power."""
+        """(index subset, twist) for each summand of the m-th wedge power;
+        none above the rank, where the power vanishes."""
+        if m > self.rank:
+            return []
         return [
             (subset, sum(self.degrees[i - 1] for i in subset))
             for subset in combinations(range(1, self.rank + 1), m)

@@ -239,16 +239,6 @@ def _move(cover: Cover, kind: str, a: int, b: int, comp: int, twist: int, exps) 
 # cochains
 
 
-def perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 class BasisSlot(NamedTuple):
     """One monomial slot: x^exps in component ``comp`` of summand ``summand``
     over ``simplex``, presented in the chart of the simplex's first vertex."""

@@ -40,12 +40,6 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(mat: Matrix) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
-
-
 def kernel_basis(mat: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the null space of ``mat`` (ncols unknowns)."""
     if not mat:

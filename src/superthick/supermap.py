@@ -651,7 +651,7 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
         except CocycleViolation as err:
             return {"pass": False, "residual": err.residual, "problems": ["precondition"]}
         key = tuple(sorted(triple))
-        sign = cech.perm_sign(triple)
+        sign = sort_index_tuple(triple)[1]
         value = {slot: sign * c for slot, c in gamma.on(key).items()}
         moved = cech.represent(spec, value, key[0], i)
         stored = _reframe(t.cover, t.degrees, spec, moved, i, k, True)
@@ -871,18 +871,6 @@ def _component_to_json(comp: dict) -> list:
     return [{"indices": list(word), "coef": terms} for word, terms in words.items()]
 
 
-def _component_from_json(data: list) -> dict:
-    """Inverse of ``_component_to_json``; an odd word listed twice, or an
-    exponent vector listed twice within one word, raises ValueError."""
-    words = [tuple(t["indices"]) for t in data]
-    comp = {(word, tuple(c["exps"])): parse_rational(c["coef"])
-            for word, t in zip(words, data) for c in t["coef"]}
-    if len(set(words)) < len(words) or len(comp) < sum(len(t["coef"]) for t in data):
-        raise ValueError("a component lists an odd word twice, or an exponent vector twice "
-                         "within one word")
-    return comp
-
-
 def trivialization_to_json(t: Trivialization) -> dict:
     maps = {}
     for (i, j), sm in sorted(t.maps.items()):
@@ -906,28 +894,46 @@ def _is_int_list(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
 
 
-def _is_rational(x) -> bool:
-    """An integer, or a string "num" or "num/den" with a nonzero denominator."""
+def _of(kind: type, x):
+    """``x`` if it is a ``kind``; anything else raises ValueError."""
+    if not isinstance(x, kind):
+        raise ValueError(f"expected a {kind.__name__}")
+    return x
+
+
+def _ints(x) -> tuple:
+    """A list of integers as a tuple; anything else raises ValueError."""
+    if not _is_int_list(x):
+        raise ValueError("expected a list of integers")
+    return tuple(x)
+
+
+def _component_from_json(data, where: str) -> dict:
+    """Inverse of ``_component_to_json``, checking each term's shape as it
+    reads; a malformed term, an odd word listed twice, or an exponent vector
+    listed twice within one word raises ValueError."""
+    comp, words, count = {}, set(), 0
     try:
-        parse_rational(x)
+        for term in _of(list, data):
+            word = _ints(_of(dict, term).get("indices"))
+            for c in _of(list, term.get("coef")):
+                exps = _ints(_of(dict, c).get("exps"))
+                comp[(word, exps)] = parse_rational(c.get("coef"))
+            words.add(word)
+            count += len(term["coef"])
     except ValueError:
-        return False
-    return True
+        raise ValueError(f"{where} has a malformed term") from None
+    if len(words) < len(data) or len(comp) < count:
+        raise ValueError("a component lists an odd word twice, or an exponent vector twice "
+                         "within one word")
+    return comp
 
 
-def _is_grassmann_term(term) -> bool:
-    """{"indices": [ints], "coef": [{"exps": [ints], "coef": rational}, ...]}"""
-    if not isinstance(term, dict) or not _is_int_list(term.get("indices")):
-        return False
-    coef = term.get("coef")
-    return isinstance(coef, list) and all(
-        isinstance(c, dict) and _is_int_list(c.get("exps")) and _is_rational(c.get("coef"))
-        for c in coef
-    )
-
-
-def _check_trivialization_shape(data) -> None:
-    """Raise ValueError unless ``data`` has the shape of a thickening file."""
+def trivialization_from_json(data) -> Trivialization:
+    """Read a thickening file in one pass; a malformed shape, term or
+    component count raises ValueError, as does a map the ``SuperMap``
+    constructor refuses or an even body other than the chart transition's
+    monomial.  Chart pairs the file leaves out keep their split maps."""
     if not isinstance(data, dict):
         raise ValueError("a thickening file is a JSON object")
     space = data.get("space")
@@ -941,55 +947,34 @@ def _check_trivialization_shape(data) -> None:
     maps = data.get("maps", {})
     if not isinstance(maps, dict):
         raise ValueError("maps must be an object keyed by chart pairs")
-    pairs = {f"{i},{j}" for i, j in itertools.permutations(range(int(space[1]) + 1), 2)}
-    counts = {"even": int(space[1]), "odd": len(data["degrees"])}
+    cover = cech.standard_cover(int(space[1]))
+    pairs = {f"{i},{j}": (i, j) for i, j in itertools.permutations(cover.charts, 2)}
+    counts = {"even": cover.n, "odd": len(data["degrees"])}
+    read = {}
     for key, payload in maps.items():
         if key not in pairs:
             raise ValueError(f"map key {key!r} is not a pair 'i,j' of distinct charts")
         if not isinstance(payload, dict):
             raise ValueError(f"map {key} must be an object with 'even' and 'odd'")
-        for part in ("even", "odd"):
+        parts = []
+        for part, count in counts.items():
             comps = payload.get(part)
-            if not isinstance(comps, list) or len(comps) != counts[part]:
-                raise ValueError(f"map {key} {part!r} must be a list of {counts[part]} components")
-            if not all(isinstance(comp, list) and all(map(_is_grassmann_term, comp))
-                       for comp in comps):
-                raise ValueError(f"map {key} {part!r} has a malformed term")
-
-
-def trivialization_from_json(data: dict) -> Trivialization:
-    """Read a thickening file; a malformed shape or component count raises ValueError.
-
-    The body of each even component must be the matching component of the
-    chart transition; a body that is not one monomial, or another monomial,
-    raises ValueError.
-    """
-    _check_trivialization_shape(data)
-    space = data["space"]
-    cover = cech.standard_cover(int(space[1]))
-    degrees = SplitBundleDegrees(tuple(data["degrees"]))
-    order = data["order"]
-    t = split_trivialization(cover, degrees, order)
-    maps = dict(t.maps)
-    for key, payload in data.get("maps", {}).items():
-        i, j = (int(x) for x in key.split(","))
-        sm = SuperMap(i, j, tuple(map(_component_from_json, payload["even"])),
-                      tuple(map(_component_from_json, payload["odd"])))
-        for nu, (comp, split) in enumerate(zip(sm.even, t.maps[(i, j)].even)):
-            body, want = _word_part(comp, ()), _word_part(split, ())
+            if not isinstance(comps, list) or len(comps) != count:
+                raise ValueError(f"map {key} {part!r} must be a list of {count} components")
+            parts.append(tuple(_component_from_json(comp, f"map {key} {part!r}")
+                               for comp in comps))
+        i, j = pairs[key]
+        sm = SuperMap(i, j, *parts)
+        for nu, (comp, row) in enumerate(zip(sm.even, cover.transport(cech.LINE_SUM, j, i, 0)[0])):
+            body = _word_part(comp, ())
             if len(body) != 1:
                 raise ValueError(f"map {key} even component {nu}: the body is not one monomial")
-            if body != want:
+            if body != {row: 1}:
                 raise ValueError(f"map {key} even component {nu}: the body is not the chart "
-                                 f"transition x^{next(iter(want))}")
-        maps[(i, j)] = sm
-    return Trivialization(cover, degrees, order, maps)
-
-
-def write_trivialization(t: Trivialization, path: str):
-    with open(path, "w") as fh:
-        json.dump(trivialization_to_json(t), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+                                 f"transition x^{row}")
+        read[(i, j)] = sm
+    t = split_trivialization(cover, SplitBundleDegrees(tuple(data["degrees"])), order)
+    return Trivialization(cover, t.degrees, order, {**t.maps, **read})
 
 
 def read_trivialization(path: str) -> Trivialization:

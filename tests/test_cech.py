@@ -156,12 +156,12 @@ def char_complex_dims(n, g):
     for q in range(n + 1):
         dom = simplices[q]
         mat_out = delta(q)
-        rank_out = linalg.rank(mat_out) if mat_out and dom else 0
+        rank_out = len(linalg.rref(mat_out)[1])
         if q == 0:
             rank_in = 0
         else:
             mat_in = delta(q - 1)
-            rank_in = linalg.rank(mat_in) if mat_in and simplices[q - 1] else 0
+            rank_in = len(linalg.rref(mat_in)[1])
         dims[q] = len(dom) - rank_out - rank_in
     return dims
 
@@ -352,10 +352,10 @@ def scan_h1(spec, window):
                 continue
             dom0, cod0, mat0 = cech.delta_block_matrix(spec, 0, summand, g)
             basis_rows = [[mat0[r][col] for r in range(len(cod0))] for col in range(len(dom0))]
-            rk = linalg.rank(basis_rows) if basis_rows else 0
+            rk = len(linalg.rref(basis_rows)[1])
             for vec in kernel:
                 trial = basis_rows + [vec]
-                if linalg.rank(trial) > rk:
+                if len(linalg.rref(trial)[1]) > rk:
                     basis_rows, rk = trial, rk + 1
                     reps.append(cech.cochain_from_slots(spec, 1, dom, vec))
     return len(reps), reps
@@ -371,7 +371,7 @@ def scan_dims(spec, window):
             for q in range(n + 1):
                 dom, cod, mat = cech.delta_block_matrix(spec, q, summand, g)
                 sizes[q] = len(dom)
-                ranks[q] = linalg.rank(mat) if dom and cod else 0
+                ranks[q] = len(linalg.rref(mat)[1])
             for q in range(n + 1):
                 dims[q] += sizes[q] - ranks[q] - (ranks[q - 1] if q > 0 else 0)
     return dims

@@ -15,6 +15,7 @@ from superthick import cech, cli, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.cli import main
 from test_golden import ADMISSIBLE
+from test_supermap import write_thickening
 
 
 def run(capsys, *argv):
@@ -55,7 +56,7 @@ def test_search_command(capsys):
 def test_verify_split_model(tmp_path, capsys):
     t = supermap.split_trivialization(cech.standard_cover(2), SplitBundleDegrees((3, 0, -6)), 2)
     path = tmp_path / "split_model_p2.json"
-    supermap.write_trivialization(t, str(path))
+    write_thickening(t, path)
     code, out, _ = run(capsys, "verify", "--file", str(path))
     assert code == 0
     assert "valid" in out
@@ -81,7 +82,7 @@ def test_gamma_command(tmp_path, capsys):
     gen = cech.h1_representatives(spec).representatives[1][0]
     t = supermap.build_trivialization(cov, deg, 2, {2: gen})
     path = tmp_path / "gen.json"
-    supermap.write_trivialization(t, str(path))
+    write_thickening(t, path)
     code, out, _ = run(capsys, "gamma", "--file", str(path), "--json")
     assert code == 0
     data = json.loads(out)
@@ -221,10 +222,12 @@ def test_subprocess_matches_in_process_bytes(capsys):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-m", "superthick.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
     assert code == 0 and json.loads(out)["outputs"]["status"] == "obstructed-exhibited"
-    assert (proc.returncode, proc.stdout) == (code, out)
+    # -O strips assert statements; the certificate must not depend on them
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "superthick.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout) == (code, out), flags
 
 
 def split_model_json():
@@ -277,13 +280,50 @@ def malformed_thickenings():
         yield data
 
 
+# the reader's message for each case of ``malformed_thickenings``, in order
+MALFORMED_MESSAGES = [
+    "a thickening file is a JSON object",
+    "unknown space 'P3'",
+    "degrees must be a list of integers",
+    "degrees must be a list of integers",
+    "order must be an integer of at least 1, got 0",
+    "order must be an integer of at least 1, got '2'",
+    "order must be an integer of at least 1, got True",
+    "maps must be an object keyed by chart pairs",
+    "map key '0,3' is not a pair 'i,j' of distinct charts",
+    "map key '0,0' is not a pair 'i,j' of distinct charts",
+    "map key '01' is not a pair 'i,j' of distinct charts",
+    "map key '1,0,2' is not a pair 'i,j' of distinct charts",
+    "map 0,1 'even' must be a list of 2 components",
+    "map 0,1 'odd' must be a list of 3 components",
+    "map 0,1 'even' has a malformed term",
+    "map 0,1 'even' must be a list of 2 components",
+    "map 0,1 'odd' must be a list of 3 components",
+    "map 1,2 must be an object with 'even' and 'odd'",
+    "map 0,1 'even' must be a list of 2 components",
+    "map 0,1 'odd' must be a list of 3 components",
+    "map 0,1 'even' must be a list of 2 components",
+    "map 0,1 'even' must be a list of 2 components",
+    "a component lists an odd word twice, or an exponent vector twice within one word",
+    "a component lists an odd word twice, or an exponent vector twice within one word",
+    "map 0,1 even component 0: the body is not one monomial",
+    "map 0,1 even component 0: the body is not the chart transition x^(-1, 0)",
+]
+
+
 def test_malformed_thickening_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for data in malformed_thickenings():
+    cases = list(malformed_thickenings())
+    assert len(cases) == len(MALFORMED_MESSAGES) == 26
+    for data, message in zip(cases, MALFORMED_MESSAGES):
+        with pytest.raises(ValueError) as err:
+            supermap.trivialization_from_json(data)
+        assert str(err.value) == message
         path.write_text(json.dumps(data))
         for command in ("verify", "gamma"):
             code, out, err = run(capsys, command, "--file", str(path))
             assert code == 2 and out == "" and "bad input" in err, (command, data)
+            assert err.splitlines()[0] == f"bad input: {message}", command
     path.write_text(json.dumps(split_model_json()))
     assert run(capsys, "verify", "--file", str(path))[0] == 0
 
@@ -387,6 +427,75 @@ def test_fuzz_split_model_with_one_subtree_replaced(tmp_path, capsys, data):
     check_readers(tmp_path, capsys, doc)
 
 
+def generator_json():
+    """A built order-2 thickening of P^2 with degrees (4,-1,-7) and a nonzero gamma."""
+    cov = cech.standard_cover(2)
+    deg = SplitBundleDegrees((4, -1, -7))
+    gen = cech.h1_representatives(supermap.slot_sheaf(cov, deg, 2)).representatives[1][0]
+    return supermap.trivialization_to_json(supermap.build_trivialization(cov, deg, 2, {2: gen}))
+
+
+def mutant_value(rng, depth=0):
+    """None, a bool, a float, a string, an int (large ones too), or a short
+    list or object of such values."""
+    kind = rng.randrange(8 if depth < 2 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0.5, -2.0, 0.0, 1e300])
+    if kind == 3:
+        return rng.choice(["", "x", "1/0", "0/0", "-3/2", "P2", "0,1", " 2", "1e30000000"])
+    if kind == 4:
+        return rng.choice([2 ** 63 - 1, 2 ** 64, -(2 ** 64), 10 ** 30])
+    if kind == 5:
+        return rng.randint(-3, 3)
+    if kind == 6:
+        return [mutant_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    keys = ["indices", "coef", "exps", "even", "odd", "order", "x"]
+    return {rng.choice(keys): mutant_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def test_single_node_mutations_exit_zero_one_or_two(tmp_path, capsys):
+    # each mutant replaces or deletes one node of a built generator file or of
+    # the split model; the reader refuses it, or the commands certify it
+    rng = random.Random(19)
+    bases = [generator_json(), split_model_json()]
+    path = tmp_path / "mutant.json"
+    codes = set()
+    for _ in range(600):
+        doc = copy.deepcopy(rng.choice(bases))
+        *parents, last = rng.choice(list(json_paths(doc))[1:])
+        node = doc
+        for key in parents:
+            node = node[key]
+        if rng.random() < 0.2:
+            del node[last]
+        else:
+            node[last] = mutant_value(rng)
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "gamma"):
+            code, _, err = run(capsys, command, "--file", str(path))
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, doc)
+            codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("order", [3, 4, 2 ** 63 - 1, 2 ** 64])
+def test_order_above_the_rank_has_a_zero_gamma(tmp_path, capsys, order):
+    # Lambda^(m+1) E vanishes for m at or above the rank 3, so gamma is zero;
+    # an order past 2^63 used to overflow the wedge-power enumeration
+    data = split_model_json()
+    data["order"] = order
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--file", str(path))[0] == 0
+    code, out, _ = run(capsys, "gamma", "--file", str(path), "--json")
+    outputs = json.loads(out)["outputs"]
+    assert code == 0 and outputs["is_zero"] is True and outputs["cocycle_check"] is True
+
+
 def test_exponent_notation_coefficient_exits_two_quickly(tmp_path):
     # "1e30000000" is valid Fraction syntax for a 30-million-digit integer; a
     # reader that accepted it kept verify busy for minutes
@@ -416,11 +525,8 @@ def reference_json(obj) -> str:
 def gluing_files(tmp_path):
     """A valid thickening with a nonzero gamma, the split model, and a map
     edited off the cocycle condition (gamma reports a CocycleViolation)."""
-    cov = cech.standard_cover(2)
-    deg = SplitBundleDegrees((4, -1, -7))
-    gen = cech.h1_representatives(supermap.slot_sheaf(cov, deg, 2)).representatives[1][0]
     built = tmp_path / "gen.json"
-    supermap.write_trivialization(supermap.build_trivialization(cov, deg, 2, {2: gen}), str(built))
+    built.write_text(cli.canonical_json(generator_json()) + "\n")
     split = tmp_path / "split.json"
     split.write_text(json.dumps(split_model_json()))
     data = split_model_json()

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from superthick import cech, supermap as sm
+from superthick import cech, cli, supermap as sm
 from superthick.bott import SplitBundleDegrees
 from test_acceptance import DEGREE_POOL
 from test_pipeline import harmonic_h2_part
@@ -455,17 +456,25 @@ def test_p1_extensions_always_unobstructed():
         )
 
 
+def write_thickening(t, path):
+    """Write a thickening file the one way the package writes JSON: the
+    canonical text of ``trivialization_to_json`` and a newline."""
+    path.write_text(cli.canonical_json(sm.trivialization_to_json(t)) + "\n")
+
+
 def test_thickening_file_roundtrip(tmp_path):
     rng = random.Random(14)
     omega = closed_slot2(rng)
     t = sm.build_trivialization(COV2, DEG, 2, {2: omega})
     path = tmp_path / "thickening.json"
-    sm.write_trivialization(t, str(path))
+    write_thickening(t, path)
+    data = sm.trivialization_to_json(t)
+    assert path.read_text() == json.dumps(data, sort_keys=True, indent=1) + "\n"
     back = sm.read_trivialization(str(path))
     assert back.order == t.order and back.degrees == t.degrees
     for key in t.maps:
         assert sm.difference_is_zero(sm.map_difference(back.maps[key], t.maps[key]))
     # canonical formatting: identical bytes on rewrite
     first = path.read_bytes()
-    sm.write_trivialization(back, str(path))
+    write_thickening(back, path)
     assert path.read_bytes() == first
