@@ -785,16 +785,16 @@ def h1_representatives(spec: SheafSpec) -> CohomologyReport:
     return cohomology(spec, 1)
 
 
-def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
-    """Exact h^q(P^n, O(k)) with representatives, over every character.
+# the historical label of line-bundle cohomology: the monomial characters of
+# O(k) are what the sign types enumerate
+LINE_BUNDLE_METHOD = "monomial-oracle"
 
-    The method keeps its historical label: the monomial characters of O(k)
-    are what the sign types enumerate.
-    """
-    if n not in (1, 2):
-        raise ValueError("only n in {1, 2} is supported")
+
+def line_bundle_cohomology(n: int, k: int, q: int) -> CohomologyReport:
+    """Exact h^q(P^n, O(k)) with representatives, over every character,
+    labelled ``LINE_BUNDLE_METHOD``; n outside {1, 2} raises ValueError."""
     rep = cohomology(line_sum(standard_cover(n), [k]), q)
-    rep.method = "monomial-oracle"
+    rep.method = LINE_BUNDLE_METHOD
     return rep
 
 

@@ -105,10 +105,10 @@ def cmd_bott(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    rep = cech.line_bundle_cohomology(args.n, args.k, args.q)
-    d = rep.dims[args.q]
+    spec = cech.line_sum(cech.standard_cover(args.n), [args.k])
+    d = sum(len(classes) for _, _, classes in cech.class_blocks(spec, args.q))
     emit(args, {"command": "cohomology", "inputs": vars_of(args, "n", "k", "q"),
-                "outputs": {"dim": d, "method": rep.method}, "exact": True}, str(d))
+                "outputs": {"dim": d, "method": cech.LINE_BUNDLE_METHOD}, "exact": True}, str(d))
     return EXIT_OK
 
 
@@ -177,7 +177,7 @@ def cmd_gamma(args) -> int:
         "exact": True,
     }
     emit(args, payload, f"gamma zero: {gamma.is_zero()}, cocycle check: {check['pass']}")
-    return EXIT_OK
+    return EXIT_OK if check["pass"] else EXIT_NEGATIVE
 
 
 def cmd_pushforward(args) -> int:

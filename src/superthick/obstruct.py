@@ -123,9 +123,10 @@ def search_split_triples(lo: int, hi: int) -> list[SplitConditionsReport]:
         raise ValueError("empty window")
     out = []
     for k1 in range(lo, hi + 1):
-        for k2 in range(lo, hi + 1):
-            for k3 in range(lo, hi + 1):
-                if k1 + k2 > 2 and k1 + k3 == -3 and k2 + k3 < -3:
+        k3 = -3 - k1
+        if lo <= k3 <= hi:
+            for k2 in range(lo, hi + 1):
+                if k1 + k2 > 2 and k2 + k3 < -3:
                     out.append(check_split_conditions(SplitBundleDegrees((k1, k2, k3))))
     return out
 

@@ -24,8 +24,9 @@ coefficients 1) have no soul, so composing with one is exponent
 substitution.  Reversed maps and conjugates are built from them by
 first-order formulas, exponent arithmetic on the deviation from S, whenever
 the degree certificate of ``invert`` makes those formulas exact
-(``normalize_inverses``, ``conjugate``); data beyond it composes.  The
-checks of gluing data always compose.
+(``normalize_inverses``, ``conjugate``); data beyond it composes.  So is
+the obstruction image ``pushforward_partial``.  The checks of gluing data
+always compose, each through the one composition defect ``_defect``.
 
 Degree bookkeeping for a split bundle with degrees (k_1..k_q): the degree-1
 part of the odd components is the diagonal frame change zeta_{ij,a} =
@@ -566,13 +567,18 @@ def build_trivialization(
     return normalize_inverses(t)
 
 
+def _defect(t: Trivialization, i: int, j: int, k: int, order: int) -> tuple:
+    """rho_ik - rho_jk o rho_ij mod J^(order+1), with rho_ii = id, as
+    (even list, odd list): the one composition behind every check of
+    gluing data."""
+    outer = t.maps[(i, k)] if i != k else identity_map(i, t.p, t.q)
+    return map_difference(outer.truncate(order), compose(t.maps[(j, k)], t.maps[(i, j)], order))
+
+
 def cocycle_residual(t: Trivialization) -> dict:
     """rho_ik - rho_jk o rho_ij per ordered triple, truncated at t.order."""
-    out = {}
-    for (i, j, k) in itertools.permutations(t.cover.charts, 3):
-        comp = compose(t.maps[(j, k)], t.maps[(i, j)], t.order)
-        out[(i, j, k)] = map_difference(t.maps[(i, k)].truncate(t.order), comp)
-    return out
+    return {triple: _defect(t, *triple, t.order)
+            for triple in itertools.permutations(t.cover.charts, 3)}
 
 
 def residuals_all_zero(res: dict) -> bool:
@@ -582,9 +588,9 @@ def residuals_all_zero(res: dict) -> bool:
 def inverse_residual(t: Trivialization) -> dict:
     """rho_ji o rho_ij - id per ordered pair, truncated at t.order."""
     out = {}
-    for (i, j), sm in t.maps.items():
-        comp = compose(t.maps[(j, i)], sm, t.order)
-        out[(i, j)] = map_difference(comp, identity_map(i, t.p, t.q))
+    for i, j in t.maps:
+        even, odd = _defect(t, i, j, i, t.order)
+        out[(i, j)] = ([_add({}, g, -1) for g in even], [_add({}, g, -1) for g in odd])
     return out
 
 
@@ -599,10 +605,8 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
     of the map i -> k, with arguments in chart i.  Raises CocycleViolation
     when the defect has parts of degree <= t.order.
     """
-    i, j, k = triple
     m = t.order
-    comp = compose(t.maps[(j, k)], t.maps[(i, j)], m + 1)
-    ev, od = map_difference(t.maps[(i, k)], comp)
+    ev, od = _defect(t, *triple, m + 1)
     low_even = [_truncate(g, m) for g in ev]
     low_odd = [_truncate(g, m) for g in od]
     if any(low_even) or any(low_odd):
@@ -667,45 +671,34 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     """Image 2-cocycle of a first-order extension class.
 
     ``omega`` is a closed 1-cochain valued in T tensor Lambda^2 E; the result
-    is the Lambda^3 E tensor E-dual valued 2-cocycle
-        Y_a = f^(mu|lm) (d zeta_a / d y^mu) zeta_a theta_(lm a)
-    assembled per sorted triple, with the sign convention pinned so that the
-    result equals the obstruction cocycle of the order-2 trivialisation built
-    from omega (checked in the tests).
+    is the Lambda^3 E tensor E-dual valued 2-cocycle whose value on a sorted
+    triple (i, j, k) is the odd degree-3 part of -DS_jk(S_ij) w_ij, with w_ij
+    omega's increment of rho_ij in the map's frame: w_ij moves to chart j by
+    S_ji, ``_tangent`` applies DS_jk, and the image moves back by S_ij.  This
+    is the degree-3 composition defect of the order-2 trivialisation built
+    from omega, which ``verify_gamma_cocycle`` checks against ``compose``.
     """
     if t.order < 2:
         raise ValueError("an order >= 2 trivialisation is required")
     residual = cech.coboundary(omega)
     if not residual.is_zero():
         raise cech.NotACocycleError(residual)
-    expected = slot_sheaf(t.cover, t.degrees, 2)
+    cover, degrees = t.cover, t.degrees
+    expected = slot_sheaf(cover, degrees, 2)
     if omega.sheaf.kind != expected.kind or omega.sheaf.twists != expected.twists:
         raise ValueError("omega does not live in the degree-2 slot sheaf")
-    cover = t.cover
-    degrees = t.degrees
     spec = slot_sheaf(cover, degrees, 3)
     terms = {}
     for (i, j, k) in cover.triples:
-        # vector parts in the chart-j frame, arguments in chart i
-        vecs = _reframe(cover, degrees, expected, omega.on((i, j)), i, j, True)
-        line = cover.transport(cech.LINE_SUM, k, j, 0)[1]
-        raw: dict = {}
-        for (s, mu, e), c in vecs.items():
-            I = expected.labels[s]
-            for a, k_a in enumerate(degrees.degrees, 1):
-                # d zeta_{jk,a} / d y^mu = dz y^z, pulled back to chart i and
-                # times zeta_{ij,a} by one line-bundle move j -> i
-                z = [k_a * x for x in line]
-                dz = z[mu]
-                if a in I or not dz:
-                    continue
-                z[mu] -= 1
-                (_, offset, _), = cech._move(cover, cech.LINE_SUM, j, i, 0, k_a, z)
-                target_I, sign = sort_index_tuple(I + (a,))
-                key = (spec.labels.index((target_I, a)), 0, tuple(map(add, e, offset)))
-                raw[key] = raw.get(key, 0) - sign * dz * c
-        data = _reframe(cover, degrees, spec, raw, i, k, False)
-        terms.update({((i, j, k), *key): c for key, c in data.items()})
+        there, back = (_split_exponents(cover, degrees, *pair) for pair in ((i, j), (j, i)))
+        zero = _map(i, j, ({},) * t.p, ({},) * t.q)
+        w = _add_slots(zero, expected, _reframe(cover, degrees, expected, omega.on((i, j)),
+                                                i, j, True))
+        move = _tangent(_split_exponents(cover, degrees, j, k),
+                        [_pull(g, back) for g in w.even + w.odd], 3)
+        image = _read_slots(spec, (), [_pull(g, there) for g in move[t.p:]])
+        data = _reframe(cover, degrees, spec, image, i, k, False)
+        terms.update({((i, j, k), *key): -c for key, c in data.items()})
     return Cochain(spec, 2, terms)
 
 

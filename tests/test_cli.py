@@ -38,6 +38,25 @@ def test_cohomology_command_json(capsys):
     assert data["outputs"]["method"] == "monomial-oracle"
 
 
+def test_cohomology_command_counts_without_building_cochains(monkeypatch, capsys):
+    # the command counts the classes of the sign-type table; the library's
+    # line_bundle_cohomology builds their representatives and agrees
+    expected = {}
+    for n, k, q in [(1, -2, 1), (2, -4, 2), (2, 0, 0), (2, 5, 0), (2, -1, 1), (1, 3, 2)]:
+        rep = cech.line_bundle_cohomology(n, k, q)
+        expected[n, k, q] = {"dim": rep.dims[q], "method": rep.method}
+
+    def refused(*args):
+        raise AssertionError("the cohomology command builds no cochain")
+
+    monkeypatch.setattr(cech, "cochain_from_slots", refused)
+    for (n, k, q), outputs in expected.items():
+        code, out, _ = run(capsys, "cohomology", "--n", str(n), "--k", str(k), "--q", str(q),
+                           "--json")
+        assert code == 0 and json.loads(out)["outputs"] == outputs
+    assert run(capsys, "cohomology", "--n", "3", "--k", "0", "--q", "0")[0] == 2
+
+
 def test_check_command_json(capsys):
     code, out, _ = run(capsys, "check-lemma71", "--degrees", "3,0,-6", "--json")
     assert code == 0
@@ -88,6 +107,26 @@ def test_gamma_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["outputs"]["cocycle_check"] is True
     assert data["outputs"]["is_zero"] is False
+
+
+def test_gamma_exits_one_when_its_cocycle_check_fails(tmp_path, capsys):
+    # without its "1,0" map the generator file falls back to the split map
+    # there: the sorted triple still gives a gamma, but the defect on the
+    # three triples through 1 -> 0 has low-degree parts, so the check fails
+    data = generator_json()
+    del data["maps"]["1,0"]
+    path = tmp_path / "no_10.json"
+    path.write_text(cli.canonical_json(data) + "\n")
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["outputs"]["failing_triples"] == [[1, 0, 2], [1, 2, 0], [2, 1, 0]]
+    code, out, _ = run(capsys, "gamma", "--file", str(path), "--json")
+    assert code == 1
+    outputs = json.loads(out)["outputs"]
+    assert outputs["cocycle_check"] is False and "gamma" in outputs
+    code, out, _ = run(capsys, "gamma", "--file", str(path))
+    assert code == 1
+    assert out == "gamma zero: False, cocycle check: False\n"
 
 
 def test_gamma_rejects_invalid_gluing(tmp_path, capsys):
@@ -355,6 +394,48 @@ def test_failed_self_check_exits_three(monkeypatch, capsys):
     lines = err.splitlines()
     assert lines[0] == "internal self-check failed: coboundary image is not a codomain slot"
     assert len(lines) == 2 and lines[1].startswith("[")  # the timing line
+
+
+def test_pushforward_off_the_composition_defect_exits_three(monkeypatch, capsys):
+    # the pipeline certifies the closed-form gamma against the defect that
+    # only compose computes; one coefficient off fails that certificate
+    pushforward = supermap.pushforward_partial
+
+    def off_by_one(omega, t):
+        gamma = pushforward(omega, t)
+        key = min(gamma.terms)
+        return cech.Cochain(gamma.sheaf, 2, {**gamma.terms, key: gamma.terms[key] + 1})
+
+    monkeypatch.setattr(supermap, "pushforward_partial", off_by_one)
+    code, out, err = run(capsys, "pushforward", "--degrees", "4,-1,-7", "--json")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == ("internal self-check failed: pushforward failed verification "
+                        "against the composition defect")
+    assert len(lines) == 2 and lines[1].startswith("[")  # the timing line
+
+
+def test_warm_certificate_composes_six_times(monkeypatch, capsys):
+    # one generator: its gamma is checked on the 6 ordered triples, one
+    # compose each; the closed-form pushforward and the build compose nothing
+    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    kernel = supermap.compose
+
+    def counting(g, f, order):
+        calls.append(order)
+        return kernel(g, f, order)
+
+    def refused(t):
+        raise AssertionError("the certificate takes gamma from the pushforward")
+
+    monkeypatch.setattr(supermap, "compose", counting)
+    monkeypatch.setattr(supermap, "obstruction_cocycle", refused)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == [3] * 6
 
 
 # Fuzzing the thickening-file readers: any JSON value, and the split models

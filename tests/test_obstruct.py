@@ -94,9 +94,16 @@ def brute_search(lo, hi):
 
 
 def test_search_matches_bruteforce_and_examples():
-    hits = search_split_triples(-8, 8)
-    triples = [tuple(h.degrees.degrees) for h in hits]
-    assert triples == brute_search(-8, 8)
+    # k1 + k3 = -3 fixes k3, so the search walks k1 and k2 only; asymmetric
+    # windows cut k3 = -3 - k1 off at either end
+    windows = [(-8, 8), (-3, 10), (-20, 0), (5, 9), (-12, 5), (-9, 12), (-7, 3), (-2, 2)]
+    for lo, hi in windows:
+        hits = search_split_triples(lo, hi)
+        assert [tuple(h.degrees.degrees) for h in hits] == brute_search(lo, hi), (lo, hi)
+        for h in hits:
+            assert h.to_json() == check_split_conditions(h.degrees).to_json()
+    assert sum(bool(brute_search(lo, hi)) for lo, hi in windows) >= 4
+    triples = [tuple(h.degrees.degrees) for h in search_split_triples(-8, 8)]
     assert (3, 0, -6) in triples
     assert (4, -1, -7) in triples
     assert all(k1 + k2 != 2 for k1, k2, _ in triples)

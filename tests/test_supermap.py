@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from superthick import cech, cli, supermap as sm
 from superthick.bott import SplitBundleDegrees
+from superthick.exterior import sort_index_tuple
 from test_acceptance import DEGREE_POOL
 from test_pipeline import harmonic_h2_part
 
@@ -230,6 +232,60 @@ def test_pushforward_equals_composition_defect():
         gamma = sm.obstruction_cocycle(t)
         pushed = sm.pushforward_partial(omega, t)
         assert (pushed - gamma).is_zero()
+
+
+def reference_pushforward_partial(omega, t):
+    """The image formula term by term, as ``pushforward_partial`` evaluated
+    it before it became -DS_jk(S_ij) w_ij: on a sorted triple,
+        Y_a = -f^(mu|I) (d zeta_(jk,a) / d y^mu) zeta_(ij,a) theta_(I a),
+    with f the increment omega_ij in the frame of the map i -> j, the
+    derivative pulled back to chart i and times zeta_(ij,a) by one
+    line-bundle move j -> i, and the result moved to the slot frame."""
+    cover, degrees = t.cover, t.degrees
+    expected = sm.slot_sheaf(cover, degrees, 2)
+    spec = sm.slot_sheaf(cover, degrees, 3)
+    terms = {}
+    for (i, j, k) in cover.triples:
+        vecs = sm._reframe(cover, degrees, expected, omega.on((i, j)), i, j, True)
+        line = cover.transport(cech.LINE_SUM, k, j, 0)[1]
+        raw = {}
+        for (s, mu, e), c in vecs.items():
+            word = expected.labels[s]
+            for a, k_a in enumerate(degrees.degrees, 1):
+                z = [k_a * x for x in line]
+                dz = z[mu]
+                if a in word or not dz:
+                    continue
+                z[mu] -= 1
+                (_, offset, _), = cech._move(cover, cech.LINE_SUM, j, i, 0, k_a, z)
+                target, sign = sort_index_tuple(word + (a,))
+                key = (spec.labels.index((target, a)), 0, tuple(map(add, e, offset)))
+                raw[key] = raw.get(key, 0) - sign * dz * c
+        data = sm._reframe(cover, degrees, spec, raw, i, k, False)
+        terms.update({((i, j, k), *key): c for key, c in data.items()})
+    return cech.Cochain(spec, 2, terms)
+
+
+RANK4_DEGREES = [(4, -1, -7, 2), (3, 0, -6, 1), (5, -2, -8, -1)]
+
+
+@pytest.mark.parametrize("degrees", DEGREE_POOL + RANK4_DEGREES)
+def test_pushforward_matches_reference_formula_term_by_term(degrees):
+    # random closed increments with harmonic parts, so that the classes of
+    # H^1 are hit, not only coboundaries
+    degrees = SplitBundleDegrees(degrees)
+    spec = sm.slot_sheaf(COV2, degrees, 2)
+    harmonic = cech.h1_representatives(spec).representatives[1]
+    nonzero = 0
+    for seed in range(6):
+        omega = cech.random_closed_cochain(spec, random.Random(seed), harmonic=harmonic, terms=2)
+        t = sm.build_trivialization(COV2, degrees, 2, {2: omega})
+        pushed = sm.pushforward_partial(omega, t)
+        assert pushed.terms == reference_pushforward_partial(omega, t).terms, (degrees, seed)
+        assert pushed.terms == sm.obstruction_cocycle(t).terms, (degrees, seed)
+        nonzero += not pushed.is_zero()
+    # with every degree 0 the frame changes zeta are constant: the image is 0
+    assert nonzero or not any(degrees.degrees)
 
 
 def test_pushforward_of_coboundary_is_exact():
