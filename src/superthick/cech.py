@@ -46,7 +46,10 @@ caller: ``standard_cover`` hands out one shared cover per n.
 ``class_blocks`` lists every concrete character of the types that carry
 classes (finitely many; types unbounded both ways carry none and are not
 listed) with their classes, and builds no cochain; ``cohomology`` fills in
-each character's slot exponents to make representatives.
+each character's slot exponents to make representatives.  What depends on a
+summand only through its twist is kept in the cover's tables too: one
+summand's listing under (kind, q, twist), a block's slots under (kind,
+degree, twist, character).
 ``h1_representatives`` and ``line_bundle_cohomology`` are views of it, and
 ``solve_blocks`` reads the same records to split a cocycle into an exact part
 and class coordinates.  The closed formulas cross-check every total in
@@ -79,10 +82,24 @@ class Cover:
         self.n = n
         self.charts = tuple(range(n + 1))
         self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
+        # Tables of what depends only on the cover and a structural key, each
+        # filled lazily on first use and kept for the cover's life.  Keys
+        # hold no cochain or map data; values are not changed once stored.
+        # (kind, a, b, comp) -> how a monomial moves from chart a to chart b
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
         # (kind, q, sign type) -> the classes of H^q on a block of that type
         # and the solver of its degree-q blocks; see _type_record
         self.cohomology_table: dict[tuple[str, int, tuple], tuple] = {}
+        # (kind, q, twist) -> one summand's (character, classes) walk, checked
+        # against the closed formula when stored; see enumerate_chars
+        self.summand_table: dict[tuple[str, int, int], tuple] = {}
+        # (kind, degree, twist, character) -> the block's (simplex, comp,
+        # exps) slots, without the summand index; see char_basis
+        self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
+        # (bundle degrees, i, j) -> exponents of the split map i -> j, and
+        # (bundle degrees, d) -> the degree-d slot sheaf; filled by supermap
+        self.split_table: dict[tuple[tuple, int, int], tuple] = {}
+        self.slot_sheaf_table: dict[tuple[tuple, int], "SheafSpec"] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
@@ -437,16 +454,25 @@ def _cone_ok(cover: Cover, simplex: tuple, chart: int, exps) -> bool:
 
 
 def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[BasisSlot]:
-    """All monomial slots of character g in degree-``degree`` cochains."""
+    """All monomial slots of character g in degree-``degree`` cochains.
+
+    The slots depend on the summand only through its twist, so the cover's
+    basis table keeps them under (kind, degree, twist, g) without the summand
+    index, which each read puts back.
+    """
     cover = spec.cover
-    slots = []
-    for simplex in cover.simplices(degree):
-        chart = simplex[0]
-        for comp in range(spec.ncomp):
-            exps = char_monomial_exps(spec, chart, summand, comp, g)
-            if exps is not None and _cone_ok(cover, simplex, chart, exps):
-                slots.append(BasisSlot(simplex, summand, comp, exps))
-    return slots
+    key = (spec.kind, degree, spec.twists[summand], g)
+    slots = cover.basis_table.get(key)
+    if slots is None:
+        found = []
+        for simplex in cover.simplices(degree):
+            chart = simplex[0]
+            for comp in range(spec.ncomp):
+                exps = char_monomial_exps(spec, chart, summand, comp, g)
+                if exps is not None and _cone_ok(cover, simplex, chart, exps):
+                    found.append((simplex, comp, exps))
+        slots = cover.basis_table[key] = tuple(found)
+    return [BasisSlot(simplex, summand, comp, exps) for simplex, comp, exps in slots]
 
 
 def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
@@ -515,8 +541,9 @@ def solve_blocks(target: Cochain):
     deg = target.degree
     if deg not in (1, 2):
         raise ValueError("can only solve for preimages of 1- and 2-cochains")
-    solution = zero_cochain(spec, deg - 1)
-    exact = target
+    # blocks have disjoint slots: each block's terms go straight into one dict
+    solution: dict[BasisSlot, int | Fraction] = {}
+    exact = dict(target.terms)
     coords: dict[tuple[int, Char], list] = {}
     for (summand, g), coeffs in sorted(cochain_chars(target).items()):
         dom = char_basis(spec, deg - 1, summand, g)
@@ -528,16 +555,26 @@ def solve_blocks(target: Cochain):
         x = _solve_block(spec, deg, summand, g, rhs)
         if x is None:
             raise AssertionError(f"cocycle block {(summand, g)} is not image plus classes")
-        solution = solution + cochain_from_slots(spec, deg - 1, dom, x[: len(dom)])
+        for slot, c in zip(dom, x):
+            c = _coerce(c)
+            if c:
+                solution[slot] = c
         part = [_coerce(c) for c in x[len(dom):]]
         if any(part):
             coords[summand, g] = part
             classes = block_cohomology(spec, deg, summand, g)
-            harmonic = [sum(c * vec[r] for c, vec in zip(part, classes)) for r in range(len(cod))]
-            exact = exact - cochain_from_slots(spec, deg, cod, harmonic)
-    if not (coboundary(solution) - exact).is_zero():
+            for r, slot in enumerate(cod):
+                harmonic = sum(c * vec[r] for c, vec in zip(part, classes))
+                if harmonic:
+                    rest = exact.get(slot, 0) - harmonic
+                    if rest:
+                        exact[slot] = rest
+                    else:
+                        del exact[slot]
+    preimage = _cochain(spec, deg - 1, solution)
+    if not (coboundary(preimage) - _cochain(spec, deg, exact)).is_zero():
         raise AssertionError("solver returned an invalid preimage")
-    return solution, coords
+    return preimage, coords
 
 
 def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) -> list | None:
@@ -721,26 +758,34 @@ def _type_record(spec: SheafSpec, q: int, summand: int, sign_type: tuple, g: Cha
     return record
 
 
-def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> list[tuple[Char, list]]:
+def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> tuple[tuple[Char, list], ...]:
     """(character, classes) for every character of one summand whose block
-    has H^q, ordered by g[1:].
+    has H^q, 0 <= q <= n, ordered by g[1:].
 
-    The walk reads each sign type's record from the cover's cohomology table
-    by its (kind, q, sign type) key, once per type; only a type missing from
-    the table goes to ``_type_record``.  Every concrete character of a type
-    with classes shares them.
+    The walk depends on the summand only through (kind, q, twist), so it is
+    made once per cover and kept in the cover's summand table under that key.
+    It reads each sign type's record through ``_type_record``, once per type;
+    every concrete character of a type with classes shares them.  Its class
+    count is checked against the summand's closed formula before it is
+    stored; a difference is a failed self-check.
     """
     twist = spec.twists[summand]
-    table = spec.cover.cohomology_table
-    found = []
-    for sign_type, g in _sign_types(spec.cover.n, twist):
-        record = table.get((spec.kind, q, sign_type))
-        if record is None:
-            record = _type_record(spec, q, summand, sign_type, g)
-        classes = record[0]
-        if classes:
-            found.extend((c, classes) for c in _type_chars(sign_type, twist))
-    return sorted(found, key=lambda pair: pair[0][1:])
+    key = (spec.kind, q, twist)
+    table = spec.cover.summand_table
+    walk = table.get(key)
+    if walk is None:
+        found = []
+        for sign_type, g in _sign_types(spec.cover.n, twist):
+            classes = _type_record(spec, q, summand, sign_type, g)[0]
+            if classes:
+                found.extend((c, classes) for c in _type_chars(sign_type, twist))
+        count = sum(len(classes) for _, classes in found)
+        expected = _summand_bott_dim(spec, summand, q)
+        if count != expected:
+            raise AssertionError(f"H^{q} of a {spec.kind} summand twisted by {twist} has "
+                                 f"{count} classes, closed formula gives {expected}")
+        walk = table[key] = tuple(sorted(found, key=lambda pair: pair[0][1:]))
+    return walk
 
 
 def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[Fraction]]]]:
@@ -748,9 +793,10 @@ def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[Fra
 
     Summands come in order and their characters as ``enumerate_chars`` lists
     them; the classes are ``block_cohomology``'s kernel vectors, so the walk
-    reads the cover's cohomology table and builds no cochain.  The number of
-    classes is cross-checked against the closed formula; a difference is a
-    failed self-check.
+    reads the cover's tables and builds no cochain.  The number of classes
+    is cross-checked against the closed formula on every call, on top of
+    each summand's check when its walk was stored; a difference is a failed
+    self-check.
     """
     if not 0 <= q <= spec.cover.n:
         return []

@@ -113,6 +113,10 @@ class SuperMap:
         object.__setattr__(self, "odd", tuple(_checked_component(g, p, q, 1) for g in self.odd))
 
     def truncate(self, order: int) -> "SuperMap":
+        """The map mod J^(order+1).  Callers only read the result, so when
+        no term exceeds the order it is the map itself, not a copy."""
+        if all(len(w) <= order for g in self.even + self.odd for w, _ in g):
+            return self
         return _map(self.source, self.target,
                     tuple(_truncate(g, order) for g in self.even),
                     tuple(_truncate(g, order) for g in self.odd))
@@ -301,9 +305,15 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 
 def _split_exponents(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
     """The split map i -> j as exponents: the even rows, x^row, read off the
-    transport j -> i, and the odd z_a = k_a line, x^(z_a) theta_a."""
-    rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
-    return rows, tuple(tuple(k * x for x in line) for k in degrees.degrees)
+    transport j -> i, and the odd z_a = k_a line, x^(z_a) theta_a.  Kept in
+    the cover's split table under (degrees, i, j)."""
+    key = (degrees.degrees, i, j)
+    split = cover.split_table.get(key)
+    if split is None:
+        rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
+        split = cover.split_table[key] = (
+            rows, tuple(tuple(k * x for x in line) for k in degrees.degrees))
+    return split
 
 
 def _split_map(i: int, j: int, split: tuple) -> SuperMap:
@@ -391,19 +401,27 @@ def split_trivialization(
 
 
 def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
-    """Sheaf housing homogeneous degree-d data: Q^(d);+ even, Q^(d);- odd."""
+    """Sheaf housing homogeneous degree-d data: Q^(d);+ even, Q^(d);- odd.
+    Kept in the cover's slot-sheaf table under (degrees, d)."""
+    key = (degrees.degrees, d)
+    spec = cover.slot_sheaf_table.get(key)
+    if spec is not None:
+        return spec
     if d % 2 == 0:
         summands = degrees.wedge_summands(d)
-        return cech.tangent_twisted(
+        spec = cech.tangent_twisted(
             cover, [t for _, t in summands], labels=tuple(I for I, _ in summands)
         )
-    labels = []
-    twists = []
-    for I, wt in degrees.wedge_summands(d):
-        for a, dt in degrees.dual_summands():
-            labels.append((I, a))
-            twists.append(wt + dt)
-    return cech.line_sum(cover, twists, labels=tuple(labels))
+    else:
+        labels = []
+        twists = []
+        for I, wt in degrees.wedge_summands(d):
+            for a, dt in degrees.dual_summands():
+                labels.append((I, a))
+                twists.append(wt + dt)
+        spec = cech.line_sum(cover, twists, labels=tuple(labels))
+    cover.slot_sheaf_table[key] = spec
+    return spec
 
 
 def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: dict,

@@ -583,6 +583,69 @@ def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch)
     assert after == before
 
 
+# ---------------------------------------------------------------------------
+# the cover's per-twist tables
+
+COVER_TABLES = ("cohomology_table", "summand_table", "basis_table", "split_table",
+                "slot_sheaf_table")
+
+
+def cover_tables(cover):
+    """A copy of every table of the cover."""
+    return {name: dict(getattr(cover, name)) for name in COVER_TABLES}
+
+
+def test_cover_tables_serve_what_fresh_covers_compute():
+    # one cover's tables, filled through the summands in reverse order, serve
+    # the listings, representatives and slots that fresh covers compute cold,
+    # with each summand index put back; every stored value is a tuple
+    twists = list(range(-12, 13))
+    keys = 0
+    for n in (1, 2):
+        warm = cech.Cover(n)
+        for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
+            for q in range(n + 1):
+                cech.cohomology(make(warm, twists[::-1]), q)
+                spec = make(warm, twists)
+                blocks = cech.class_blocks(spec, q)
+                assert blocks == cech.class_blocks(make(cech.Cover(n), twists), q), (n, spec.kind, q)
+                reps = [c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+                fresh = cech.cohomology(make(cech.Cover(n), twists), q).representatives[q]
+                assert reps == [c.to_json() for c in fresh], (n, spec.kind, q)
+                for summand, g, _ in blocks:
+                    for degree in range(max(q - 1, 0), q + 2):
+                        want = cech.char_basis(make(cech.Cover(n), twists), degree, summand, g)
+                        assert cech.char_basis(spec, degree, summand, g) == want
+        keys += len(warm.summand_table)
+        for name in ("summand_table", "basis_table"):
+            assert all(type(value) is tuple and all(type(entry) is tuple for entry in value)
+                       for value in getattr(warm, name).values()), name
+    assert keys == 375
+
+
+def test_closed_formula_mismatch_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):
+    specs = table_specs(cech.standard_cover(2))
+    before = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+              for spec in specs for q in range(3)]
+    tables = cover_tables(cech.standard_cover(2))
+    bott_dim = cech._summand_bott_dim
+    monkeypatch.setattr(cech, "_summand_bott_dim",
+                        lambda spec, summand, q: bott_dim(spec, summand, q) + 1)
+    fresh = cech.Cover(2)
+    for spec in table_specs(fresh):
+        for q in range(3):
+            with pytest.raises(AssertionError, match=r"summand twisted by -?\d+ has \d+ classes, "
+                                                     r"closed formula gives"):
+                cech.cohomology(spec, q)
+    assert fresh.summand_table == {}
+    assert cover_tables(cech.standard_cover(2)) == tables
+    monkeypatch.undo()
+    after = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+             for spec in specs for q in range(3)]
+    assert after == before
+    assert cover_tables(cech.standard_cover(2)) == tables
+
+
 def test_cochain_constructor_checks_what_arithmetic_trusts():
     spec = cech.tangent_twisted(cech.standard_cover(2), [1, -2])
     for simplex in ((1, 0), (0, 1, 2), (2,)):  # unsorted, then two wrong lengths

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from superthick.pipeline import (
     normalize_generator,
     pipeline_obstructed_cp2,
 )
+from test_golden import ADMISSIBLE
 
 
 def test_pipeline_headline_triple_is_definitive_zero():
@@ -79,47 +81,95 @@ def test_window_never_cuts_an_admissible_triple(capsys):
         assert runs[0] == runs[1], degrees
 
 
+class CountingTable(dict):
+    """A cover table that records every key read by ``get``, and whether it
+    was there."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append((key, key in self))
+        return super().get(key, default)
+
+
 def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
-    # the H^q walk reads each sign type's record from the cohomology table
-    # by its type key, once per type and walk; solve_blocks looks its class
-    # block up per character through block_cohomology
+    # a cold walk reads each sign type's record from the cohomology table by
+    # its type key, once per type; a warm certificate walks nothing: each
+    # summand's walk is one hit in the summand table, and solve_blocks looks
+    # its one class block up per character through block_cohomology
+    degrees = SplitBundleDegrees((4, -1, -7))
+    cold = cech.Cover(2)
+    cold.cohomology_table = CountingTable({})
+    for d, q in ((2, 1), (3, 2)):
+        spec = supermap.slot_sheaf(cold, degrees, d)
+        for summand, twist in enumerate(spec.twists):
+            before = len(cold.cohomology_table.reads)
+            cech.enumerate_chars(spec, summand, q)
+            keys = [key for key, _ in cold.cohomology_table.reads[before:]]
+            assert keys == [(spec.kind, q, t) for t, _ in cech._sign_types(2, twist)], twist
+            assert len(keys) == len(set(keys))
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     main(argv)
     cover = cech.standard_cover(2)
-    walks, per_char = [], []
-
-    class CountingTable(dict):
-        def get(self, key, default=None):
-            if walking:
-                walks[-1].append(key)
-            return super().get(key, default)
-
-    walking = False
+    types = CountingTable(cover.cohomology_table)
+    walks = CountingTable(cover.summand_table)
+    walking, per_char = [], []
     walk, lookup = cech.enumerate_chars, cech.block_cohomology
 
     def counting_walk(*args):
-        nonlocal walking
-        walks.append([])
-        walking = True
+        before = len(types.reads)
         try:
             return walk(*args)
         finally:
-            walking = False
+            walking.extend(types.reads[before:])
 
     def counting_lookup(*args):
         per_char.append(args)
         return lookup(*args)
 
-    monkeypatch.setattr(cover, "cohomology_table", CountingTable(cover.cohomology_table))
+    monkeypatch.setattr(cover, "cohomology_table", types)
+    monkeypatch.setattr(cover, "summand_table", walks)
     monkeypatch.setattr(cech, "enumerate_chars", counting_walk)
     monkeypatch.setattr(cech, "block_cohomology", counting_lookup)
     assert main(argv) == 0
     capsys.readouterr()
-    walked = [key for keys in walks for key in keys]
-    assert (len(walked), len(per_char)) == (96, 1)  # 97 lookups in all
-    for keys in walks:
-        assert len(keys) == len(set(keys)), keys
-    assert all(sign_type == cech._sign_type(sign_type) for _, _, sign_type in walked)
+    # 6 summand walks (3 tangent at q = 1, 3 line at q = 2), all hits; the 2
+    # sign-type reads are solve_blocks' _solve_block and block_cohomology
+    assert (len(walking), len(types.reads), len(walks.reads), len(per_char)) == (0, 2, 6, 1)
+    assert all(hit for _, hit in walks.reads + types.reads)
+    assert all(sign_type == cech._sign_type(sign_type) for (_, _, sign_type), _ in types.reads)
+
+
+def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
+    # a certificate walks 6 summands, 72 over the admissible triples, which
+    # share 26 (kind, q, twist) keys; the sorted triples of [-8, 8] make
+    # 5814 walks over 66 keys
+    fresh = cech.Cover(2)
+    monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
+    fresh.summand_table = CountingTable({})
+    argvs = [["pushforward", "--degrees", ",".join(map(str, k)), "--json"] for k in ADMISSIBLE]
+    cold = []
+    for argv in argvs:
+        main(argv)
+        cold.append(capsys.readouterr().out)
+    reads = fresh.summand_table.reads
+    assert (len(reads), sum(not hit for _, hit in reads), len(fresh.summand_table)) == (72, 26, 26)
+    assert (len(fresh.split_table), len(fresh.slot_sheaf_table)) == (6 * 12, 2 * 12)
+    assert all(type(split) is tuple for split in fresh.split_table.values())
+    monkeypatch.undo()
+    for argv, out in zip(argvs, cold):  # the shared cover's warm tables
+        main(argv)
+        assert capsys.readouterr().out == out, argv
+    sweep = cech.Cover(2)
+    walks = 0
+    for degrees in itertools.combinations_with_replacement(range(8, -9, -1), 3):
+        for d, q in ((2, 1), (3, 2)):
+            spec = supermap.slot_sheaf(sweep, SplitBundleDegrees(degrees), d)
+            cech.class_blocks(spec, q)
+            walks += spec.nsummands
+    assert (walks, len(sweep.summand_table)) == (5814, 66)
 
 
 def test_normalize_generator_leading_coefficient():

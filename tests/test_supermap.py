@@ -534,3 +534,26 @@ def test_thickening_file_roundtrip(tmp_path):
     first = path.read_bytes()
     write_thickening(back, path)
     assert path.read_bytes() == first
+
+
+def reference_truncate(m, order):
+    """The map mod J^(order+1), every component rebuilt."""
+    return sm._map(m.source, m.target, tuple(sm._truncate(g, order) for g in m.even),
+                   tuple(sm._truncate(g, order) for g in m.odd))
+
+
+def test_truncate_returns_the_map_when_nothing_is_cut():
+    kept = cut = 0
+    for seed, degrees in enumerate(DEGREE_POOL):
+        t = sm.random_trivialization(COV2, SplitBundleDegrees(degrees), 2, random.Random(seed))
+        for m in t.maps.values():
+            for order in range(5):
+                got, want = m.truncate(order), reference_truncate(m, order)
+                assert got == want
+                if want == m:
+                    assert got is m
+                    kept += 1
+                else:
+                    assert got is not m
+                    cut += 1
+    assert kept > 0 and cut > 0
