@@ -1,8 +1,8 @@
 """Closed-form sheaf cohomology dimensions on projective space.
 
 The central entry point is :func:`bott_dim`, the four-case closed formula for
-h^q(P^n, Omega^p(k)).  Twisted tangent dimensions reduce to it through the
-rank-two dualization T(P^2) = Omega^1(3) (on P^1, T = O(2)).  Dimensions of
+h^q(P^n, Omega^p(k)).  Twisted tangent dimensions reduce to it through
+T = Omega^(n-1)(n+1): Omega^1(3) on P^2 and O(2) on P^1.  Dimensions of
 split-bundle constructions are sums over line-bundle summands.
 """
 
@@ -44,15 +44,10 @@ def serre_dual_dim(n: int, p: int, q: int, k: int) -> int:
 
 
 def tangent_dim(n: int, q: int, s: int) -> int:
-    """h^q(P^n, T(s)).
-
-    On P^2 the tangent sheaf is Omega^1(3); on P^1 it is O(2).
-    """
-    if n == 2:
-        return bott_dim(2, 1, q, s + 3)
-    if n == 1:
-        return bott_dim(1, 0, q, s + 2)
-    raise ValueError("only n in {1, 2} is supported")
+    """h^q(P^n, T(s)), by T = Omega^(n-1)(n+1): Omega^1(3) on P^2, O(2) on P^1."""
+    if n not in (1, 2):
+        raise ValueError("only n in {1, 2} is supported")
+    return bott_dim(n, n - 1, q, s + n + 1)
 
 
 @dataclass(frozen=True)

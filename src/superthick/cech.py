@@ -31,7 +31,11 @@ constant per output component.  ``represent`` moves slot data monomial by
 monomial with it.  The coboundary of one slot is a few such moves; a whole
 cochain's coboundary sums it over the cochain's slots, and
 ``delta_block_matrix`` fills each block column with it, so both share one
-differential.
+differential.  Everywhere else a kind means one row of the frame table: its
+frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott form
+h^q(Omega^p(t + shift)), T being Omega^(n-1)(n+1).  Characters, component
+counts and closed formulas read it; ``supermap`` places the slots of its slot
+sheaves in a map's components with one placement.
 
 Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
@@ -60,13 +64,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
 from .laurent import _coerce, fraction_to_str
-from . import linalg
+from . import bott, linalg
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,13 @@ LINE_SUM = "line_sum"
 TANGENT = "tangent_twisted"
 ONE_FORM = "oneform_twisted"
 
+# The frame table: what a kind means outside ``Cover.transport``.  kind ->
+# (weight, bott): the frame of component mu in chart i has the character
+# weight * (e_i - e_mu), and a summand twisted by t is Omega^p(t + shift) with
+# (p, shift) = bott(n), T being Omega^(n-1)(n+1); so it has C(n, p) components.
+_FRAMES = {LINE_SUM: (0, lambda n: (0, 0)), TANGENT: (1, lambda n: (n - 1, n + 1)),
+           ONE_FORM: (-1, lambda n: (1, 0))}
+
 
 @dataclass(frozen=True)
 class SheafSpec:
@@ -193,7 +205,7 @@ class SheafSpec:
     labels: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (LINE_SUM, TANGENT, ONE_FORM):
+        if self.kind not in _FRAMES:
             raise ValueError(f"unknown sheaf kind {self.kind!r}")
         object.__setattr__(self, "twists", tuple(int(t) for t in self.twists))
         if self.labels and len(self.labels) != len(self.twists):
@@ -201,7 +213,10 @@ class SheafSpec:
 
     @property
     def ncomp(self) -> int:
-        return 1 if self.kind == LINE_SUM else self.cover.n
+        """The rank C(n, p) of the summands' Omega^p."""
+        n = self.cover.n
+        p, _ = _FRAMES[self.kind][1](n)
+        return math.comb(n, p)
 
     @property
     def nsummands(self) -> int:
@@ -360,10 +375,6 @@ def _cochain(sheaf: SheafSpec, degree: int, terms: dict) -> Cochain:
     return out
 
 
-def zero_cochain(spec: SheafSpec, degree: int) -> Cochain:
-    return Cochain(spec, degree)
-
-
 @functools.cache
 def _cofaces(n: int, face: tuple) -> tuple:
     """(simplex, sign) for each simplex of the cover of P^n one vertex larger
@@ -409,40 +420,32 @@ def coboundary(c: Cochain) -> Cochain:
 Char = tuple  # length n+1 exponent vector of homogeneous coordinates
 
 
+def _frame_char(spec: SheafSpec, chart: int, comp: int) -> list[int]:
+    """Character weight * (e_chart - e_mu) of the frame of component ``comp``,
+    mu its coordinate's homogeneous index, weight from the frame table."""
+    g = [0] * (spec.cover.n + 1)
+    weight = _FRAMES[spec.kind][0]
+    g[chart] += weight
+    g[spec.cover.chart_vars(chart)[comp]] -= weight
+    return g
+
+
 def monomial_char(spec: SheafSpec, chart: int, summand: int, comp: int, exps) -> Char:
     """Torus character of one monomial of a section in chart presentation."""
-    cover = spec.cover
-    g = [0] * (cover.n + 1)
-    for pos, l in enumerate(cover.chart_vars(chart)):
-        g[l] = exps[pos]
-    g[chart] = spec.twists[summand] - sum(exps)
-    if spec.kind == TANGENT:
-        mu = cover.chart_vars(chart)[comp]
-        g[chart] += 1
-        g[mu] -= 1
-    elif spec.kind == ONE_FORM:
-        mu = cover.chart_vars(chart)[comp]
-        g[chart] -= 1
-        g[mu] += 1
+    g = _frame_char(spec, chart, comp)
+    for pos, l in enumerate(spec.cover.chart_vars(chart)):
+        g[l] += exps[pos]
+    g[chart] += spec.twists[summand] - sum(exps)
     return tuple(g)
 
 
 def char_monomial_exps(spec: SheafSpec, chart: int, summand: int, comp: int, g: Char):
     """Inverse of monomial_char; None when the character misses this slot."""
-    cover = spec.cover
-    adjust = [0] * (cover.n + 1)
-    if spec.kind in (TANGENT, ONE_FORM):
-        mu = cover.chart_vars(chart)[comp]
-        s = 1 if spec.kind == TANGENT else -1
-        adjust[chart] += s
-        adjust[mu] -= s
-    exps = []
-    for l in cover.chart_vars(chart):
-        exps.append(g[l] - adjust[l])
-    implied = spec.twists[summand] - sum(exps) + adjust[chart]
-    if implied != g[chart]:
+    frame = _frame_char(spec, chart, comp)
+    exps = tuple(g[l] - frame[l] for l in spec.cover.chart_vars(chart))
+    if spec.twists[summand] - sum(exps) + frame[chart] != g[chart]:
         return None
-    return tuple(exps)
+    return exps
 
 
 def _cone_ok(cover: Cover, simplex: tuple, chart: int, exps) -> bool:
@@ -523,6 +526,13 @@ class NotACocycleError(ValueError):
         self.residual = residual
 
 
+def require_cocycle(c: Cochain) -> None:
+    """Raise NotACocycleError, carrying the coboundary, unless c is closed."""
+    residual = coboundary(c)
+    if not residual.is_zero():
+        raise NotACocycleError(residual)
+
+
 def solve_blocks(target: Cochain):
     """Split a cocycle into an exact part and its class coordinates.
 
@@ -534,9 +544,7 @@ def solve_blocks(target: Cochain):
     its sign type's cached reduction, ``_solve_block``: a cocycle block lies
     in that span, and its class coordinates are unique.
     """
-    residual = coboundary(target)
-    if not residual.is_zero():
-        raise NotACocycleError(residual)
+    require_cocycle(target)
     spec = target.sheaf
     deg = target.degree
     if deg not in (1, 2):
@@ -647,15 +655,10 @@ def _compositions(total: int, parts: int, lower: int):
 
 
 def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
-    from . import bott
-
+    """h^q of one summand, the Bott formula of its frame-table form."""
     n = spec.cover.n
-    t = spec.twists[summand]
-    if spec.kind == LINE_SUM:
-        return bott.line_dim(n, q, t)
-    if spec.kind == TANGENT:
-        return bott.tangent_dim(n, q, t)
-    return bott.bott_dim(n, 1, q, t)
+    p, shift = _FRAMES[spec.kind][1](n)
+    return bott.bott_dim(n, p, q, spec.twists[summand] + shift)
 
 
 def _sign_type(g: Char) -> tuple:

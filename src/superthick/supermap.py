@@ -34,7 +34,8 @@ part of the odd components is the diagonal frame change zeta_{ij,a} =
 transition.  Homogeneous degree-d data of a trivialisation is a Čech cochain
 valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd).
 A map's theta_I coefficients are read and written as slot data
-``{(summand, comp, exps): coef}``, the format of ``Cochain.on``; they differ
+``{(summand, comp, exps): coef}``, the format of ``Cochain.on``, each slot at
+its one place, ``_placement``, in the even or odd components; they differ
 from the chart-i slots of that cochain by the target frame only, the
 Jacobian of the transition on even slots and zeta on odd slots, and
 ``_reframe`` changes between the two with ``Cover.transport`` alone.  The
@@ -408,18 +409,11 @@ def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     if spec is not None:
         return spec
     if d % 2 == 0:
-        summands = degrees.wedge_summands(d)
-        spec = cech.tangent_twisted(
-            cover, [t for _, t in summands], labels=tuple(I for I, _ in summands)
-        )
+        make, summands = cech.tangent_twisted, degrees.wedge_summands(d)
     else:
-        labels = []
-        twists = []
-        for I, wt in degrees.wedge_summands(d):
-            for a, dt in degrees.dual_summands():
-                labels.append((I, a))
-                twists.append(wt + dt)
-        spec = cech.line_sum(cover, twists, labels=tuple(labels))
+        make, summands = cech.line_sum, [((I, a), wt + dt) for I, wt in degrees.wedge_summands(d)
+                                         for a, dt in degrees.dual_summands()]
+    spec = make(cover, [t for _, t in summands], labels=tuple(label for label, _ in summands))
     cover.slot_sheaf_table[key] = spec
     return spec
 
@@ -463,33 +457,46 @@ def _word_part(comp: dict, word: tuple) -> dict:
     return {e: c for (w, e), c in comp.items() if w == word}
 
 
-def _read_slots(spec: SheafSpec, even, odd) -> dict:
-    """The theta_I coefficients of a map's components as slot data in the
-    map's frame: even component nu of summand I, or odd component a of
-    summand (I, a) as its one component."""
-    index = {label: s for s, label in enumerate(spec.labels)}
+def _placement(spec: SheafSpec) -> dict:
+    """Where each slot of a slot sheaf sits in a map: (summand, comp) ->
+    (index among the even then odd components, odd word).  Even summand I
+    puts comp nu at theta_I of even component nu, odd (I, a) at odd a."""
+    p = spec.cover.n
     if spec.kind == cech.TANGENT:
-        return {(index[w], nu, e): c for nu, comp in enumerate(even)
-                for (w, e), c in comp.items() if w in index}
-    return {(index[w, a], 0, e): c for a, comp in enumerate(odd, 1)
-            for (w, e), c in comp.items() if (w, a) in index}
+        return {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
+    return {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
+
+
+def _read_slots(spec: SheafSpec, comps) -> dict:
+    """The coefficients of a map's components, the even ones first, as slot
+    data in the map's frame: the terms at the places of ``_placement``."""
+    slots = {place: slot for slot, place in _placement(spec).items()}
+    return {(*slots[index, w], e): c for index, comp in enumerate(comps)
+            for (w, e), c in comp.items() if (index, w) in slots}
 
 
 def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
     """``sm`` plus slot data in its frame; ``_read_slots`` reads it back."""
-    even, odd = [dict(g) for g in sm.even], [dict(g) for g in sm.odd]
+    comps = [dict(g) for g in sm.even + sm.odd]
+    place = _placement(spec)
     for (s, comp, e), c in data.items():
-        if spec.kind == cech.TANGENT:
-            part, key = even[comp], (spec.labels[s], e)
-        else:
-            word, a = spec.labels[s]
-            part, key = odd[a - 1], (word, e)
+        index, word = place[s, comp]
+        part, key = comps[index], (word, e)
         total = _coerce(part.get(key, 0) + c)
         if total:
             part[key] = total
         else:
             part.pop(key, None)
-    return _map(sm.source, sm.target, tuple(even), tuple(odd))
+    return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
+
+
+def _slot_sheaf_of(c: Cochain, cover: Cover, degrees: SplitBundleDegrees, d: int,
+                   message: str) -> SheafSpec:
+    """The degree-d slot sheaf; ValueError(message) unless ``c`` lives in it."""
+    expected = slot_sheaf(cover, degrees, d)
+    if c.sheaf.kind != expected.kind or c.sheaf.twists != expected.twists:
+        raise ValueError(message)
+    return expected
 
 
 def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
@@ -500,10 +507,8 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
     """
     if inc.degree != 1:
         raise ValueError("increments are 1-cochains")
-    spec = inc.sheaf
-    expected = slot_sheaf(t.cover, t.degrees, d)
-    if spec.kind != expected.kind or spec.twists != expected.twists:
-        raise ValueError("increment sheaf does not match the degree slot")
+    expected = _slot_sheaf_of(inc, t.cover, t.degrees, d,
+                              "increment sheaf does not match the degree slot")
     new_maps = dict(t.maps)
     for (i, j) in t.cover.pairs:
         data = _reframe(t.cover, t.degrees, expected, inc.on((i, j)), i, j, True)
@@ -517,7 +522,7 @@ def slot_cochain(t: Trivialization, d: int) -> Cochain:
     terms = {}
     for (i, j) in t.cover.pairs:
         sm = t.maps[(i, j)]
-        data = _reframe(t.cover, t.degrees, spec, _read_slots(spec, sm.even, sm.odd), i, j, False)
+        data = _reframe(t.cover, t.degrees, spec, _read_slots(spec, sm.even + sm.odd), i, j, False)
         terms.update({((i, j), *key): c for key, c in data.items()})
     return Cochain(spec, 1, terms)
 
@@ -621,7 +626,8 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
 
     The result is the defect's theta_I coefficients as slot data in the frame
     of the map i -> k, with arguments in chart i.  Raises CocycleViolation
-    when the defect has parts of degree <= t.order.
+    when the defect has parts of degree <= t.order; a term of degree m + 1
+    without a place in ``_placement`` has the wrong parity, a failed self-check.
     """
     m = t.order
     ev, od = _defect(t, *triple, m + 1)
@@ -632,10 +638,10 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
             f"cocycle condition fails at order {m} on triple {triple}",
             residual=(low_even, low_odd),
         )
-    wrong = od if spec.kind == cech.TANGENT else ev
-    if any(len(w) == m + 1 for g in wrong for w, _ in g):
+    slots = set(_placement(spec).values())
+    if any((index, w) not in slots for index, g in enumerate(ev + od) for w, _ in g):
         raise AssertionError("defect of the wrong parity at degree m + 1")
-    return _read_slots(spec, ev, od)
+    return _read_slots(spec, ev + od)
 
 
 def obstruction_cocycle(t: Trivialization) -> Cochain:
@@ -698,13 +704,10 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     """
     if t.order < 2:
         raise ValueError("an order >= 2 trivialisation is required")
-    residual = cech.coboundary(omega)
-    if not residual.is_zero():
-        raise cech.NotACocycleError(residual)
+    cech.require_cocycle(omega)
     cover, degrees = t.cover, t.degrees
-    expected = slot_sheaf(cover, degrees, 2)
-    if omega.sheaf.kind != expected.kind or omega.sheaf.twists != expected.twists:
-        raise ValueError("omega does not live in the degree-2 slot sheaf")
+    expected = _slot_sheaf_of(omega, cover, degrees, 2,
+                              "omega does not live in the degree-2 slot sheaf")
     spec = slot_sheaf(cover, degrees, 3)
     terms = {}
     for (i, j, k) in cover.triples:
@@ -714,7 +717,7 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
                                                 i, j, True))
         move = _tangent(_split_exponents(cover, degrees, j, k),
                         [_pull(g, back) for g in w.even + w.odd], 3)
-        image = _read_slots(spec, (), [_pull(g, there) for g in move[t.p:]])
+        image = _read_slots(spec, [{}] * t.p + [_pull(g, there) for g in move[t.p:]])
         data = _reframe(cover, degrees, spec, image, i, k, False)
         terms.update({((i, j, k), *key): -c for key, c in data.items()})
     return Cochain(spec, 2, terms)
@@ -728,9 +731,7 @@ def act_torsor(t: Trivialization, alpha: Cochain) -> Trivialization:
     representative is not invariant under the shift; its class is preserved
     when ``alpha`` is exact, since the image of a coboundary is a coboundary.
     """
-    residual = cech.coboundary(alpha)
-    if not residual.is_zero():
-        raise cech.NotACocycleError(residual)
+    cech.require_cocycle(alpha)
     out = normalize_inverses(apply_increment(t, alpha, t.order))
     res = cocycle_residual(out)
     if not residuals_all_zero(res):
@@ -746,13 +747,10 @@ def automorphism_from_increment(
         raise ValueError(f"slot degree {d} outside 2..order")
     if nu.degree != 0:
         raise ValueError("expected a 0-cochain")
-    expected = slot_sheaf(cover, degrees, d)
-    if nu.sheaf.kind != expected.kind or nu.sheaf.twists != expected.twists:
-        raise ValueError("0-cochain does not live in the degree slot sheaf")
-    lam = {}
-    for c in cover.charts:
-        lam[c] = _add_slots(identity_map(c, cover.n, degrees.rank), expected, nu.on((c,)))
-    return lam
+    expected = _slot_sheaf_of(nu, cover, degrees, d,
+                              "0-cochain does not live in the degree slot sheaf")
+    return {c: _add_slots(identity_map(c, cover.n, degrees.rank), expected, nu.on((c,)))
+            for c in cover.charts}
 
 
 def conjugate(t: Trivialization, lam: dict) -> Trivialization:
@@ -959,8 +957,9 @@ def trivialization_from_json(data) -> Trivialization:
     if not isinstance(maps, dict):
         raise ValueError("maps must be an object keyed by chart pairs")
     cover = cech.standard_cover(int(space[1]))
+    degrees = SplitBundleDegrees(tuple(data["degrees"]))
     pairs = {f"{i},{j}": (i, j) for i, j in itertools.permutations(cover.charts, 2)}
-    counts = {"even": cover.n, "odd": len(data["degrees"])}
+    counts = {"even": cover.n, "odd": degrees.rank}
     read = {}
     for key, payload in maps.items():
         if key not in pairs:
@@ -976,7 +975,7 @@ def trivialization_from_json(data) -> Trivialization:
                                for comp in comps))
         i, j = pairs[key]
         sm = SuperMap(i, j, *parts)
-        for nu, (comp, row) in enumerate(zip(sm.even, cover.transport(cech.LINE_SUM, j, i, 0)[0])):
+        for nu, (comp, row) in enumerate(zip(sm.even, _split_exponents(cover, degrees, i, j)[0])):
             body = _word_part(comp, ())
             if len(body) != 1:
                 raise ValueError(f"map {key} even component {nu}: the body is not one monomial")
@@ -984,8 +983,8 @@ def trivialization_from_json(data) -> Trivialization:
                 raise ValueError(f"map {key} even component {nu}: the body is not the chart "
                                  f"transition x^{row}")
         read[(i, j)] = sm
-    t = split_trivialization(cover, SplitBundleDegrees(tuple(data["degrees"])), order)
-    return Trivialization(cover, t.degrees, order, {**t.maps, **read})
+    t = split_trivialization(cover, degrees, order)
+    return Trivialization(cover, degrees, order, {**t.maps, **read})
 
 
 def read_trivialization(path: str) -> Trivialization:

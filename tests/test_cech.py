@@ -253,7 +253,7 @@ def test_solve_coboundary_certificate():
 def test_solve_coboundary_zero_and_noncocycle():
     cov = cech.standard_cover(2)
     spec = cech.line_sum(cov, [1])
-    z = cech.zero_cochain(spec, 2)
+    z = cech.Cochain(spec, 2)
     sol, cert = cech.solve_coboundary(z)
     assert sol.is_zero() and cert is None
     rng = random.Random(4)
@@ -668,3 +668,87 @@ def test_cochain_constructor_checks_what_arithmetic_trusts():
         assert (a - a).is_zero() and a.scale(0).is_zero()
         assert a.scale(Fraction(-3, 2)) == cech.Cochain(
             spec, 1, {s: Fraction(-3, 2) * v for s, v in a.terms.items()})
+
+
+# The per-kind branches the frame table replaced, kept as references.
+
+def reference_monomial_char(spec, chart, summand, comp, exps):
+    cover = spec.cover
+    g = [0] * (cover.n + 1)
+    for pos, l in enumerate(cover.chart_vars(chart)):
+        g[l] = exps[pos]
+    g[chart] = spec.twists[summand] - sum(exps)
+    if spec.kind == cech.TANGENT:
+        mu = cover.chart_vars(chart)[comp]
+        g[chart] += 1
+        g[mu] -= 1
+    elif spec.kind == cech.ONE_FORM:
+        mu = cover.chart_vars(chart)[comp]
+        g[chart] -= 1
+        g[mu] += 1
+    return tuple(g)
+
+
+def reference_char_monomial_exps(spec, chart, summand, comp, g):
+    cover = spec.cover
+    adjust = [0] * (cover.n + 1)
+    if spec.kind in (cech.TANGENT, cech.ONE_FORM):
+        mu = cover.chart_vars(chart)[comp]
+        s = 1 if spec.kind == cech.TANGENT else -1
+        adjust[chart] += s
+        adjust[mu] -= s
+    exps = [g[l] - adjust[l] for l in cover.chart_vars(chart)]
+    if spec.twists[summand] - sum(exps) + adjust[chart] != g[chart]:
+        return None
+    return tuple(exps)
+
+
+def reference_tangent_dim(n, q, s):
+    if n == 2:
+        return bott.bott_dim(2, 1, q, s + 3)
+    if n == 1:
+        return bott.bott_dim(1, 0, q, s + 2)
+    raise ValueError("only n in {1, 2} is supported")
+
+
+def reference_summand_bott_dim(spec, summand, q):
+    n, t = spec.cover.n, spec.twists[summand]
+    if spec.kind == cech.LINE_SUM:
+        return bott.line_dim(n, q, t)
+    if spec.kind == cech.TANGENT:
+        return reference_tangent_dim(n, q, t)
+    return bott.bott_dim(n, 1, q, t)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_table_matches_the_per_kind_branches(n):
+    """Every chart, component, exponent vector in [-3, 3]^n, twist in
+    [-8, 8] and q = 0..n, on all three kinds; on P^1 T = O(2) and
+    Omega^1 = O(-2)."""
+    cover = cech.Cover(n)
+    twists = list(range(-8, 9))
+    checked = 0
+    for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
+        spec = make(cover, twists)
+        assert spec.ncomp == (1 if spec.kind == cech.LINE_SUM else n)
+        for summand, t in enumerate(twists):
+            for q in range(n + 1):
+                assert cech._summand_bott_dim(spec, summand, q) == \
+                    reference_summand_bott_dim(spec, summand, q)
+                assert bott.tangent_dim(n, q, t) == reference_tangent_dim(n, q, t)
+            for chart, comp in itertools.product(cover.charts, range(spec.ncomp)):
+                for exps in itertools.product(range(-3, 4), repeat=n):
+                    g = cech.monomial_char(spec, chart, summand, comp, exps)
+                    assert g == reference_monomial_char(spec, chart, summand, comp, exps)
+                    assert cech.char_monomial_exps(spec, chart, summand, comp, g) == exps
+                    # characters off the summand's twist stratum miss the slot
+                    off = (g[0] + 1,) + g[1:]
+                    for h in (g, off):
+                        assert cech.char_monomial_exps(spec, chart, summand, comp, h) == \
+                            reference_char_monomial_exps(spec, chart, summand, comp, h)
+                    checked += 1
+    # one component for line sums, n for the other two kinds
+    assert checked == len(twists) * (n + 1) * (1 + 2 * n) * 7 ** n
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            bott.tangent_dim(bad, 0, 0)

@@ -213,7 +213,7 @@ def test_hand_corrupted_gamma_fails_verification():
 def test_pushforward_zero_and_linearity():
     t = split2()
     spec = sm.slot_sheaf(COV2, DEG, 2)
-    zero = cech.zero_cochain(spec, 1)
+    zero = cech.Cochain(spec, 1)
     assert sm.pushforward_partial(zero, t).is_zero()
     rng = random.Random(6)
     a = closed_slot2(rng)
@@ -348,7 +348,7 @@ def test_generator_class_is_nonzero_for_4_m1_m7():
 def test_act_torsor_identity_and_validity():
     t = split2()
     spec = sm.slot_sheaf(COV2, DEG, 2)
-    same = sm.act_torsor(t, cech.zero_cochain(spec, 1))
+    same = sm.act_torsor(t, cech.Cochain(spec, 1))
     for key in t.maps:
         assert sm.difference_is_zero(sm.map_difference(same.maps[key], t.maps[key]))
     rng = random.Random(10)

@@ -490,13 +490,48 @@ def test_frame_helpers_round_trip_on_every_pair(d):
     assert checked >= 40
 
 
-@pytest.mark.parametrize("d", [2, 3])
+RANK_4 = (1, -4, 2, -5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_slot_cochain_reads_back_the_increment(d):
+    """The rank-3 pool at d = 2, 3, and rank 4 at d = 2, 3, 4, where the
+    slot placement puts every slot at its own place."""
     rng = random.Random(f"increment-{d}")
     cover = cech.standard_cover(2)
-    for degrees in DEGREE_POOL:
+    for degrees in [*DEGREE_POOL, RANK_4]:
         degrees = SplitBundleDegrees(degrees)
+        if d > degrees.rank:
+            continue
+        spec = supermap.slot_sheaf(cover, degrees, d)
+        places = supermap._placement(spec)
+        assert len(places) == spec.nsummands * spec.ncomp == len(set(places.values()))
         split = supermap.split_trivialization(cover, degrees, d)
-        inc = cech.random_cochain(supermap.slot_sheaf(cover, degrees, d), 1, rng, terms=3)
+        inc = cech.random_cochain(spec, 1, rng, terms=3)
         assert not inc.is_zero()
         assert supermap.slot_cochain(supermap.apply_increment(split, inc, d), d) == inc
+
+
+@pytest.mark.parametrize("degrees, order", [((4, -1, -7), 2), (RANK_4, 3)])
+def test_defect_term_without_a_place_is_a_failed_self_check(monkeypatch, degrees, order):
+    """A degree-(m+1) defect term in a component of the wrong parity has no
+    slot in the obstruction sheaf and raises AssertionError; the same term
+    in a component of the right parity is read into the obstruction."""
+    cover = cech.standard_cover(2)
+    degrees = SplitBundleDegrees(degrees)
+    t = supermap.build_trivialization(cover, degrees, order)
+    word = tuple(range(1, order + 2))
+    defect = supermap._defect
+    for part, raises in ((0, order % 2 == 0), (1, order % 2 == 1)):
+        def tampered(t, i, j, k, at, part=part):
+            split = defect(t, i, j, k, at)
+            split[part][0] = {**split[part][0], (word, (0, 0)): 1}
+            return split
+        monkeypatch.setattr(supermap, "_defect", tampered)
+        if raises:
+            with pytest.raises(AssertionError, match="wrong parity"):
+                supermap.obstruction_cocycle(t)
+        else:
+            assert not supermap.obstruction_cocycle(t).is_zero()
+    monkeypatch.undo()
+    assert supermap.obstruction_cocycle(t).is_zero()
