@@ -79,9 +79,9 @@ class SplitBundleDegrees:
             for subset in combinations(range(1, self.rank + 1), m)
         ]
 
-    def dual_summands(self, twist: int = 0) -> list[tuple[int, int]]:
-        """(index, twist) for each summand of the dual, twisted by O(twist)."""
-        return [(a + 1, -k + twist) for a, k in enumerate(self.degrees)]
+    def dual_summands(self) -> list[tuple[int, int]]:
+        """(index, twist) for each summand of the dual."""
+        return [(a + 1, -k) for a, k in enumerate(self.degrees)]
 
 
 def split_sheaf_dims(
@@ -94,6 +94,8 @@ def split_sheaf_dims(
     (E-dual twisted by O(deg E)).  Returns (total, breakdown) where the
     breakdown lists (label, twist, dim) per line-bundle summand.
     """
+    if target == "dual_twist":  # Lambda^rank E = O(deg E)
+        target, m = "wedge_dual", degrees.rank
     breakdown: list[tuple[str, int, int]] = []
     if target == "tangent_wedge":
         if m is None:
@@ -109,10 +111,6 @@ def split_sheaf_dims(
                 twist = wtwist + dtw
                 d = line_dim(n, q, twist)
                 breakdown.append((f"∧E{subset}⊗E^{a}", twist, d))
-    elif target == "dual_twist":
-        for a, twist in degrees.dual_summands(degrees.total):
-            d = line_dim(n, q, twist)
-            breakdown.append((f"E^{a}({degrees.total})", twist, d))
     else:
         raise ValueError(f"unknown target {target!r}")
     return sum(d for _, _, d in breakdown), breakdown
@@ -132,8 +130,6 @@ def filtered_tangent_dims(
 
     def sub_dim(qq: int) -> int:
         if qq < 0 or qq > n:
-            return 0
-        if level + 1 > degrees.rank:
             return 0
         return split_sheaf_dims(degrees, "wedge_dual", qq, n, m=level + 1)[0]
 

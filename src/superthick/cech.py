@@ -70,7 +70,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
-from .laurent import _coerce, fraction_to_str
+from .laurent import coerce, fraction_to_str
 from . import bott, linalg
 
 
@@ -249,7 +249,7 @@ def represent(spec: SheafSpec, data: dict, a: int, b: int) -> dict:
         for mu, image, coef in _move(cover, spec.kind, a, b, comp, spec.twists[s], exps):
             key = (s, mu, image)
             out[key] = out.get(key, 0) + c * coef
-    return {key: _coerce(c) for key, c in out.items() if c}
+    return {key: coerce(c) for key, c in out.items() if c}
 
 
 def _move(cover: Cover, kind: str, a: int, b: int, comp: int, twist: int, exps) -> list:
@@ -296,7 +296,7 @@ class Cochain:
         self.degree = degree
         self.terms: dict[BasisSlot, int | Fraction] = {}
         for slot, coef in (terms or {}).items():
-            coef = _coerce(coef)
+            coef = coerce(coef)
             if coef:
                 self.terms[BasisSlot(*slot)] = coef
         for simplex in {slot.simplex for slot in self.terms}:
@@ -338,7 +338,7 @@ class Cochain:
         return self._combine(other, -1)
 
     def scale(self, c) -> "Cochain":
-        c = _coerce(c)
+        c = coerce(c)
         terms = {slot: c * v for slot, v in self.terms.items()} if c else {}
         return _cochain(self.sheaf, self.degree, terms)
 
@@ -564,10 +564,10 @@ def solve_blocks(target: Cochain):
         if x is None:
             raise AssertionError(f"cocycle block {(summand, g)} is not image plus classes")
         for slot, c in zip(dom, x):
-            c = _coerce(c)
+            c = coerce(c)
             if c:
                 solution[slot] = c
-        part = [_coerce(c) for c in x[len(dom):]]
+        part = [coerce(c) for c in x[len(dom):]]
         if any(part):
             coords[summand, g] = part
             classes = block_cohomology(spec, deg, summand, g)
@@ -640,18 +640,15 @@ class CohomologyReport:
     method: str
 
 
-def _compositions(total: int, parts: int, lower: int):
-    """All integer tuples of the given length with entries >= lower summing to total."""
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
     if parts == 1:
-        if total >= lower:
+        if total >= 0:
             yield (total,)
         return
-    rest_min = lower * (parts - 1)
-    v = lower
-    while total - v >= rest_min:
-        for tail in _compositions(total - v, parts - 1, lower):
+    for v in range(total + 1):
+        for tail in _compositions(total - v, parts - 1):
             yield (v,) + tail
-        v += 1
 
 
 def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
@@ -703,7 +700,7 @@ def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
     if not free:
         return [sign_type] if surplus == 0 else []
     chars = []
-    for extra in _compositions(abs(surplus), len(free), 0):
+    for extra in _compositions(abs(surplus), len(free)):
         g = list(sign_type)
         for l, x in zip(free, extra):
             g[l] += step * x

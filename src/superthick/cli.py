@@ -198,11 +198,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_sufficient_l(args) -> int:
-    try:
-        cert = sufficient_l_nonsplit(args.k_prime)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
+    cert = sufficient_l_nonsplit(args.k_prime)
     human = [f"threshold l0 = {cert.threshold}"]
     for part in cert.parts:
         human.append(f"  condition {part['condition']}: {part['bound']}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .laurent import ChartMap, LaurentPoly, _coerce
+from .laurent import ChartMap, LaurentPoly, coerce
 
 
 def sort_index_tuple(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -207,7 +207,7 @@ class GrassmannElement:
     __mul__ = wedge
 
     def scale(self, c) -> "GrassmannElement":
-        c = _coerce(c)
+        c = coerce(c)
         if c == 0:
             return GrassmannElement.zero(self.p, self.q)
         return _make(self.p, self.q, {k: v.scale(c) for k, v in self.terms.items()})

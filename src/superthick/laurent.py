@@ -36,10 +36,10 @@ def parse_rational(x) -> int | Fraction:
     den = int(den or 1)
     if den == 0:
         raise ValueError(f"zero denominator: {x!r}")
-    return _coerce(Fraction(int(num), den))
+    return coerce(Fraction(int(num), den))
 
 
-def _coerce(c) -> int | Fraction:
+def coerce(c) -> int | Fraction:
     """An int, Fraction or rational string as an int when integral, else a Fraction."""
     if isinstance(c, int):
         return int(c)
@@ -50,9 +50,9 @@ def _coerce(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _power(c, k: int) -> int | Fraction:
+def power(c, k: int) -> int | Fraction:
     """c**k exactly; a negative k inverts through Fraction, never a float."""
-    return c**k if k >= 0 else _coerce(Fraction(c) ** k)
+    return c**k if k >= 0 else coerce(Fraction(c) ** k)
 
 
 def _make(dim: int, terms: dict) -> "LaurentPoly":
@@ -65,7 +65,7 @@ def _make(dim: int, terms: dict) -> "LaurentPoly":
 
 def fraction_to_str(c) -> str:
     """Serialize as "num/den", den omitted when 1."""
-    c = _coerce(c)
+    c = coerce(c)
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -85,7 +85,7 @@ class LaurentPoly:
                 e = tuple(int(x) for x in exps)
                 if len(e) != dim:
                     raise ValueError(f"exponent vector {e} has wrong length for dim {dim}")
-                c = _coerce(c)
+                c = coerce(c)
                 if c != 0:
                     clean[e] = clean.get(e, 0) + c
                     if clean[e] == 0:
@@ -104,7 +104,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(dim: int, c) -> "LaurentPoly":
-        return LaurentPoly(dim, {tuple([0] * dim): _coerce(c)})
+        return LaurentPoly(dim, {tuple([0] * dim): coerce(c)})
 
     @staticmethod
     def one(dim: int) -> "LaurentPoly":
@@ -112,7 +112,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(dim: int, exps: Sequence[int], c=1) -> "LaurentPoly":
-        return LaurentPoly(dim, {tuple(exps): _coerce(c)})
+        return LaurentPoly(dim, {tuple(exps): coerce(c)})
 
     @staticmethod
     def variable(dim: int, var: int) -> "LaurentPoly":
@@ -178,7 +178,7 @@ class LaurentPoly:
         return _make(self.dim, terms)
 
     def scale(self, c) -> "LaurentPoly":
-        c = _coerce(c)
+        c = coerce(c)
         if c == 0:
             return LaurentPoly.zero(self.dim)
         return _make(self.dim, {e: c * v for e, v in self.terms.items()})
@@ -238,7 +238,7 @@ class LaurentPoly:
                     for t in range(tdim):
                         ne[t] += k * pe[t]
                     if pc != 1:
-                        c = c * _power(pc, k)
+                        c = c * power(pc, k)
             ne = tuple(ne)
             s = terms.get(ne, 0) + c
             if s == 0:

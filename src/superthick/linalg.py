@@ -42,13 +42,6 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 def kernel_basis(mat: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the null space of ``mat`` (ncols unknowns)."""
-    if not mat:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     red, pivots = rref(mat)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []

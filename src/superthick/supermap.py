@@ -38,10 +38,10 @@ A map's theta_I coefficients are read and written as slot data
 its one place, ``_placement``, in the even or odd components; they differ
 from the chart-i slots of that cochain by the target frame only, the
 Jacobian of the transition on even slots and zeta on odd slots, and
-``_reframe`` changes between the two with ``Cover.transport`` alone.  The
-obstruction cocycle of an order-m trivialisation is the homogeneous
-degree-(m+1) part of its composition defect, computed mod J^(m+2) with all
-new top coefficients set to zero.
+``_reframe`` changes between the two with ``Cover.transport`` and the
+split exponents.  The obstruction cocycle of an order-m trivialisation is
+the homogeneous degree-(m+1) part of its composition defect, computed mod
+J^(m+2) with all new top coefficients set to zero.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec
 from .exterior import merge_sign, sort_index_tuple
-from .laurent import _coerce, _power, fraction_to_str, parse_rational
+from .laurent import coerce, fraction_to_str, parse_rational, power
 
 
 class CocycleViolation(ValueError):
@@ -81,7 +81,7 @@ def _checked_component(comp, p: int, q: int, parity: int) -> dict:
                              else "odd component with even terms")
         if len(exps) != p:
             raise ValueError(f"exponent vector {exps} has wrong length for {p} even coordinates")
-        out[(word, exps)] = out.get((word, exps), 0) + _coerce(coef)
+        out[(word, exps)] = out.get((word, exps), 0) + coerce(coef)
     return {key: c for key, c in out.items() if c}
 
 
@@ -195,7 +195,7 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
             raise ValueError("a body that is not one monomial cannot be substituted")
         (b, cb), = body
         bodies.append((b, cb))
-        shifts.append({(w, tuple(map(sub, e, b))): c if cb == 1 else _coerce(Fraction(c) / cb)
+        shifts.append({(w, tuple(map(sub, e, b))): c if cb == 1 else coerce(Fraction(c) / cb)
                        for (w, e), c in comp.items() if w})
     rows = [((0,) * f.p, {((), (0,) * f.p): 1})]
     for i, u in enumerate(shifts):
@@ -203,13 +203,13 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
             continue
         grown = []
         for k, row in rows:
-            power, n = row, 0
+            wedged, n = row, 0
             while True:
-                power = _wedge(power, u, order)
-                if not power:
+                wedged = _wedge(wedged, u, order)
+                if not wedged:
                     break
                 n += 1
-                grown.append((k[:i] + (n,) + k[i + 1:], power))
+                grown.append((k[:i] + (n,) + k[i + 1:], wedged))
         rows += grown
     tables = {(): rows}
 
@@ -228,7 +228,7 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
                 if ei:
                     offset = tuple(s + ei * x for s, x in zip(offset, b))
                     if cb != 1:
-                        c = c * _power(cb, ei)
+                        c = c * power(cb, ei)
             for k, row in word_rows(word):
                 factor = c
                 for ei, ki in zip(e, k):
@@ -367,7 +367,7 @@ def _moved(sm: SuperMap, parts, order: int) -> SuperMap:
     comps = sm.even + sm.odd
     for sign, part in parts:
         comps = [_add(g, move, sign) for g, move in zip(comps, part)]
-    comps = [{key: _coerce(c) for key, c in _truncate(g, order).items()} for g in comps]
+    comps = [{key: coerce(c) for key, c in _truncate(g, order).items()} for g in comps]
     return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
 
 
@@ -425,12 +425,10 @@ def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: d
 
     Even slots take the Jacobian of transition(i, j) to the map frame, read
     transposed off the one-form transport j -> i, and the tangent transport
-    j -> i back.  Odd slots multiply by zeta_{ij,a} = x^(k_a line), line the
-    line vector of the transport j -> i, and divide by it back.  The
+    j -> i back.  Odd slots multiply by zeta_{ij,a} = x^(z_a), z_a the odd
+    split exponents of ``_split_exponents``, and divide by it back.  The
     identity when i == j.
     """
-    if i == j:
-        return data
     comps = range(cover.n)
     if spec.kind == cech.TANGENT and to_map:
         frame = [[(mu, offset, c) for mu in comps
@@ -440,16 +438,15 @@ def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: d
     elif spec.kind == cech.TANGENT:
         frames = [[cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps]] * spec.nsummands
     else:
-        line = cover.transport(cech.LINE_SUM, j, i, 0)[1]
+        zs = _split_exponents(cover, degrees, i, j)[1]
         sign = 1 if to_map else -1
-        frames = [[((0, tuple(sign * degrees.degrees[a - 1] * x for x in line), 1),)]
-                  for _, a in spec.labels]
+        frames = [[((0, tuple(sign * x for x in zs[a - 1]), 1),)] for _, a in spec.labels]
     out: dict = {}
     for (s, comp, exps), c in data.items():
         for mu, offset, x in frames[s][comp]:
             key = (s, mu, tuple(map(add, exps, offset)))
             out[key] = out.get(key, 0) + c * x
-    return {key: _coerce(c) for key, c in out.items() if c}
+    return {key: coerce(c) for key, c in out.items() if c}
 
 
 def _word_part(comp: dict, word: tuple) -> dict:
@@ -482,7 +479,7 @@ def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
     for (s, comp, e), c in data.items():
         index, word = place[s, comp]
         part, key = comps[index], (word, e)
-        total = _coerce(part.get(key, 0) + c)
+        total = coerce(part.get(key, 0) + c)
         if total:
             part[key] = total
         else:
@@ -617,10 +614,6 @@ def inverse_residual(t: Trivialization) -> dict:
     return out
 
 
-def gamma_sheaf(t: Trivialization) -> SheafSpec:
-    return slot_sheaf(t.cover, t.degrees, t.order + 1)
-
-
 def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
     """Degree-(m+1) composition defect on one ordered triple (i, j, k).
 
@@ -651,7 +644,7 @@ def obstruction_cocycle(t: Trivialization) -> Cochain:
     E-dual when m is even.  The input must satisfy its own cocycle condition,
     otherwise the offending residual is raised.
     """
-    spec = gamma_sheaf(t)
+    spec = slot_sheaf(t.cover, t.degrees, t.order + 1)
     terms = {}
     for (i, j, k) in t.cover.triples:
         data = _reframe(t.cover, t.degrees, spec, _defect_coefficients(t, (i, j, k), spec),
@@ -837,13 +830,6 @@ def equivalence_witness(t1: Trivialization, t2: Trivialization):
 # randomized instances
 
 
-def random_closed_slot(
-    cover: Cover, degrees: SplitBundleDegrees, d: int, rng, harmonic=None
-) -> Cochain:
-    spec = slot_sheaf(cover, degrees, d)
-    return cech.random_closed_cochain(spec, rng, harmonic=harmonic)
-
-
 def random_trivialization(
     cover: Cover, degrees: SplitBundleDegrees, order: int, rng, harmonic=None
 ) -> Trivialization:
@@ -857,7 +843,8 @@ def random_trivialization(
         raise ValueError("random trivialisations with triples are built at order 2")
     increments = {}
     if order >= 2:
-        increments[2] = random_closed_slot(cover, degrees, 2, rng, harmonic=harmonic)
+        increments[2] = cech.random_closed_cochain(slot_sheaf(cover, degrees, 2), rng,
+                                                   harmonic=harmonic)
         for d in range(3, order + 1):
             # no triples: any alternating data glues
             increments[d] = cech.random_cochain(slot_sheaf(cover, degrees, d), 1, rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from superthick import bott
@@ -132,6 +134,51 @@ def test_filtered_tangent_bounds():
     # at the rank, only the quotient side remains
     lo, hi = bott.filtered_tangent_dims(e, 3, 1)
     assert hi == bott.split_sheaf_dims(e, "tangent_wedge", 1, m=3)[0]
+
+
+def reference_dual_twist_rows(degrees, q, n=2):
+    """(twist, dim) of each summand of E-dual twisted by O(deg E), enumerated
+    over the dual summands directly."""
+    return [(degrees.total - k, bott.line_dim(n, q, degrees.total - k)) for k in degrees.degrees]
+
+
+@pytest.mark.parametrize("rank, span", [(1, range(-6, 7)), (2, range(-6, 7)), (3, range(-6, 7)),
+                                        (4, range(-6, 7, 2))])
+def test_dual_twist_rows_match_the_dual_enumeration(rank, span):
+    # "dual_twist" is "wedge_dual" at m = rank, Lambda^rank E being O(deg E)
+    for ks in itertools.product(span, repeat=rank):
+        e = SplitBundleDegrees(ks)
+        for q in range(3):
+            total, breakdown = bott.split_sheaf_dims(e, "dual_twist", q)
+            rows = reference_dual_twist_rows(e, q)
+            assert [(t, d) for _, t, d in breakdown] == rows, (ks, q)
+            assert total == sum(d for _, d in rows)
+
+
+def reference_filtered_tangent_dims(degrees, level, q, n=2):
+    """The long-exact-sequence bounds with the sub-sheaf set to zero above
+    the rank by hand."""
+    def sub_dim(qq):
+        if qq < 0 or qq > n or level + 1 > degrees.rank:
+            return 0
+        return bott.split_sheaf_dims(degrees, "wedge_dual", qq, n, m=level + 1)[0]
+
+    def quot_dim(qq):
+        if qq < 0 or qq > n or level < 0:
+            return 0
+        return bott.split_sheaf_dims(degrees, "tangent_wedge", qq, n, m=level)[0]
+
+    upper = sub_dim(q) + quot_dim(q)
+    return max(0, sub_dim(q) - quot_dim(q - 1), quot_dim(q) - sub_dim(q + 1)), upper
+
+
+@pytest.mark.parametrize("ks", [(2,), (-3,), (1, -4), (3, 0, -6), (4, -1, -7), (0, 0, 0),
+                                (4, -1, -7, 2), (-2, 5, 1, -3)])
+def test_filtered_tangent_dims_match_the_guarded_bounds(ks):
+    e = SplitBundleDegrees(ks)
+    for n, level, q in itertools.product((1, 2), range(-1, e.rank + 1), range(-1, 4)):
+        assert (bott.filtered_tangent_dims(e, level, q, n)
+                == reference_filtered_tangent_dims(e, level, q, n)), (n, level, q)
 
 
 def test_query_validation():

@@ -23,6 +23,36 @@ def test_standard_cover_nerve():
         cech.standard_cover(3)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_kernel_of_no_rows_is_the_unit_basis(n):
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    basis = linalg.kernel_basis([], n)
+    assert basis == unit
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def reference_compositions(total, parts, lower):
+    """Integer tuples of the given length with entries >= lower summing to
+    total, the generator ``_type_chars`` used with lower = 0."""
+    if parts == 1:
+        if total >= lower:
+            yield (total,)
+        return
+    v = lower
+    while total - v >= lower * (parts - 1):
+        for tail in reference_compositions(total - v, parts - 1, lower):
+            yield (v,) + tail
+        v += 1
+
+
+def test_compositions_match_the_lower_bounded_generator():
+    for total, parts in itertools.product(range(9), range(1, 5)):
+        got = list(cech._compositions(total, parts))
+        want = list(reference_compositions(total, parts, 0))
+        # equal as lists, not only as sets: the order is _type_chars' order
+        assert got == want, (total, parts)
+
+
 def chart_rows(cover, a, b):
     """The integer matrix of the chart change a -> b on exponents: x^e in
     chart a is x^(e M) in chart b, up to the line factor."""

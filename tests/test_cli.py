@@ -172,8 +172,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "verify", "--file", str(bad))
     assert code == 2
-    code, _, _ = run(capsys, "sufficient-l", "--k-prime", "0")
-    assert code == 2
+    code, out, err = run(capsys, "sufficient-l", "--k-prime", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == ("bad input: unsupported k_prime: "
+                                   "the threshold construction needs -3")
     # a directory and JSON nested past the parser's recursion limit are
     # unreadable input, not a negative certificate (exit 1) or a traceback
     deep = tmp_path / "deep.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superthick.laurent import ChartMap, LaurentPoly, _coerce, fraction_to_str, parse_rational
+from superthick.laurent import ChartMap, LaurentPoly, coerce, fraction_to_str, parse_rational
 
 
 def rand_poly(rng, dim, terms=3, span=3):
@@ -108,14 +108,14 @@ def test_fraction_serialization():
     assert fraction_to_str(Fraction(-4, 6)) == "-2/3"
     for c in (Fraction(1, 3), -2, Fraction(-7, 4), Fraction(6, 3)):
         assert parse_rational(fraction_to_str(c)) == c
-        assert type(parse_rational(fraction_to_str(c))) is type(_coerce(c))
+        assert type(parse_rational(fraction_to_str(c))) is type(coerce(c))
 
 
 # the thickening reader reads every coefficient through parse_rational
 @pytest.mark.parametrize("text,value", [("7", 7), ("-3/2", Fraction(-3, 2)), ("+4/2", 2), (5, 5)])
 def test_from_json_reads_integer_syntax(text, value):
     got = parse_rational(text)
-    assert got == value and type(got) is type(_coerce(Fraction(value)))
+    assert got == value and type(got) is type(coerce(Fraction(value)))
 
 
 @pytest.mark.parametrize("text", ["1e3", "1.5", " 2", "4/-2", "1/0", "", "1_0", True])

@@ -19,13 +19,14 @@ substitution by multiplying powers.
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from superthick import cech, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import sort_index_tuple
-from superthick.laurent import ChartMap, LaurentPoly
+from superthick.laurent import ChartMap, LaurentPoly, coerce
 from test_acceptance import DEGREE_POOL
 
 KINDS = [cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM]
@@ -490,7 +491,50 @@ def test_frame_helpers_round_trip_on_every_pair(d):
     assert checked >= 40
 
 
+def reference_reframe(cover, degrees, spec, data, i, j, to_map):
+    """``supermap._reframe`` with i == j returned as it is and the odd frame
+    zeta_{ij,a} = x^(k_a line) from the line vector of the transport j -> i."""
+    if i == j:
+        return data
+    comps = range(cover.n)
+    if spec.kind == cech.TANGENT and to_map:
+        frame = [[(mu, offset, c) for mu in comps
+                  for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2] if col == nu]
+                 for nu in comps]
+        frames = [frame] * spec.nsummands
+    elif spec.kind == cech.TANGENT:
+        frames = [[cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps]] * spec.nsummands
+    else:
+        line = cover.transport(cech.LINE_SUM, j, i, 0)[1]
+        sign = 1 if to_map else -1
+        frames = [[((0, tuple(sign * degrees.degrees[a - 1] * x for x in line), 1),)]
+                  for _, a in spec.labels]
+    out = {}
+    for (s, comp, exps), c in data.items():
+        for mu, offset, x in frames[s][comp]:
+            key = (s, mu, tuple(map(add, exps, offset)))
+            out[key] = out.get(key, 0) + c * x
+    return {key: coerce(c) for key, c in out.items() if c}
+
+
 RANK_4 = (1, -4, 2, -5)
+
+
+@pytest.mark.parametrize("degrees, d", [(k, d) for k in DEGREE_POOL for d in (2, 3)]
+                         + [(RANK_4, d) for d in (2, 3, 4)])
+def test_reframe_matches_the_line_vector_frame_on_every_pair(degrees, d):
+    # i == j included: the reference returns its input there, both ways
+    rng = random.Random(f"reframe-{degrees}-{d}")
+    degrees = SplitBundleDegrees(degrees)
+    for n in (1, 2):
+        cover = cech.Cover(n)
+        spec = supermap.slot_sheaf(cover, degrees, d)
+        for i, j in itertools.product(cover.charts, repeat=2):
+            simplex = (i,) + tuple(v for v in cover.charts if v != i)
+            data = slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
+            for to_map in (True, False):
+                assert (supermap._reframe(cover, degrees, spec, data, i, j, to_map)
+                        == reference_reframe(cover, degrees, spec, data, i, j, to_map))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
