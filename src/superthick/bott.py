@@ -71,8 +71,8 @@ class SplitBundleDegrees:
 
     def wedge_summands(self, m: int) -> list[tuple[tuple[int, ...], int]]:
         """(index subset, twist) for each summand of the m-th wedge power;
-        none above the rank, where the power vanishes."""
-        if m > self.rank:
+        none below 0 or above the rank, where the power vanishes."""
+        if not 0 <= m <= self.rank:
             return []
         return [
             (subset, sum(self.degrees[i - 1] for i in subset))
@@ -91,10 +91,13 @@ def split_sheaf_dims(
 
     target is one of "tangent_wedge" (T tensor Lambda^m E),
     "wedge_dual" (Lambda^m E tensor E-dual) and "dual_twist"
-    (E-dual twisted by O(deg E)).  Returns (total, breakdown) where the
-    breakdown lists (label, twist, dim) per line-bundle summand.
+    (E-dual twisted by O(deg E)), which is "wedge_dual" at m = rank and
+    takes no other m.  Returns (total, breakdown) where the breakdown lists
+    (label, twist, dim) per line-bundle summand.
     """
     if target == "dual_twist":  # Lambda^rank E = O(deg E)
+        if m not in (None, degrees.rank):
+            raise ValueError(f"dual_twist is the wedge power m = rank = {degrees.rank}, not m={m}")
         target, m = "wedge_dual", degrees.rank
     breakdown: list[tuple[str, int, int]] = []
     if target == "tangent_wedge":
@@ -135,9 +138,6 @@ def filtered_tangent_dims(
 
     def quot_dim(qq: int) -> int:
         if qq < 0 or qq > n:
-            return 0
-        if level < 0:
-            # Lambda^(-1) is zero; the level -1 piece is the full dual direction
             return 0
         return split_sheaf_dims(degrees, "tangent_wedge", qq, n, m=level)[0]
 

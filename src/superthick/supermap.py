@@ -17,7 +17,9 @@ the soul shifted by -b_i.  A term c x^e theta_I of g becomes
     c prod c_i^(e_i) x^(sum e_i b_i) sum_k prod C(e_i, k_i) u^k f_odd[I]
 mod J^(m+1), with the generalized binomial C(e, k), an integer for every
 integer e, negative ones too.  The sum is finite because each u_i has
-theta-degree at least 2.
+theta-degree at least 2.  Only rows that survive the truncation are built,
+by a degree bound (see ``compose``), and odd words multiply through
+``_MERGED``, one table of Koszul signs and merged words.
 
 The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
 coefficients 1) have no soul, so composing with one is exponent
@@ -148,18 +150,37 @@ def _add(a: dict, b: dict, sign: int = 1) -> dict:
     return out
 
 
+class _MergeTable(dict):
+    """(Koszul sign, merged word) of two odd words, 0 when they overlap,
+    filled on first read; words are subsets of {1..q}: at most 4^q pairs."""
+
+    def __missing__(self, pair):
+        w1, w2 = pair
+        sign = merge_sign(w1, w2)
+        out = self[pair] = (sign, tuple(sorted(w1 + w2))) if sign else 0
+        return out
+
+
+_MERGED = _MergeTable()
+
+
 def _wedge(a: dict, b: dict, order: int) -> dict:
     """a wedge b on components, truncated mod J^(order+1)."""
     out: dict = {}
     for (w1, e1), c1 in a.items():
+        room = order - len(w1)
         for (w2, e2), c2 in b.items():
-            if len(w1) + len(w2) > order:
-                continue
-            sign = merge_sign(w1, w2)
-            if sign:
-                key = (tuple(sorted(w1 + w2)), tuple(map(add, e1, e2)))
+            merged = len(w2) <= room and _MERGED[w1, w2]
+            if merged:
+                sign, word = merged
+                key = (word, tuple(map(add, e1, e2)))
                 out[key] = out.get(key, 0) + sign * c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+def _least(comp: dict, order: int) -> int:
+    """The least theta-degree of a component, order + 1 when it is zero."""
+    return min((len(w) for w, _ in comp), default=order + 1)
 
 
 def _binomial(e: int, k: int) -> int:
@@ -185,6 +206,13 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
     c prod c_i^(e_i) prod C(e_i, k_i) times row k of word I, shifted by
     sum e_i b_i.  The body of each even component of f must be a monomial
     c_i x^(b_i); any other body raises ValueError.
+
+    A row is kept with d, the sum of its factors' least theta-degrees, and
+    wedged with a factor of least degree ``low`` only when d + low <= order:
+    every product term has degree at least d + low, so a pruned wedge is
+    zero mod J^(order+1) and the result is that of the full tables.  For the
+    same reason a term of g whose word is longer than ``order`` adds
+    nothing.  The unit row, d = 0, times a factor is the factor truncated.
     """
     if f.target != g.source or (f.p, f.q) != (g.p, g.q):
         raise ValueError("maps are not composable")
@@ -197,39 +225,47 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
         bodies.append((b, cb))
         shifts.append({(w, tuple(map(sub, e, b))): c if cb == 1 else coerce(Fraction(c) / cb)
                        for (w, e), c in comp.items() if w})
-    rows = [((0,) * f.p, {((), (0,) * f.p): 1})]
+    unit = (0,) * f.p
+    rows = [(unit, {((), unit): 1}, 0)]
     for i, u in enumerate(shifts):
-        if not u:
-            continue
-        grown = []
-        for k, row in rows:
-            wedged, n = row, 0
-            while True:
-                wedged = _wedge(wedged, u, order)
-                if not wedged:
+        low, grown = _least(u, order), []
+        for k, row, d in rows:
+            n = 0
+            while d + low <= order:
+                row = _wedge(row, u, order) if d else _truncate(u, order)
+                if not row:
                     break
-                n += 1
-                grown.append((k[:i] + (n,) + k[i + 1:], wedged))
+                n, d = n + 1, d + low
+                grown.append((k[:i] + (n,) + k[i + 1:], row, d))
         rows += grown
     tables = {(): rows}
+    lows = [_least(odd, order) for odd in f.odd]
 
     def word_rows(word: tuple) -> list:
-        if word not in tables:
-            odd = f.odd[word[-1] - 1]
-            grown = ((k, _wedge(row, odd, order)) for k, row in word_rows(word[:-1]))
-            tables[word] = [(k, row) for k, row in grown if row]
-        return tables[word]
+        built = tables.get(word)
+        if built is None:
+            odd, low = f.odd[word[-1] - 1], lows[word[-1] - 1]
+            built = tables[word] = []
+            for k, row, d in word_rows(word[:-1]):
+                if d + low <= order:
+                    row = _wedge(row, odd, order) if d else _truncate(odd, order)
+                    if row:
+                        built.append((k, row, d + low))
+        return built
+
+    cols = list(zip(*(b for b, _ in bodies)))
+    scales = [(i, cb) for i, (_, cb) in enumerate(bodies) if cb != 1]
 
     def push(component: dict) -> dict:
         acc: dict = {}
         for (word, e), c in component.items():
-            offset = (0,) * f.p
-            for ei, (b, cb) in zip(e, bodies):
-                if ei:
-                    offset = tuple(s + ei * x for s, x in zip(offset, b))
-                    if cb != 1:
-                        c = c * power(cb, ei)
-            for k, row in word_rows(word):
+            if len(word) > order:
+                continue
+            offset = tuple([sum(map(mul, e, col)) for col in cols])
+            for i, cb in scales:
+                if e[i]:
+                    c = c * power(cb, e[i])
+            for k, row, _ in word_rows(word):
                 factor = c
                 for ei, ki in zip(e, k):
                     if ki:
@@ -353,9 +389,10 @@ def _tangent(split: tuple, vector: list, order: int) -> list:
         acc: dict = {}
         for r, shift, comp, word in moves + [(1, row, vector[p + a - 1], ()) for a in w]:
             for (u, e), c in comp.items():
-                sign = merge_sign(u, word)
-                if sign and len(u) + len(word) <= order:
-                    key = (tuple(sorted(u + word)), tuple(map(add, e, shift)))
+                merged = len(u) + len(word) <= order and _MERGED[u, word]
+                if merged:
+                    sign, joined = merged
+                    key = (joined, tuple(map(add, e, shift)))
                     acc[key] = acc.get(key, 0) + sign * r * c
         out.append({key: c for key, c in acc.items() if c})
     return out

@@ -123,6 +123,25 @@ def test_wedge_above_rank_is_zero():
     assert bott.split_sheaf_dims(e, "tangent_wedge", 1, m=3)[0] == 0
 
 
+@pytest.mark.parametrize("m", [-1, -2])
+def test_negative_wedge_power_is_zero(m):
+    e = SplitBundleDegrees((3, 0, -6))
+    assert e.wedge_summands(m) == []
+    for target in ("tangent_wedge", "wedge_dual"):
+        for q in range(3):
+            assert bott.split_sheaf_dims(e, target, q, m=m) == (0, [])
+
+
+def test_dual_twist_takes_only_the_rank_as_m():
+    e = SplitBundleDegrees((3, 0, -6))
+    for q in range(3):
+        assert (bott.split_sheaf_dims(e, "dual_twist", q, m=3)
+                == bott.split_sheaf_dims(e, "dual_twist", q))
+    for m in (1, 2, 4, -1):
+        with pytest.raises(ValueError, match="dual_twist"):
+            bott.split_sheaf_dims(e, "dual_twist", 1, m=m)
+
+
 def test_filtered_tangent_bounds():
     e = SplitBundleDegrees((3, 0, -6))
     lo, hi = bott.filtered_tangent_dims(e, 2, 1)

@@ -3,8 +3,9 @@
 ``supermap.compose`` works on flat components ``{(word, exps): coef}``: it
 writes each even component of the inner map as its monomial body times
 (1 + u_i), builds the rows u^k once per call and adds every term of the outer
-map by exponent arithmetic with integer binomials.  Coefficients are ``int``
-wherever they are integral.  ``reference_compose`` below is the
+map by exponent arithmetic with integer binomials.  Integer data with bodies
+of coefficient 1 gives ``int`` coefficients; Fraction arithmetic can leave an
+integral ``Fraction``.  ``reference_compose`` below is the
 Grassmann/Taylor kernel it replaced: one Taylor table per call
 (``exterior.taylor_rows``, then the rows times each odd word of the inner
 map), evaluated on every coefficient through ``exterior.taylor_add``.
@@ -34,7 +35,8 @@ import pytest
 
 from superthick import cech, laurent, linalg, supermap
 from superthick.bott import SplitBundleDegrees
-from superthick.exterior import GrassmannElement, substitute_nilpotent, taylor_add, taylor_rows
+from superthick.exterior import (GrassmannElement, merge_sign, substitute_nilpotent, taylor_add,
+                                 taylor_rows)
 from superthick.laurent import ChartMap, LaurentPoly
 from superthick.pipeline import pipeline_obstructed_cp2
 from superthick.supermap import SuperMap
@@ -265,6 +267,115 @@ def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
     assert any(type(c) is Fraction for *_, out in calls for comp in out.even for c in comp.values())
     for g, f, order, out in calls:
         assert out == reference_compose(g, f, order)
+
+
+def coefficient_types(sm):
+    return [{key: type(c) for key, c in comp.items()} for comp in sm.even + sm.odd]
+
+
+def assert_matches_reference(g, f, order, types=True):
+    """compose equals reference_compose; with ``types``, each coefficient also
+    has the reference's type.  Fraction arithmetic, from Fraction coefficients
+    or bodies other than 1, can leave an integral Fraction where the
+    reference, built by the checked constructor, holds an int; such draws
+    compare values only."""
+    out, ref = supermap.compose(g, f, order), reference_compose(g, f, order)
+    assert out == ref
+    if types:
+        assert coefficient_types(out) == coefficient_types(ref)
+    return out
+
+
+def draw_pair(rng, p, q, order, trial, g_order=None):
+    """(f, g, whether types compare): even trials draw integers with bodies of
+    coefficient 1, which keep compose in int arithmetic, odd trials draw
+    Fractions."""
+    fractions = trial % 2 == 1
+    f = rand_map(rng, 0, 1, p, q, order, fractions)
+    g = rand_map(rng, 1, 2, p, q, g_order or order, fractions)
+    if not fractions:
+        f = SuperMap(0, 1, tuple({key: 1 if not key[0] else c for key, c in comp.items()}
+                                 for comp in f.even), f.odd)
+    return f, g, not fractions
+
+
+def test_merge_table_matches_merge_sign_on_every_pair_of_words():
+    words = [w for n in range(6) for w in itertools.combinations(range(1, 6), n)]
+    for w1, w2 in itertools.product(words, repeat=2):
+        sign = merge_sign(w1, w2)
+        assert supermap._MERGED[w1, w2] == ((sign, tuple(sorted(w1 + w2))) if sign else 0)
+    # one entry per ordered pair of subsets of {1..5}
+    assert sum(max(w1 + w2, default=0) <= 5 for w1, w2 in supermap._MERGED) == 4 ** 5
+
+
+@pytest.mark.parametrize("degrees", [(3, 0, -6), (4, -1, -7)])
+def test_compose_matches_reference_on_every_call_of_a_pushforward(monkeypatch, degrees):
+    calls = []
+    kernel = supermap.compose
+
+    def recording(g, f, order):
+        calls.append((g, f, order))
+        return kernel(g, f, order)
+
+    monkeypatch.setattr(supermap, "compose", recording)
+    pipeline_obstructed_cp2(degrees)
+    monkeypatch.undo()
+    assert len(calls) == 6
+    for g, f, order in calls:
+        assert_matches_reference(g, f, order)
+
+
+@pytest.mark.parametrize("p,q,order", [(1, 2, 1), (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 4, 3)])
+def test_compose_drops_terms_of_g_beyond_the_order(p, q, order):
+    # g drawn at precision order + 1, as the precision-(m+1) conjugates are,
+    # composed at ``order``: its longest words can only give zero
+    rng = random.Random(f"long-{p}-{q}-{order}")
+    longer = 0
+    for trial in range(6):
+        f, g, types = draw_pair(rng, p, q, order, trial, g_order=order + 1)
+        longer += any(len(w) > order for comp in g.even + g.odd for w, _ in comp)
+        assert_matches_reference(g, f, order, types)
+    assert longer
+
+
+@pytest.mark.parametrize("p,q,order", CASES + [(2, 4, 4)])
+def test_compose_with_a_zero_odd_or_soul_free_even_component(p, q, order):
+    rng = random.Random(f"sparse-{p}-{q}-{order}")
+    for trial in range(6):
+        f, g, types = draw_pair(rng, p, q, order, trial)
+        a, i = trial % q, trial % p
+        zero_odd = SuperMap(0, 1, f.even, f.odd[:a] + ({},) + f.odd[a + 1:])
+        body = {key: c for key, c in f.even[i].items() if not key[0]}
+        soul_free = SuperMap(0, 1, f.even[:i] + (body,) + f.even[i + 1:], f.odd)
+        for inner in (zero_odd, soul_free):
+            for m in range(1, order + 1):
+                assert_matches_reference(g, inner, m, types)
+    # with every odd component zero only the theta-free terms of g contribute
+    no_odd = SuperMap(0, 1, f.even, ({},) * q)
+    free = SuperMap(1, 2, tuple({key: c for key, c in comp.items() if not key[0]}
+                                for comp in g.even), ({},) * q)
+    assert assert_matches_reference(g, no_odd, order, types) == supermap.compose(
+        free, no_odd, order)
+
+
+def test_rank4_order4_compose_keeps_the_square_of_a_shift():
+    # x0 -> x0 (1 + u), u = th1 th2 + x1 th3 th4, so u ^ u = 2 x1 th1 th2 th3 th4
+    # survives mod J^5, and x0^-1 becomes x0^-1 (1 - u + u^2)
+    f = SuperMap(0, 1, ({((), (1, 0)): 1, ((1, 2), (1, 0)): 1, ((3, 4), (1, 1)): 1},
+                        {((), (0, 1)): 1}),
+                 tuple({((a,), (0, 0)): 1} for a in range(1, 5)))
+    g = SuperMap(1, 2, ({((), (-1, 0)): 1, ((1, 3), (2, 0)): 1}, {((), (0, 1)): 1}),
+                 tuple({((a,), (0, 0)): 1} for a in range(1, 5)))
+    out = assert_matches_reference(g, f, 4)
+    assert out.even[0] == {((), (-1, 0)): 1, ((1, 2), (-1, 0)): -1, ((3, 4), (-1, 1)): -1,
+                           ((1, 2, 3, 4), (-1, 1)): 2, ((1, 3), (2, 0)): 1}
+    assert assert_matches_reference(g, f, 3).even[0] == {
+        key: c for key, c in out.even[0].items() if len(key[0]) <= 3}
+    rng = random.Random("rank4-order4")
+    for trial in range(6):
+        f, g, types = draw_pair(rng, 2, 4, 4, trial)
+        for m in (3, 4):
+            assert_matches_reference(g, f, m, types)
 
 
 def record_inverts(monkeypatch, stage: list) -> tuple:
