@@ -101,10 +101,15 @@ class Cover:
         # (kind, degree, twist, character) -> the block's (simplex, comp,
         # exps) slots, without the summand index; see char_basis
         self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
-        # (bundle degrees, i, j) -> exponents of the split map i -> j, and
-        # (bundle degrees, d) -> the degree-d slot sheaf; filled by supermap
+        # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
+        # with its exponents, their columns and its derivative's moves;
+        # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees,
+        # kind, labels, i, j, to map) -> a slot sheaf's frames on the map
+        # i -> j; (kind, labels) -> its slots' places in a map, both ways
         self.split_table: dict[tuple[tuple, int, int], tuple] = {}
         self.slot_sheaf_table: dict[tuple[tuple, int], "SheafSpec"] = {}
+        self.reframe_table: dict[tuple, tuple] = {}
+        self.placement_table: dict[tuple[str, tuple], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""

@@ -23,12 +23,14 @@ by a degree bound (see ``compose``), and odd words multiply through
 
 The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
 coefficients 1) have no soul, so composing with one is exponent
-substitution.  Reversed maps and conjugates are built from them by
-first-order formulas, exponent arithmetic on the deviation from S, whenever
-the degree certificate of ``invert`` makes those formulas exact
-(``normalize_inverses``, ``conjugate``); data beyond it composes.  So is
-the obstruction image ``pushforward_partial``.  The checks of gluing data
-always compose, each through the one composition defect ``_defect``.
+substitution.  Each is built once per cover, with what depends on it alone
+(``_split_record``), and shared, so no caller changes it.  Reversed maps and
+conjugates are built from them by first-order formulas, exponent arithmetic
+on the deviation from S, whenever the degree certificate of ``invert`` makes
+those formulas exact (``normalize_inverses``, ``conjugate``); data beyond it
+composes.  So is the obstruction image ``pushforward_partial``.  The checks
+of gluing data always compose, each through the one composition defect
+``_defect``.
 
 Degree bookkeeping for a split bundle with degrees (k_1..k_q): the degree-1
 part of the odd components is the diagonal frame change zeta_{ij,a} =
@@ -41,9 +43,10 @@ its one place, ``_placement``, in the even or odd components; they differ
 from the chart-i slots of that cochain by the target frame only, the
 Jacobian of the transition on even slots and zeta on odd slots, and
 ``_reframe`` changes between the two with ``Cover.transport`` and the
-split exponents.  The obstruction cocycle of an order-m trivialisation is
-the homogeneous degree-(m+1) part of its composition defect, computed mod
-J^(m+2) with all new top coefficients set to zero.
+split exponents; the cover keeps both the places and the frames.  The
+obstruction cocycle of an order-m trivialisation is the homogeneous
+degree-(m+1) part of its composition defect, computed mod J^(m+2) with all
+new top coefficients set to zero.
 """
 
 from __future__ import annotations
@@ -275,7 +278,7 @@ def compose(g: SuperMap, f: SuperMap, order: int) -> SuperMap:
                 for (w, x), v in row.items():
                     key = (w, tuple(map(add, x, offset)))
                     acc[key] = acc.get(key, 0) + factor * v
-        return {key: v for key, v in acc.items() if v}
+        return {key: coerce(v) for key, v in acc.items() if v}
 
     return _map(f.source, g.target, tuple(push(c) for c in g.even), tuple(push(c) for c in g.odd))
 
@@ -340,33 +343,35 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 # split maps and first-order moves
 
 
-def _split_exponents(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
-    """The split map i -> j as exponents: the even rows, x^row, read off the
-    transport j -> i, and the odd z_a = k_a line, x^(z_a) theta_a.  Kept in
-    the cover's split table under (degrees, i, j)."""
+def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
+    """The split map i -> j and what is derived from it alone, kept in the
+    cover's split table under (degrees, i, j) as (rows, zs, cols, map,
+    moves): the even rows, x^row, read off the transport j -> i; the odd
+    z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the map,
+    shared, so read only; and per component the moves of ``_tangent``."""
     key = (degrees.degrees, i, j)
     split = cover.split_table.get(key)
     if split is None:
         rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
-        split = cover.split_table[key] = (
-            rows, tuple(tuple(k * x for x in line) for k in degrees.degrees))
+        zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
+        p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
+        comps = tuple({term: 1} for term in terms)
+        moves = tuple(tuple((r, tuple(x - (n == k) for n, x in enumerate(row)), k, w)
+                            for k, r in enumerate(row) if r)
+                      + tuple((1, row, p + a - 1, ()) for a in w)
+                      for w, row in terms)
+        split = cover.split_table[key] = (rows, zs, tuple(zip(*rows)),
+                                          _map(i, j, comps[:p], comps[p:]), moves)
     return split
-
-
-def _split_map(i: int, j: int, split: tuple) -> SuperMap:
-    """The split map i -> j from its exponents."""
-    rows, zs = split
-    return _map(i, j, tuple({((), row): 1} for row in rows),
-                tuple({((a,), z): 1} for a, z in enumerate(zs, 1)))
 
 
 def _pull(comp: dict, split: tuple) -> dict:
     """comp o S for a split map S, which has no soul: x^e theta_w becomes
     x^(sum_mu e_mu row_mu + sum_(a in w) z_a) theta_w."""
-    rows, zs = split
+    _, zs, cols = split[:3]
     out = {}
     for (w, e), c in comp.items():
-        exps = [sum(map(mul, e, col)) for col in zip(*rows)]
+        exps = [sum(map(mul, e, col)) for col in cols]
         for a in w:
             exps = list(map(add, exps, zs[a - 1]))
         out[(w, tuple(exps))] = c
@@ -378,17 +383,14 @@ def _tangent(split: tuple, vector: list, order: int) -> list:
     moves by the vector v, given as components, the even ones first.
 
     A term x^row theta_w of S moves by sum_k row_k x^(row - e_k) v^k theta_w
-    and, for w = (a,), by x^row v^a_odd.
+    and, for w = (a,), by x^row v^a_odd: the split record's moves (r, shift,
+    argument, word).
     """
-    rows, zs = split
-    p = len(rows)
     out = []
-    for w, row in [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]:
-        moves = [(r, tuple(x - (n == k) for n, x in enumerate(row)), vector[k], w)
-                 for k, r in enumerate(row) if r]
+    for moves in split[4]:
         acc: dict = {}
-        for r, shift, comp, word in moves + [(1, row, vector[p + a - 1], ()) for a in w]:
-            for (u, e), c in comp.items():
+        for r, shift, arg, word in moves:
+            for (u, e), c in vector[arg].items():
                 merged = len(u) + len(word) <= order and _MERGED[u, word]
                 if merged:
                     sign, joined = merged
@@ -401,10 +403,17 @@ def _tangent(split: tuple, vector: list, order: int) -> list:
 def _moved(sm: SuperMap, parts, order: int) -> SuperMap:
     """sm plus sign times each list of components (the even ones first) in
     ``parts``, mod J^(order+1), with integral coefficients as ints."""
-    comps = sm.even + sm.odd
+    comps = [{key: coerce(c) for key, c in g.items() if len(key[0]) <= order}
+             for g in sm.even + sm.odd]
     for sign, part in parts:
-        comps = [_add(g, move, sign) for g, move in zip(comps, part)]
-    comps = [{key: coerce(c) for key, c in _truncate(g, order).items()} for g in comps]
+        for g, move in zip(comps, part):
+            for key, c in move.items():
+                if len(key[0]) <= order:
+                    d = coerce(g.get(key, 0) + sign * c)
+                    if d:
+                        g[key] = d
+                    else:
+                        del g[key]
     return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
 
 
@@ -433,7 +442,7 @@ def split_trivialization(
 ) -> Trivialization:
     """The chart transitions with odd frame changes zeta_{ij,a}: the exponent
     rows and the line vector of ``Cover.transport`` from j to i."""
-    maps = {(i, j): _split_map(i, j, _split_exponents(cover, degrees, i, j))
+    maps = {(i, j): _split_record(cover, degrees, i, j)[3]
             for i, j in itertools.permutations(cover.charts, 2)}
     return Trivialization(cover, degrees, order, maps)
 
@@ -463,21 +472,29 @@ def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: d
     Even slots take the Jacobian of transition(i, j) to the map frame, read
     transposed off the one-form transport j -> i, and the tangent transport
     j -> i back.  Odd slots multiply by zeta_{ij,a} = x^(z_a), z_a the odd
-    split exponents of ``_split_exponents``, and divide by it back.  The
-    identity when i == j.
+    split exponents of ``_split_record``, and divide by it back.  The
+    identity when i == j.  The frames, per summand and component, are kept in
+    the cover's reframe table under (degrees, kind, labels, i, j, to_map).
     """
-    comps = range(cover.n)
-    if spec.kind == cech.TANGENT and to_map:
-        frame = [[(mu, offset, c) for mu in comps
-                  for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2] if col == nu]
-                 for nu in comps]
-        frames = [frame] * spec.nsummands
-    elif spec.kind == cech.TANGENT:
-        frames = [[cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps]] * spec.nsummands
-    else:
-        zs = _split_exponents(cover, degrees, i, j)[1]
-        sign = 1 if to_map else -1
-        frames = [[((0, tuple(sign * x for x in zs[a - 1]), 1),)] for _, a in spec.labels]
+    key = (degrees.degrees, spec.kind, spec.labels, i, j, to_map)
+    frames = cover.reframe_table.get(key)
+    if frames is None:
+        comps = range(cover.n)
+        if spec.kind == cech.TANGENT and to_map:
+            frame = tuple(tuple((mu, offset, c) for mu in comps
+                                for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]
+                                if col == nu)
+                          for nu in comps)
+            frames = (frame,) * spec.nsummands
+        elif spec.kind == cech.TANGENT:
+            frame = tuple(cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps)
+            frames = (frame,) * spec.nsummands
+        else:
+            zs = _split_record(cover, degrees, i, j)[1]
+            sign = 1 if to_map else -1
+            frames = tuple((((0, tuple(sign * x for x in zs[a - 1]), 1),),)
+                           for _, a in spec.labels)
+        cover.reframe_table[key] = frames
     out: dict = {}
     for (s, comp, exps), c in data.items():
         for mu, offset, x in frames[s][comp]:
@@ -491,20 +508,28 @@ def _word_part(comp: dict, word: tuple) -> dict:
     return {e: c for (w, e), c in comp.items() if w == word}
 
 
-def _placement(spec: SheafSpec) -> dict:
+def _placement(spec: SheafSpec) -> tuple:
     """Where each slot of a slot sheaf sits in a map: (summand, comp) ->
-    (index among the even then odd components, odd word).  Even summand I
-    puts comp nu at theta_I of even component nu, odd (I, a) at odd a."""
-    p = spec.cover.n
-    if spec.kind == cech.TANGENT:
-        return {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
-    return {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
+    (index among the even then odd components, odd word), and its inverse,
+    whose keys are the places.  Even summand I puts comp nu at theta_I of
+    even component nu, odd (I, a) at odd a.  Kept in the cover's placement
+    table under (kind, labels)."""
+    table, key = spec.cover.placement_table, (spec.kind, spec.labels)
+    placed = table.get(key)
+    if placed is None:
+        p = spec.cover.n
+        if spec.kind == cech.TANGENT:
+            place = {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
+        else:
+            place = {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
+        placed = table[key] = (place, {where: slot for slot, where in place.items()})
+    return placed
 
 
 def _read_slots(spec: SheafSpec, comps) -> dict:
     """The coefficients of a map's components, the even ones first, as slot
     data in the map's frame: the terms at the places of ``_placement``."""
-    slots = {place: slot for slot, place in _placement(spec).items()}
+    slots = _placement(spec)[1]
     return {(*slots[index, w], e): c for index, comp in enumerate(comps)
             for (w, e), c in comp.items() if (index, w) in slots}
 
@@ -512,7 +537,7 @@ def _read_slots(spec: SheafSpec, comps) -> dict:
 def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
     """``sm`` plus slot data in its frame; ``_read_slots`` reads it back."""
     comps = [dict(g) for g in sm.even + sm.odd]
-    place = _placement(spec)
+    place = _placement(spec)[0]
     for (s, comp, e), c in data.items():
         index, word = place[s, comp]
         part, key = comps[index], (word, e)
@@ -602,10 +627,10 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
     """S_ji - DS_ji (delta o S_ji) for the map i -> j (see
     ``normalize_inverses``), and whether ``_first_order_exact`` makes it the
     inverse mod J^(precision+1)."""
-    there, back = (_split_exponents(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
-    even, odd = map_difference(t.maps[(i, j)], _split_map(i, j, there))
+    there, back = (_split_record(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
+    even, odd = map_difference(t.maps[(i, j)], there[3])
     move = _tangent(back, [_pull(g, back) for g in even + odd], precision)
-    return (_moved(_split_map(j, i, back), [(-1, move)], precision),
+    return (_moved(back[3], [(-1, move)], precision),
             _first_order_exact([(even, odd)], precision))
 
 
@@ -668,7 +693,7 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
             f"cocycle condition fails at order {m} on triple {triple}",
             residual=(low_even, low_odd),
         )
-    slots = set(_placement(spec).values())
+    slots = _placement(spec)[1]
     if any((index, w) not in slots for index, g in enumerate(ev + od) for w, _ in g):
         raise AssertionError("defect of the wrong parity at degree m + 1")
     return _read_slots(spec, ev + od)
@@ -741,11 +766,11 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     spec = slot_sheaf(cover, degrees, 3)
     terms = {}
     for (i, j, k) in cover.triples:
-        there, back = (_split_exponents(cover, degrees, *pair) for pair in ((i, j), (j, i)))
+        there, back = (_split_record(cover, degrees, *pair) for pair in ((i, j), (j, i)))
         zero = _map(i, j, ({},) * t.p, ({},) * t.q)
         w = _add_slots(zero, expected, _reframe(cover, degrees, expected, omega.on((i, j)),
                                                 i, j, True))
-        move = _tangent(_split_exponents(cover, degrees, j, k),
+        move = _tangent(_split_record(cover, degrees, j, k),
                         [_pull(g, back) for g in w.even + w.odd], 3)
         image = _read_slots(spec, [{}] * t.p + [_pull(g, there) for g in move[t.p:]])
         data = _reframe(cover, degrees, spec, image, i, k, False)
@@ -814,9 +839,8 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
     # conjugating one order beyond the truncation carries the induced
     # degree-(m+1) coefficients along
     precision = m + 1
-    splits = {(i, j): _split_exponents(t.cover, t.degrees, i, j) for i, j in t.cover.pairs}
-    devs = [map_difference(t.maps[pair], _split_map(*pair, split))
-            for pair, split in splits.items()]
+    splits = {(i, j): _split_record(t.cover, t.degrees, i, j) for i, j in t.cover.pairs}
+    devs = [map_difference(t.maps[pair], split[3]) for pair, split in splits.items()]
     devs += [nu[c] for c in {c for pair in t.cover.pairs for c in pair}]
     new_maps = dict(t.maps)
     if _first_order_exact(devs, precision):
@@ -999,7 +1023,7 @@ def trivialization_from_json(data) -> Trivialization:
                                for comp in comps))
         i, j = pairs[key]
         sm = SuperMap(i, j, *parts)
-        for nu, (comp, row) in enumerate(zip(sm.even, _split_exponents(cover, degrees, i, j)[0])):
+        for nu, (comp, row) in enumerate(zip(sm.even, _split_record(cover, degrees, i, j)[0])):
             body = _word_part(comp, ())
             if len(body) != 1:
                 raise ValueError(f"map {key} even component {nu}: the body is not one monomial")

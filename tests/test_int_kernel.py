@@ -273,30 +273,26 @@ def coefficient_types(sm):
     return [{key: type(c) for key, c in comp.items()} for comp in sm.even + sm.odd]
 
 
-def assert_matches_reference(g, f, order, types=True):
-    """compose equals reference_compose; with ``types``, each coefficient also
-    has the reference's type.  Fraction arithmetic, from Fraction coefficients
-    or bodies other than 1, can leave an integral Fraction where the
-    reference, built by the checked constructor, holds an int; such draws
-    compare values only."""
+def assert_matches_reference(g, f, order):
+    """compose equals reference_compose, and each coefficient has the
+    reference's type: an int when integral, as the checked constructor holds
+    it, even from Fraction coefficients or bodies other than 1."""
     out, ref = supermap.compose(g, f, order), reference_compose(g, f, order)
     assert out == ref
-    if types:
-        assert coefficient_types(out) == coefficient_types(ref)
+    assert coefficient_types(out) == coefficient_types(ref)
     return out
 
 
 def draw_pair(rng, p, q, order, trial, g_order=None):
-    """(f, g, whether types compare): even trials draw integers with bodies of
-    coefficient 1, which keep compose in int arithmetic, odd trials draw
-    Fractions."""
+    """(f, g): even trials draw integers with bodies of coefficient 1, which
+    keep compose in int arithmetic, odd trials draw Fractions."""
     fractions = trial % 2 == 1
     f = rand_map(rng, 0, 1, p, q, order, fractions)
     g = rand_map(rng, 1, 2, p, q, g_order or order, fractions)
     if not fractions:
         f = SuperMap(0, 1, tuple({key: 1 if not key[0] else c for key, c in comp.items()}
                                  for comp in f.even), f.odd)
-    return f, g, not fractions
+    return f, g
 
 
 def test_merge_table_matches_merge_sign_on_every_pair_of_words():
@@ -332,9 +328,9 @@ def test_compose_drops_terms_of_g_beyond_the_order(p, q, order):
     rng = random.Random(f"long-{p}-{q}-{order}")
     longer = 0
     for trial in range(6):
-        f, g, types = draw_pair(rng, p, q, order, trial, g_order=order + 1)
+        f, g = draw_pair(rng, p, q, order, trial, g_order=order + 1)
         longer += any(len(w) > order for comp in g.even + g.odd for w, _ in comp)
-        assert_matches_reference(g, f, order, types)
+        assert_matches_reference(g, f, order)
     assert longer
 
 
@@ -342,19 +338,19 @@ def test_compose_drops_terms_of_g_beyond_the_order(p, q, order):
 def test_compose_with_a_zero_odd_or_soul_free_even_component(p, q, order):
     rng = random.Random(f"sparse-{p}-{q}-{order}")
     for trial in range(6):
-        f, g, types = draw_pair(rng, p, q, order, trial)
+        f, g = draw_pair(rng, p, q, order, trial)
         a, i = trial % q, trial % p
         zero_odd = SuperMap(0, 1, f.even, f.odd[:a] + ({},) + f.odd[a + 1:])
         body = {key: c for key, c in f.even[i].items() if not key[0]}
         soul_free = SuperMap(0, 1, f.even[:i] + (body,) + f.even[i + 1:], f.odd)
         for inner in (zero_odd, soul_free):
             for m in range(1, order + 1):
-                assert_matches_reference(g, inner, m, types)
+                assert_matches_reference(g, inner, m)
     # with every odd component zero only the theta-free terms of g contribute
     no_odd = SuperMap(0, 1, f.even, ({},) * q)
     free = SuperMap(1, 2, tuple({key: c for key, c in comp.items() if not key[0]}
                                 for comp in g.even), ({},) * q)
-    assert assert_matches_reference(g, no_odd, order, types) == supermap.compose(
+    assert assert_matches_reference(g, no_odd, order) == supermap.compose(
         free, no_odd, order)
 
 
@@ -373,9 +369,9 @@ def test_rank4_order4_compose_keeps_the_square_of_a_shift():
         key: c for key, c in out.even[0].items() if len(key[0]) <= 3}
     rng = random.Random("rank4-order4")
     for trial in range(6):
-        f, g, types = draw_pair(rng, 2, 4, 4, trial)
+        f, g = draw_pair(rng, 2, 4, 4, trial)
         for m in (3, 4):
-            assert_matches_reference(g, f, m, types)
+            assert_matches_reference(g, f, m)
 
 
 def record_inverts(monkeypatch, stage: list) -> tuple:

@@ -548,8 +548,9 @@ def test_slot_cochain_reads_back_the_increment(d):
         if d > degrees.rank:
             continue
         spec = supermap.slot_sheaf(cover, degrees, d)
-        places = supermap._placement(spec)
+        places, slots = supermap._placement(spec)
         assert len(places) == spec.nsummands * spec.ncomp == len(set(places.values()))
+        assert slots == {place: slot for slot, place in places.items()}
         split = supermap.split_trivialization(cover, degrees, d)
         inc = cech.random_cochain(spec, 1, rng, terms=3)
         assert not inc.is_zero()
