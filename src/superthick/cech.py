@@ -35,7 +35,8 @@ differential.  Everywhere else a kind means one row of the frame table: its
 frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott form
 h^q(Omega^p(t + shift)), T being Omega^(n-1)(n+1).  Characters, component
 counts and closed formulas read it; ``supermap`` places the slots of its slot
-sheaves in a map's components with one placement.
+sheaves in a map's components with one layout per map, chosen by the parity
+of the slot degree.
 
 Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
@@ -103,13 +104,12 @@ class Cover:
         self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
         # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
         # with its exponents, their columns and its derivative's moves;
-        # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees,
-        # kind, labels, i, j, to map) -> a slot sheaf's frames on the map
-        # i -> j; (kind, labels) -> its slots' places in a map, both ways
+        # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees, d,
+        # i, j) -> the layout of its slots in the map i -> j, placed from the
+        # chart-i frame and read back
         self.split_table: dict[tuple[tuple, int, int], tuple] = {}
         self.slot_sheaf_table: dict[tuple[tuple, int], "SheafSpec"] = {}
-        self.reframe_table: dict[tuple, tuple] = {}
-        self.placement_table: dict[tuple[str, tuple], tuple] = {}
+        self.layout_table: dict[tuple[tuple, int, int, int], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""

@@ -37,13 +37,13 @@ part of the odd components is the diagonal frame change zeta_{ij,a} =
 (z_j/z_i)^(k_a), and the degree-0 part of the even components is the chart
 transition.  Homogeneous degree-d data of a trivialisation is a Čech cochain
 valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd).
-A map's theta_I coefficients are read and written as slot data
-``{(summand, comp, exps): coef}``, the format of ``Cochain.on``, each slot at
-its one place, ``_placement``, in the even or odd components; they differ
-from the chart-i slots of that cochain by the target frame only, the
-Jacobian of the transition on even slots and zeta on odd slots, and
-``_reframe`` changes between the two with ``Cover.transport`` and the
-split exponents; the cover keeps both the places and the frames.  The
+A map i -> j carries the chart-i slot data ``{(summand, comp, exps): coef}``
+of such a cochain, the format of ``Cochain.on``, in its theta_I coefficients
+in the frame of chart j: even slots through the Jacobian of the transition,
+odd slots through zeta.  One layout per (degrees, d, i, j), ``_slot_layout``,
+built from ``Cover.transport`` and the split exponents and kept on the
+cover, says where each slot lands and how to read it back; ``_place`` and
+``_read`` apply it in one pass.  The
 obstruction cocycle of an order-m trivialisation is the homogeneous
 degree-(m+1) part of its composition defect, computed mod J^(m+2) with all
 new top coefficients set to zero.
@@ -378,18 +378,19 @@ def _pull(comp: dict, split: tuple) -> dict:
     return out
 
 
-def _tangent(split: tuple, vector: list, order: int) -> list:
-    """DS v: the first-order change of the split map S when its argument
-    moves by the vector v, given as components, the even ones first.
+def _tangent(moves: tuple, vector: list, order: int) -> list:
+    """DS v: the first-order change of the components of the split map S
+    whose moves are given, when its argument moves by the vector v, given as
+    components, the even ones first.
 
     A term x^row theta_w of S moves by sum_k row_k x^(row - e_k) v^k theta_w
     and, for w = (a,), by x^row v^a_odd: the split record's moves (r, shift,
-    argument, word).
+    argument, word) per component, all of them or a slice.
     """
     out = []
-    for moves in split[4]:
+    for comp_moves in moves:
         acc: dict = {}
-        for r, shift, arg, word in moves:
+        for r, shift, arg, word in comp_moves:
             for (u, e), c in vector[arg].items():
                 merged = len(u) + len(word) <= order and _MERGED[u, word]
                 if merged:
@@ -464,98 +465,78 @@ def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     return spec
 
 
-def _reframe(cover: Cover, degrees: SplitBundleDegrees, spec: SheafSpec, data: dict,
-             i: int, j: int, to_map: bool) -> dict:
-    """Slot data from the chart-i slot frame to the frame of the map i -> j,
-    or back when ``to_map`` is false; arguments stay in chart i.
+def _slot_layout(cover: Cover, degrees: SplitBundleDegrees, d: int, i: int, j: int) -> tuple:
+    """Where the degree-d slots of the chart-i slot frame sit in the map
+    i -> j, and how they are read back: (place, read), kept in the cover's
+    layout table under (degrees, d, i, j); arguments stay in chart i.
 
-    Even slots take the Jacobian of transition(i, j) to the map frame, read
-    transposed off the one-form transport j -> i, and the tangent transport
-    j -> i back.  Odd slots multiply by zeta_{ij,a} = x^(z_a), z_a the odd
-    split exponents of ``_split_record``, and divide by it back.  The
-    identity when i == j.  The frames, per summand and component, are kept in
-    the cover's reframe table under (degrees, kind, labels, i, j, to_map).
+    ``place[summand, comp]`` lists (component index, odd word, exponent
+    offset, coefficient): a slot x^e in chart-i frame adds coef x^(e +
+    offset) theta_word to that component, the even ones first.
+    ``read[index, word]`` lists (summand, comp, offset, coefficient) back.
+    Even d (tangent slots, summand I at theta_I of the even components):
+    the Jacobian of transition(i, j), read transposed off the one-form
+    transport j -> i, and the tangent transport j -> i back.  Odd d (slot
+    (I, a) at theta_I of odd component a): zeta_{ij,a} = x^(z_a), z_a the odd
+    split exponents of ``_split_record``, and x^(-z_a) back.  The identity
+    frame when i == j.
     """
-    key = (degrees.degrees, spec.kind, spec.labels, i, j, to_map)
-    frames = cover.reframe_table.get(key)
-    if frames is None:
-        comps = range(cover.n)
-        if spec.kind == cech.TANGENT and to_map:
-            frame = tuple(tuple((mu, offset, c) for mu in comps
-                                for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]
-                                if col == nu)
-                          for nu in comps)
-            frames = (frame,) * spec.nsummands
-        elif spec.kind == cech.TANGENT:
-            frame = tuple(cover.transport(cech.TANGENT, j, i, nu)[2] for nu in comps)
-            frames = (frame,) * spec.nsummands
+    key = (degrees.degrees, d, i, j)
+    layout = cover.layout_table.get(key)
+    if layout is None:
+        spec, p = slot_sheaf(cover, degrees, d), cover.n
+        place, read = {}, {}
+        if d % 2 == 0:
+            comps = range(p)
+            for s, word in enumerate(spec.labels):
+                for nu in comps:
+                    place[s, nu] = tuple(
+                        (mu, word, offset, c) for mu in comps
+                        for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]
+                        if col == nu)
+                    read[nu, word] = tuple((s, *out)
+                                           for out in cover.transport(cech.TANGENT, j, i, nu)[2])
         else:
-            zs = _split_record(cover, degrees, i, j)[1]
-            sign = 1 if to_map else -1
-            frames = tuple((((0, tuple(sign * x for x in zs[a - 1]), 1),),)
-                           for _, a in spec.labels)
-        cover.reframe_table[key] = frames
-    out: dict = {}
-    for (s, comp, exps), c in data.items():
-        for mu, offset, x in frames[s][comp]:
-            key = (s, mu, tuple(map(add, exps, offset)))
-            out[key] = out.get(key, 0) + c * x
-    return {key: coerce(c) for key, c in out.items() if c}
+            zs = _split_record(cover, degrees, i, j)[1] if i != j else ((0,) * p,) * degrees.rank
+            for s, (word, a) in enumerate(spec.labels):
+                place[s, 0] = ((p + a - 1, word, zs[a - 1], 1),)
+                read[p + a - 1, word] = ((s, 0, tuple(-x for x in zs[a - 1]), 1),)
+        layout = cover.layout_table[key] = (place, read)
+    return layout
 
 
-def _word_part(comp: dict, word: tuple) -> dict:
-    """The theta_word coefficient ``{exps: coef}`` of a component."""
-    return {e: c for (w, e), c in comp.items() if w == word}
-
-
-def _placement(spec: SheafSpec) -> tuple:
-    """Where each slot of a slot sheaf sits in a map: (summand, comp) ->
-    (index among the even then odd components, odd word), and its inverse,
-    whose keys are the places.  Even summand I puts comp nu at theta_I of
-    even component nu, odd (I, a) at odd a.  Kept in the cover's placement
-    table under (kind, labels)."""
-    table, key = spec.cover.placement_table, (spec.kind, spec.labels)
-    placed = table.get(key)
-    if placed is None:
-        p = spec.cover.n
-        if spec.kind == cech.TANGENT:
-            place = {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
-        else:
-            place = {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
-        placed = table[key] = (place, {where: slot for slot, where in place.items()})
-    return placed
-
-
-def _read_slots(spec: SheafSpec, comps) -> dict:
-    """The coefficients of a map's components, the even ones first, as slot
-    data in the map's frame: the terms at the places of ``_placement``."""
-    slots = _placement(spec)[1]
-    return {(*slots[index, w], e): c for index, comp in enumerate(comps)
-            for (w, e), c in comp.items() if (index, w) in slots}
-
-
-def _add_slots(sm: SuperMap, spec: SheafSpec, data: dict) -> SuperMap:
-    """``sm`` plus slot data in its frame; ``_read_slots`` reads it back."""
+def _place(sm: SuperMap, layout: tuple, data: dict) -> SuperMap:
+    """``sm`` plus chart-i slot data ``{(summand, comp, exps): coef}``, moved
+    to the map's frame and placed by a ``_slot_layout``."""
     comps = [dict(g) for g in sm.even + sm.odd]
-    place = _placement(spec)[0]
+    place = layout[0]
     for (s, comp, e), c in data.items():
-        index, word = place[s, comp]
-        part, key = comps[index], (word, e)
-        total = coerce(part.get(key, 0) + c)
-        if total:
-            part[key] = total
-        else:
-            part.pop(key, None)
+        for index, word, offset, x in place[s, comp]:
+            part, key = comps[index], (word, tuple(map(add, e, offset)))
+            part[key] = part.get(key, 0) + c * x
+    comps = [{key: coerce(c) for key, c in g.items() if c} for g in comps]
     return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
 
 
+def _read(layout: tuple, comps) -> dict:
+    """The chart-i slot data of a map's components, the even ones first:
+    what ``_place`` put there, read back by a ``_slot_layout``; terms
+    without a place are not read."""
+    read, out = layout[1], {}
+    for index, comp in enumerate(comps):
+        for (w, e), c in comp.items():
+            for s, mu, offset, x in read.get((index, w), ()):
+                key = (s, mu, tuple(map(add, e, offset)))
+                out[key] = out.get(key, 0) + c * x
+    return {key: coerce(c) for key, c in out.items() if c}
+
+
 def _slot_sheaf_of(c: Cochain, cover: Cover, degrees: SplitBundleDegrees, d: int,
-                   message: str) -> SheafSpec:
-    """The degree-d slot sheaf; ValueError(message) unless ``c`` lives in it."""
+                   message: str) -> None:
+    """ValueError(message) unless ``c`` lives in the degree-d slot sheaf."""
     expected = slot_sheaf(cover, degrees, d)
     if c.sheaf.kind != expected.kind or c.sheaf.twists != expected.twists:
         raise ValueError(message)
-    return expected
 
 
 def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
@@ -566,12 +547,11 @@ def apply_increment(t: Trivialization, inc: Cochain, d: int) -> Trivialization:
     """
     if inc.degree != 1:
         raise ValueError("increments are 1-cochains")
-    expected = _slot_sheaf_of(inc, t.cover, t.degrees, d,
-                              "increment sheaf does not match the degree slot")
+    _slot_sheaf_of(inc, t.cover, t.degrees, d, "increment sheaf does not match the degree slot")
     new_maps = dict(t.maps)
     for (i, j) in t.cover.pairs:
-        data = _reframe(t.cover, t.degrees, expected, inc.on((i, j)), i, j, True)
-        new_maps[(i, j)] = _add_slots(t.maps[(i, j)], expected, data)
+        new_maps[(i, j)] = _place(t.maps[(i, j)], _slot_layout(t.cover, t.degrees, d, i, j),
+                                  inc.on((i, j)))
     return Trivialization(t.cover, t.degrees, t.order, new_maps)
 
 
@@ -581,7 +561,7 @@ def slot_cochain(t: Trivialization, d: int) -> Cochain:
     terms = {}
     for (i, j) in t.cover.pairs:
         sm = t.maps[(i, j)]
-        data = _reframe(t.cover, t.degrees, spec, _read_slots(spec, sm.even + sm.odd), i, j, False)
+        data = _read(_slot_layout(t.cover, t.degrees, d, i, j), sm.even + sm.odd)
         terms.update({((i, j), *key): c for key, c in data.items()})
     return Cochain(spec, 1, terms)
 
@@ -629,7 +609,7 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
     inverse mod J^(precision+1)."""
     there, back = (_split_record(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
     even, odd = map_difference(t.maps[(i, j)], there[3])
-    move = _tangent(back, [_pull(g, back) for g in even + odd], precision)
+    move = _tangent(back[4], [_pull(g, back) for g in even + odd], precision)
     return (_moved(back[3], [(-1, move)], precision),
             _first_order_exact([(even, odd)], precision))
 
@@ -676,13 +656,13 @@ def inverse_residual(t: Trivialization) -> dict:
     return out
 
 
-def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
+def _defect_coefficients(t: Trivialization, triple) -> dict:
     """Degree-(m+1) composition defect on one ordered triple (i, j, k).
 
-    The result is the defect's theta_I coefficients as slot data in the frame
-    of the map i -> k, with arguments in chart i.  Raises CocycleViolation
-    when the defect has parts of degree <= t.order; a term of degree m + 1
-    without a place in ``_placement`` has the wrong parity, a failed self-check.
+    The result is the defect's theta_I coefficients as chart-i slot data,
+    read through the layout of the map i -> k.  Raises CocycleViolation when
+    the defect has parts of degree <= t.order; a term of degree m + 1 that
+    the layout does not read has the wrong parity, a failed self-check.
     """
     m = t.order
     ev, od = _defect(t, *triple, m + 1)
@@ -693,10 +673,10 @@ def _defect_coefficients(t: Trivialization, triple, spec: SheafSpec):
             f"cocycle condition fails at order {m} on triple {triple}",
             residual=(low_even, low_odd),
         )
-    slots = _placement(spec)[1]
-    if any((index, w) not in slots for index, g in enumerate(ev + od) for w, _ in g):
+    layout = _slot_layout(t.cover, t.degrees, m + 1, triple[0], triple[2])
+    if any((index, w) not in layout[1] for index, g in enumerate(ev + od) for w, _ in g):
         raise AssertionError("defect of the wrong parity at degree m + 1")
-    return _read_slots(spec, ev + od)
+    return _read(layout, ev + od)
 
 
 def obstruction_cocycle(t: Trivialization) -> Cochain:
@@ -708,10 +688,8 @@ def obstruction_cocycle(t: Trivialization) -> Cochain:
     """
     spec = slot_sheaf(t.cover, t.degrees, t.order + 1)
     terms = {}
-    for (i, j, k) in t.cover.triples:
-        data = _reframe(t.cover, t.degrees, spec, _defect_coefficients(t, (i, j, k), spec),
-                        i, k, False)
-        terms.update({((i, j, k), *key): c for key, c in data.items()})
+    for triple in t.cover.triples:
+        terms.update({(triple, *key): c for key, c in _defect_coefficients(t, triple).items()})
     return Cochain(spec, 2, terms)
 
 
@@ -722,22 +700,18 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
     covers lack, so it is checked formally; the substantive checks are
     alternation and value consistency: the defect recomputed on every ordered
     triple (i, j, k) must equal the sign-adjusted stored value, moved from the
-    smallest chart to chart i by ``cech.represent`` and compared as map
-    coefficients in the frame of chart k.
+    smallest chart to chart i by ``cech.represent``, both as chart-i slot data.
     """
-    spec = gamma.sheaf
     problems = []
     for triple in itertools.permutations(t.cover.charts, 3):
-        i, _, k = triple
         try:
-            direct = _defect_coefficients(t, triple, spec)
+            direct = _defect_coefficients(t, triple)
         except CocycleViolation as err:
             return {"pass": False, "residual": err.residual, "problems": ["precondition"]}
         key = tuple(sorted(triple))
         sign = sort_index_tuple(triple)[1]
         value = {slot: sign * c for slot, c in gamma.on(key).items()}
-        moved = cech.represent(spec, value, key[0], i)
-        stored = _reframe(t.cover, t.degrees, spec, moved, i, k, True)
+        stored = cech.represent(gamma.sheaf, value, key[0], triple[0])
         if direct != stored:
             problems.append((triple, direct, stored))
     delta = cech.coboundary(gamma)
@@ -753,7 +727,8 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     is the Lambda^3 E tensor E-dual valued 2-cocycle whose value on a sorted
     triple (i, j, k) is the odd degree-3 part of -DS_jk(S_ij) w_ij, with w_ij
     omega's increment of rho_ij in the map's frame: w_ij moves to chart j by
-    S_ji, ``_tangent`` applies DS_jk, and the image moves back by S_ij.  This
+    S_ji, ``_tangent`` applies the odd components of DS_jk, the only ones
+    read, and the image moves back by S_ij.  This
     is the degree-3 composition defect of the order-2 trivialisation built
     from omega, which ``verify_gamma_cocycle`` checks against ``compose``.
     """
@@ -761,21 +736,18 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
         raise ValueError("an order >= 2 trivialisation is required")
     cech.require_cocycle(omega)
     cover, degrees = t.cover, t.degrees
-    expected = _slot_sheaf_of(omega, cover, degrees, 2,
-                              "omega does not live in the degree-2 slot sheaf")
-    spec = slot_sheaf(cover, degrees, 3)
+    _slot_sheaf_of(omega, cover, degrees, 2, "omega does not live in the degree-2 slot sheaf")
     terms = {}
     for (i, j, k) in cover.triples:
         there, back = (_split_record(cover, degrees, *pair) for pair in ((i, j), (j, i)))
         zero = _map(i, j, ({},) * t.p, ({},) * t.q)
-        w = _add_slots(zero, expected, _reframe(cover, degrees, expected, omega.on((i, j)),
-                                                i, j, True))
-        move = _tangent(_split_record(cover, degrees, j, k),
+        w = _place(zero, _slot_layout(cover, degrees, 2, i, j), omega.on((i, j)))
+        move = _tangent(_split_record(cover, degrees, j, k)[4][t.p:],
                         [_pull(g, back) for g in w.even + w.odd], 3)
-        image = _read_slots(spec, [{}] * t.p + [_pull(g, there) for g in move[t.p:]])
-        data = _reframe(cover, degrees, spec, image, i, k, False)
+        data = _read(_slot_layout(cover, degrees, 3, i, k),
+                     [{}] * t.p + [_pull(g, there) for g in move])
         terms.update({((i, j, k), *key): -c for key, c in data.items()})
-    return Cochain(spec, 2, terms)
+    return Cochain(slot_sheaf(cover, degrees, 3), 2, terms)
 
 
 def act_torsor(t: Trivialization, alpha: Cochain) -> Trivialization:
@@ -802,9 +774,9 @@ def automorphism_from_increment(
         raise ValueError(f"slot degree {d} outside 2..order")
     if nu.degree != 0:
         raise ValueError("expected a 0-cochain")
-    expected = _slot_sheaf_of(nu, cover, degrees, d,
-                              "0-cochain does not live in the degree slot sheaf")
-    return {c: _add_slots(identity_map(c, cover.n, degrees.rank), expected, nu.on((c,)))
+    _slot_sheaf_of(nu, cover, degrees, d, "0-cochain does not live in the degree slot sheaf")
+    return {c: _place(identity_map(c, cover.n, degrees.rank),
+                      _slot_layout(cover, degrees, d, c, c), nu.on((c,)))
             for c in cover.charts}
 
 
@@ -847,7 +819,7 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
         for (i, j), split in splits.items():
             new_maps[(i, j)] = _moved(t.maps[(i, j)], [
                 (1, [_pull(g, split) for g in nu[j][0] + nu[j][1]]),
-                (-1, _tangent(split, nu[i][0] + nu[i][1], precision))], precision)
+                (-1, _tangent(split[4], nu[i][0] + nu[i][1], precision))], precision)
     else:
         inverses = {c: invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
         for (i, j) in t.cover.pairs:
@@ -1024,7 +996,7 @@ def trivialization_from_json(data) -> Trivialization:
         i, j = pairs[key]
         sm = SuperMap(i, j, *parts)
         for nu, (comp, row) in enumerate(zip(sm.even, _split_record(cover, degrees, i, j)[0])):
-            body = _word_part(comp, ())
+            body = {e: c for (w, e), c in comp.items() if not w}
             if len(body) != 1:
                 raise ValueError(f"map {key} even component {nu}: the body is not one monomial")
             if body != {row: 1}:

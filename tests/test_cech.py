@@ -617,7 +617,7 @@ def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch)
 # the cover's per-twist tables
 
 COVER_TABLES = ("cohomology_table", "summand_table", "basis_table", "split_table",
-                "slot_sheaf_table", "reframe_table", "placement_table")
+                "slot_sheaf_table", "layout_table")
 
 
 def cover_tables(cover):

@@ -145,10 +145,10 @@ def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
 def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
     # a certificate walks 6 summands, 72 over the admissible triples, which
     # share 26 (kind, q, twist) keys; the sorted triples of [-8, 8] make
-    # 5814 walks over 66 keys.  A certificate reads 6 split records and 10
-    # frames: the degree-2 increment on the 3 sorted pairs, the image back
-    # on (0, 2) and the degree-3 check on the 6 ordered pairs; the rank-3
-    # slot sheaves of degrees 2 and 3 have one placement each
+    # 5814 walks over 66 keys.  A certificate reads 6 split records and 9
+    # slot layouts: the degree-2 increment on the 3 sorted pairs, and the
+    # degree-3 defect on the 6 ordered pairs (i, k) of the ordered triples,
+    # which include the pair (0, 2) that the image is read back through
     fresh = cech.Cover(2)
     monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
     fresh.summand_table = CountingTable({})
@@ -160,8 +160,8 @@ def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
     reads = fresh.summand_table.reads
     assert (len(reads), sum(not hit for _, hit in reads), len(fresh.summand_table)) == (72, 26, 26)
     assert (len(fresh.split_table), len(fresh.slot_sheaf_table)) == (6 * 12, 2 * 12)
-    assert (len(fresh.reframe_table), len(fresh.placement_table)) == (10 * 12, 2)
-    for name in ("split_table", "reframe_table", "placement_table"):
+    assert len(fresh.layout_table) == 9 * 12
+    for name in ("split_table", "layout_table"):
         assert all(type(value) is tuple for value in getattr(fresh, name).values()), name
     monkeypatch.undo()
     for argv, out in zip(argvs, cold):  # the shared cover's warm tables

@@ -1,13 +1,16 @@
-"""The cover's split records, reframe table and placement table against the
-per-call builds they replace.
+"""The cover's split records and slot layouts against the per-call builds
+they replace.
 
 ``supermap`` keeps what depends only on (bundle degrees, i, j) in one split
 record per ordered chart pair: the exponents, their columns, the split map
-itself and the moves of its derivative.  A slot sheaf's frames on a map and
-its slots' places are kept the same way.  The references below are the
-bodies that rebuilt each of these on every call, and every table is checked
-against them on a fresh cover and on the shared cover, and on every call of
-a gluing case and of a certificate: values, coefficient types and key order.
+itself and the moves of its derivative.  The layout of a degree-d slot sheaf
+in the map i -> j, which moves each slot between the chart-i frame and the
+map's frame and places it among the map's components, is kept the same way.
+The references below are the bodies that rebuilt each of these on every
+call: a frame change followed by a placement for the layouts.  Every table
+is checked against them on a fresh cover and on the shared cover, and on
+every call of a gluing case and of a certificate: values, coefficient types
+and key order.
 The split maps are shared by every trivialisation built on a cover, so no
 caller may change a component of one; the last test checks that none does.
 """
@@ -27,7 +30,7 @@ from superthick.bott import SplitBundleDegrees
 from superthick.laurent import coerce
 from test_acceptance import DEGREE_POOL
 from test_golden import ADMISSIBLE
-from test_transport import slot_data
+from test_transport import reference_placement, slot_data
 
 TRIPLES = list(dict.fromkeys(DEGREE_POOL + ADMISSIBLE))
 
@@ -83,7 +86,8 @@ def reference_tangent(rows, zs, vector, order):
 
 
 def reference_frames(cover, degrees, spec, i, j, to_map):
-    """``_reframe``'s frames per summand and component, built on every call."""
+    """The frames per summand and component from the chart-i slot frame to
+    the frame of the map i -> j, or back, built on every call."""
     comps = range(cover.n)
     if spec.kind == cech.TANGENT and to_map:
         frame = [[(mu, offset, c) for mu in comps
@@ -107,11 +111,40 @@ def reference_reframe(cover, degrees, spec, data, i, j, to_map):
     return {key: coerce(c) for key, c in out.items() if c}
 
 
-def reference_placement(spec):
-    p = spec.cover.n
-    if spec.kind == cech.TANGENT:
-        return {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
-    return {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
+def reference_layout(cover, degrees, d, i, j):
+    """The frames to the map and back, each composed with the placement."""
+    spec = supermap.slot_sheaf(cover, degrees, d)
+    place = reference_placement(spec)
+    to_map, back = (reference_frames(cover, degrees, spec, i, j, way) for way in (True, False))
+    return ({(s, nu): [place[s, mu] + (offset, x) for mu, offset, x in to_map[s][nu]]
+             for s, nu in place},
+            {place[s, mu]: [(s, nu, offset, x) for nu, offset, x in back[s][mu]]
+             for s, mu in place})
+
+
+def reference_place(sm, cover, degrees, spec, data, i, j):
+    """``sm`` plus chart-i slot data: the frame change to the map, then each
+    slot added at its place."""
+    comps = [dict(g) for g in sm.even + sm.odd]
+    place = reference_placement(spec)
+    for (s, comp, e), c in reference_reframe(cover, degrees, spec, data, i, j, True).items():
+        index, word = place[s, comp]
+        part, key = comps[index], (word, e)
+        total = coerce(part.get(key, 0) + c)
+        if total:
+            part[key] = total
+        else:
+            part.pop(key, None)
+    return supermap._map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
+
+
+def reference_read(cover, degrees, spec, comps, i, j):
+    """The terms of a map's components at the places, as slot data in the
+    map's frame, moved back to the chart-i frame."""
+    slots = {where: slot for slot, where in reference_placement(spec).items()}
+    data = {(*slots[index, w], e): c for index, comp in enumerate(comps)
+            for (w, e), c in comp.items() if (index, w) in slots}
+    return reference_reframe(cover, degrees, spec, data, i, j, False)
 
 
 def reference_moved(sm, parts, order):
@@ -145,14 +178,12 @@ def assert_record(split, cover, degrees, i, j):
     assert [list(moves) for moves in split[4]] == reference_moves(rows, zs)
 
 
-def assert_placement(placed, spec):
-    place = reference_placement(spec)
-    assert typed(placed[0]) == typed(place)
-    assert list(placed[1].items()) == [(v, s) for s, v in place.items()]
-
-
-def as_lists(frames):
-    return [[list(comp) for comp in summand] for summand in frames]
+def assert_layout(layout, cover, degrees, d, i, j):
+    """A layout equals the reference, in key order, and is the table's."""
+    assert layout is cover.layout_table[degrees.degrees, d, i, j]
+    assert type(layout) is tuple and len(layout) == 2
+    for table, ref in zip(layout, reference_layout(cover, degrees, d, i, j)):
+        assert [(key, list(entries)) for key, entries in table.items()] == list(ref.items())
 
 
 def random_vector(rng, p, q, order):
@@ -187,8 +218,9 @@ def test_split_records_match_the_per_call_builds(warm):
             rows, zs = split[:2]
             for order in (1, 2, 3):
                 vector = random_vector(rng, p, q, order)
-                same_components(supermap._tangent(split, vector, order),
-                                reference_tangent(rows, zs, vector, order))
+                ref = reference_tangent(rows, zs, vector, order)
+                same_components(supermap._tangent(split[4], vector, order), ref)
+                same_components(supermap._tangent(split[4][p:], vector, order), ref[p:])
                 same_components([supermap._pull(g, split) for g in vector],
                                 [reference_pull(g, rows, zs) for g in vector])
                 parts = [(sign, random_vector(rng, p, q, order + 1)) for sign in (1, -1)]
@@ -199,29 +231,28 @@ def test_split_records_match_the_per_call_builds(warm):
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_frame_and_placement_tables_match_the_per_call_builds(warm):
-    # both directions of every ordered chart pair, i == j included, for the
-    # degree-2 and degree-3 slot sheaves
+    # the layouts of every ordered chart pair, i == j included, for the
+    # degree-2 and degree-3 slot sheaves, and what they place and read
     cover = cech.standard_cover(2) if warm else cech.Cover(2)
     rng = random.Random(f"frames-{warm}")
     for k in TRIPLES:
         degrees = SplitBundleDegrees(k)
+        p, q = cover.n, degrees.rank
         for d in (2, 3):
             spec = supermap.slot_sheaf(cover, degrees, d)
-            placed = supermap._placement(spec)
-            assert placed is cover.placement_table[spec.kind, spec.labels]
-            assert_placement(placed, spec)
             for i, j in itertools.product(cover.charts, repeat=2):
+                layout = supermap._slot_layout(cover, degrees, d, i, j)
+                assert supermap._slot_layout(cover, degrees, d, i, j) is layout
+                assert_layout(layout, cover, degrees, d, i, j)
                 simplex = (i,) + tuple(v for v in cover.charts if v != i)
                 data = slot_data(cech.random_section(spec, simplex, rng, terms=5, span=3))
-                for to_map in (True, False):
-                    out = supermap._reframe(cover, degrees, spec, data, i, j, to_map)
-                    assert typed(out) == typed(reference_reframe(cover, degrees, spec, data,
-                                                                 i, j, to_map))
-                    frames = cover.reframe_table[degrees.degrees, spec.kind, spec.labels,
-                                               i, j, to_map]
-                    assert type(frames) is tuple
-                    assert as_lists(frames) == as_lists(
-                        reference_frames(cover, degrees, spec, i, j, to_map))
+                vector = random_vector(rng, p, q, 3)
+                base = supermap._map(i, j, tuple(vector[:p]), tuple(vector[p:]))
+                placed = supermap._place(base, layout, data)
+                same_maps(placed, reference_place(base, cover, degrees, spec, data, i, j))
+                for comps in (random_vector(rng, p, q, 3), placed.even + placed.odd):
+                    assert typed(supermap._read(layout, comps)) == typed(
+                        reference_read(cover, degrees, spec, comps, i, j))
 
 
 def gluing_case(cover, degrees, rng):
@@ -249,9 +280,11 @@ def pushforward_json(degrees):
 
 
 def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(monkeypatch):
-    calls = dict.fromkeys(["_split_record", "_pull", "_tangent", "_reframe", "_placement",
-                           "_moved"], 0)
+    calls = dict.fromkeys(["_split_record", "_pull", "_tangent", "_slot_layout", "_place",
+                           "_read", "_moved"], 0)
     real = {name: getattr(supermap, name) for name in calls}
+    cover = cech.Cover(2)
+    covers = (cover, cech.standard_cover(2))
 
     def checked(name, check):
         def wrapper(*args):
@@ -261,21 +294,40 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
             return out
         monkeypatch.setattr(supermap, name, wrapper)
 
+    def split_of(moves):
+        """A split record whose moves end with ``moves``, and how many it has."""
+        return next((split, len(split[4])) for c in covers for split in c.split_table.values()
+                    if split[4][len(split[4]) - len(moves):] == moves)
+
+    def layout_key(layout):
+        """The cover and (degrees, d, i, j) a layout is kept under."""
+        return next((c, key) for c in covers for key, value in c.layout_table.items()
+                    if value is layout)
+
     def pull(out, comp, split):
         assert typed(out) == typed(reference_pull(comp, *split[:2]))
 
-    def tangent(out, split, vector, order):
-        same_components(out, reference_tangent(*split[:2], vector, order))
+    def tangent(out, moves, vector, order):
+        split, count = split_of(moves)
+        ref = reference_tangent(*split[:2], vector, order)
+        same_components(out, ref[count - len(moves):])
 
-    def reframe(out, cover, degrees, spec, data, i, j, to_map):
-        assert typed(out) == typed(reference_reframe(cover, degrees, spec, data, i, j, to_map))
+    def place(out, sm, layout, data):
+        c, (k, d, i, j) = layout_key(layout)
+        spec = supermap.slot_sheaf(c, SplitBundleDegrees(k), d)
+        same_maps(out, reference_place(sm, c, SplitBundleDegrees(k), spec, data, i, j))
+
+    def read(out, layout, comps):
+        c, (k, d, i, j) = layout_key(layout)
+        spec = supermap.slot_sheaf(c, SplitBundleDegrees(k), d)
+        assert typed(out) == typed(reference_read(c, SplitBundleDegrees(k), spec, comps, i, j))
 
     def moved(out, sm, parts, order):
         same_maps(out, reference_moved(sm, parts, order))
 
-    for name, check in zip(calls, (assert_record, pull, tangent, reframe, assert_placement, moved)):
+    checks = (assert_record, pull, tangent, assert_layout, place, read, moved)
+    for name, check in zip(calls, checks):
         checked(name, check)
-    cover = cech.Cover(2)
     gluing_case(cover, SplitBundleDegrees((4, -1, -7)), random.Random(25))
     out = pushforward_json((3, 0, -6))
     monkeypatch.undo()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from superthick.bott import SplitBundleDegrees
 from superthick.exterior import sort_index_tuple
 from test_acceptance import DEGREE_POOL
 from test_pipeline import harmonic_h2_part
+from test_transport import reference_reframe
 
 COV2 = cech.standard_cover(2)
 COV1 = cech.standard_cover(1)
@@ -28,6 +30,11 @@ def closed_slot2(rng, degrees=DEG, cover=COV2, harmonic=None):
 def generator(degrees=DEG, cover=COV2):
     spec = sm.slot_sheaf(cover, degrees, 2)
     return cech.h1_representatives(spec).representatives[1][0]
+
+
+def word_part(comp, word):
+    """The theta_word coefficient ``{exps: coef}`` of a component."""
+    return {e: c for (w, e), c in comp.items() if w == word}
 
 
 def test_split_model_is_strict_cocycle():
@@ -98,7 +105,7 @@ def test_taylor_cross_terms_on_p1():
     t = sm.build_trivialization(COV1, degrees, 2, {2: omega})
     fwd = t.maps[(0, 1)]
     # the inserted slot sits in the chart-1 frame: jacobian of y = x^-1
-    assert sm._word_part(fwd.even[0], (1, 2)) == {(-3,): Fraction(-5, 7)}
+    assert word_part(fwd.even[0], (1, 2)) == {(-3,): Fraction(-5, 7)}
     rev = t.maps[(1, 0)]
     comp = sm.compose(rev, fwd, 3)
     ident = sm.identity_map(0, 1, 3)
@@ -106,8 +113,8 @@ def test_taylor_cross_terms_on_p1():
     # hand expansion: x = y^-1 + c' y^-1 eta1 eta2 must invert y = x^-1 + ...
     y_of_x = fwd.even[0]
     x_of_y = rev.even[0]
-    c_fwd = sm._word_part(y_of_x, (1, 2))
-    c_rev = sm._word_part(x_of_y, (1, 2))
+    c_fwd = word_part(y_of_x, (1, 2))
+    c_rev = word_part(x_of_y, (1, 2))
     # composing the degree-2 parts: c_rev transported plus c_fwd jacobian term
     # cancels; equivalently c_rev = -J(f10) c_fwd zeta-transported, checked
     # numerically through the composition above; spot-check the shape:
@@ -140,7 +147,7 @@ def test_corrupted_map_reported_at_its_triple():
     t = split2()
     bad = t.maps[(0, 1)]
     even = list(bad.even)
-    assert sm._word_part(even[0], (1, 2)) == {}
+    assert word_part(even[0], (1, 2)) == {}
     even[0] = {**even[0], ((1, 2), (0, 0)): 1}  # plus theta_1 theta_2
     maps = {**t.maps, (0, 1): sm.SuperMap(0, 1, tuple(even), bad.odd)}
     res = sm.cocycle_residual(sm.Trivialization(COV2, DEG, 2, maps))
@@ -201,13 +208,20 @@ def test_gamma_rejects_invalid_input():
 
 
 def test_hand_corrupted_gamma_fails_verification():
-    rng = random.Random(5)
-    omega = closed_slot2(rng)
-    t = sm.build_trivialization(COV2, DEG, 2, {2: omega})
-    gamma = sm.obstruction_cocycle(t)
-    spec = gamma.sheaf
-    bad = gamma + cech.Cochain(spec, 2, {cech.BasisSlot((0, 1, 2), 0, 0, (0, 0)): 1})
-    assert not sm.verify_gamma_cocycle(bad, t)["pass"]
+    # one corrupted slot of the sorted triple disagrees with the recomputed
+    # defect on every ordered triple, compared as chart-i slot data
+    triples = list(itertools.permutations(COV2.charts, 3))
+    slots = [cech.BasisSlot((0, 1, 2), 0, 0, (0, 0)), cech.BasisSlot((0, 1, 2), 1, 0, (1, -2))]
+    for degrees in [(4, -1, -7), (3, 0, -6), (2, 1, -5)]:
+        degrees = SplitBundleDegrees(degrees)
+        t = sm.build_trivialization(COV2, degrees, 2,
+                                    {2: closed_slot2(random.Random(5), degrees)})
+        gamma = sm.obstruction_cocycle(t)
+        assert sm.verify_gamma_cocycle(gamma, t)["pass"]
+        for slot in slots:
+            check = sm.verify_gamma_cocycle(gamma + cech.Cochain(gamma.sheaf, 2, {slot: 1}), t)
+            assert not check["pass"]
+            assert [problem[0] for problem in check["problems"]] == triples, (degrees, slot)
 
 
 def test_pushforward_zero_and_linearity():
@@ -246,7 +260,7 @@ def reference_pushforward_partial(omega, t):
     spec = sm.slot_sheaf(cover, degrees, 3)
     terms = {}
     for (i, j, k) in cover.triples:
-        vecs = sm._reframe(cover, degrees, expected, omega.on((i, j)), i, j, True)
+        vecs = reference_reframe(cover, degrees, expected, omega.on((i, j)), i, j, True)
         line = cover.transport(cech.LINE_SUM, k, j, 0)[1]
         raw = {}
         for (s, mu, e), c in vecs.items():
@@ -261,7 +275,7 @@ def reference_pushforward_partial(omega, t):
                 target, sign = sort_index_tuple(word + (a,))
                 key = (spec.labels.index((target, a)), 0, tuple(map(add, e, offset)))
                 raw[key] = raw.get(key, 0) - sign * dz * c
-        data = sm._reframe(cover, degrees, spec, raw, i, k, False)
+        data = reference_reframe(cover, degrees, spec, raw, i, k, False)
         terms.update({((i, j, k), *key): c for key, c in data.items()})
     return cech.Cochain(spec, 2, terms)
 
@@ -286,6 +300,26 @@ def test_pushforward_matches_reference_formula_term_by_term(degrees):
         nonzero += not pushed.is_zero()
     # with every degree 0 the frame changes zeta are constant: the image is 0
     assert nonzero or not any(degrees.degrees)
+
+
+def test_pushforward_applies_only_the_odd_moves(monkeypatch):
+    # the image reads the odd components of DS_jk w, so only they are built
+    degrees = SplitBundleDegrees((4, -1, -7))
+    omega = generator(degrees)
+    t = sm.build_trivialization(COV2, degrees, 2, {2: omega})
+    sizes = []
+    tangent = sm._tangent
+
+    def counted(moves, vector, order):
+        out = tangent(moves, vector, order)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(sm, "_tangent", counted)
+    pushed = sm.pushforward_partial(omega, t)
+    assert sizes == [t.q] * len(COV2.triples)
+    monkeypatch.undo()
+    assert not pushed.is_zero() and pushed == sm.obstruction_cocycle(t)
 
 
 def test_pushforward_of_coboundary_is_exact():

@@ -4,16 +4,17 @@ Every chart change moves monomials on exponents through ``Cover.transport``,
 whose entries are integer arithmetic on the charts' exponent vectors:
 ``cech.represent`` moves slot data ``{(summand, comp, exps): coef}`` monomial
 by monomial, ``cech.coboundary`` and ``cech.delta_block_matrix`` move one
-slot at a time, and ``supermap._reframe`` changes between the slot frame and
-a gluing map's frame.  ``LaurentPoly.compose`` maps each term to one
-monomial; every substituted part must be a monomial.  The references below
-are the slow paths those replace, built on Laurent polynomials: the chart
-transitions as ``ChartMap``s of monomials and the line factors z_a/z_b, the
-transport entries read off them, re-presentation of sections (tuples over
-summands of tuples over components of ``LaurentPoly``) by Laurent pullback,
-Jacobian products and line factors, the coboundary built on it section by
-section, the hand-rolled Jacobian and line-factor frame changes, and
-substitution by multiplying powers.
+slot at a time, and ``supermap._slot_layout`` lays chart-i slot data out in
+a gluing map's frame and reads it back.  ``LaurentPoly.compose`` maps each
+term to one monomial; every substituted part must be a monomial.  The
+references below are the slow paths those replace, built on Laurent
+polynomials: the chart transitions as ``ChartMap``s of monomials and the line
+factors z_a/z_b, the transport entries read off them, re-presentation of
+sections (tuples over summands of tuples over components of ``LaurentPoly``)
+by Laurent pullback, Jacobian products and line factors, the coboundary
+built on it section by section, the hand-rolled Jacobian and line-factor
+frame changes with the slots' places in a map, and substitution by
+multiplying powers.
 """
 
 import itertools
@@ -466,33 +467,74 @@ def reference_to_section(cover, degrees, spec, coefs, i, j):
     return tuple(out)
 
 
+def reference_placement(spec):
+    """Where each slot of a slot sheaf sits in a map, in the map's frame:
+    (summand, comp) -> (index among the even then odd components, odd word).
+    Even summand I puts comp mu at theta_I of even component mu, odd (I, a)
+    at theta_I of odd component a."""
+    p = spec.cover.n
+    if spec.kind == cech.TANGENT:
+        return {(s, nu): (nu, word) for s, word in enumerate(spec.labels) for nu in range(p)}
+    return {(s, 0): (p + a - 1, word) for s, (word, a) in enumerate(spec.labels)}
+
+
+def slots_of(spec, comps):
+    """A map's components as slot data in the map's frame; every term must
+    sit at a place of ``reference_placement``."""
+    slots = {where: slot for slot, where in reference_placement(spec).items()}
+    return {(*slots[index, w], e): c
+            for index, comp in enumerate(comps) for (w, e), c in comp.items()}
+
+
+def components_of(spec, coefs, q):
+    """Slot data in a map's frame as the map's components, inverse of ``slots_of``."""
+    comps = [{} for _ in range(spec.cover.n + q)]
+    places = reference_placement(spec)
+    for (s, comp, e), c in coefs.items():
+        index, word = places[s, comp]
+        comps[index][(word, e)] = c
+    return comps
+
+
+def placed(cover, degrees, d, i, j, data):
+    """Chart-i slot data placed on the zero map i -> j by its layout: the
+    layout and the map's components."""
+    layout = supermap._slot_layout(cover, degrees, d, i, j)
+    zero = supermap._map(i, j, ({},) * cover.n, ({},) * degrees.rank)
+    sm = supermap._place(zero, layout, data)
+    return layout, sm.even + sm.odd
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_frame_helpers_round_trip_on_every_pair(d):
     rng = random.Random(f"frames-{d}")
-    cover = cech.standard_cover(2)
     checked = 0
-    for degrees in DEGREE_POOL:
-        degrees = SplitBundleDegrees(degrees)
-        spec = supermap.slot_sheaf(cover, degrees, d)
-        for i, j in itertools.product(cover.charts, repeat=2):
-            simplex = (i,) + tuple(v for v in cover.charts if v != i)
-            data = slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
-            coefs = supermap._reframe(cover, degrees, spec, data, i, j, True)
-            back = supermap._reframe(cover, degrees, spec, coefs, i, j, False)
-            assert back == data and canonical(coefs)
-            if i == j:
-                assert coefs == data
-            sec = section_of(spec, data)
-            assert section_of(spec, coefs) == reference_to_coefficients(
-                cover, degrees, spec, sec, i, j)
-            assert sec == reference_to_section(
-                cover, degrees, spec, section_of(spec, coefs), i, j)
-            checked += bool(data)
-    assert checked >= 40
+    for n in (1, 2):
+        cover = cech.standard_cover(n)
+        for degrees in DEGREE_POOL:
+            degrees = SplitBundleDegrees(degrees)
+            spec = supermap.slot_sheaf(cover, degrees, d)
+            for i, j in itertools.product(cover.charts, repeat=2):
+                simplex = (i,) + tuple(v for v in cover.charts if v != i)
+                data = slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
+                layout, comps = placed(cover, degrees, d, i, j, data)
+                coefs = slots_of(spec, comps)
+                back = supermap._read(layout, comps)
+                assert back == data and canonical(back) and canonical(coefs)
+                if i == j:
+                    assert coefs == data
+                sec = section_of(spec, data)
+                assert section_of(spec, coefs) == reference_to_coefficients(
+                    cover, degrees, spec, sec, i, j)
+                assert sec == reference_to_section(
+                    cover, degrees, spec, section_of(spec, coefs), i, j)
+                checked += bool(data)
+    assert checked >= 60
 
 
 def reference_reframe(cover, degrees, spec, data, i, j, to_map):
-    """``supermap._reframe`` with i == j returned as it is and the odd frame
+    """Slot data from the chart-i slot frame to the frame of the map i -> j,
+    or back, with i == j returned as it is and the odd frame
     zeta_{ij,a} = x^(k_a line) from the line vector of the transport j -> i."""
     if i == j:
         return data
@@ -523,7 +565,8 @@ RANK_4 = (1, -4, 2, -5)
 @pytest.mark.parametrize("degrees, d", [(k, d) for k in DEGREE_POOL for d in (2, 3)]
                          + [(RANK_4, d) for d in (2, 3, 4)])
 def test_reframe_matches_the_line_vector_frame_on_every_pair(degrees, d):
-    # i == j included: the reference returns its input there, both ways
+    # the slot layout of every ordered pair, i == j included, places and
+    # reads as the line-vector frame change and the reference placement do
     rng = random.Random(f"reframe-{degrees}-{d}")
     degrees = SplitBundleDegrees(degrees)
     for n in (1, 2):
@@ -531,16 +574,21 @@ def test_reframe_matches_the_line_vector_frame_on_every_pair(degrees, d):
         spec = supermap.slot_sheaf(cover, degrees, d)
         for i, j in itertools.product(cover.charts, repeat=2):
             simplex = (i,) + tuple(v for v in cover.charts if v != i)
-            data = slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
-            for to_map in (True, False):
-                assert (supermap._reframe(cover, degrees, spec, data, i, j, to_map)
-                        == reference_reframe(cover, degrees, spec, data, i, j, to_map))
+            data, coefs = (slot_data(cech.random_section(spec, simplex, rng, terms=6, span=3))
+                           for _ in range(2))
+            layout, comps = placed(cover, degrees, d, i, j, data)
+            assert layout is cover.layout_table[degrees.degrees, d, i, j]
+            assert slots_of(spec, comps) == reference_reframe(cover, degrees, spec, data,
+                                                              i, j, True)
+            assert supermap._read(layout, comps) == data
+            assert (supermap._read(layout, components_of(spec, coefs, degrees.rank))
+                    == reference_reframe(cover, degrees, spec, coefs, i, j, False))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_slot_cochain_reads_back_the_increment(d):
     """The rank-3 pool at d = 2, 3, and rank 4 at d = 2, 3, 4, where the
-    slot placement puts every slot at its own place."""
+    slot layout puts every slot at its own place and reads every place."""
     rng = random.Random(f"increment-{d}")
     cover = cech.standard_cover(2)
     for degrees in [*DEGREE_POOL, RANK_4]:
@@ -548,9 +596,9 @@ def test_slot_cochain_reads_back_the_increment(d):
         if d > degrees.rank:
             continue
         spec = supermap.slot_sheaf(cover, degrees, d)
-        places, slots = supermap._placement(spec)
-        assert len(places) == spec.nsummands * spec.ncomp == len(set(places.values()))
-        assert slots == {place: slot for slot, place in places.items()}
+        place, read = supermap._slot_layout(cover, degrees, d, 0, 1)
+        assert len(place) == spec.nsummands * spec.ncomp == len(read)
+        assert {entry[:2] for entries in place.values() for entry in entries} == set(read)
         split = supermap.split_trivialization(cover, degrees, d)
         inc = cech.random_cochain(spec, 1, rng, terms=3)
         assert not inc.is_zero()
