@@ -105,11 +105,11 @@ class Cover:
         # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
         # with its exponents, their columns and its derivative's moves;
         # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees, d,
-        # i, j) -> the layout of its slots in the map i -> j, placed from the
-        # chart-i frame and read back
+        # i, j), or (rank, d, i, j) for even d, -> the layout of its slots in
+        # the map i -> j, placed from the chart-i frame and read back
         self.split_table: dict[tuple[tuple, int, int], tuple] = {}
         self.slot_sheaf_table: dict[tuple[tuple, int], "SheafSpec"] = {}
-        self.layout_table: dict[tuple[tuple, int, int, int], tuple] = {}
+        self.layout_table: dict[tuple[tuple | int, int, int, int], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""

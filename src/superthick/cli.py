@@ -163,12 +163,11 @@ def cmd_verify(args) -> int:
 def cmd_gamma(args) -> int:
     t = supermap.read_trivialization(args.file)
     try:
-        gamma = supermap.obstruction_cocycle(t)
+        gamma, check = supermap.obstruction_with_check(t)
     except supermap.CocycleViolation as err:
         emit(args, {"command": "gamma", "inputs": {"file": args.file},
                     "outputs": {"error": str(err)}, "exact": True}, str(err))
         return EXIT_NEGATIVE
-    check = supermap.verify_gamma_cocycle(gamma, t)
     payload = {
         "command": "gamma",
         "inputs": {"file": args.file},

@@ -129,6 +129,38 @@ def test_gamma_exits_one_when_its_cocycle_check_fails(tmp_path, capsys):
     assert out == "gamma zero: False, cocycle check: False\n"
 
 
+def test_gamma_file_composes_each_ordered_triple_once(tmp_path, monkeypatch, capsys):
+    # gamma and its check share the sorted triple's defect: one compose per
+    # ordered triple, and the bytes of gamma and its check taken apart, also
+    # when the check fails (the generator file without its "1,0" map)
+    calls = []
+    kernel = supermap.compose
+
+    def counting(g, f, order, minus=None):
+        calls.append(order)
+        return kernel(g, f, order, minus=minus)
+
+    def apart(t):
+        gamma = supermap.obstruction_cocycle(t)
+        return gamma, supermap.verify_gamma_cocycle(gamma, t)
+
+    no_10 = generator_json()
+    del no_10["maps"]["1,0"]
+    for name, data, code in (("gen", generator_json(), 0), ("no_10", no_10, 1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(cli.canonical_json(data) + "\n")
+        argv = ["gamma", "--file", str(path), "--json"]
+        monkeypatch.setattr(supermap, "compose", counting)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if name == "gen":
+            assert calls == [3] * 6
+        monkeypatch.setattr(supermap, "obstruction_with_check", apart)
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
+        monkeypatch.undo()
+
+
 def test_gamma_rejects_invalid_gluing(tmp_path, capsys):
     t = supermap.split_trivialization(cech.standard_cover(2), SplitBundleDegrees((3, 0, -6)), 2)
     data = supermap.trivialization_to_json(t)
@@ -426,9 +458,9 @@ def test_warm_certificate_composes_six_times(monkeypatch, capsys):
     calls = []
     kernel = supermap.compose
 
-    def counting(g, f, order):
+    def counting(g, f, order, minus=None):
         calls.append(order)
-        return kernel(g, f, order)
+        return kernel(g, f, order, minus=minus)
 
     def refused(t):
         raise AssertionError("the certificate takes gamma from the pushforward")

@@ -4,11 +4,14 @@
 writes each even component of the inner map as its monomial body times
 (1 + u_i), builds the rows u^k once per call and adds every term of the outer
 map by exponent arithmetic with integer binomials.  Integer data with bodies
-of coefficient 1 gives ``int`` coefficients; Fraction arithmetic can leave an
-integral ``Fraction``.  ``reference_compose`` below is the
-Grassmann/Taylor kernel it replaced: one Taylor table per call
-(``exterior.taylor_rows``, then the rows times each odd word of the inner
-map), evaluated on every coefficient through ``exterior.taylor_add``.
+of coefficient 1 gives ``int`` coefficients, and an integral sum of
+Fractions is returned as an ``int`` too.  With ``minus`` it returns minus mod
+J^(m+1) less g o f, which every replayed call checks against
+``map_difference`` of the truncated map and the reference composite.
+``reference_compose`` below is the Grassmann/Taylor kernel it replaced: one
+Taylor table per call (``exterior.taylor_rows``, then the rows times each odd
+word of the inner map), evaluated on every coefficient through
+``exterior.taylor_add``.
 ``reference_substitute_nilpotent`` is the per-coefficient body that the
 Taylor table replaced, which rebuilt the wedge powers of the shifts for every
 coefficient; it still checks ``substitute_nilpotent``.
@@ -252,21 +255,24 @@ def gluing_pool(seed: int) -> list:
 
 
 def test_compose_matches_reference_on_every_call_of_a_gluing_case(monkeypatch):
-    # every compose call of one seeded case is replayed
+    # every compose call of one seeded case is replayed; each check composes
+    # straight into its defect, with the first map of the triple as minus
     calls = []
     kernel = supermap.compose
 
-    def recording(g, f, order):
-        out = kernel(g, f, order)
-        calls.append((g, f, order, out))
+    def recording(g, f, order, minus=None):
+        out = kernel(g, f, order, minus=minus)
+        calls.append((g, f, order, minus, out))
         return out
 
     monkeypatch.setattr(supermap, "compose", recording)
     assert not run_gluing_case(1, DEGREE_POOL[1]).is_zero()
     assert len(calls) == 20
-    assert any(type(c) is Fraction for *_, out in calls for comp in out.even for c in comp.values())
-    for g, f, order, out in calls:
-        assert out == reference_compose(g, f, order)
+    assert all(minus is not None for _, _, _, minus, _ in calls)
+    assert any(type(c) is Fraction for g, f, *_ in calls for comp in f.even + g.even
+               for c in comp.values())
+    for call in calls:
+        assert_call_matches_reference(*call)
 
 
 def coefficient_types(sm):
@@ -281,6 +287,22 @@ def assert_matches_reference(g, f, order):
     assert out == ref
     assert coefficient_types(out) == coefficient_types(ref)
     return out
+
+
+def assert_defect_matches_reference(g, f, order, minus, out):
+    """``out``, from compose with ``minus``, is minus mod J^(order+1) less
+    the reference composite, with the types the checked constructor gives."""
+    even, odd = supermap.map_difference(minus.truncate(order), reference_compose(g, f, order))
+    ref = SuperMap(f.source, g.target, tuple(even), tuple(odd))
+    assert out == ref
+    assert coefficient_types(out) == coefficient_types(ref)
+
+
+def assert_call_matches_reference(g, f, order, minus, out):
+    if minus is None:
+        assert out == reference_compose(g, f, order)
+    else:
+        assert_defect_matches_reference(g, f, order, minus, out)
 
 
 def draw_pair(rng, p, q, order, trial, g_order=None):
@@ -309,16 +331,17 @@ def test_compose_matches_reference_on_every_call_of_a_pushforward(monkeypatch, d
     calls = []
     kernel = supermap.compose
 
-    def recording(g, f, order):
-        calls.append((g, f, order))
-        return kernel(g, f, order)
+    def recording(g, f, order, minus=None):
+        out = kernel(g, f, order, minus=minus)
+        calls.append((g, f, order, minus, out))
+        return out
 
     monkeypatch.setattr(supermap, "compose", recording)
     pipeline_obstructed_cp2(degrees)
     monkeypatch.undo()
     assert len(calls) == 6
-    for g, f, order in calls:
-        assert_matches_reference(g, f, order)
+    for call in calls:
+        assert_call_matches_reference(*call)
 
 
 @pytest.mark.parametrize("p,q,order", [(1, 2, 1), (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 4, 3)])
@@ -331,6 +354,31 @@ def test_compose_drops_terms_of_g_beyond_the_order(p, q, order):
         f, g = draw_pair(rng, p, q, order, trial, g_order=order + 1)
         longer += any(len(w) > order for comp in g.even + g.odd for w, _ in comp)
         assert_matches_reference(g, f, order)
+    assert longer
+
+
+@pytest.mark.parametrize("p,q,order", CASES + [(2, 4, 4)])
+def test_compose_minus_subtracts_from_the_truncated_map(p, q, order):
+    # minus is drawn one order up, so it has terms beyond every m it is
+    # subtracted at; those are dropped, and keys that cancel are deleted
+    rng = random.Random(f"minus-{p}-{q}-{order}")
+    longer = 0
+    for trial in range(6):
+        f, g = draw_pair(rng, p, q, order, trial)
+        minus = rand_map(rng, 0, 2, p, q, order + 1, trial % 2 == 1)
+        for m in range(1, order + 1):
+            plain = supermap.compose(g, f, m)
+            assert supermap.compose(g, f, m, minus=None) == plain
+            assert assert_matches_reference(g, f, m) == plain
+            assert_defect_matches_reference(g, f, m, minus, supermap.compose(g, f, m, minus=minus))
+            beyond = [{key: c for key, c in comp.items() if len(key[0]) > m}
+                      for comp in minus.even + minus.odd]
+            longer += any(beyond)
+            same = [{**a, **b} for a, b in zip(plain.even + plain.odd, beyond)]
+            out = supermap.compose(g, f, m, minus=SuperMap(0, 2, tuple(same[:p]), tuple(same[p:])))
+            assert out.even == ({},) * p and out.odd == ({},) * q
+            with pytest.raises(ValueError, match="composable"):
+                supermap.compose(g, f, m, minus=f)
     assert longer
 
 
@@ -383,9 +431,11 @@ def record_inverts(monkeypatch, stage: list) -> tuple:
     composed, inverted = [], []
     kernel, inverse = supermap.compose, supermap.invert
 
-    def counting(g, f, order):
+    def counting(g, f, order, minus=None):
         composed.append(order)
-        return kernel(g, f, order)
+        out = kernel(g, f, order, minus=minus)
+        assert_call_matches_reference(g, f, order, minus, out)
+        return out
 
     def recording(sm, order):
         before = len(composed)
@@ -546,9 +596,9 @@ def record_gluing_maps(monkeypatch) -> list:
     calls, composed = [], [0]
     kernel = supermap.compose
 
-    def counting(g, f, order):
+    def counting(g, f, order, minus=None):
         composed[0] += 1
-        return kernel(g, f, order)
+        return kernel(g, f, order, minus=minus)
 
     monkeypatch.setattr(supermap, "compose", counting)
     for name in REFERENCES:

@@ -3,7 +3,9 @@
 ``perfbench/layers.py`` resolves every ``TARGETS`` entry with
 ``owner.__dict__[attr]``, so deleting or renaming a traced function breaks
 ``perfbench/run.py --trace 1``.  This test loads that file without changing it
-and resolves every name against the package.
+and resolves every name against the package.  Its tracer must also see the
+work under each name: every check of a gluing case composes through
+``supermap.compose``.
 """
 
 import importlib
@@ -11,6 +13,7 @@ import types
 from pathlib import Path
 
 import superthick
+from test_int_kernel import run_gluing_case
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -30,3 +33,19 @@ def test_every_traced_target_resolves():
     found = layers.originals()
     assert list(found) == [prefix for prefix, _, _, _ in layers.TARGETS]
     assert all(callable(fn) for fn in found.values())
+
+
+def test_traced_gluing_case_sees_every_composition():
+    # each check of a gluing case composes through the module's ``compose``,
+    # so the traced layer counts all 20 compositions of a case; a check that
+    # composed by another path would leave ``supermap.compose`` short
+    layers = load_layers()
+    tracer = layers.Tracer()
+    uninstall = layers.install(tracer)
+    try:
+        run_gluing_case(1, (4, -1, -7))
+    finally:
+        uninstall()
+    metrics = tracer.metrics()
+    assert metrics["supermap.compose.calls"]["value"] == 20
+    assert metrics["supermap.invert.calls"]["value"] == 0

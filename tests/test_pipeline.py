@@ -148,7 +148,10 @@ def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
     # 5814 walks over 66 keys.  A certificate reads 6 split records and 9
     # slot layouts: the degree-2 increment on the 3 sorted pairs, and the
     # degree-3 defect on the 6 ordered pairs (i, k) of the ordered triples,
-    # which include the pair (0, 2) that the image is read back through
+    # which include the pair (0, 2) that the image is read back through.
+    # The degree-2 (tangent) layouts are kept by rank, not degrees, so the
+    # 12 certificates share their 3; each kept layout is what a fresh cover
+    # builds, for every admissible triple of that rank
     fresh = cech.Cover(2)
     monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
     fresh.summand_table = CountingTable({})
@@ -160,7 +163,11 @@ def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
     reads = fresh.summand_table.reads
     assert (len(reads), sum(not hit for _, hit in reads), len(fresh.summand_table)) == (72, 26, 26)
     assert (len(fresh.split_table), len(fresh.slot_sheaf_table)) == (6 * 12, 2 * 12)
-    assert len(fresh.layout_table) == 9 * 12
+    assert len(fresh.layout_table) == 6 * 12 + 3
+    for (k, d, i, j), layout in fresh.layout_table.items():
+        for degrees in ([k] if d % 2 else ADMISSIBLE):
+            built = supermap._slot_layout(cech.Cover(2), SplitBundleDegrees(degrees), d, i, j)
+            assert built == layout, (k, d, i, j)
     for name in ("split_table", "layout_table"):
         assert all(type(value) is tuple for value in getattr(fresh, name).values()), name
     monkeypatch.undo()

@@ -180,7 +180,7 @@ def assert_record(split, cover, degrees, i, j):
 
 def assert_layout(layout, cover, degrees, d, i, j):
     """A layout equals the reference, in key order, and is the table's."""
-    assert layout is cover.layout_table[degrees.degrees, d, i, j]
+    assert layout is cover.layout_table[degrees.degrees if d % 2 else degrees.rank, d, i, j]
     assert type(layout) is tuple and len(layout) == 2
     for table, ref in zip(layout, reference_layout(cover, degrees, d, i, j)):
         assert [(key, list(entries)) for key, entries in table.items()] == list(ref.items())
@@ -250,9 +250,13 @@ def test_frame_and_placement_tables_match_the_per_call_builds(warm):
                 base = supermap._map(i, j, tuple(vector[:p]), tuple(vector[p:]))
                 placed = supermap._place(base, layout, data)
                 same_maps(placed, reference_place(base, cover, degrees, spec, data, i, j))
+                places = set(reference_placement(spec).values())
                 for comps in (random_vector(rng, p, q, 3), placed.even + placed.odd):
-                    assert typed(supermap._read(layout, comps)) == typed(
-                        reference_read(cover, degrees, spec, comps, i, j))
+                    data, rest = supermap._read(layout, comps)
+                    assert typed(data) == typed(reference_read(cover, degrees, spec, comps, i, j))
+                    assert [typed(g) for g in rest] == [
+                        typed({(w, e): c for (w, e), c in comp.items() if (index, w) not in places})
+                        for index, comp in enumerate(comps)]
 
 
 def gluing_case(cover, degrees, rng):
@@ -300,9 +304,13 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
                     if split[4][len(split[4]) - len(moves):] == moves)
 
     def layout_key(layout):
-        """The cover and (degrees, d, i, j) a layout is kept under."""
-        return next((c, key) for c in covers for key, value in c.layout_table.items()
-                    if value is layout)
+        """The cover, the degrees, d, i and j of a layout; it is kept under
+        (degrees, d, i, j), or (rank, d, i, j) for even d, whose layouts any
+        degrees of that rank give."""
+        c, (k, d, i, j) = next((c, key) for c in covers
+                               for key, value in c.layout_table.items() if value is layout)
+        degrees = SplitBundleDegrees(k if d % 2 else (0,) * k)
+        return c, degrees, supermap.slot_sheaf(c, degrees, d), i, j
 
     def pull(out, comp, split):
         assert typed(out) == typed(reference_pull(comp, *split[:2]))
@@ -313,14 +321,12 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
         same_components(out, ref[count - len(moves):])
 
     def place(out, sm, layout, data):
-        c, (k, d, i, j) = layout_key(layout)
-        spec = supermap.slot_sheaf(c, SplitBundleDegrees(k), d)
-        same_maps(out, reference_place(sm, c, SplitBundleDegrees(k), spec, data, i, j))
+        c, degrees, spec, i, j = layout_key(layout)
+        same_maps(out, reference_place(sm, c, degrees, spec, data, i, j))
 
     def read(out, layout, comps):
-        c, (k, d, i, j) = layout_key(layout)
-        spec = supermap.slot_sheaf(c, SplitBundleDegrees(k), d)
-        assert typed(out) == typed(reference_read(c, SplitBundleDegrees(k), spec, comps, i, j))
+        c, degrees, spec, i, j = layout_key(layout)
+        assert typed(out[0]) == typed(reference_read(c, degrees, spec, comps, i, j))
 
     def moved(out, sm, parts, order):
         same_maps(out, reference_moved(sm, parts, order))

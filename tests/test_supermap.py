@@ -514,6 +514,13 @@ def rand_component(rng, p, q, parity):
     return comp
 
 
+def wedge(x, y, order):
+    """x wedge y on components, through the kernel's product of term lists."""
+    terms = sm._product([(*key, v) for key, v in x.items()],
+                        [(*key, v) for key, v in y.items()], order)
+    return {(w, e): v for w, e, v in terms}
+
+
 def test_flat_algebra_laws():
     # the component algebra under compose and the first-order gluing maps:
     # associativity, the graded-commutativity sign, distributivity over _add,
@@ -525,7 +532,6 @@ def test_flat_algebra_laws():
         a, b, d = (rand_component(rng, p, q, parity) for parity in (pa, pb, pb))
         c = rand_component(rng, p, q, rng.randrange(2))
         m = rng.randrange(q + 1)
-        wedge = sm._wedge
         assert wedge(wedge(a, b, m), c, m) == wedge(a, wedge(b, c, m), m)
         sign = -1 if pa and pb else 1
         assert wedge(a, b, q) == {key: sign * v for key, v in wedge(b, a, q).items()}
