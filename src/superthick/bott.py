@@ -89,33 +89,26 @@ def split_sheaf_dims(
 ):
     """Dimension of h^q for a split-bundle construction, with breakdown.
 
-    target is one of "tangent_wedge" (T tensor Lambda^m E),
-    "wedge_dual" (Lambda^m E tensor E-dual) and "dual_twist"
-    (E-dual twisted by O(deg E)), which is "wedge_dual" at m = rank and
-    takes no other m.  Returns (total, breakdown) where the breakdown lists
-    (label, twist, dim) per line-bundle summand.
+    target is "tangent_wedge" (T tensor Lambda^m E) or "wedge_dual"
+    (Lambda^m E tensor E-dual); at m = rank the latter is E-dual twisted by
+    O(deg E).  Returns (total, breakdown) where the breakdown lists (label,
+    twist, dim) per line-bundle summand.
     """
-    if target == "dual_twist":  # Lambda^rank E = O(deg E)
-        if m not in (None, degrees.rank):
-            raise ValueError(f"dual_twist is the wedge power m = rank = {degrees.rank}, not m={m}")
-        target, m = "wedge_dual", degrees.rank
+    if target not in ("tangent_wedge", "wedge_dual"):
+        raise ValueError(f"unknown target {target!r}")
+    if m is None:
+        raise ValueError("wedge degree m required")
     breakdown: list[tuple[str, int, int]] = []
     if target == "tangent_wedge":
-        if m is None:
-            raise ValueError("wedge degree m required")
         for subset, twist in degrees.wedge_summands(m):
             d = tangent_dim(n, q, twist)
             breakdown.append((f"T⊗∧E{subset}", twist, d))
-    elif target == "wedge_dual":
-        if m is None:
-            raise ValueError("wedge degree m required")
+    else:
         for subset, wtwist in degrees.wedge_summands(m):
             for a, dtw in degrees.dual_summands():
                 twist = wtwist + dtw
                 d = line_dim(n, q, twist)
                 breakdown.append((f"∧E{subset}⊗E^{a}", twist, d))
-    else:
-        raise ValueError(f"unknown target {target!r}")
     return sum(d for _, _, d in breakdown), breakdown
 
 

@@ -45,12 +45,14 @@ exponents; so every block depends on g only through its sign type, each
 entry clamped to [-2, 1].  One record per (kind, q, sign type), kept in the
 cover's cohomology table, holds H^q of such a block in any degree q and the
 solver of its degree-q blocks, both from one rref of the kernel of the
-degree-q block against the image of the degree-(q-1) block.  So each sign
-type is reduced once per cover, for every twist, summand, character and
-caller: ``standard_cover`` hands out one shared cover per n.
-``class_blocks`` lists every concrete character of the types that carry
-classes (finitely many; types unbounded both ways carry none and are not
-listed) with their classes, and builds no cochain; ``cohomology`` fills in
+degree-q block against the image of the degree-(q-1) block.  The record is
+built from the type alone, on the type itself: a character of the
+one-summand sheaf twisted by the sum of its entries.  So each sign type is
+reduced once per cover, for every twist, summand, character and caller:
+``standard_cover`` hands out one shared cover per n.  ``class_blocks``
+lists every concrete character of the types that carry classes (finitely
+many; types unbounded both ways carry none and are not listed) with their
+classes, and builds no cochain; ``cohomology`` fills in
 each character's slot exponents to make representatives.  What depends on a
 summand only through its twist is kept in the cover's tables too: one
 summand's listing under (kind, q, twist), a block's slots under (kind,
@@ -244,10 +246,9 @@ def represent(spec: SheafSpec, data: dict, a: int, b: int) -> dict:
     """Re-present slot data ``{(summand, comp, exps): coef}`` from chart a to
     chart b (arguments, frames and twist).
 
-    Each monomial moves on its own through ``Cover.transport``.
+    Each monomial moves on its own through ``Cover.transport``, which is the
+    identity for a == b.
     """
-    if a == b:
-        return data
     cover = spec.cover
     out: dict = {}
     for (s, comp, exps), c in data.items():
@@ -543,7 +544,7 @@ def solve_blocks(target: Cochain):
 
     Returns (preimage, coords).  coords maps each (summand, character) block
     with a class part to its coordinates against that block's classes,
-    ``block_cohomology(spec, degree, summand, g)``; coboundary(preimage) is
+    ``block_cohomology(spec, degree, g)``; coboundary(preimage) is
     the target minus that class part, which is checked.  Each block is solved
     against [image of the block one degree down | the block's classes] by
     its sign type's cached reduction, ``_solve_block``: a cocycle block lies
@@ -565,7 +566,7 @@ def solve_blocks(target: Cochain):
         idx = {slot: i for i, slot in enumerate(cod)}
         for slot, coef in coeffs.items():
             rhs[idx[slot]] = coef
-        x = _solve_block(spec, deg, summand, g, rhs)
+        x = _solve_block(spec, deg, g, rhs)
         if x is None:
             raise AssertionError(f"cocycle block {(summand, g)} is not image plus classes")
         for slot, c in zip(dom, x):
@@ -575,7 +576,7 @@ def solve_blocks(target: Cochain):
         part = [coerce(c) for c in x[len(dom):]]
         if any(part):
             coords[summand, g] = part
-            classes = block_cohomology(spec, deg, summand, g)
+            classes = block_cohomology(spec, deg, g)
             for r, slot in enumerate(cod):
                 harmonic = sum(c * vec[r] for c, vec in zip(part, classes))
                 if harmonic:
@@ -590,7 +591,7 @@ def solve_blocks(target: Cochain):
     return preimage, coords
 
 
-def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) -> list | None:
+def _solve_block(spec: SheafSpec, deg: int, g: Char, rhs: list) -> list | None:
     """One exact x with [image | classes] x = rhs on the degree-``deg`` block
     of g, or None when there is none; rhs is indexed like the block's slots.
 
@@ -603,7 +604,7 @@ def _solve_block(spec: SheafSpec, deg: int, summand: int, g: Char, rhs: list) ->
     sparse rhs costs one sparse product.  A type without kernel has no
     solver: it holds no nonzero cocycle block.
     """
-    solver = _type_record(spec, deg, summand, _sign_type(g), g)[1]
+    solver = _type_record(spec.cover, spec.kind, deg, _sign_type(g))[1]
     if solver is None:
         return None
     pivots, columns, width = solver
@@ -667,87 +668,76 @@ def _sign_type(g: Char) -> tuple:
     return tuple(max(-2, min(1, e)) for e in g)
 
 
-def _sign_types(n: int, twist: int):
-    """(sign type, representative character) for every feasible sign type
-    that can carry cohomology.
+def _sign_types(n: int):
+    """Every sign type of P^n that can carry cohomology.
 
     A sign type clamps each entry of a character to [-2, 1]: the classes
     <= -2, -1, 0 and >= 1.  Slot existence only compares entries with the
     thresholds -1, 0 and 1, and the block matrices depend on the slots alone,
-    so every block is constant on a type.  Types whose entries cannot sum to
-    the twist are skipped, and so are types unbounded both ways (an entry 1
-    and an entry -2): no block of those has a class in any degree, which
-    ``tests/test_cech.py`` checks on every kind, degree and such type.  The
-    representative moves the surplus onto the first unbounded entry.
+    so every block is constant on a type.  Types unbounded both ways (an
+    entry 1 and an entry -2) are skipped: no block of those has a class in
+    any degree, which ``tests/test_cech.py`` checks on every kind, degree and
+    such type.  Whether a type meets a twist is ``_type_chars``' question.
     """
     for sign_type in itertools.product((-2, -1, 0, 1), repeat=n + 1):
-        if 1 in sign_type and -2 in sign_type:
-            continue
-        surplus = twist - sum(sign_type)
-        if surplus == 0:
-            yield sign_type, sign_type
-            continue
-        end = 1 if surplus > 0 else -2
-        if end not in sign_type:
-            continue
-        g = list(sign_type)
-        g[sign_type.index(end)] += surplus
-        yield sign_type, tuple(g)
+        if not (1 in sign_type and -2 in sign_type):
+            yield sign_type
 
 
-def _type_chars(sign_type: tuple, twist: int) -> list[Char]:
-    """All characters of a sign type on the twist's stratum, for a type that
+def _type_chars(sign_type: tuple, twist: int):
+    """Every character of a sign type on the twist's stratum, for a type that
     ``_sign_types`` lists: its unbounded entries all point the same way, so
-    there are finitely many."""
+    there are finitely many, and none when the type misses the twist."""
     surplus = twist - sum(sign_type)
     end, step = (1, 1) if surplus >= 0 else (-2, -1)
     free = [l for l, e in enumerate(sign_type) if e == end]
     if not free:
-        return [sign_type] if surplus == 0 else []
-    chars = []
+        if surplus == 0:
+            yield sign_type
+        return
     for extra in _compositions(abs(surplus), len(free)):
         g = list(sign_type)
         for l, x in zip(free, extra):
             g[l] += step * x
-        chars.append(tuple(g))
-    return chars
+        yield tuple(g)
 
 
-def block_cohomology(spec: SheafSpec, q: int, summand: int, g: Char) -> list[list[Fraction]]:
+def block_cohomology(spec: SheafSpec, q: int, g: Char) -> list[list[Fraction]]:
     """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
     The per-character lookup: g is clamped to its sign type once and the
     classes are that type's record, see ``_type_record``.  The vectors are
-    indexed like ``char_basis(spec, q, summand, g)``.
+    indexed like ``char_basis(spec, q, summand, g)`` for a summand twisted
+    by sum(g).
     """
-    return _type_record(spec, q, summand, _sign_type(g), g)[0]
+    return _type_record(spec.cover, spec.kind, q, _sign_type(g))[0]
 
 
-def _type_record(spec: SheafSpec, q: int, summand: int, sign_type: tuple, g: Char) -> tuple:
-    """(classes, solver) of the degree-q blocks of a sign type, g being any
-    character of the type.
+def _type_record(cover: Cover, kind: str, q: int, sign_type: tuple) -> tuple:
+    """(classes, solver) of the degree-q blocks of a sign type.
 
-    One rref of [image of the degree-(q-1) block | kernel of the degree-q
-    block | I] gives both.  The classes are the kernel vectors independent
-    modulo the image: the pivots among the kernel columns.  In degree 0 the
-    kernel is the cohomology.  Dropping the other kernel columns leaves the
-    rref of [image | classes | I], since rref is unique; the solver keeps its
-    pivot columns below the identity, its identity part E by columns, and
-    the width of [image | classes] (see ``_solve_block``).  A type whose
-    kernel is empty gets no image block and no solver.  The record depends
-    on g only through its sign type, so it is kept in the cover's cohomology
-    table under (kind, q, sign type) and serves every twist, summand, caller
-    and character of the type.
+    The blocks are built on the type itself, a character of the one-summand
+    sheaf twisted by the sum of its entries.  One rref of [image of the
+    degree-(q-1) block | kernel of the degree-q block | I] gives both.  The
+    classes are the kernel vectors independent modulo the image: the pivots
+    among the kernel columns.  In degree 0 the kernel is the cohomology.
+    Dropping the other kernel columns leaves the rref of [image | classes |
+    I], since rref is unique; the solver keeps its pivot columns below the
+    identity, its identity part E by columns, and the width of [image |
+    classes] (see ``_solve_block``).  A type whose kernel is empty gets no
+    image block and no solver.  The record depends on the sign type alone,
+    so it is kept in the cover's cohomology table under (kind, q, sign type)
+    and serves every twist, summand, caller and character of the type.
     """
-    key = (spec.kind, q, sign_type)
-    table = spec.cover.cohomology_table
-    record = table.get(key)
+    key = (kind, q, sign_type)
+    record = cover.cohomology_table.get(key)
     if record is None:
-        dom, _, mat = delta_block_matrix(spec, q, summand, g)
-        kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
+        spec = SheafSpec(cover, kind, (sum(sign_type),))
+        dom, _, mat = delta_block_matrix(spec, q, 0, sign_type)
+        kernel = linalg.kernel_basis(mat, len(dom))
         solver = None
         if kernel and q > 0:
-            dom0, _, mat0 = delta_block_matrix(spec, q - 1, summand, g)
+            dom0, _, mat0 = delta_block_matrix(spec, q - 1, 0, sign_type)
             m, k = len(dom0), len(kernel)
             joined = [row + [vec[r] for vec in kernel] + [int(r == c) for c in range(len(dom))]
                       for r, row in enumerate(mat0)]
@@ -759,7 +749,7 @@ def _type_record(spec: SheafSpec, q: int, summand: int, sign_type: tuple, g: Cha
                       [[(r, row[m + k + c]) for r, row in enumerate(red) if row[m + k + c]]
                        for c in range(len(dom))],
                       width)
-        record = table[key] = (kernel, solver)
+        record = cover.cohomology_table[key] = (kernel, solver)
     return record
 
 
@@ -780,10 +770,14 @@ def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> tuple[tuple[Ch
     walk = table.get(key)
     if walk is None:
         found = []
-        for sign_type, g in _sign_types(spec.cover.n, twist):
-            classes = _type_record(spec, q, summand, sign_type, g)[0]
+        for sign_type in _sign_types(spec.cover.n):
+            chars = _type_chars(sign_type, twist)
+            first = next(chars, None)
+            if first is None:
+                continue
+            classes = _type_record(spec.cover, spec.kind, q, sign_type)[0]
             if classes:
-                found.extend((c, classes) for c in _type_chars(sign_type, twist))
+                found.extend((c, classes) for c in itertools.chain((first,), chars))
         count = sum(len(classes) for _, classes in found)
         expected = _summand_bott_dim(spec, summand, q)
         if count != expected:

@@ -98,7 +98,7 @@ def check_split_conditions(degrees: SplitBundleDegrees) -> SplitConditionsReport
 
     h1, _ = split_sheaf_dims(degrees, "tangent_wedge", 1, m=2)
     h2t, _ = split_sheaf_dims(degrees, "tangent_wedge", 2, m=2)
-    h2d, _ = split_sheaf_dims(degrees, "dual_twist", 2)
+    h2d, _ = split_sheaf_dims(degrees, "wedge_dual", 2, m=degrees.rank)
     direct = ((h1 > 0, h1), (h2t > 0, h2t), (h2d > 0, h2d))
 
     eq74 = (k1 + k2 > 2) and (k1 + k3 == -3) and (k2 + k3 < -3)

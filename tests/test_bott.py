@@ -94,7 +94,7 @@ def test_split_sheaf_dims_examples():
     assert h1 == 1
     assert [d for _, t, d in breakdown if t == -3] == [1]
 
-    h2d, breakdown = bott.split_sheaf_dims(e, "dual_twist", 2)
+    h2d, breakdown = bott.split_sheaf_dims(e, "wedge_dual", 2, m=e.rank)
     assert h2d == 11
     assert sorted(d for _, _, d in breakdown) == [0, 1, 10]
 
@@ -106,16 +106,6 @@ def test_split_sheaf_dims_examples():
 
     z = SplitBundleDegrees((0, 0, 0))
     assert bott.split_sheaf_dims(z, "tangent_wedge", 1, m=2)[0] == 0
-
-
-def test_wedge_dual_equals_dual_twist_for_rank3():
-    e = SplitBundleDegrees((3, 0, -6))
-    for q in range(3):
-        assert (
-            bott.split_sheaf_dims(e, "wedge_dual", q, m=3)[0]
-            == bott.split_sheaf_dims(e, "dual_twist", q)[0]
-        )
-    assert bott.split_sheaf_dims(e, "wedge_dual", 2, m=3)[0] == 11
 
 
 def test_wedge_above_rank_is_zero():
@@ -130,16 +120,6 @@ def test_negative_wedge_power_is_zero(m):
     for target in ("tangent_wedge", "wedge_dual"):
         for q in range(3):
             assert bott.split_sheaf_dims(e, target, q, m=m) == (0, [])
-
-
-def test_dual_twist_takes_only_the_rank_as_m():
-    e = SplitBundleDegrees((3, 0, -6))
-    for q in range(3):
-        assert (bott.split_sheaf_dims(e, "dual_twist", q, m=3)
-                == bott.split_sheaf_dims(e, "dual_twist", q))
-    for m in (1, 2, 4, -1):
-        with pytest.raises(ValueError, match="dual_twist"):
-            bott.split_sheaf_dims(e, "dual_twist", 1, m=m)
 
 
 def test_filtered_tangent_bounds():
@@ -164,11 +144,12 @@ def reference_dual_twist_rows(degrees, q, n=2):
 @pytest.mark.parametrize("rank, span", [(1, range(-6, 7)), (2, range(-6, 7)), (3, range(-6, 7)),
                                         (4, range(-6, 7, 2))])
 def test_dual_twist_rows_match_the_dual_enumeration(rank, span):
-    # "dual_twist" is "wedge_dual" at m = rank, Lambda^rank E being O(deg E)
+    # "wedge_dual" at m = rank is E-dual twisted by O(deg E), Lambda^rank E
+    # being O(deg E)
     for ks in itertools.product(span, repeat=rank):
         e = SplitBundleDegrees(ks)
         for q in range(3):
-            total, breakdown = bott.split_sheaf_dims(e, "dual_twist", q)
+            total, breakdown = bott.split_sheaf_dims(e, "wedge_dual", q, m=e.rank)
             rows = reference_dual_twist_rows(e, q)
             assert [(t, d) for _, t, d in breakdown] == rows, (ks, q)
             assert total == sum(d for _, d in rows)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -369,18 +370,25 @@ def scan_chars(spec, summand, window):
             yield (g0,) + g_rest
 
 
-def scan_h1(spec, window):
+def scan_blocks(spec):
+    """``delta_block_matrix`` on spec as (degree, summand, g) -> block, each
+    block built once, so ``scan_h1`` and ``scan_dims`` can share them."""
+    return functools.cache(functools.partial(cech.delta_block_matrix, spec))
+
+
+def scan_h1(spec, window, block=None):
     """(dim, representatives) of H^1 by scanning the window, one rank per kernel vector."""
+    block = block or scan_blocks(spec)
     reps = []
     for summand in range(spec.nsummands):
         for g in scan_chars(spec, summand, window):
-            dom, cod, mat = cech.delta_block_matrix(spec, 1, summand, g)
+            dom, cod, mat = block(1, summand, g)
             if not dom:
                 continue
             kernel = linalg.kernel_basis(mat, len(dom))
             if not kernel:
                 continue
-            dom0, cod0, mat0 = cech.delta_block_matrix(spec, 0, summand, g)
+            dom0, cod0, mat0 = block(0, summand, g)
             basis_rows = [[mat0[r][col] for r in range(len(cod0))] for col in range(len(dom0))]
             rk = len(linalg.rref(basis_rows)[1])
             for vec in kernel:
@@ -391,15 +399,16 @@ def scan_h1(spec, window):
     return len(reps), reps
 
 
-def scan_dims(spec, window):
+def scan_dims(spec, window, block=None):
     """All cohomology dimensions by exact ranks over every character in the window."""
+    block = block or scan_blocks(spec)
     n = spec.cover.n
     dims = {q: 0 for q in range(n + 1)}
     for summand in range(spec.nsummands):
         for g in scan_chars(spec, summand, window):
             sizes, ranks = {}, {}
             for q in range(n + 1):
-                dom, cod, mat = cech.delta_block_matrix(spec, q, summand, g)
+                dom, cod, mat = block(q, summand, g)
                 sizes[q] = len(dom)
                 ranks[q] = len(linalg.rref(mat)[1])
             for q in range(n + 1):
@@ -408,11 +417,12 @@ def scan_dims(spec, window):
 
 
 def assert_matches_scan(spec, window=10):
+    block = scan_blocks(spec)
     got = windowed_h1(spec, window)
-    dim, reps = scan_h1(spec, window)
+    dim, reps = scan_h1(spec, window, block)
     assert len(got) == dim, spec
     assert [c.to_json() for c in got] == [c.to_json() for c in reps], spec
-    assert windowed_dims(spec, window) == scan_dims(spec, window), spec
+    assert windowed_dims(spec, window) == scan_dims(spec, window, block), spec
     return got
 
 
@@ -464,11 +474,84 @@ def test_h1_builds_each_block_once(monkeypatch):
     assert [c.to_json() for c in got.representatives[1]] == [c.to_json() for c in reps]
 
 
+def reference_sign_types(n, twist):
+    """(sign type, representative character) for every sign type that meets
+    the twist and is not unbounded both ways; the representative moves the
+    surplus onto the first unbounded entry."""
+    for sign_type in itertools.product((-2, -1, 0, 1), repeat=n + 1):
+        if 1 in sign_type and -2 in sign_type:
+            continue
+        surplus = twist - sum(sign_type)
+        if surplus == 0:
+            yield sign_type, sign_type
+            continue
+        end = 1 if surplus > 0 else -2
+        if end in sign_type:
+            g = list(sign_type)
+            g[sign_type.index(end)] += surplus
+            yield sign_type, tuple(g)
+
+
+def reference_type_record(spec, q, summand, g):
+    """(classes, solver) of the degree-q block of g in one summand, reduced
+    on that block itself, with no table."""
+    dom, _, mat = cech.delta_block_matrix(spec, q, summand, g)
+    kernel = linalg.kernel_basis(mat, len(dom)) if dom else []
+    if not kernel or q == 0:
+        return kernel, None
+    dom0, _, mat0 = cech.delta_block_matrix(spec, q - 1, summand, g)
+    m, k = len(dom0), len(kernel)
+    joined = [row + [vec[r] for vec in kernel] + [int(r == c) for c in range(len(dom))]
+              for r, row in enumerate(mat0)]
+    red, pivots = linalg.rref(joined)
+    picked = [p - m for p in pivots if m <= p < m + k]
+    width = m + len(picked)
+    return [kernel[i] for i in picked], (
+        [p for p in pivots if p < m] + list(range(m, width)),
+        [[(r, row[m + k + c]) for r, row in enumerate(red) if row[m + k + c]]
+         for c in range(len(dom))],
+        width)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_type_records_match_the_representative_builds(n):
+    # every summand walk of every kind, q <= n and twist in [-12, 12] fills
+    # the cover's tables; each record must equal the reduction of the block
+    # of the type's representative character at the first twist that meets
+    # the type, and each walk the listing of the representatives' records
+    twists = range(-12, 13)
+    records, walks = {}, {}
+    for kind, q in itertools.product([cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM], range(n + 1)):
+        spec = cech.SheafSpec(cech.Cover(n), kind, twists)
+        for summand, twist in enumerate(twists):
+            found = []
+            for sign_type, g in reference_sign_types(n, twist):
+                key = (kind, q, sign_type)
+                if key not in records:
+                    records[key] = reference_type_record(spec, q, summand, g)
+                classes = records[key][0]
+                if classes:
+                    found.extend((c, classes) for c in cech._type_chars(sign_type, twist))
+            walks[kind, q, twist] = tuple(sorted(found, key=lambda pair: pair[0][1:]))
+    cover = cech.Cover(n)
+    for kind in (cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM):
+        spec = cech.SheafSpec(cover, kind, twists)
+        for q, summand in itertools.product(range(n + 1), range(len(twists))):
+            cech.enumerate_chars(spec, summand, q)
+    assert sorted(cover.cohomology_table) == sorted(records)
+    for key, record in records.items():
+        assert cover.cohomology_table[key] == record, key
+    assert sorted(cover.summand_table) == sorted(walks)
+    for key, walk in walks.items():
+        assert cover.summand_table[key] == walk, key
+
+
 def test_types_unbounded_both_ways_carry_no_cohomology():
     """Why ``_sign_types`` skips a type with an entry 1 and an entry -2: on
     P^1 and P^2, in every kind and degree, no block of such a type has a
-    class.  Each type is reduced on its own clamped character and on one with
-    the unbounded entries pushed 2 further out, each on a fresh cover."""
+    class.  Each type's record is read, and the block is reduced directly
+    on the type's own clamped character and on one with the unbounded
+    entries pushed 2 further out, each on a fresh cover."""
     reduced = 0
     for n in (1, 2):
         types = [t for t in itertools.product((-2, -1, 0, 1), repeat=n + 1) if 1 in t and -2 in t]
@@ -479,10 +562,10 @@ def test_types_unbounded_both_ways_carry_no_cohomology():
                 g = tuple(e + push if e == 1 else e - push if e == -2 else e for e in sign_type)
                 assert cech._sign_type(g) == sign_type
                 spec = cech.SheafSpec(cover, kind, (sum(g),))
-                assert cech.block_cohomology(spec, q, 0, g) == [], (kind, q, g)
+                assert cech.block_cohomology(spec, q, g) == [], (kind, q, g)
+                assert reference_type_record(spec, q, 0, g)[0] == [], (kind, q, g)
                 reduced += push == 0
-        for twist in range(-12, 13):
-            assert all(not (1 in t and -2 in t) for t, _ in cech._sign_types(n, twist))
+        assert all(not (1 in t and -2 in t) for t in cech._sign_types(n))
     assert reduced == 174
 
 
@@ -497,7 +580,7 @@ def reference_class_blocks(spec, q):
         bound = abs(t) + n + 2
         for tail in itertools.product(range(-bound, bound + 1), repeat=n):
             g = (t - sum(tail),) + tail
-            classes = cech.block_cohomology(spec, q, summand, g)
+            classes = cech.block_cohomology(spec, q, g)
             if classes:
                 blocks.append((summand, g, classes))
     return blocks
@@ -562,9 +645,9 @@ def test_cached_block_solver_matches_reference_solve(monkeypatch):
     met = []
     solve = cech._solve_block
 
-    def recording(spec, deg, summand, g, rhs):
-        x = solve(spec, deg, summand, g, rhs)
-        met.append((spec, deg, summand, g, rhs, x))
+    def recording(spec, deg, g, rhs):
+        x = solve(spec, deg, g, rhs)
+        met.append((spec, deg, g, rhs, x))
         return x
 
     monkeypatch.setattr(cech, "_solve_block", recording)
@@ -576,9 +659,11 @@ def test_cached_block_solver_matches_reference_solve(monkeypatch):
     monkeypatch.undo()
     assert 0 < gluing < len(met)
     types, inconsistent = set(), 0
-    for spec, deg, summand, g, rhs, x in met:
-        _, cod, mat = cech.delta_block_matrix(spec, deg - 1, summand, g)
-        classes = cech.block_cohomology(spec, deg, summand, g)
+    for spec, deg, g, rhs, x in met:
+        # the block of g in a summand of spec, on a sheaf of that summand alone
+        single = cech.SheafSpec(spec.cover, spec.kind, (sum(g),))
+        _, cod, mat = cech.delta_block_matrix(single, deg - 1, 0, g)
+        classes = cech.block_cohomology(spec, deg, g)
         block = [row + [vec[r] for vec in classes] for r, row in enumerate(mat)]
         assert x is not None and x == reference_solve(block, rhs), (spec, deg, g)
         if (spec.kind, deg, cech._sign_type(g)) in types:
@@ -587,7 +672,7 @@ def test_cached_block_solver_matches_reference_solve(monkeypatch):
         for i in range(len(cod)):
             unit = [int(r == i) for r in range(len(cod))]
             want = reference_solve(block, unit)
-            assert cech._solve_block(spec, deg, summand, g, unit) == want, (spec, deg, g, i)
+            assert cech._solve_block(spec, deg, g, unit) == want, (spec, deg, g, i)
             inconsistent += want is None
     assert inconsistent > 0
 

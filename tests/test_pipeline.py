@@ -108,7 +108,8 @@ def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
             before = len(cold.cohomology_table.reads)
             cech.enumerate_chars(spec, summand, q)
             keys = [key for key, _ in cold.cohomology_table.reads[before:]]
-            assert keys == [(spec.kind, q, t) for t, _ in cech._sign_types(2, twist)], twist
+            met = [t for t in cech._sign_types(2) if next(cech._type_chars(t, twist), None)]
+            assert keys == [(spec.kind, q, t) for t in met], twist
             assert len(keys) == len(set(keys))
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     main(argv)

@@ -224,6 +224,31 @@ def test_represent_matches_laurent_reference(kind, n):
     assert moved >= 100
 
 
+def test_transport_within_one_chart_is_the_identity():
+    # represent(spec, data, a, a) takes no shortcut: the transport a -> a
+    # must be identity rows, a zero line vector and the input component
+    # alone, at zero offset with constant 1
+    rng = random.Random("represent-in-place")
+    entries = 0
+    for n in (1, 2):
+        cover = cech.Cover(n)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for kind in KINDS:
+            spec = cech.SheafSpec(cover, kind, (rng.randint(-8, 6), rng.randint(-8, 6)))
+            for a in cover.charts:
+                for comp in range(spec.ncomp):
+                    want = (eye, (0,) * n, ((comp, (0,) * n, 1),))
+                    assert cover.transport(kind, a, a, comp) == want, (n, kind, a, comp)
+                    entries += 1
+                for simplex in cover.simplices(1) + cover.simplices(2):
+                    if a in simplex:
+                        chart_first = (a,) + tuple(v for v in simplex if v != a)
+                        data = slot_data(cech.random_section(spec, chart_first, rng, terms=4,
+                                                             span=3))
+                        assert cech.represent(spec, data, a, a) == data, (n, kind, a)
+    assert entries == 21
+
+
 def reference_block_matrix(spec, degree, summand, g):
     """One block, column by column, through the reference coboundary."""
     dom = cech.char_basis(spec, degree, summand, g)
