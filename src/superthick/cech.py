@@ -73,7 +73,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
-from .laurent import coerce, fraction_to_str
+from .laurent import add_term, coerce, fraction_to_str
 from . import bott, linalg
 
 
@@ -253,8 +253,7 @@ def represent(spec: SheafSpec, data: dict, a: int, b: int) -> dict:
     out: dict = {}
     for (s, comp, exps), c in data.items():
         for mu, image, coef in _move(cover, spec.kind, a, b, comp, spec.twists[s], exps):
-            key = (s, mu, image)
-            out[key] = out.get(key, 0) + c * coef
+            add_term(out, (s, mu, image), c, coef)
     return {key: coerce(c) for key, c in out.items() if c}
 
 
@@ -327,10 +326,8 @@ class Cochain:
             raise ValueError("cochain mismatch")
         terms = dict(self.terms)
         for slot, coef in other.terms.items():
-            s = terms.get(slot, 0) + sign * coef
-            if s:
-                terms[slot] = s
-            else:
+            add_term(terms, slot, coef, sign)
+            if not terms[slot]:
                 del terms[slot]
         return _cochain(self.sheaf, self.degree, terms)
 
@@ -416,7 +413,7 @@ def coboundary(c: Cochain) -> Cochain:
     out: dict[BasisSlot, int | Fraction] = {}
     for slot, coef in c.terms.items():
         for image, x in _delta_slot(c.sheaf, slot):
-            out[image] = out.get(image, 0) + coef * x
+            add_term(out, image, coef, x)
     return Cochain(c.sheaf, c.degree + 1, out)
 
 
@@ -578,13 +575,11 @@ def solve_blocks(target: Cochain):
             coords[summand, g] = part
             classes = block_cohomology(spec, deg, g)
             for r, slot in enumerate(cod):
-                harmonic = sum(c * vec[r] for c, vec in zip(part, classes))
-                if harmonic:
-                    rest = exact.get(slot, 0) - harmonic
-                    if rest:
-                        exact[slot] = rest
-                    else:
-                        del exact[slot]
+                for c, vec in zip(part, classes):
+                    if c and vec[r]:
+                        add_term(exact, slot, -c, vec[r])
+                if exact.get(slot) == 0:
+                    del exact[slot]
     preimage = _cochain(spec, deg - 1, solution)
     if not (coboundary(preimage) - _cochain(spec, deg, exact)).is_zero():
         raise AssertionError("solver returned an invalid preimage")
@@ -608,16 +603,16 @@ def _solve_block(spec: SheafSpec, deg: int, g: Char, rhs: list) -> list | None:
     if solver is None:
         return None
     pivots, columns, width = solver
-    y = [0] * len(columns)
+    y: dict = {}
     for i, b in enumerate(rhs):
         if b:
             for r, v in columns[i]:
-                y[r] += v * b
-    if any(y[len(pivots):]):
+                add_term(y, r, v, b)
+    if any(v for r, v in y.items() if r >= len(pivots)):
         return None
     x = [0] * width
-    for pc, v in zip(pivots, y):
-        x[pc] = v
+    for r, pc in enumerate(pivots):
+        x[pc] = y.get(r, 0)
     return x
 
 
@@ -863,7 +858,7 @@ def random_section(spec: SheafSpec, simplex: tuple, rng, terms: int = 1, span: i
                 exps.append(rng.randint(0, span))
         coef = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
         slot = BasisSlot(simplex, s, compn, tuple(exps))
-        out[slot] = out.get(slot, 0) + coef
+        add_term(out, slot, coef)
     return out
 
 

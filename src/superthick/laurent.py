@@ -55,6 +55,22 @@ def power(c, k: int) -> int | Fraction:
     return c**k if k >= 0 else coerce(Fraction(c) ** k)
 
 
+def add_term(d: dict, key, c, x=1) -> None:
+    """d[key] += c * x, exactly, where a factor that is the int 1 or -1
+    gives the other factor or its negative and a new key takes the term
+    itself: no Fraction is multiplied by a unit or added to 0.  The
+    coefficient sums of ``cech`` and ``supermap`` go through it; the two hot
+    kernels, ``supermap.compose`` and ``supermap._tangent``, inline it."""
+    if type(x) is int and (x == 1 or x == -1):
+        c = c if x == 1 else -c
+    elif type(c) is int and (c == 1 or c == -1):
+        c = x if c == 1 else -x
+    else:
+        c = c * x
+    old = d.get(key)
+    d[key] = c if old is None else old + c
+
+
 def _make(dim: int, terms: dict) -> "LaurentPoly":
     """A polynomial from terms already checked: right length, no zero coefficient."""
     out = LaurentPoly.__new__(LaurentPoly)

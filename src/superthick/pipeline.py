@@ -22,7 +22,8 @@ def normalize_generator(c: Cochain) -> Cochain:
     """Scale so the first nonzero coefficient in canonical order is 1."""
     if c.is_zero():
         return c
-    return c.scale(Fraction(1) / c.terms[min(c.terms)])
+    lead = c.terms[min(c.terms)]
+    return c if lead == 1 else c.scale(Fraction(1) / lead)
 
 
 def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:

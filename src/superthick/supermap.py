@@ -29,7 +29,13 @@ substitution.  Each is built once per cover, with what depends on it alone
 conjugates are built from them by first-order formulas, exponent arithmetic
 on the deviation from S, whenever the degree certificate of ``invert`` makes
 those formulas exact (``normalize_inverses``, ``conjugate``); data beyond it
-composes.  So is the obstruction image ``pushforward_partial``.  The checks
+composes.  So is the obstruction image ``pushforward_partial``.  Each formula
+is one pass: ``_pull`` adds components with S substituted and ``_tangent``
+subtracts DS applied through the split record's moves, grouped by argument
+component, each term once into accumulator dicts the caller owns, and
+``_finish`` makes the map, as it does for ``compose``.  No sum multiplies a
+Fraction by the int 1 or -1 or adds one to 0: sums go through
+``laurent.add_term``, which ``compose`` and ``_tangent`` inline.  The checks
 of gluing data always compose, each through the one composition defect
 ``_defect``: rho_ik - rho_jk o rho_ij from one ``compose`` call.
 
@@ -62,7 +68,7 @@ from . import cech
 from .bott import SplitBundleDegrees
 from .cech import Cochain, Cover, SheafSpec
 from .exterior import merge_sign, sort_index_tuple
-from .laurent import coerce, fraction_to_str, parse_rational, power
+from .laurent import add_term, coerce, fraction_to_str, parse_rational, power
 
 
 class CocycleViolation(ValueError):
@@ -146,10 +152,8 @@ def _add(a: dict, b: dict, sign: int = 1) -> dict:
     """a + sign * b on components, dropping what cancels."""
     out = dict(a)
     for key, c in b.items():
-        d = out.get(key, 0) + sign * c
-        if d:
-            out[key] = d
-        else:
+        add_term(out, key, c, sign)
+        if not out[key]:
             del out[key]
     return out
 
@@ -178,8 +182,7 @@ def _product(a: list, b: list, order: int) -> list:
             merged = len(w2) <= room and _MERGED[w1, w2]
             if merged:
                 sign, word = merged
-                key = (word, tuple(map(add, e1, e2)))
-                out[key] = out.get(key, 0) + sign * c1 * c2
+                add_term(out, (word, tuple(map(add, e1, e2))), c1 if sign == 1 else -c1, c2)
     return [(w, e, c) for (w, e), c in out.items() if c]
 
 
@@ -263,18 +266,36 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
             offset = [sum(map(mul, e, col)) for col in cols]
             for i, cb in scales:
                 if e[i]:
-                    c = c * power(cb, e[i])
+                    s = power(cb, e[i])
+                    if c == 1 or c == -1:
+                        c = s if c == 1 else -s
+                    else:
+                        c = c if s == 1 else -c if s == -1 else c * s
             c = c if seeds is None else -c
             for ks, row, _ in table:
                 factor = c
                 for i, k in ks:  # C(x, k) = (-1)^k C(k - 1 - x, k) for x < 0
-                    factor *= comb(e[i], k) if e[i] >= 0 else (-1) ** k * comb(k - 1 - e[i], k)
-                if factor:
-                    for w, x, v in row:
-                        key = (w, tuple(map(add, x, offset)))
-                        acc[key] = acc.get(key, 0) + factor * v
-        out.append({key: v if type(v) is int else coerce(v) for key, v in acc.items() if v})
-    return _map(f.source, g.target, tuple(out[:f.p]), tuple(out[f.p:]))
+                    b = comb(e[i], k) if e[i] >= 0 else (-1) ** k * comb(k - 1 - e[i], k)
+                    if b != 1:
+                        factor = -factor if b == -1 else factor * b
+                if not factor:
+                    continue
+                # a unit factor passes each term on, a unit term the factor:
+                # only a Fraction factor can meet a unit term
+                whole = type(factor) is int
+                unit = whole and (factor == 1 or factor == -1)
+                for w, x, v in row:
+                    if unit:
+                        v = v if factor == 1 else -v
+                    elif whole or type(v) is not int or not -1 <= v <= 1:
+                        v = factor * v
+                    else:
+                        v = factor if v == 1 else -factor
+                    key = (w, tuple(map(add, x, offset)))
+                    old = acc.get(key)
+                    acc[key] = v if old is None else old + v
+        out.append(acc)
+    return _finish(out, f.source, g.target, f.p)
 
 
 def map_difference(a: SuperMap, b: SuperMap):
@@ -288,21 +309,43 @@ def difference_is_zero(diff) -> bool:
     return not any(ev) and not any(od)
 
 
-def _first_order_exact(devs, order: int) -> bool:
-    """Whether first-order formulas in the deviations ``devs``, each a pair
-    (even, odd) of component lists, are exact mod J^(order+1).
+def _finish(acc: list, source: int, target: int, p: int) -> SuperMap:
+    """The map whose components, the even ones first, a kernel has summed
+    into the dicts ``acc``: zeros dropped, integral coefficients as ints."""
+    comps = [{key: c if type(c) is int else coerce(c) for key, c in g.items() if c} for g in acc]
+    return _map(source, target, tuple(comps[:p]), tuple(comps[p:]))
 
-    With d_e and d_o the least theta-degrees of all even and all odd
-    components, every term such a formula neglects is a derivative of a map,
-    of degree >= min(d_e, d_o) less one per odd derivative when the map is a
+
+def _least_degrees(sm: SuperMap, base: SuperMap, order: int) -> tuple:
+    """(d_e, d_o): the least theta-degrees of the even and of the odd
+    components of sm - base, order + 1 where there are none, read off sm
+    without building the difference: ``base``, a split or an identity map,
+    has one term of coefficient 1 per component, which a term of sm cancels
+    when it is 1 there."""
+    low = [order + 1, order + 1]
+    for index, (comp, (unit,)) in enumerate(zip(sm.even + sm.odd, base.even + base.odd)):
+        odd = index >= sm.p
+        if unit not in comp:
+            low[odd] = min(low[odd], len(unit[0]))
+        for (w, e), c in comp.items():
+            if len(w) < low[odd] and (c != 1 or (w, e) != unit):
+                low[odd] = len(w)
+    return tuple(low)
+
+
+def _first_order_exact(d_e: int, d_o: int, order: int) -> bool:
+    """Whether first-order formulas in deviations whose even and odd
+    components have least theta-degrees d_e and d_o are exact mod
+    J^(order+1).
+
+    Every term such a formula neglects is a derivative of a map, of degree
+    >= min(d_e, d_o) less one per odd derivative when the map is a
     deviation, times at least one deviation, of degree >= d_e (even) or d_o
     (odd); a split map needs two of them, since it is linear in theta.  So
     when d_e, d_o >= 2 every neglected term has degree at least
     min(d_e, d_o) + min(d_e, d_o - 1), and the formula is exact when that
     exceeds ``order``.
     """
-    d_e, d_o = (min((len(w) for dev in devs for comp in dev[part] for w, _ in comp),
-                    default=order + 1) for part in (0, 1))
     return min(d_e, d_o) >= 2 and min(d_e, d_o) + min(d_e, d_o - 1) > order
 
 
@@ -325,7 +368,7 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
         g = _map(sm.source, sm.target,
                  tuple(_add(x, e, -1) for x, e in zip(g.even, err_even)),
                  tuple(_add(x, e, -1) for x, e in zip(g.odd, err_odd)))
-        if step == 0 and _first_order_exact([(err_even, err_odd)], order):
+        if step == 0 and _first_order_exact(*_least_degrees(image, ident, order), order):
             return g
         image = compose(sm, g, order)
     raise ValueError("automorphism is not invertible at this order")
@@ -338,9 +381,11 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
     """The split map i -> j and what is derived from it alone, kept in the
     cover's split table under (degrees, i, j) as (rows, zs, cols, map,
-    moves): the even rows, x^row, read off the transport j -> i; the odd
-    z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the map,
-    shared, so read only; and per component the moves of ``_tangent``."""
+    moves, odd moves): the even rows, x^row, read off the transport j -> i;
+    the odd z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the
+    map, shared, so read only; and the moves of ``_tangent`` grouped by
+    argument component, all of them and those into odd components, which
+    these number from 0."""
     key = (degrees.degrees, i, j)
     split = cover.split_table.get(key)
     if split is None:
@@ -348,66 +393,62 @@ def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> 
         zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
         p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
         comps = tuple({term: 1} for term in terms)
-        moves = tuple(tuple((r, tuple(x - (n == k) for n, x in enumerate(row)), k, w)
-                            for k, r in enumerate(row) if r)
-                      + tuple((1, row, p + a - 1, ()) for a in w)
-                      for w, row in terms)
+        moves = [[] for _ in terms]
+        for out, (w, row) in enumerate(terms):
+            for k, r in enumerate(row):
+                if r:
+                    moves[k].append((out, r, tuple(x - (n == k) for n, x in enumerate(row)), w))
+            for a in w:
+                moves[p + a - 1].append((out, 1, row, ()))
+        odd = tuple(tuple((out - p, *move) for out, *move in arg if out >= p) for arg in moves)
         split = cover.split_table[key] = (rows, zs, tuple(zip(*rows)),
-                                          _map(i, j, comps[:p], comps[p:]), moves)
+                                          _map(i, j, comps[:p], comps[p:]),
+                                          tuple(map(tuple, moves)), odd)
     return split
 
 
-def _pull(comp: dict, split: tuple) -> dict:
-    """comp o S for a split map S, which has no soul: x^e theta_w becomes
-    x^(sum_mu e_mu row_mu + sum_(a in w) z_a) theta_w."""
+def _pull(acc: list, comps, split: tuple, order: int) -> None:
+    """Add comp o S to the accumulator of each component, mod J^(order+1),
+    for a split map S, which has no soul: x^e theta_w becomes
+    x^(sum_mu e_mu row_mu + sum_(a in w) z_a) theta_w.  A sum that cancels
+    leaves its accumulator, and zeros in ``comps``, what ``_tangent`` leaves
+    where terms cancel, are skipped."""
     _, zs, cols = split[:3]
-    out = {}
-    for (w, e), c in comp.items():
-        exps = [sum(map(mul, e, col)) for col in cols]
-        for a in w:
-            exps = list(map(add, exps, zs[a - 1]))
-        out[(w, tuple(exps))] = c
-    return out
+    for part, comp in zip(acc, comps):
+        for (w, e), c in comp.items():
+            if c and len(w) <= order:
+                exps = [sum(map(mul, e, col)) for col in cols]
+                for a in w:
+                    exps = list(map(add, exps, zs[a - 1]))
+                key = (w, tuple(exps))
+                add_term(part, key, c)
+                if not part[key]:
+                    del part[key]
 
 
-def _tangent(moves: tuple, vector: list, order: int) -> list:
-    """DS v: the first-order change of the components of the split map S
-    whose moves are given, when its argument moves by the vector v, given as
-    components, the even ones first.
+def _tangent(acc: list, comps, moves: tuple, order: int) -> None:
+    """Subtract DS v, mod J^(order+1), from the accumulators: the
+    first-order change of the split map S when its argument moves by the
+    vector v, given as components, the even ones first.
 
     A term x^row theta_w of S moves by sum_k row_k x^(row - e_k) v^k theta_w
-    and, for w = (a,), by x^row v^a_odd: the split record's moves (r, shift,
-    argument, word) per component, all of them or a slice.
+    and, for w = (a,), by x^row v^a_odd.  The split record lists these moves
+    by argument component k as (output, r, shift, word): each term of v^k,
+    times r x^shift theta_word, leaves ``acc[output]``.  ``moves`` are the
+    record's moves, or its odd moves into q accumulators.
     """
-    out = []
-    for comp_moves in moves:
-        acc: dict = {}
-        for r, shift, arg, word in comp_moves:
-            for (u, e), c in vector[arg].items():
-                merged = len(u) + len(word) <= order and _MERGED[u, word]
+    for comp, arg_moves in zip(comps, moves):
+        for (u, e), c in comp.items():
+            room = order - len(u)
+            for out, r, shift, word in arg_moves:
+                merged = len(word) <= room and _MERGED[u, word]
                 if merged:
                     sign, joined = merged
-                    key = (joined, tuple(map(add, e, shift)))
-                    acc[key] = acc.get(key, 0) + sign * r * c
-        out.append({key: c for key, c in acc.items() if c})
-    return out
-
-
-def _moved(sm: SuperMap, parts, order: int) -> SuperMap:
-    """sm plus sign times each list of components (the even ones first) in
-    ``parts``, mod J^(order+1), with integral coefficients as ints."""
-    comps = [{key: coerce(c) for key, c in g.items() if len(key[0]) <= order}
-             for g in sm.even + sm.odd]
-    for sign, part in parts:
-        for g, move in zip(comps, part):
-            for key, c in move.items():
-                if len(key[0]) <= order:
-                    d = coerce(g.get(key, 0) + sign * c)
-                    if d:
-                        g[key] = d
-                    else:
-                        del g[key]
-    return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
+                    factor = -sign * r
+                    x = c if factor == 1 else -c if factor == -1 else factor * c
+                    part, key = acc[out], (joined, tuple(map(add, e, shift)))
+                    old = part.get(key)
+                    part[key] = x if old is None else old + x
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +545,8 @@ def _place(sm: SuperMap, layout: tuple, data: dict) -> SuperMap:
     place = layout[0]
     for (s, comp, e), c in data.items():
         for index, word, offset, x in place[s, comp]:
-            part, key = comps[index], (word, tuple(map(add, e, offset)))
-            part[key] = part.get(key, 0) + c * x
-    comps = [{key: coerce(c) for key, c in g.items() if c} for g in comps]
-    return _map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
+            add_term(comps[index], (word, tuple(map(add, e, offset))), c, x)
+    return _finish(comps, sm.source, sm.target, sm.p)
 
 
 def _read(layout: tuple, comps) -> tuple:
@@ -523,8 +562,7 @@ def _read(layout: tuple, comps) -> tuple:
                 rest[index][w, e] = c
                 continue
             for s, mu, offset, x in entries:
-                key = (s, mu, tuple(map(add, e, offset)))
-                out[key] = out.get(key, 0) + c * x
+                add_term(out, (s, mu, tuple(map(add, e, offset))), c, x)
     return {key: coerce(c) for key, c in out.items() if c}, rest
 
 
@@ -605,10 +643,30 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
     ``normalize_inverses``), and whether ``_first_order_exact`` makes it the
     inverse mod J^(precision+1)."""
     there, back = (_split_record(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
-    even, odd = map_difference(t.maps[(i, j)], there[3])
-    move = _tangent(back[4], [_pull(g, back) for g in even + odd], precision)
-    return (_moved(back[3], [(-1, move)], precision),
-            _first_order_exact([(even, odd)], precision))
+    _, zs, cols, split, moves = back[:5]
+    rho = t.maps[(i, j)]
+    # delta o S_ji in one pass over rho_ij, without copying it: delta is
+    # rho_ij with S_ij's one term per component less 1 (a missing one read
+    # as 0), and each term's exponents move as in ``_pull``
+    pulled = []
+    for comp, (unit,) in zip(rho.even + rho.odd, there[3].even + there[3].odd):
+        part = {}
+        for key, c in comp.items() if unit in comp else [*comp.items(), (unit, 0)]:
+            if key == unit:
+                if c == 1:
+                    continue
+                c -= 1
+            w, e = key
+            if len(w) <= precision:
+                exps = [sum(map(mul, e, col)) for col in cols]
+                for a in w:
+                    exps = list(map(add, exps, zs[a - 1]))
+                part[w, tuple(exps)] = c
+        pulled.append(part)
+    acc = [dict(g) for g in split.even + split.odd]
+    _tangent(acc, pulled, moves, precision)
+    return (_finish(acc, j, i, t.p),
+            _first_order_exact(*_least_degrees(rho, there[3], precision), precision))
 
 
 def build_trivialization(cover: Cover, degrees: SplitBundleDegrees, order: int,
@@ -702,7 +760,7 @@ def verify_gamma_cocycle(gamma: Cochain, t: Trivialization) -> dict:
 
 def _verify(gamma: Cochain, t: Trivialization, skipped) -> dict:
     """``verify_gamma_cocycle`` on the ordered triples not in ``skipped``."""
-    problems = []
+    problems, values, moved = [], {}, {}
     for triple in itertools.permutations(t.cover.charts, 3):
         if triple in skipped:
             continue
@@ -711,9 +769,15 @@ def _verify(gamma: Cochain, t: Trivialization, skipped) -> dict:
         except CocycleViolation as err:
             return {"pass": False, "residual": err.residual, "problems": ["precondition"]}
         key = tuple(sorted(triple))
-        sign = sort_index_tuple(triple)[1]
-        value = {slot: sign * c for slot, c in gamma.on(key).items()}
-        stored = cech.represent(gamma.sheaf, value, key[0], triple[0])
+        if key not in values:
+            values[key] = gamma.on(key)
+        # represent is linear: move each sorted value to a chart once, then sign it
+        stored = moved.get((key, triple[0]))
+        if stored is None:
+            stored = moved[key, triple[0]] = cech.represent(gamma.sheaf, values[key], key[0],
+                                                            triple[0])
+        if sort_index_tuple(triple)[1] < 0:
+            stored = {slot: -c for slot, c in stored.items()}
         if direct != stored:
             problems.append((triple, direct, stored))
     delta = cech.coboundary(gamma)
@@ -739,16 +803,18 @@ def pushforward_partial(omega: Cochain, t: Trivialization) -> Cochain:
     cech.require_cocycle(omega)
     cover, degrees = t.cover, t.degrees
     _slot_sheaf_of(omega, cover, degrees, 2, "omega does not live in the degree-2 slot sheaf")
-    terms = {}
+    terms, p, q = {}, t.p, t.q
     for (i, j, k) in cover.triples:
         there, back = (_split_record(cover, degrees, *pair) for pair in ((i, j), (j, i)))
-        zero = _map(i, j, ({},) * t.p, ({},) * t.q)
+        zero = _map(i, j, ({},) * p, ({},) * q)
         w = _place(zero, _slot_layout(cover, degrees, 2, i, j), omega.on((i, j)))
-        move = _tangent(_split_record(cover, degrees, j, k)[4][t.p:],
-                        [_pull(g, back) for g in w.even + w.odd], 3)
-        data = _read(_slot_layout(cover, degrees, 3, i, k),
-                     [{}] * t.p + [_pull(g, there) for g in move])[0]
-        terms.update({((i, j, k), *key): -c for key, c in data.items()})
+        pulled, moved = [{} for _ in range(p + q)], [{} for _ in range(q)]
+        image = [{} for _ in range(q)]
+        _pull(pulled, w.even + w.odd, back, 3)
+        _tangent(moved, pulled, _split_record(cover, degrees, j, k)[5], 3)
+        _pull(image, moved, there, 3)
+        data = _read(_slot_layout(cover, degrees, 3, i, k), [{}] * p + image)[0]
+        terms.update({((i, j, k), *key): c for key, c in data.items()})
     return Cochain(slot_sheaf(cover, degrees, 3), 2, terms)
 
 
@@ -802,25 +868,29 @@ def conjugate(t: Trivialization, lam: dict) -> Trivialization:
     """
     m = t.order
     p, q = t.p, t.q
-    nu = {}
-    for c, sm in lam.items():
-        if sm.source != c or sm.target != c:
-            raise ValueError("lam must consist of chart automorphisms")
-        nu[c] = map_difference(sm, identity_map(c, p, q))
-        if any(len(w) <= 1 for g in nu[c][0] + nu[c][1] for w, _ in g):
-            raise ValueError("lam must restrict to the identity mod J^2")
     # conjugating one order beyond the truncation carries the induced
     # degree-(m+1) coefficients along
     precision = m + 1
+    nu, lows = {}, {}
+    for c, sm in lam.items():
+        if sm.source != c or sm.target != c:
+            raise ValueError("lam must consist of chart automorphisms")
+        ident = identity_map(c, p, q)
+        even, odd = map_difference(sm, ident)
+        nu[c], lows[c] = even + odd, _least_degrees(sm, ident, precision)
+        if min(lows[c]) <= 1:
+            raise ValueError("lam must restrict to the identity mod J^2")
     splits = {(i, j): _split_record(t.cover, t.degrees, i, j) for i, j in t.cover.pairs}
-    devs = [map_difference(t.maps[pair], split[3]) for pair, split in splits.items()]
-    devs += [nu[c] for c in {c for pair in t.cover.pairs for c in pair}]
+    low = [_least_degrees(t.maps[pair], split[3], precision) for pair, split in splits.items()]
+    low += [lows[c] for c in {c for pair in t.cover.pairs for c in pair}]
     new_maps = dict(t.maps)
-    if _first_order_exact(devs, precision):
+    if _first_order_exact(*map(min, zip(*low)), precision):
         for (i, j), split in splits.items():
-            new_maps[(i, j)] = _moved(t.maps[(i, j)], [
-                (1, [_pull(g, split) for g in nu[j][0] + nu[j][1]]),
-                (-1, _tangent(split[4], nu[i][0] + nu[i][1], precision))], precision)
+            rho = t.maps[(i, j)]
+            acc = [_truncate(g, precision) for g in rho.even + rho.odd]
+            _pull(acc, nu[j], split, precision)
+            _tangent(acc, nu[i], split[4], precision)
+            new_maps[(i, j)] = _finish(acc, i, j, p)
     else:
         inverses = {c: invert(lam[c], precision) for c in {i for i, _ in t.cover.pairs}}
         for (i, j) in t.cover.pairs:

@@ -371,37 +371,43 @@ def scan_chars(spec, summand, window):
 
 
 def scan_blocks(spec):
-    """``delta_block_matrix`` on spec as (degree, summand, g) -> block, each
-    block built once, so ``scan_h1`` and ``scan_dims`` can share them."""
-    return functools.cache(functools.partial(cech.delta_block_matrix, spec))
+    """(block, kernel): ``delta_block_matrix`` on spec as (degree, summand,
+    g) -> block, and (summand, g) -> the kernel basis of the degree-1 block;
+    each built once, so ``scan_h1`` and ``scan_dims`` can share them."""
+    block = functools.cache(functools.partial(cech.delta_block_matrix, spec))
+
+    @functools.cache
+    def kernel(summand, g):
+        dom, _, mat = block(1, summand, g)
+        return linalg.kernel_basis(mat, len(dom))
+
+    return block, kernel
 
 
-def scan_h1(spec, window, block=None):
+def scan_h1(spec, window, blocks=None):
     """(dim, representatives) of H^1 by scanning the window, one rank per kernel vector."""
-    block = block or scan_blocks(spec)
+    block, kernel = blocks or scan_blocks(spec)
     reps = []
     for summand in range(spec.nsummands):
         for g in scan_chars(spec, summand, window):
-            dom, cod, mat = block(1, summand, g)
-            if not dom:
-                continue
-            kernel = linalg.kernel_basis(mat, len(dom))
-            if not kernel:
+            vecs = kernel(summand, g)
+            if not vecs:
                 continue
             dom0, cod0, mat0 = block(0, summand, g)
             basis_rows = [[mat0[r][col] for r in range(len(cod0))] for col in range(len(dom0))]
             rk = len(linalg.rref(basis_rows)[1])
-            for vec in kernel:
+            for vec in vecs:
                 trial = basis_rows + [vec]
                 if len(linalg.rref(trial)[1]) > rk:
                     basis_rows, rk = trial, rk + 1
-                    reps.append(cech.cochain_from_slots(spec, 1, dom, vec))
+                    reps.append(cech.cochain_from_slots(spec, 1, block(1, summand, g)[0], vec))
     return len(reps), reps
 
 
-def scan_dims(spec, window, block=None):
-    """All cohomology dimensions by exact ranks over every character in the window."""
-    block = block or scan_blocks(spec)
+def scan_dims(spec, window, blocks=None):
+    """All cohomology dimensions by exact ranks over every character in the
+    window; the degree-1 rank is the columns less the kernel's size."""
+    block, kernel = blocks or scan_blocks(spec)
     n = spec.cover.n
     dims = {q: 0 for q in range(n + 1)}
     for summand in range(spec.nsummands):
@@ -410,19 +416,20 @@ def scan_dims(spec, window, block=None):
             for q in range(n + 1):
                 dom, cod, mat = block(q, summand, g)
                 sizes[q] = len(dom)
-                ranks[q] = len(linalg.rref(mat)[1])
+                ranks[q] = (len(dom) - len(kernel(summand, g)) if q == 1
+                            else len(linalg.rref(mat)[1]))
             for q in range(n + 1):
                 dims[q] += sizes[q] - ranks[q] - (ranks[q - 1] if q > 0 else 0)
     return dims
 
 
 def assert_matches_scan(spec, window=10):
-    block = scan_blocks(spec)
+    blocks = scan_blocks(spec)
     got = windowed_h1(spec, window)
-    dim, reps = scan_h1(spec, window, block)
+    dim, reps = scan_h1(spec, window, blocks)
     assert len(got) == dim, spec
     assert [c.to_json() for c in got] == [c.to_json() for c in reps], spec
-    assert windowed_dims(spec, window) == scan_dims(spec, window, block), spec
+    assert windowed_dims(spec, window) == scan_dims(spec, window, blocks), spec
     return got
 
 

@@ -26,9 +26,16 @@ which still serve data beyond the bound.
 ``reference_solve`` is the exact solve that ``cech.solve_blocks`` ran per
 block, one rref of [matrix | rhs]; the cached block solver is checked against
 it in ``tests/test_cech.py``.
+
+No accumulation multiplies a Fraction by the int 1 or -1 or adds one to the
+int 0, each of which would build a new Fraction and run a gcd;
+``count_unit_operations`` wraps Fraction's operators to count them on a
+warm gluing case and a warm certificate.
 """
 
 import collections
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -36,7 +43,7 @@ from math import factorial
 
 import pytest
 
-from superthick import cech, laurent, linalg, supermap
+from superthick import cech, cli, laurent, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import (GrassmannElement, merge_sign, substitute_nilpotent, taylor_add,
                                  taylor_rows)
@@ -487,6 +494,46 @@ def test_warm_gluing_and_pipeline_make_no_laurent_arithmetic(monkeypatch):
     # the counters are live
     ChartMap.identity(1).apply(LaurentPoly.monomial(1, (2,)).partial(0) * LaurentPoly.one(1))
     assert all(calls.values()) and len(calls) == 7
+
+
+def count_unit_operations(monkeypatch) -> collections.Counter:
+    """Count every Fraction multiplied by the int 1 or -1 and every Fraction
+    added to the int 0, from either side, by operator and int."""
+    calls = collections.Counter()
+    for name, units in (("__mul__", (1, -1)), ("__rmul__", (1, -1)),
+                        ("__add__", (0,)), ("__radd__", (0,))):
+        def counting(a, b, _fn=getattr(Fraction, name), _name=name, _units=units):
+            if type(b) is int and b in _units:
+                calls[_name, b] += 1
+            return _fn(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    return calls
+
+
+def run_cli(argv) -> tuple:
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_warm_gluing_and_certificate_make_no_unit_fraction_operations(monkeypatch):
+    # every accumulation adds a new key's term as it is and passes a factor
+    # of 1 or -1 as c or -c: no Fraction is multiplied by a unit or added to 0
+    degrees = SplitBundleDegrees((4, -1, -7))
+    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    run_gluing_case(1, degrees.degrees)
+    run_cli(argv)
+    calls = count_unit_operations(monkeypatch)
+    assert not run_gluing_case(1, degrees.degrees).is_zero()
+    assert run_cli(argv)[0] == 0
+    assert calls == {}
+    # the counters are live, and other Fraction operations pass
+    half = Fraction(1, 2)
+    assert (half * 1, -1 * half, half + 0, 0 + half, half * 2 + 1) == (half, -half, half, half, 2)
+    assert calls == {("__mul__", 1): 1, ("__rmul__", -1): 1, ("__add__", 0): 1,
+                     ("__radd__", 0): 1}
 
 
 def test_cold_cover_makes_no_polynomial_objects(monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superthick.laurent import ChartMap, LaurentPoly, coerce, fraction_to_str, parse_rational
+from superthick.laurent import (ChartMap, LaurentPoly, add_term, coerce, fraction_to_str,
+                                parse_rational)
 
 
 def rand_poly(rng, dim, terms=3, span=3):
@@ -122,3 +123,23 @@ def test_from_json_reads_integer_syntax(text, value):
 def test_from_json_rejects_other_rational_syntax(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_add_term_sums_exactly_and_passes_unit_factors_on():
+    # a factor that is the int 1 or -1 gives the other factor or its
+    # negative, the same object for 1, and a new key takes the term itself;
+    # every sum equals the plain get(key, 0) + c * x in value and type
+    half, rng = Fraction(1, 2), random.Random(5)
+    d: dict = {}
+    add_term(d, "a", half)
+    add_term(d, "b", 1, half)
+    add_term(d, "c", half, -1)
+    assert d["a"] is half and d["b"] is half and d["c"] == -half
+    values = [-2, -1, 0, 1, 3, half, Fraction(-4, 3), Fraction(2), Fraction(-1)]
+    out, ref = {}, {}
+    for _ in range(400):
+        key, c, x = rng.randrange(4), rng.choice(values), rng.choice(values)
+        add_term(out, key, c, x)
+        ref[key] = ref.get(key, 0) + c * x
+        assert out[key] == ref[key] and type(out[key]) is type(ref[key])
+    assert list(out) == list(ref)

@@ -1,16 +1,27 @@
-"""The cover's split records and slot layouts against the per-call builds
-they replace.
+"""The cover's split records, slot layouts and first-order kernels against
+the per-call builds they replace.
 
 ``supermap`` keeps what depends only on (bundle degrees, i, j) in one split
 record per ordered chart pair: the exponents, their columns, the split map
-itself and the moves of its derivative.  The layout of a degree-d slot sheaf
-in the map i -> j, which moves each slot between the chart-i frame and the
-map's frame and places it among the map's components, is kept the same way.
-The references below are the bodies that rebuilt each of these on every
-call: a frame change followed by a placement for the layouts.  Every table
-is checked against them on a fresh cover and on the shared cover, and on
-every call of a gluing case and of a certificate: values, coefficient types
-and key order.
+itself and the moves of its derivative, grouped by argument component.  The
+layout of a degree-d slot sheaf in the map i -> j, which moves each slot
+between the chart-i frame and the map's frame and places it among the map's
+components, is kept the same way.  The references below are the bodies that
+rebuilt each of these on every call: a frame change followed by a placement
+for the layouts, and per-component moves.  Every table is checked against
+them on a fresh cover and on the shared cover, and on every call of a gluing
+case and of a certificate: values, coefficient types and key order.
+
+``_pull`` and ``_tangent`` add their terms into accumulators that the caller
+owns.  ``reference_pull`` and ``reference_tangent`` build each result as a
+dict of its own, and ``reference_moved`` adds such results to a map one
+after the other; ``reference_first_order_inverse`` and
+``reference_conjugate_maps`` are the first-order bodies of
+``normalize_inverses`` and ``conjugate`` built from them, with the deviation
+from the split map taken by ``map_difference``; the first is also checked on
+maps whose term at S_ij's one term is 1, another coefficient or missing.
+``_least_degrees``, which reads the certificate's degrees off a map without
+building its deviation, is checked against the degrees of ``map_difference``.
 The split maps are shared by every trivialisation built on a cover, so no
 caller may change a component of one; the last test checks that none does.
 """
@@ -64,6 +75,15 @@ def reference_moves(rows, zs):
     return [[(r, tuple(x - (n == k) for n, x in enumerate(row)), k, w)
              for k, r in enumerate(row) if r] + [(1, row, p + a - 1, ()) for a in w]
             for w, row in [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]]
+
+
+def reference_argument_moves(rows, zs):
+    """The moves grouped by argument component: (output, r, shift, word)."""
+    moves = [[] for _ in range(len(rows) + len(zs))]
+    for out, comp_moves in enumerate(reference_moves(rows, zs)):
+        for r, shift, arg, word in comp_moves:
+            moves[arg].append((out, r, shift, word))
+    return moves
 
 
 def reference_tangent(rows, zs, vector, order):
@@ -156,6 +176,76 @@ def reference_moved(sm, parts, order):
     return supermap._map(sm.source, sm.target, tuple(comps[:sm.p]), tuple(comps[sm.p:]))
 
 
+def reference_least_degrees(devs, order):
+    """(d_e, d_o) of deviations given as (even, odd) component lists."""
+    return tuple(min((len(w) for dev in devs for comp in dev[part] for w, _ in comp),
+                     default=order + 1) for part in (0, 1))
+
+
+def reference_first_order_exact(devs, order):
+    """The certificate on deviations given as (even, odd) component lists."""
+    d_e, d_o = reference_least_degrees(devs, order)
+    return min(d_e, d_o) >= 2 and min(d_e, d_o) + min(d_e, d_o - 1) > order
+
+
+def reference_first_order_inverse(t, i, j, precision):
+    """S_ji - DS_ji (delta o S_ji), delta = rho_ij - S_ij by ``map_difference``,
+    and the certificate."""
+    rows, zs = reference_split_exponents(t.cover, t.degrees, j, i)
+    there = reference_split_map(i, j, *reference_split_exponents(t.cover, t.degrees, i, j))
+    even, odd = supermap.map_difference(t.maps[(i, j)], there)
+    move = reference_tangent(rows, zs, [reference_pull(g, rows, zs) for g in even + odd],
+                             precision)
+    return (reference_moved(reference_split_map(j, i, rows, zs), [(-1, move)], precision),
+            reference_first_order_exact([(even, odd)], precision))
+
+
+def reference_conjugate_maps(t, lam):
+    """(maps, exact): the sorted-pair maps rho_ij + nu_j o S_ij - DS_ij nu_i of
+    a conjugate one order beyond the truncation, when the certificate holds
+    for every deviation, else None; and the certificate."""
+    precision = t.order + 1
+    nu = {c: supermap.map_difference(sm, supermap.identity_map(c, t.p, t.q))
+          for c, sm in lam.items()}
+    splits = {pair: reference_split_exponents(t.cover, t.degrees, *pair) for pair in t.cover.pairs}
+    devs = [supermap.map_difference(t.maps[pair], reference_split_map(*pair, *split))
+            for pair, split in splits.items()]
+    devs += [nu[c] for c in {c for pair in t.cover.pairs for c in pair}]
+    if not reference_first_order_exact(devs, precision):
+        return None, False
+    return {(i, j): reference_moved(t.maps[(i, j)], [
+        (1, [reference_pull(g, *split) for g in nu[j][0] + nu[j][1]]),
+        (-1, reference_tangent(*split, nu[i][0] + nu[i][1], precision))], precision)
+        for (i, j), split in splits.items()}, True
+
+
+def accumulated(before, parts, order):
+    """Each accumulator plus its part, mod J^(order+1), as ``_add`` does: a
+    new key appended, a sum that cancels dropped; a zero in a part is no
+    term."""
+    out = [dict(g) for g in before]
+    for g, part in zip(out, parts):
+        for key, c in part.items():
+            if c and len(key[0]) <= order:
+                s = g.get(key, 0) + c
+                if s:
+                    g[key] = s
+                else:
+                    del g[key]
+    return out
+
+
+def negated(comps):
+    """Components with every coefficient negated: what ``_tangent``, which
+    subtracts, adds."""
+    return [{key: -c for key, c in g.items()} for g in comps]
+
+
+def nonzero(comps):
+    """Components with the terms that cancelled dropped."""
+    return [{key: c for key, c in g.items() if c} for g in comps]
+
+
 def typed(comp: dict) -> list:
     """A component's terms in order, each with its coefficient's type."""
     return [(key, c, type(c)) for key, c in comp.items()]
@@ -171,11 +261,19 @@ def same_maps(out, ref):
 
 
 def assert_record(split, cover, degrees, i, j):
-    """A split record equals the per-call builds of the parent."""
+    """A split record equals the per-call builds it replaces, its moves
+    regrouped by argument component, and its odd moves those into the odd
+    components, numbered from 0."""
     rows, zs = reference_split_exponents(cover, degrees, i, j)
+    p = len(rows)
+    assert type(split) is tuple and len(split) == 6
     assert split[:3] == (rows, zs, tuple(zip(*rows)))
     same_maps(split[3], reference_split_map(i, j, rows, zs))
-    assert [list(moves) for moves in split[4]] == reference_moves(rows, zs)
+    moves = reference_argument_moves(rows, zs)
+    assert all(type(arg) is tuple for arg in split[4] + split[5])
+    assert [list(arg) for arg in split[4]] == moves
+    assert [list(arg) for arg in split[5]] == [[(out - p, *move) for out, *move in arg if out >= p]
+                                               for arg in moves]
 
 
 def assert_layout(layout, cover, degrees, d, i, j):
@@ -212,21 +310,30 @@ def test_split_records_match_the_per_call_builds(warm):
         p, q = cover.n, degrees.rank
         for i, j in itertools.permutations(cover.charts, 2):
             split = supermap._split_record(cover, degrees, i, j)
-            assert type(split) is tuple and len(split) == 5
             assert supermap._split_record(cover, degrees, i, j) is split
             assert_record(split, cover, degrees, i, j)
             rows, zs = split[:2]
             for order in (1, 2, 3):
                 vector = random_vector(rng, p, q, order)
                 ref = reference_tangent(rows, zs, vector, order)
-                same_components(supermap._tangent(split[4], vector, order), ref)
-                same_components(supermap._tangent(split[4][p:], vector, order), ref[p:])
-                same_components([supermap._pull(g, split) for g in vector],
-                                [reference_pull(g, rows, zs) for g in vector])
-                parts = [(sign, random_vector(rng, p, q, order + 1)) for sign in (1, -1)]
-                base = supermap._moved(split[3], parts[:1], order + 1)
-                same_maps(supermap._moved(base, parts, order),
-                          reference_moved(base, parts, order))
+                for moves, out in ((split[4], ref), (split[5], ref[p:])):
+                    acc = [{} for _ in out]
+                    supermap._tangent(acc, vector, moves, order)
+                    same_components(nonzero(acc),
+                                    accumulated([{} for _ in out], negated(out), order))
+                acc = [{} for _ in vector]
+                supermap._pull(acc, vector, split, order)
+                same_components(acc, [reference_pull(g, rows, zs) for g in vector])
+                # rho_ij + v o S - DS w into accumulators seeded with rho_ij
+                base = reference_moved(split[3], [(1, random_vector(rng, p, q, order + 1))],
+                                       order + 1)
+                v, w = random_vector(rng, p, q, order), random_vector(rng, p, q, order)
+                acc = [supermap._truncate(g, order) for g in base.even + base.odd]
+                supermap._pull(acc, v, split, order)
+                supermap._tangent(acc, w, split[4], order)
+                same_maps(supermap._finish(acc, i, j, p), reference_moved(base, [
+                    (1, [reference_pull(g, rows, zs) for g in v]),
+                    (-1, reference_tangent(rows, zs, w, order))], order))
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -285,23 +392,23 @@ def pushforward_json(degrees):
 
 def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(monkeypatch):
     calls = dict.fromkeys(["_split_record", "_pull", "_tangent", "_slot_layout", "_place",
-                           "_read", "_moved"], 0)
+                           "_read"], 0)
     real = {name: getattr(supermap, name) for name in calls}
     cover = cech.Cover(2)
     covers = (cover, cech.standard_cover(2))
 
     def checked(name, check):
+        # the in-place kernels are checked on their accumulators as they
+        # were before the call and as the call left them
+        in_place = name in ("_pull", "_tangent")
+
         def wrapper(*args):
+            before = [dict(g) for g in args[0]] if in_place else None
             out = real[name](*args)
-            check(out, *args)
+            check(before if in_place else out, *args)
             calls[name] += 1
             return out
         monkeypatch.setattr(supermap, name, wrapper)
-
-    def split_of(moves):
-        """A split record whose moves end with ``moves``, and how many it has."""
-        return next((split, len(split[4])) for c in covers for split in c.split_table.values()
-                    if split[4][len(split[4]) - len(moves):] == moves)
 
     def layout_key(layout):
         """The cover, the degrees, d, i and j of a layout; it is kept under
@@ -312,13 +419,20 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
         degrees = SplitBundleDegrees(k if d % 2 else (0,) * k)
         return c, degrees, supermap.slot_sheaf(c, degrees, d), i, j
 
-    def pull(out, comp, split):
-        assert typed(out) == typed(reference_pull(comp, *split[:2]))
+    def pull(before, acc, comps, split, order):
+        ref = [reference_pull(g, *split[:2]) for g in comps]
+        same_components(acc, accumulated(before, ref, order))
 
-    def tangent(out, moves, vector, order):
-        split, count = split_of(moves)
-        ref = reference_tangent(*split[:2], vector, order)
-        same_components(out, ref[count - len(moves):])
+    def tangent(before, acc, comps, moves, order):
+        # terms that cancel within DS v are left as zeros by the kernel, so
+        # both sides are compared with them dropped and coerced
+        split = next(split for c in covers for split in c.split_table.values()
+                     if moves is split[4] or moves is split[5])
+        ref = reference_tangent(*split[:2], comps, order)
+        ref = ref if moves is split[4] else ref[len(split[0]):]
+        finished = [{key: coerce(c) for key, c in g.items() if c} for g in acc]
+        same_components(finished, [{key: coerce(c) for key, c in g.items() if c}
+                                   for g in accumulated(before, negated(ref), order)])
 
     def place(out, sm, layout, data):
         c, degrees, spec, i, j = layout_key(layout)
@@ -328,17 +442,123 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
         c, degrees, spec, i, j = layout_key(layout)
         assert typed(out[0]) == typed(reference_read(c, degrees, spec, comps, i, j))
 
-    def moved(out, sm, parts, order):
-        same_maps(out, reference_moved(sm, parts, order))
-
-    checks = (assert_record, pull, tangent, assert_layout, place, read, moved)
+    checks = (assert_record, pull, tangent, assert_layout, place, read)
     for name, check in zip(calls, checks):
         checked(name, check)
     gluing_case(cover, SplitBundleDegrees((4, -1, -7)), random.Random(25))
+    # a conjugate here pulls nu_j onto a term of rho_ij that cancels
+    gluing_case(cover, SplitBundleDegrees((2, 2, -3)), random.Random(21))
     out = pushforward_json((3, 0, -6))
     monkeypatch.undo()
     assert out == pushforward_json((3, 0, -6))
     assert all(calls.values()), calls
+
+
+def test_first_order_maps_match_the_reference_chain_on_every_call(monkeypatch):
+    # every first-order inverse and every conjugate of a gluing case, a
+    # certificate and order-3 rank-4 data, which the certificate refuses,
+    # against the chain map_difference, pull, tangent, then one _add per
+    # part: values, key order, coefficient types and the certificate, whose
+    # least degrees, read off each map without a difference, are checked on
+    # every call against those of map_difference.  In one conjugate of the
+    # (2, 2, -3) case nu_j o S_ij cancels a term of rho_ij that DS_ij nu_i
+    # then brings back, at the end of the component
+    seen = []
+    inverse, conjugate, compose, pull, least = (
+        supermap._first_order_inverse, supermap.conjugate, supermap.compose, supermap._pull,
+        supermap._least_degrees)
+    composed, cancelled, degrees_read = [0], [0], [0]
+
+    def checked_degrees(sm, base, order):
+        out = least(sm, base, order)
+        ref = reference_least_degrees([supermap.map_difference(sm, base)], order)
+        assert out == tuple(min(d, order + 1) for d in ref)
+        degrees_read[0] += 1
+        return out
+
+    def counting(*args, **kwargs):
+        composed[0] += 1
+        return compose(*args, **kwargs)
+
+    def cancelling(acc, *args):
+        before = [set(g) for g in acc]
+        pull(acc, *args)
+        cancelled[0] += sum(len(keys - g.keys()) for keys, g in zip(before, acc))
+
+    def checked_inverse(t, i, j, precision):
+        out, exact = inverse(t, i, j, precision)
+        ref, ref_exact = reference_first_order_inverse(t, i, j, precision)
+        same_maps(out, ref)
+        assert exact is ref_exact
+        seen.append(("inverse", exact))
+        return out, exact
+
+    def checked_conjugate(t, lam):
+        before = composed[0]
+        out = conjugate(t, lam)
+        ref, exact = reference_conjugate_maps(t, lam)
+        if exact:
+            for pair in t.cover.pairs:
+                same_maps(out.maps[pair], ref[pair])
+        # the compose path inverts each source chart's lam and composes
+        # twice per sorted pair before normalize_inverses runs
+        assert (composed[0] - before >= 2 * len(t.cover.pairs)) is not exact
+        seen.append(("conjugate", exact))
+        return out
+
+    for name, wrapper in (("_first_order_inverse", checked_inverse),
+                          ("conjugate", checked_conjugate), ("compose", counting),
+                          ("_pull", cancelling), ("_least_degrees", checked_degrees)):
+        monkeypatch.setattr(supermap, name, wrapper)
+    cover = cech.standard_cover(2)
+    gluing_case(cover, SplitBundleDegrees((4, -1, -7)), random.Random(29))
+    gluing_case(cover, SplitBundleDegrees((2, 2, -3)), random.Random(21))
+    assert cancelled[0]
+    out = pushforward_json((4, -1, -7))
+    degrees = SplitBundleDegrees((2, 1, -1, -3))
+    rng = random.Random(4)
+    spec = supermap.slot_sheaf(cover, degrees, 2)
+    t = supermap.build_trivialization(cover, degrees, 3, {2: cech.random_closed_cochain(spec, rng)})
+    nu = cech.random_cochain(spec, 0, rng, terms=2)
+    supermap.conjugate(t, supermap.automorphism_from_increment(cover, degrees, 3, nu, 2))
+    monkeypatch.undo()
+    assert out == pushforward_json((4, -1, -7))
+    assert set(seen) == {("inverse", True), ("inverse", False), ("conjugate", True),
+                         ("conjugate", False)}
+    assert degrees_read[0] > len(seen)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_first_order_inverse_reads_any_split_term(warm):
+    # rho_ij's term at S_ij's one term of a component may be 1, another
+    # coefficient, or missing; each map below is compared with the reference
+    # chain, the certificate included
+    cover = cech.standard_cover(2) if warm else cech.Cover(2)
+    degrees = SplitBundleDegrees((4, -1, -7))
+    spec = supermap.slot_sheaf(cover, degrees, 2)
+    t = supermap.build_trivialization(cover, degrees, 2,
+                                      {2: cech.random_closed_cochain(spec, random.Random(3))})
+    p = t.p
+    for i, j in cover.pairs:
+        split = supermap._split_record(cover, degrees, i, j)[3]
+        rho = t.maps[(i, j)]
+        for index, (unit,) in enumerate(split.even + split.odd):
+            for c in (None, 2, Fraction(1, 2), -1):
+                comps = [dict(g) for g in rho.even + rho.odd]
+                if c is None:
+                    del comps[index][unit]
+                else:
+                    comps[index][unit] = c
+                maps = dict(t.maps)
+                maps[(i, j)] = supermap._map(i, j, tuple(comps[:p]), tuple(comps[p:]))
+                changed = supermap.Trivialization(cover, degrees, t.order, maps)
+                out, exact = supermap._first_order_inverse(changed, i, j, 3)
+                ref, ref_exact = reference_first_order_inverse(changed, i, j, 3)
+                same_maps(out, ref)
+                assert exact is ref_exact is False
+                dev = supermap.map_difference(maps[(i, j)], split)
+                assert (supermap._least_degrees(maps[(i, j)], split, 3)
+                        == tuple(min(d, 4) for d in reference_least_degrees([dev], 3)))
 
 
 def test_no_caller_changes_a_shared_split_map(tmp_path):

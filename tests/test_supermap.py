@@ -224,6 +224,34 @@ def test_hand_corrupted_gamma_fails_verification():
             assert [problem[0] for problem in check["problems"]] == triples, (degrees, slot)
 
 
+def test_verification_moves_each_sorted_value_once_per_start_chart(monkeypatch):
+    # represent is linear, so each ordered triple's stored value is the sorted
+    # value moved to its first chart once, then signed: 3 moves for the 6
+    # ordered triples, each equal to moving the signed value
+    degrees = SplitBundleDegrees((4, -1, -7))
+    t = sm.build_trivialization(COV2, degrees, 2, {2: closed_slot2(random.Random(5), degrees)})
+    gamma = sm.obstruction_cocycle(t)
+    bad = gamma + cech.Cochain(gamma.sheaf, 2, {cech.BasisSlot((0, 1, 2), 1, 0, (1, -2)): 1})
+    represent, moves = cech.represent, []
+
+    def counting(spec, data, a, b):
+        moves.append((a, b))
+        return represent(spec, data, a, b)
+
+    monkeypatch.setattr(cech, "represent", counting)
+    check = sm.verify_gamma_cocycle(bad, t)
+    monkeypatch.undo()
+    assert sorted(moves) == [(0, 0), (0, 1), (0, 2)]
+    assert [problem[0] for problem in check["problems"]] == list(
+        itertools.permutations(COV2.charts, 3))
+    for triple, _, stored in check["problems"]:
+        sign = sort_index_tuple(triple)[1]
+        ref = represent(bad.sheaf, {slot: sign * c for slot, c in bad.on((0, 1, 2)).items()},
+                        0, triple[0])
+        assert [(key, c, type(c)) for key, c in stored.items()] == [
+            (key, c, type(c)) for key, c in ref.items()]
+
+
 def test_pushforward_zero_and_linearity():
     t = split2()
     spec = sm.slot_sheaf(COV2, DEG, 2)
@@ -303,17 +331,18 @@ def test_pushforward_matches_reference_formula_term_by_term(degrees):
 
 
 def test_pushforward_applies_only_the_odd_moves(monkeypatch):
-    # the image reads the odd components of DS_jk w, so only they are built
+    # the image reads the odd components of DS_jk w, so only they are built:
+    # _tangent applies the split record's odd moves to q accumulators
     degrees = SplitBundleDegrees((4, -1, -7))
     omega = generator(degrees)
     t = sm.build_trivialization(COV2, degrees, 2, {2: omega})
     sizes = []
     tangent = sm._tangent
 
-    def counted(moves, vector, order):
-        out = tangent(moves, vector, order)
-        sizes.append(len(out))
-        return out
+    def counted(acc, comps, moves, order):
+        tangent(acc, comps, moves, order)
+        assert any(moves is split[5] for split in COV2.split_table.values())
+        sizes.append(len(acc))
 
     monkeypatch.setattr(sm, "_tangent", counted)
     pushed = sm.pushforward_partial(omega, t)
