@@ -31,7 +31,11 @@ constant per output component.  ``represent`` moves slot data monomial by
 monomial with it.  The coboundary of one slot is a few such moves; a whole
 cochain's coboundary sums it over the cochain's slots, and
 ``delta_block_matrix`` fills each block column with it, so both share one
-differential.  Everywhere else a kind means one row of the frame table: its
+differential.  A cochain's coboundary and its character split read each
+slot's images and character from the cover's slot table, one record per
+basis slot under (kind, twist, slot), filled on first use; the block
+matrices apply the differential directly, so cohomology sweeps leave that
+table empty.  Everywhere else a kind means one row of the frame table: its
 frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott form
 h^q(Omega^p(t + shift)), T being Omega^(n-1)(n+1).  Characters, component
 counts and closed formulas read it; ``supermap`` places the slots of its slot
@@ -104,6 +108,10 @@ class Cover:
         # (kind, degree, twist, character) -> the block's (simplex, comp,
         # exps) slots, without the summand index; see char_basis
         self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
+        # (kind, twist, slot) -> the basis slot's character and the
+        # (image slot, coefficient) pairs of its unit coboundary; the slot is
+        # a basis element, the key holds no coefficient; see _slot_record
+        self.slot_table: dict[tuple[str, int, "BasisSlot"], tuple] = {}
         # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
         # with its exponents, their columns and its derivative's moves;
         # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees, d,
@@ -395,8 +403,9 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
 
     On every coface the monomial is transported from the face's chart to the
     coface's chart by ``Cover.transport``, times the coface's sign.  This is
-    the one differential: ``coboundary`` sums it over a cochain's slots and
-    ``delta_block_matrix`` makes it a block column.
+    the one differential: the slot table keeps it for ``coboundary``, which
+    sums it over a cochain's slots, and ``delta_block_matrix`` makes it a
+    block column.
     """
     cover = spec.cover
     face = slot.simplex
@@ -408,13 +417,39 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
     ]
 
 
+def _slot_record(spec: SheafSpec, slot: BasisSlot) -> tuple:
+    """(character, unit coboundary) of one basis slot, kept in the cover's
+    slot table under (kind, twist, slot).
+
+    The character is ``monomial_char`` and the unit coboundary is
+    ``_delta_slot`` as a tuple of (image slot, coefficient) pairs.  Both
+    depend on the summand only through its twist and on no coefficient, so
+    ``coboundary`` and ``cochain_chars`` read them per term instead of
+    transporting the monomial again.  The table grows with the distinct
+    slots met and is never evicted.
+    """
+    key = (spec.kind, spec.twists[slot.summand], slot)
+    record = spec.cover.slot_table.get(key)
+    if record is None:
+        char = monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+        record = spec.cover.slot_table[key] = (char, tuple(_delta_slot(spec, slot)))
+    return record
+
+
 def coboundary(c: Cochain) -> Cochain:
-    """Twisted Čech differential: the coboundaries of the slots, summed."""
+    """Twisted Čech differential: the coboundaries of the slots, summed.
+
+    Each slot's unit coboundary is read from the cover's slot table.  Its
+    images lie on sorted simplices by construction, so the sum becomes a
+    cochain with zeros dropped and integral coefficients as ints, unchecked.
+    """
+    spec = c.sheaf
     out: dict[BasisSlot, int | Fraction] = {}
     for slot, coef in c.terms.items():
-        for image, x in _delta_slot(c.sheaf, slot):
+        for image, x in _slot_record(spec, slot)[1]:
             add_term(out, image, coef, x)
-    return Cochain(c.sheaf, c.degree + 1, out)
+    return _cochain(spec, c.degree + 1,
+                    {slot: v if type(v) is int else coerce(v) for slot, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +522,11 @@ def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
 
 
 def cochain_chars(c: Cochain) -> dict[tuple[int, Char], dict[BasisSlot, Fraction]]:
-    """Decompose a cochain into (summand, character) blocks of coefficients."""
+    """Decompose a cochain into (summand, character) blocks of coefficients,
+    each slot's character read from the cover's slot table."""
     blocks: dict[tuple[int, Char], dict[BasisSlot, Fraction]] = {}
     for slot, coef in c.terms.items():
-        g = monomial_char(c.sheaf, slot.simplex[0], slot.summand, slot.comp, slot.exps)
-        blocks.setdefault((slot.summand, g), {})[slot] = coef
+        blocks.setdefault((slot.summand, _slot_record(c.sheaf, slot)[0]), {})[slot] = coef
     return blocks
 
 
@@ -697,7 +732,7 @@ def _type_chars(sign_type: tuple, twist: int):
         yield tuple(g)
 
 
-def block_cohomology(spec: SheafSpec, q: int, g: Char) -> list[list[Fraction]]:
+def block_cohomology(spec: SheafSpec, q: int, g: Char) -> list[list[int | Fraction]]:
     """Kernel vectors spanning H^q of the block of g, over its degree-q slots.
 
     The per-character lookup: g is clamped to its sign type once and the
@@ -719,7 +754,9 @@ def _type_record(cover: Cover, kind: str, q: int, sign_type: tuple) -> tuple:
     Dropping the other kernel columns leaves the rref of [image | classes |
     I], since rref is unique; the solver keeps its pivot columns below the
     identity, its identity part E by columns, and the width of [image |
-    classes] (see ``_solve_block``).  A type whose kernel is empty gets no
+    classes] (see ``_solve_block``).  Classes and E keep integral entries
+    as ints, so solving a block and subtracting its class part multiply no
+    Fraction by 1 or -1.  A type whose kernel is empty gets no
     image block and no solver.  The record depends on the sign type alone,
     so it is kept in the cover's cohomology table under (kind, q, sign type)
     and serves every twist, summand, caller and character of the type.
@@ -741,9 +778,10 @@ def _type_record(cover: Cover, kind: str, q: int, sign_type: tuple) -> tuple:
             kernel = [kernel[i] for i in picked]
             width = m + len(picked)
             solver = ([p for p in pivots if p < m] + list(range(m, width)),
-                      [[(r, row[m + k + c]) for r, row in enumerate(red) if row[m + k + c]]
+                      [[(r, coerce(row[m + k + c])) for r, row in enumerate(red) if row[m + k + c]]
                        for c in range(len(dom))],
                       width)
+        kernel = [[coerce(x) for x in vec] for vec in kernel]
         record = cover.cohomology_table[key] = (kernel, solver)
     return record
 
@@ -782,7 +820,7 @@ def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> tuple[tuple[Ch
     return walk
 
 
-def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[Fraction]]]]:
+def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int | Fraction]]]]:
     """Every (summand, character, classes) block with H^q.
 
     Summands come in order and their characters as ``enumerate_chars`` lists

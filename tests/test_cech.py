@@ -12,7 +12,7 @@ from superthick.obstruct import search_split_triples
 from superthick.pipeline import in_window, pipeline_obstructed_cp2
 from test_acceptance import DEGREE_POOL
 from test_golden import ADMISSIBLE
-from test_int_kernel import reference_solve, run_gluing_case
+from test_int_kernel import gluing_checks, gluing_pool, reference_solve, run_gluing_case
 
 
 def test_standard_cover_nerve():
@@ -384,8 +384,23 @@ def scan_blocks(spec):
     return block, kernel
 
 
+def reduce_by(echelon, vec):
+    """vec less its part in the span of the echelon rows [(pivot, row)]:
+    each row is 1 at its pivot and 0 at the pivots of the rows before it, so
+    the rest is zero exactly when vec lies in the span."""
+    rest = [Fraction(x) for x in vec]
+    for pivot, row in echelon:
+        f = rest[pivot]
+        if f:
+            rest = [a - f * b for a, b in zip(rest, row)]
+    return rest
+
+
 def scan_h1(spec, window, blocks=None):
-    """(dim, representatives) of H^1 by scanning the window, one rank per kernel vector."""
+    """(dim, representatives) of H^1 by scanning the window: a kernel vector
+    is a class when it is independent of the degree-0 image and of the
+    classes kept before it.  The image rows are reduced once per character,
+    and each vector is reduced against the echelon rows kept so far."""
     block, kernel = blocks or scan_blocks(spec)
     reps = []
     for summand in range(spec.nsummands):
@@ -394,12 +409,14 @@ def scan_h1(spec, window, blocks=None):
             if not vecs:
                 continue
             dom0, cod0, mat0 = block(0, summand, g)
-            basis_rows = [[mat0[r][col] for r in range(len(cod0))] for col in range(len(dom0))]
-            rk = len(linalg.rref(basis_rows)[1])
+            red, pivots = linalg.rref([[mat0[r][col] for r in range(len(cod0))]
+                                       for col in range(len(dom0))])
+            echelon = list(zip(pivots, red))
             for vec in vecs:
-                trial = basis_rows + [vec]
-                if len(linalg.rref(trial)[1]) > rk:
-                    basis_rows, rk = trial, rk + 1
+                rest = reduce_by(echelon, vec)
+                lead = next((i for i, x in enumerate(rest) if x), None)
+                if lead is not None:
+                    echelon.append((lead, [x / rest[lead] for x in rest]))
                     reps.append(cech.cochain_from_slots(spec, 1, block(1, summand, g)[0], vec))
     return len(reps), reps
 
@@ -708,8 +725,8 @@ def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch)
 # ---------------------------------------------------------------------------
 # the cover's per-twist tables
 
-COVER_TABLES = ("cohomology_table", "summand_table", "basis_table", "split_table",
-                "slot_sheaf_table", "layout_table")
+COVER_TABLES = ("cohomology_table", "summand_table", "basis_table", "slot_table",
+                "split_table", "slot_sheaf_table", "layout_table")
 
 
 def cover_tables(cover):
@@ -739,10 +756,96 @@ def test_cover_tables_serve_what_fresh_covers_compute():
                         want = cech.char_basis(make(cech.Cover(n), twists), degree, summand, g)
                         assert cech.char_basis(spec, degree, summand, g) == want
         keys += len(warm.summand_table)
+        # the block matrices apply _delta_slot directly: no slot record
+        assert warm.slot_table == {}
         for name in ("summand_table", "basis_table"):
             assert all(type(value) is tuple and all(type(entry) is tuple for entry in value)
                        for value in getattr(warm, name).values()), name
     assert keys == 375
+
+
+def reference_coboundary(c):
+    """The coboundary with every slot transported afresh by ``_delta_slot``,
+    summed in term order and checked by the ``Cochain`` constructor."""
+    out = {}
+    for slot, coef in c.terms.items():
+        for image, x in cech._delta_slot(c.sheaf, slot):
+            out[image] = out.get(image, 0) + coef * x
+    return cech.Cochain(c.sheaf, c.degree + 1, out)
+
+
+def reference_cochain_chars(c):
+    """The character blocks with each slot's character from ``monomial_char``."""
+    blocks = {}
+    for slot, coef in c.terms.items():
+        g = cech.monomial_char(c.sheaf, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+        blocks.setdefault((slot.summand, g), {})[slot] = coef
+    return blocks
+
+
+def typed_terms(terms):
+    """A cochain's or block's terms in order, each with its coefficient type."""
+    return [(slot, c, type(c)) for slot, c in terms.items()]
+
+
+def assert_slot_records_are_plain(cover):
+    """Every key of the slot table is (kind, twist, basis slot) of ints, with
+    no coefficient, and every record is the slot's character and unit
+    coboundary as a fresh build gives them."""
+    kinds = (cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM)
+    for (kind, twist, slot), record in cover.slot_table.items():
+        assert kind in kinds and type(twist) is int and type(slot) is cech.BasisSlot
+        assert all(type(x) is int for x in slot.simplex + slot.exps + (slot.summand, slot.comp))
+        spec = cech.SheafSpec(cover, kind, (0,) * slot.summand + (twist,))
+        char = cech.monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+        assert record == (char, tuple(cech._delta_slot(spec, slot)))
+        assert type(record[1]) is tuple and all(
+            type(image) is cech.BasisSlot and type(x) is int for image, x in record[1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slot_table_matches_fresh_transports_cold_and_warm(n):
+    # the same seeded cochains of every kind in every degree, on two sheaves
+    # whose summands share indices but not twists, first on an empty slot
+    # table, then on the table they filled: coboundary and cochain_chars
+    # equal the per-term references by terms, key order and coefficient
+    # type, and the warm pass adds no record
+    cover = cech.Cover(n)
+    specs = [make(cover, twists) for make in
+             (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted)
+             for twists in ([-3, 0, 2], [1, -2])]
+    sizes = []
+    for _ in ("cold", "warm"):
+        rng = random.Random(23)
+        for spec, degree in itertools.product(specs, range(n + 1)):
+            for _ in range(15):
+                c = cech.random_cochain(spec, degree, rng, terms=4, span=3)
+                c = c + c.scale(Fraction(rng.choice([-1, 1]), 2))  # halves sum to ints
+                got, want = cech.coboundary(c), reference_coboundary(c)
+                assert (got.sheaf, got.degree) == (want.sheaf, want.degree)
+                assert typed_terms(got.terms) == typed_terms(want.terms), (spec.kind, degree)
+                got, want = cech.cochain_chars(c), reference_cochain_chars(c)
+                assert list(got) == list(want), (spec.kind, degree)
+                assert [typed_terms(b) for b in got.values()] == [
+                    typed_terms(b) for b in want.values()]
+        sizes.append(len(cover.slot_table))
+    assert 0 < sizes[0] == sizes[1]
+    assert_slot_records_are_plain(cover)
+
+
+def test_slot_table_stops_growing_on_a_second_gluing_pass(monkeypatch):
+    # one pass over the gluing workload's seed-1 pool fills the records its
+    # coboundaries and character splits read; a second pass adds none
+    fresh = cech.Cover(2)
+    monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
+    pool = gluing_pool(1)
+    sizes = []
+    for _ in range(2):
+        for case in pool:
+            gluing_checks(*case)
+        sizes.append(len(fresh.slot_table))
+    assert sizes == [1345, 1345]
+    assert_slot_records_are_plain(fresh)
 
 
 def test_closed_formula_mismatch_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):

@@ -27,10 +27,10 @@ which still serve data beyond the bound.
 block, one rref of [matrix | rhs]; the cached block solver is checked against
 it in ``tests/test_cech.py``.
 
-No accumulation multiplies a Fraction by the int 1 or -1 or adds one to the
-int 0, each of which would build a new Fraction and run a gcd;
-``count_unit_operations`` wraps Fraction's operators to count them on a
-warm gluing case and a warm certificate.
+No accumulation multiplies a Fraction by 1 or -1 or adds one to 0, whether
+the unit is an int or a Fraction, each of which would build a new Fraction
+and run a gcd; ``count_unit_operations`` wraps Fraction's operators to count
+them on a warm gluing case and two warm certificates.
 """
 
 import collections
@@ -497,14 +497,16 @@ def test_warm_gluing_and_pipeline_make_no_laurent_arithmetic(monkeypatch):
 
 
 def count_unit_operations(monkeypatch) -> collections.Counter:
-    """Count every Fraction multiplied by the int 1 or -1 and every Fraction
-    added to the int 0, from either side, by operator and int."""
+    """Count every Fraction multiplied by 1 or -1 and every Fraction added to
+    0, from either side, by operator and unit; the unit is an int or a
+    Fraction, and a Fraction operand equal to a unit counts on its own."""
     calls = collections.Counter()
     for name, units in (("__mul__", (1, -1)), ("__rmul__", (1, -1)),
                         ("__add__", (0,)), ("__radd__", (0,))):
         def counting(a, b, _fn=getattr(Fraction, name), _name=name, _units=units):
-            if type(b) is int and b in _units:
-                calls[_name, b] += 1
+            unit = next((x for x in (b, a) if type(x) in (int, Fraction) and x in _units), None)
+            if unit is not None:
+                calls[_name, unit] += 1
             return _fn(a, b)
         monkeypatch.setattr(Fraction, name, counting)
     return calls
@@ -520,20 +522,26 @@ def run_cli(argv) -> tuple:
 
 def test_warm_gluing_and_certificate_make_no_unit_fraction_operations(monkeypatch):
     # every accumulation adds a new key's term as it is and passes a factor
-    # of 1 or -1 as c or -c: no Fraction is multiplied by a unit or added to 0
+    # of 1 or -1 as c or -c: no Fraction is multiplied by a unit or added to
+    # 0.  The certificate of (5,-2,-8) solves blocks whose class part and
+    # solver entries are integral, held as ints
     degrees = SplitBundleDegrees((4, -1, -7))
-    argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
+    argvs = [["pushforward", "--degrees", k, "--json"] for k in ("4,-1,-7", "5,-2,-8")]
     run_gluing_case(1, degrees.degrees)
-    run_cli(argv)
+    for argv in argvs:
+        run_cli(argv)
     calls = count_unit_operations(monkeypatch)
     assert not run_gluing_case(1, degrees.degrees).is_zero()
-    assert run_cli(argv)[0] == 0
+    assert [run_cli(argv)[0] for argv in argvs] == [0, 0]
     assert calls == {}
-    # the counters are live, and other Fraction operations pass
+    # the counters are live, for int and Fraction units on either side, and
+    # other Fraction operations pass
     half = Fraction(1, 2)
     assert (half * 1, -1 * half, half + 0, 0 + half, half * 2 + 1) == (half, -half, half, half, 2)
-    assert calls == {("__mul__", 1): 1, ("__rmul__", -1): 1, ("__add__", 0): 1,
-                     ("__radd__", 0): 1}
+    assert (half * Fraction(1), Fraction(-1) * half, Fraction(0) + half, half * half) == (
+        half, -half, half, Fraction(1, 4))
+    assert calls == {("__mul__", 1): 2, ("__mul__", -1): 1, ("__rmul__", -1): 1,
+                     ("__add__", 0): 2, ("__radd__", 0): 1}
 
 
 def test_cold_cover_makes_no_polynomial_objects(monkeypatch):
