@@ -33,7 +33,8 @@ cochain's coboundary sums it over the cochain's slots, and
 ``delta_block_matrix`` fills each block column with it, so both share one
 differential.  A cochain's coboundary and its character split read each
 slot's images and character from the cover's slot table, one record per
-basis slot under (kind, twist, slot), filled on first use; the block
+basis slot under (kind, twist, slot), filled on first use and emptied at
+``SLOT_TABLE_LIMIT`` records; the block
 matrices apply the differential directly, so cohomology sweeps leave that
 table empty.  Everywhere else a kind means one row of the frame table: its
 frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott form
@@ -96,7 +97,9 @@ class Cover:
         self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
         # Tables of what depends only on the cover and a structural key, each
         # filled lazily on first use and kept for the cover's life.  Keys
-        # hold no cochain or map data; values are not changed once stored.
+        # hold no coefficient and no map data; only the slot table's hold a
+        # cochain's support (basis slots), and it is bounded by
+        # SLOT_TABLE_LIMIT.  Values are not changed once stored.
         # (kind, a, b, comp) -> how a monomial moves from chart a to chart b
         self._transport: dict[tuple[str, int, int, int], tuple] = {}
         # (kind, q, sign type) -> the classes of H^q on a block of that type
@@ -110,7 +113,8 @@ class Cover:
         self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
         # (kind, twist, slot) -> the basis slot's character and the
         # (image slot, coefficient) pairs of its unit coboundary; the slot is
-        # a basis element, the key holds no coefficient; see _slot_record
+        # a basis element, the key holds no coefficient; emptied when it
+        # reaches SLOT_TABLE_LIMIT records; see _slot_record
         self.slot_table: dict[tuple[str, int, "BasisSlot"], tuple] = {}
         # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
         # with its exponents, their columns and its derivative's moves;
@@ -417,6 +421,12 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
     ]
 
 
+# The slot table is emptied before a new record when it holds this many, so a
+# process that meets ever new exponents keeps it bounded (a record takes about
+# 0.5 kB; the gluing benchmark's pools of four seeds fill about 2500).
+SLOT_TABLE_LIMIT = 8192
+
+
 def _slot_record(spec: SheafSpec, slot: BasisSlot) -> tuple:
     """(character, unit coboundary) of one basis slot, kept in the cover's
     slot table under (kind, twist, slot).
@@ -426,13 +436,16 @@ def _slot_record(spec: SheafSpec, slot: BasisSlot) -> tuple:
     depend on the summand only through its twist and on no coefficient, so
     ``coboundary`` and ``cochain_chars`` read them per term instead of
     transporting the monomial again.  The table grows with the distinct
-    slots met and is never evicted.
+    slots met, up to ``SLOT_TABLE_LIMIT`` records, and then starts afresh.
     """
+    table = spec.cover.slot_table
     key = (spec.kind, spec.twists[slot.summand], slot)
-    record = spec.cover.slot_table.get(key)
+    record = table.get(key)
     if record is None:
+        if len(table) >= SLOT_TABLE_LIMIT:
+            table.clear()
         char = monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
-        record = spec.cover.slot_table[key] = (char, tuple(_delta_slot(spec, slot)))
+        record = table[key] = (char, tuple(_delta_slot(spec, slot)))
     return record
 
 

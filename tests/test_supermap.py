@@ -461,22 +461,24 @@ def test_torsor_freeness_both_directions():
 def test_equivalence_witness_fails_on_a_conjugate_that_differs_to_the_order(monkeypatch):
     # the witness checks its conjugate against the target mod J^(m+1): one
     # term changed at theta-degree m on one map fails it, a term above the
-    # order passes
+    # order or an explicit zero coefficient passes
     t = split2()
     nu = cech.random_cochain(sm.slot_sheaf(COV2, DEG, 2), 0, random.Random(12), terms=2)
     shifted = sm.act_torsor(t, cech.coboundary(nu))
     conjugate = sm.conjugate
 
-    def changed(parity, word):
+    def changed(parity, word, value=Fraction(1, 3), exps=(1, -2)):
         def conj(t1, lam):
             out = conjugate(t1, lam)
             old = out.maps[1, 2]
             comps = [dict(g) for g in old.even + old.odd]
             index = 0 if parity == 0 else old.p
-            comps[index][word, (1, -2)] = comps[index].get((word, (1, -2)), 0) + Fraction(1, 3)
+            assert value or (word, exps) not in comps[index]
+            comps[index][word, exps] = comps[index].get((word, exps), 0) + value
             maps = dict(out.maps)
-            maps[1, 2] = sm.SuperMap(old.source, old.target, tuple(comps[:old.p]),
-                                     tuple(comps[old.p:]))
+            # unchecked, as the module builds its results, so a zero stays
+            maps[1, 2] = sm._map(old.source, old.target, tuple(comps[:old.p]),
+                                 tuple(comps[old.p:]))
             return sm.Trivialization(out.cover, out.degrees, out.order, maps)
         return conj
 
@@ -484,6 +486,9 @@ def test_equivalence_witness_fails_on_a_conjugate_that_differs_to_the_order(monk
     with pytest.raises(AssertionError, match="equivalence witness failed verification"):
         sm.equivalence_witness(t, shifted)
     monkeypatch.setattr(sm, "conjugate", changed(1, (1, 2, 3)))
+    assert sm.equivalence_witness(t, shifted) is not None
+    # an explicit zero coefficient at theta-degree m changes no map
+    monkeypatch.setattr(sm, "conjugate", changed(0, (1, 2), 0, (7, -9)))
     assert sm.equivalence_witness(t, shifted) is not None
 
 
