@@ -24,7 +24,7 @@ character pins down at most one monomial per simplex, summand and component.
 Coboundary equations therefore split into small exact linear systems, one per
 character, and solving them is complete: no truncation window enters.
 
-Every chart change goes through one exponent-level table,
+Every chart change goes through one exponent-level function,
 ``Cover.transport``: moving one monomial between charts is an integer matrix
 on its exponents, a twist-scaled line-factor vector, and one offset and
 constant per output component.  ``represent`` moves slot data monomial by
@@ -32,40 +32,46 @@ monomial with it.  The coboundary of one slot is a few such moves; a whole
 cochain's coboundary sums it over the cochain's slots, and
 ``delta_block_matrix`` fills each block column with it, so both share one
 differential.  A cochain's coboundary and its character split read each
-slot's images and character from the cover's slot table, one record per
-basis slot under (kind, twist, slot), filled on first use and emptied at
-``SLOT_TABLE_LIMIT`` records; the block
-matrices apply the differential directly, so cohomology sweeps leave that
-table empty.  Everywhere else a kind means one row of the frame table: its
-frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott form
-h^q(Omega^p(t + shift)), T being Omega^(n-1)(n+1).  Characters, component
-counts and closed formulas read it; ``supermap`` places the slots of its slot
-sheaves in a map's components with one layout per map, chosen by the parity
-of the slot degree.
+slot's images and character from its slot record, ``_slot_record``; the
+block matrices apply the differential directly, so cohomology sweeps make
+no slot record.  Everywhere else a kind means one row of the frame table:
+its frame's character weight (+1 tangent, -1 one-form, 0 line) and its Bott
+form h^q(Omega^p(t + shift)), T being Omega^(n-1)(n+1).  Characters,
+component counts and closed formulas read it; ``supermap`` places the slots
+of its slot sheaves in a map's components with one layout per map, chosen by
+the parity of the slot degree.
 
 Cohomology is computed without scanning characters.  A slot of character g
 exists when each exponent g_l - adjust_l off the simplex is non-negative,
 with adjust_l in {-1, 0, 1}, and the transport coefficients ignore the
 exponents; so every block depends on g only through its sign type, each
-entry clamped to [-2, 1].  One record per (kind, q, sign type), kept in the
-cover's cohomology table, holds H^q of such a block in any degree q and the
-solver of its degree-q blocks, both from one rref of the kernel of the
-degree-q block against the image of the degree-(q-1) block.  The record is
-built from the type alone, on the type itself: a character of the
-one-summand sheaf twisted by the sum of its entries.  So each sign type is
-reduced once per cover, for every twist, summand, character and caller:
-``standard_cover`` hands out one shared cover per n.  ``class_blocks``
-lists every concrete character of the types that carry classes (finitely
-many; types unbounded both ways carry none and are not listed) with their
-classes, and builds no cochain; ``cohomology`` fills in
-each character's slot exponents to make representatives.  What depends on a
-summand only through its twist is kept in the cover's tables too: one
-summand's listing under (kind, q, twist), a block's slots under (kind,
-degree, twist, character).
+entry clamped to [-2, 1].  One record per (cover, kind, q, sign type),
+``_type_record``, holds H^q of such a block in any degree q and the solver
+of its degree-q blocks, both from one rref of the kernel of the degree-q
+block against the image of the degree-(q-1) block.  The record is built
+from the type alone, on the type itself: a character of the one-summand
+sheaf twisted by the sum of its entries.  So each sign type is reduced once
+per process, for every twist, summand, character and caller.
+``class_blocks`` lists every concrete character of the types that carry
+classes (finitely many; types unbounded both ways carry none and are not
+listed) with their classes, and builds no cochain; ``cohomology`` fills in
+each character's slot exponents to make representatives.
 ``h1_representatives`` and ``line_bundle_cohomology`` are views of it, and
 ``solve_blocks`` reads the same records to split a cocycle into an exact part
 and class coordinates.  The closed formulas cross-check every total in
 ``class_blocks``.
+
+What is reused is a pure function of the cover and a small structural key,
+so it is memoised with ``functools`` on the function that builds it:
+``Cover.transport`` on (cover, kind, a, b, comp), ``_type_record`` on
+(cover, kind, q, sign type), one summand's walk ``_walk`` on (cover, kind,
+q, twist), a block's slots ``_char_slots`` on (cover, kind, degree, twist,
+character), and ``_slot_record`` on (cover, kind, twist, slot).  Covers
+compare and hash by n, so every cover of P^n shares these records.  Keys
+hold no coefficient; only slot records hold a cochain's support, so only
+they are bounded, to the ``SLOT_TABLE_LIMIT`` most recently used.
+``supermap`` memoises its split records, slot sheaves and layouts the same
+way.
 """
 
 from __future__ import annotations
@@ -95,35 +101,6 @@ class Cover:
         self.n = n
         self.charts = tuple(range(n + 1))
         self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
-        # Tables of what depends only on the cover and a structural key, each
-        # filled lazily on first use and kept for the cover's life.  Keys
-        # hold no coefficient and no map data; only the slot table's hold a
-        # cochain's support (basis slots), and it is bounded by
-        # SLOT_TABLE_LIMIT.  Values are not changed once stored.
-        # (kind, a, b, comp) -> how a monomial moves from chart a to chart b
-        self._transport: dict[tuple[str, int, int, int], tuple] = {}
-        # (kind, q, sign type) -> the classes of H^q on a block of that type
-        # and the solver of its degree-q blocks; see _type_record
-        self.cohomology_table: dict[tuple[str, int, tuple], tuple] = {}
-        # (kind, q, twist) -> one summand's (character, classes) walk, checked
-        # against the closed formula when stored; see enumerate_chars
-        self.summand_table: dict[tuple[str, int, int], tuple] = {}
-        # (kind, degree, twist, character) -> the block's (simplex, comp,
-        # exps) slots, without the summand index; see char_basis
-        self.basis_table: dict[tuple[str, int, int, tuple], tuple] = {}
-        # (kind, twist, slot) -> the basis slot's character and the
-        # (image slot, coefficient) pairs of its unit coboundary; the slot is
-        # a basis element, the key holds no coefficient; emptied when it
-        # reaches SLOT_TABLE_LIMIT records; see _slot_record
-        self.slot_table: dict[tuple[str, int, "BasisSlot"], tuple] = {}
-        # Filled by supermap: (bundle degrees, i, j) -> the split map i -> j
-        # with its exponents, their columns and its derivative's moves;
-        # (bundle degrees, d) -> the degree-d slot sheaf; (bundle degrees, d,
-        # i, j), or (rank, d, i, j) for even d, -> the layout of its slots in
-        # the map i -> j, placed from the chart-i frame and read back
-        self.split_table: dict[tuple[tuple, int, int], tuple] = {}
-        self.slot_sheaf_table: dict[tuple[tuple, int], "SheafSpec"] = {}
-        self.layout_table: dict[tuple[tuple | int, int, int, int], tuple] = {}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
@@ -139,6 +116,7 @@ class Cover:
         line = self._unit(b, a)
         return tuple(tuple(map(sub, self._unit(b, l), line)) for l in self.chart_vars(a))
 
+    @functools.cache
     def transport(self, kind: str, a: int, b: int, comp: int) -> tuple:
         """How one monomial of a slot component moves from chart a to chart b.
 
@@ -151,13 +129,11 @@ class Cover:
         from d/dx_nu x^r = r_nu x^(r - e_nu): of the chart-b coordinates in
         chart-a variables, pulled back to chart b (tangent), or of the chart-a
         coordinates in chart-b variables (one-forms).  Every chart change in
-        the package reads this table: ``represent`` and the coboundary blocks
-        move whole monomials, and the gluing maps' frame changes use the
-        outputs and line.
+        the package reads it: ``represent`` and the coboundary blocks move
+        whole monomials, and the gluing maps' frame changes use the outputs
+        and line.  Memoised on (cover, kind, a, b, comp); equal covers share
+        the entries.
         """
-        key = (kind, a, b, comp)
-        if key in self._transport:
-            return self._transport[key]
         n = self.n
         rows, line = self._coords(a, b), self._unit(b, a)
         eye = [tuple(int(t == mu) for t in range(n)) for mu in range(n)]
@@ -171,9 +147,7 @@ class Cover:
         else:
             r = rows[comp]
             outputs = tuple((mu, tuple(map(sub, r, eye[mu])), r[mu]) for mu in range(n) if r[mu])
-        entry = (rows, line, outputs)
-        self._transport[key] = entry
-        return entry
+        return rows, line, outputs
 
     def simplices(self, q: int) -> list[tuple[int, ...]]:
         return [tuple(s) for s in itertools.combinations(self.charts, q + 1)]
@@ -189,13 +163,17 @@ class Cover:
     def __eq__(self, other):
         return isinstance(other, Cover) and self.n == other.n
 
+    def __hash__(self):
+        return self.n
+
     def __repr__(self):
         return f"Cover(P^{self.n})"
 
 
 @functools.cache
 def standard_cover(n: int) -> Cover:
-    """The shared cover of P^n: its tables serve every caller in the process."""
+    """The shared cover of P^n.  Covers compare and hash by n, so this one
+    and every ``Cover(n)`` read the same memoised records."""
     return Cover(n)
 
 
@@ -407,7 +385,7 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
 
     On every coface the monomial is transported from the face's chart to the
     coface's chart by ``Cover.transport``, times the coface's sign.  This is
-    the one differential: the slot table keeps it for ``coboundary``, which
+    the one differential: the slot records keep it for ``coboundary``, which
     sums it over a cochain's slots, and ``delta_block_matrix`` makes it a
     block column.
     """
@@ -421,45 +399,42 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
     ]
 
 
-# The slot table is emptied before a new record when it holds this many, so a
-# process that meets ever new exponents keeps it bounded (a record takes about
-# 0.5 kB; the gluing benchmark's pools of four seeds fill about 2500).
+# Slot records are the one memo keyed by a cochain's support, so they are the
+# one bounded by count: the least recently used goes first past this many (a
+# record takes about 0.5 kB; the gluing benchmark's pools of four seeds make
+# about 2500).
 SLOT_TABLE_LIMIT = 8192
 
 
-def _slot_record(spec: SheafSpec, slot: BasisSlot) -> tuple:
-    """(character, unit coboundary) of one basis slot, kept in the cover's
-    slot table under (kind, twist, slot).
+@functools.lru_cache(maxsize=SLOT_TABLE_LIMIT)
+def _slot_record(cover: Cover, kind: str, twist: int, slot: BasisSlot) -> tuple:
+    """(character, unit coboundary) of one basis slot of a summand twisted
+    by ``twist``: ``monomial_char`` and ``_delta_slot`` as a tuple of (image
+    slot, coefficient) pairs.
 
-    The character is ``monomial_char`` and the unit coboundary is
-    ``_delta_slot`` as a tuple of (image slot, coefficient) pairs.  Both
-    depend on the summand only through its twist and on no coefficient, so
-    ``coboundary`` and ``cochain_chars`` read them per term instead of
-    transporting the monomial again.  The table grows with the distinct
-    slots met, up to ``SLOT_TABLE_LIMIT`` records, and then starts afresh.
+    Both depend on the summand only through its twist and on no
+    coefficient, so ``coboundary`` and ``cochain_chars`` read them per term
+    instead of transporting the monomial again.  Memoised on (cover, kind,
+    twist, slot), at most ``SLOT_TABLE_LIMIT`` records.
     """
-    table = spec.cover.slot_table
-    key = (spec.kind, spec.twists[slot.summand], slot)
-    record = table.get(key)
-    if record is None:
-        if len(table) >= SLOT_TABLE_LIMIT:
-            table.clear()
-        char = monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
-        record = table[key] = (char, tuple(_delta_slot(spec, slot)))
-    return record
+    # a sheaf in which the slot's summand has the twist
+    spec = SheafSpec(cover, kind, (twist,) * (slot.summand + 1))
+    char = monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+    return char, tuple(_delta_slot(spec, slot))
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Twisted Čech differential: the coboundaries of the slots, summed.
 
-    Each slot's unit coboundary is read from the cover's slot table.  Its
-    images lie on sorted simplices by construction, so the sum becomes a
-    cochain with zeros dropped and integral coefficients as ints, unchecked.
+    Each slot's unit coboundary is read from its slot record.  Its images
+    lie on sorted simplices by construction, so the sum becomes a cochain
+    with zeros dropped and integral coefficients as ints, unchecked.
     """
     spec = c.sheaf
+    cover, kind, twists = spec.cover, spec.kind, spec.twists
     out: dict[BasisSlot, int | Fraction] = {}
     for slot, coef in c.terms.items():
-        for image, x in _slot_record(spec, slot)[1]:
+        for image, x in _slot_record(cover, kind, twists[slot.summand], slot)[1]:
             add_term(out, image, coef, x)
     return _cochain(spec, c.degree + 1,
                     {slot: v if type(v) is int else coerce(v) for slot, v in out.items() if v})
@@ -510,23 +485,26 @@ def _cone_ok(cover: Cover, simplex: tuple, chart: int, exps) -> bool:
 def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[BasisSlot]:
     """All monomial slots of character g in degree-``degree`` cochains.
 
-    The slots depend on the summand only through its twist, so the cover's
-    basis table keeps them under (kind, degree, twist, g) without the summand
-    index, which each read puts back.
+    The slots depend on the summand only through its twist: ``_char_slots``
+    lists them without the summand index, which this puts back.
     """
-    cover = spec.cover
-    key = (spec.kind, degree, spec.twists[summand], g)
-    slots = cover.basis_table.get(key)
-    if slots is None:
-        found = []
-        for simplex in cover.simplices(degree):
-            chart = simplex[0]
-            for comp in range(spec.ncomp):
-                exps = char_monomial_exps(spec, chart, summand, comp, g)
-                if exps is not None and _cone_ok(cover, simplex, chart, exps):
-                    found.append((simplex, comp, exps))
-        slots = cover.basis_table[key] = tuple(found)
-    return [BasisSlot(simplex, summand, comp, exps) for simplex, comp, exps in slots]
+    return [BasisSlot(simplex, summand, comp, exps) for simplex, comp, exps
+            in _char_slots(spec.cover, spec.kind, degree, spec.twists[summand], g)]
+
+
+@functools.cache
+def _char_slots(cover: Cover, kind: str, degree: int, twist: int, g: Char) -> tuple:
+    """(simplex, comp, exps) of every degree-``degree`` slot of character g
+    of a summand twisted by ``twist``, memoised on those arguments."""
+    spec = SheafSpec(cover, kind, (twist,))
+    found = []
+    for simplex in cover.simplices(degree):
+        chart = simplex[0]
+        for comp in range(spec.ncomp):
+            exps = char_monomial_exps(spec, chart, 0, comp, g)
+            if exps is not None and _cone_ok(cover, simplex, chart, exps):
+                found.append((simplex, comp, exps))
+    return tuple(found)
 
 
 def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
@@ -536,10 +514,13 @@ def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
 
 def cochain_chars(c: Cochain) -> dict[tuple[int, Char], dict[BasisSlot, Fraction]]:
     """Decompose a cochain into (summand, character) blocks of coefficients,
-    each slot's character read from the cover's slot table."""
+    each slot's character read from its slot record."""
+    spec = c.sheaf
+    cover, kind, twists = spec.cover, spec.kind, spec.twists
     blocks: dict[tuple[int, Char], dict[BasisSlot, Fraction]] = {}
     for slot, coef in c.terms.items():
-        blocks.setdefault((slot.summand, _slot_record(c.sheaf, slot)[0]), {})[slot] = coef
+        char = _slot_record(cover, kind, twists[slot.summand], slot)[0]
+        blocks.setdefault((slot.summand, char), {})[slot] = coef
     return blocks
 
 
@@ -756,6 +737,7 @@ def block_cohomology(spec: SheafSpec, q: int, g: Char) -> list[list[int | Fracti
     return _type_record(spec.cover, spec.kind, q, _sign_type(g))[0]
 
 
+@functools.cache
 def _type_record(cover: Cover, kind: str, q: int, sign_type: tuple) -> tuple:
     """(classes, solver) of the degree-q blocks of a sign type.
 
@@ -771,66 +753,63 @@ def _type_record(cover: Cover, kind: str, q: int, sign_type: tuple) -> tuple:
     as ints, so solving a block and subtracting its class part multiply no
     Fraction by 1 or -1.  A type whose kernel is empty gets no
     image block and no solver.  The record depends on the sign type alone,
-    so it is kept in the cover's cohomology table under (kind, q, sign type)
-    and serves every twist, summand, caller and character of the type.
+    so it is memoised on (cover, kind, q, sign type) and serves every twist,
+    summand, caller and character of the type.
     """
-    key = (kind, q, sign_type)
-    record = cover.cohomology_table.get(key)
-    if record is None:
-        spec = SheafSpec(cover, kind, (sum(sign_type),))
-        dom, _, mat = delta_block_matrix(spec, q, 0, sign_type)
-        kernel = linalg.kernel_basis(mat, len(dom))
-        solver = None
-        if kernel and q > 0:
-            dom0, _, mat0 = delta_block_matrix(spec, q - 1, 0, sign_type)
-            m, k = len(dom0), len(kernel)
-            joined = [row + [vec[r] for vec in kernel] + [int(r == c) for c in range(len(dom))]
-                      for r, row in enumerate(mat0)]
-            red, pivots = linalg.rref(joined)
-            picked = [p - m for p in pivots if m <= p < m + k]
-            kernel = [kernel[i] for i in picked]
-            width = m + len(picked)
-            solver = ([p for p in pivots if p < m] + list(range(m, width)),
-                      [[(r, coerce(row[m + k + c])) for r, row in enumerate(red) if row[m + k + c]]
-                       for c in range(len(dom))],
-                      width)
-        kernel = [[coerce(x) for x in vec] for vec in kernel]
-        record = cover.cohomology_table[key] = (kernel, solver)
-    return record
+    spec = SheafSpec(cover, kind, (sum(sign_type),))
+    dom, _, mat = delta_block_matrix(spec, q, 0, sign_type)
+    kernel = linalg.kernel_basis(mat, len(dom))
+    solver = None
+    if kernel and q > 0:
+        dom0, _, mat0 = delta_block_matrix(spec, q - 1, 0, sign_type)
+        m, k = len(dom0), len(kernel)
+        joined = [row + [vec[r] for vec in kernel] + [int(r == c) for c in range(len(dom))]
+                  for r, row in enumerate(mat0)]
+        red, pivots = linalg.rref(joined)
+        picked = [p - m for p in pivots if m <= p < m + k]
+        kernel = [kernel[i] for i in picked]
+        width = m + len(picked)
+        solver = ([p for p in pivots if p < m] + list(range(m, width)),
+                  [[(r, coerce(row[m + k + c])) for r, row in enumerate(red) if row[m + k + c]]
+                   for c in range(len(dom))],
+                  width)
+    return [[coerce(x) for x in vec] for vec in kernel], solver
 
 
 def enumerate_chars(spec: SheafSpec, summand: int, q: int = 1) -> tuple[tuple[Char, list], ...]:
     """(character, classes) for every character of one summand whose block
     has H^q, 0 <= q <= n, ordered by g[1:].
 
-    The walk depends on the summand only through (kind, q, twist), so it is
-    made once per cover and kept in the cover's summand table under that key.
-    It reads each sign type's record through ``_type_record``, once per type;
-    every concrete character of a type with classes shares them.  Its class
-    count is checked against the summand's closed formula before it is
-    stored; a difference is a failed self-check.
+    The walk depends on the summand only through its twist; see ``_walk``.
     """
-    twist = spec.twists[summand]
-    key = (spec.kind, q, twist)
-    table = spec.cover.summand_table
-    walk = table.get(key)
-    if walk is None:
-        found = []
-        for sign_type in _sign_types(spec.cover.n):
-            chars = _type_chars(sign_type, twist)
-            first = next(chars, None)
-            if first is None:
-                continue
-            classes = _type_record(spec.cover, spec.kind, q, sign_type)[0]
-            if classes:
-                found.extend((c, classes) for c in itertools.chain((first,), chars))
-        count = sum(len(classes) for _, classes in found)
-        expected = _summand_bott_dim(spec, summand, q)
-        if count != expected:
-            raise AssertionError(f"H^{q} of a {spec.kind} summand twisted by {twist} has "
-                                 f"{count} classes, closed formula gives {expected}")
-        walk = table[key] = tuple(sorted(found, key=lambda pair: pair[0][1:]))
-    return walk
+    return _walk(spec.cover, spec.kind, q, spec.twists[summand])
+
+
+@functools.cache
+def _walk(cover: Cover, kind: str, q: int, twist: int) -> tuple[tuple[Char, list], ...]:
+    """``enumerate_chars`` of a summand twisted by ``twist``, memoised on
+    (cover, kind, q, twist).
+
+    It reads each sign type's record through ``_type_record``, once per
+    type; every concrete character of a type with classes shares them.  Its
+    class count is checked against the summand's closed formula before it
+    is returned, so a failed self-check raises and memoises nothing.
+    """
+    found = []
+    for sign_type in _sign_types(cover.n):
+        chars = _type_chars(sign_type, twist)
+        first = next(chars, None)
+        if first is None:
+            continue
+        classes = _type_record(cover, kind, q, sign_type)[0]
+        if classes:
+            found.extend((c, classes) for c in itertools.chain((first,), chars))
+    count = sum(len(classes) for _, classes in found)
+    expected = _summand_bott_dim(SheafSpec(cover, kind, (twist,)), 0, q)
+    if count != expected:
+        raise AssertionError(f"H^{q} of a {kind} summand twisted by {twist} has "
+                             f"{count} classes, closed formula gives {expected}")
+    return tuple(sorted(found, key=lambda pair: pair[0][1:]))
 
 
 def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int | Fraction]]]]:
@@ -838,9 +817,9 @@ def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int
 
     Summands come in order and their characters as ``enumerate_chars`` lists
     them; the classes are ``block_cohomology``'s kernel vectors, so the walk
-    reads the cover's tables and builds no cochain.  The number of classes
+    reads memoised records and builds no cochain.  The number of classes
     is cross-checked against the closed formula on every call, on top of
-    each summand's check when its walk was stored; a difference is a failed
+    each summand's check when its walk was built; a difference is a failed
     self-check.
     """
     if not 0 <= q <= spec.cover.n:
@@ -859,7 +838,7 @@ def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int
 def cohomology(spec: SheafSpec, q: int) -> CohomologyReport:
     """Kernel-mod-image basis of H^q, character by character.
 
-    Each sign type's block is solved once per cover (see
+    Each sign type's block is solved once per process (see
     ``block_cohomology``); a concrete character reuses its type's classes and
     only fills in its own slot exponents.  The blocks and the closed-formula
     cross-check are those of ``class_blocks``.

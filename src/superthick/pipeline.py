@@ -1,8 +1,8 @@
 """End-to-end certificate for second-order thickenings of the projective
 plane with a split rank-3 bundle: build the first-order extension classes,
 push them through the obstruction map, and decide obstructedness by exact
-class coordinates in the line-bundle-sum target, read from the cover's
-sign-type cohomology table.
+class coordinates in the line-bundle-sum target, read from the memoised
+sign-type cohomology records.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def normalize_generator(c: Cochain) -> Cochain:
 def h2_basis(spec: cech.SheafSpec) -> list[tuple[int, tuple]]:
     """(summand, character) label of each class of H^2, in canonical order.
 
-    The labels are read off the cover's cohomology table by
+    The labels are read off the memoised sign-type records by
     ``cech.class_blocks``, which builds no representative cochain and
     cross-checks the count against the closed formula; they are ordered by
     summand and then by character in decreasing lexicographic order.

@@ -24,12 +24,13 @@ Given a third map, ``compose`` subtracts the composite from it as it sums.
 
 The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
 coefficients 1) have no soul, so composing with one is exponent
-substitution.  Each is built once per cover, with what depends on it alone
-(``_split_record``), and shared, so no caller changes it.  Reversed maps and
-conjugates are built from them by first-order formulas, exponent arithmetic
-on the deviation from S, whenever the degree certificate of ``invert`` makes
-those formulas exact (``normalize_inverses``, ``conjugate``); data beyond it
-composes.  So is the obstruction image ``pushforward_partial``.  Each formula
+substitution.  Each is built once, with what depends on it alone, by
+``_split_record``, memoised on (cover, degrees, i, j), and shared, so no
+caller changes it.  Reversed maps and conjugates are built from them by
+first-order formulas, exponent arithmetic on the deviation from S, whenever
+the degree certificate of ``invert`` makes those formulas exact
+(``normalize_inverses``, ``conjugate``); data beyond it composes.  So is the
+obstruction image ``pushforward_partial``.  Each formula
 is one pass: ``_pull`` adds components with S substituted and ``_tangent``
 subtracts DS applied through the split record's moves, grouped by argument
 component, each term once into accumulator dicts the caller owns, and
@@ -47,16 +48,20 @@ valued in T tensor Lambda^d E (d even) or Lambda^d E tensor E-dual (d odd).
 A map i -> j carries the chart-i slot data ``{(summand, comp, exps): coef}``
 of such a cochain, the format of ``Cochain.on``, in its theta_I coefficients
 in the frame of chart j: even slots through the Jacobian of the transition,
-odd slots through zeta.  One layout per (degrees, d, i, j), ``_slot_layout``,
-built from ``Cover.transport`` and the split exponents and kept on the
-cover, says where each slot lands and how to read it back; ``_place`` and
-``_read`` apply it in one pass.  The obstruction cocycle of an order-m
+odd slots through zeta.  One layout per map, ``_slot_layout``, built from
+``Cover.transport`` and the split exponents, says where each slot lands and
+how to read it back; ``_place`` and ``_read`` apply it in one pass.  The
+slot sheaves (``slot_sheaf``, on (cover, degrees, d)) and the layouts are
+memoised like the split records, an odd layout on (cover, degrees, d, i, j)
+and an even one on (cover, words, i, j), its theta words, which depend on
+the rank alone; none of these memos is bounded.  The obstruction cocycle of an order-m
 trivialisation is the homogeneous degree-(m+1) part of its composition
 defect, computed mod J^(m+2) with all new top coefficients set to zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -378,33 +383,28 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 # split maps and first-order moves
 
 
+@functools.cache
 def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
-    """The split map i -> j and what is derived from it alone, kept in the
-    cover's split table under (degrees, i, j) as (rows, zs, cols, map,
-    moves, odd moves): the even rows, x^row, read off the transport j -> i;
-    the odd z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the
-    map, shared, so read only; and the moves of ``_tangent`` grouped by
-    argument component, all of them and those into odd components, which
-    these number from 0."""
-    key = (degrees.degrees, i, j)
-    split = cover.split_table.get(key)
-    if split is None:
-        rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
-        zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
-        p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
-        comps = tuple({term: 1} for term in terms)
-        moves = [[] for _ in terms]
-        for out, (w, row) in enumerate(terms):
-            for k, r in enumerate(row):
-                if r:
-                    moves[k].append((out, r, tuple(x - (n == k) for n, x in enumerate(row)), w))
-            for a in w:
-                moves[p + a - 1].append((out, 1, row, ()))
-        odd = tuple(tuple((out - p, *move) for out, *move in arg if out >= p) for arg in moves)
-        split = cover.split_table[key] = (rows, zs, tuple(zip(*rows)),
-                                          _map(i, j, comps[:p], comps[p:]),
-                                          tuple(map(tuple, moves)), odd)
-    return split
+    """The split map i -> j and what is derived from it alone, memoised on
+    (cover, degrees, i, j), as (rows, zs, cols, map, moves, odd moves): the
+    even rows, x^row, read off the transport j -> i; the odd z_a = k_a line,
+    x^(z_a) theta_a; the columns of the rows; the map, shared, so read only;
+    and the moves of ``_tangent`` grouped by argument component, all of them
+    and those into odd components, which these number from 0."""
+    rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
+    zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
+    p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
+    comps = tuple({term: 1} for term in terms)
+    moves = [[] for _ in terms]
+    for out, (w, row) in enumerate(terms):
+        for k, r in enumerate(row):
+            if r:
+                moves[k].append((out, r, tuple(x - (n == k) for n, x in enumerate(row)), w))
+        for a in w:
+            moves[p + a - 1].append((out, 1, row, ()))
+    odd = tuple(tuple((out - p, *move) for out, *move in arg if out >= p) for arg in moves)
+    return (rows, zs, tuple(zip(*rows)), _map(i, j, comps[:p], comps[p:]),
+            tuple(map(tuple, moves)), odd)
 
 
 def _pull(acc: list, comps, split: tuple, order: int) -> None:
@@ -479,63 +479,66 @@ def split_trivialization(cover: Cover, degrees: SplitBundleDegrees, order: int) 
     return Trivialization(cover, degrees, order, maps)
 
 
+@functools.cache
 def slot_sheaf(cover: Cover, degrees: SplitBundleDegrees, d: int) -> SheafSpec:
     """Sheaf housing homogeneous degree-d data: Q^(d);+ even, Q^(d);- odd.
-    Kept in the cover's slot-sheaf table under (degrees, d)."""
-    key = (degrees.degrees, d)
-    spec = cover.slot_sheaf_table.get(key)
-    if spec is not None:
-        return spec
+    Memoised on (cover, degrees, d)."""
     if d % 2 == 0:
         make, summands = cech.tangent_twisted, degrees.wedge_summands(d)
     else:
         make, summands = cech.line_sum, [((I, a), wt + dt) for I, wt in degrees.wedge_summands(d)
                                          for a, dt in degrees.dual_summands()]
-    spec = make(cover, [t for _, t in summands], labels=tuple(label for label, _ in summands))
-    cover.slot_sheaf_table[key] = spec
-    return spec
+    return make(cover, [t for _, t in summands], labels=tuple(label for label, _ in summands))
 
 
 def _slot_layout(cover: Cover, degrees: SplitBundleDegrees, d: int, i: int, j: int) -> tuple:
     """Where the degree-d slots of the chart-i slot frame sit in the map
-    i -> j, and how they are read back: (place, read), kept in the cover's
-    layout table under (degrees, d, i, j) for odd d and (rank, d, i, j) for
-    even d, whose layouts do not depend on the degrees; arguments stay in
-    chart i.
+    i -> j, and how they are read back: (place, read); arguments stay in
+    chart i.  Memoised by ``_odd_layout`` on (cover, degrees, d, i, j) and
+    by ``_even_layout`` on (cover, words, i, j): an even layout depends on
+    the degrees only through the theta words of its summands, so it is
+    shared by every bundle of the same rank.
 
     ``place[summand, comp]`` lists (component index, odd word, exponent
     offset, coefficient): a slot x^e in chart-i frame adds coef x^(e +
     offset) theta_word to that component, the even ones first.
     ``read[index, word]`` lists (summand, comp, offset, coefficient) back.
-    Even d (tangent slots, summand I at theta_I of the even components):
-    the Jacobian of transition(i, j), read transposed off the one-form
-    transport j -> i, and the tangent transport j -> i back.  Odd d (slot
-    (I, a) at theta_I of odd component a): zeta_{ij,a} = x^(z_a), z_a the odd
-    split exponents of ``_split_record``, and x^(-z_a) back.  The identity
-    frame when i == j.
+    The identity frame when i == j.
     """
-    key = (degrees.degrees if d % 2 else degrees.rank, d, i, j)
-    layout = cover.layout_table.get(key)
-    if layout is None:
-        spec, p = slot_sheaf(cover, degrees, d), cover.n
-        place, read = {}, {}
-        if d % 2 == 0:
-            comps = range(p)
-            for s, word in enumerate(spec.labels):
-                for nu in comps:
-                    place[s, nu] = tuple(
-                        (mu, word, offset, c) for mu in comps
-                        for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]
-                        if col == nu)
-                    read[nu, word] = tuple((s, *out)
-                                           for out in cover.transport(cech.TANGENT, j, i, nu)[2])
-        else:
-            zs = _split_record(cover, degrees, i, j)[1] if i != j else ((0,) * p,) * degrees.rank
-            for s, (word, a) in enumerate(spec.labels):
-                place[s, 0] = ((p + a - 1, word, zs[a - 1], 1),)
-                read[p + a - 1, word] = ((s, 0, tuple(-x for x in zs[a - 1]), 1),)
-        layout = cover.layout_table[key] = (place, read)
-    return layout
+    if d % 2:
+        return _odd_layout(cover, degrees, d, i, j)
+    return _even_layout(cover, slot_sheaf(cover, degrees, d).labels, i, j)
+
+
+@functools.cache
+def _even_layout(cover: Cover, words: tuple, i: int, j: int) -> tuple:
+    """``_slot_layout`` for even d, tangent slots, summand I at theta_I of
+    the even components, I the summand's word: the Jacobian of
+    transition(i, j), read transposed off the one-form transport j -> i,
+    and the tangent transport j -> i back."""
+    place, read = {}, {}
+    comps = range(cover.n)
+    for s, word in enumerate(words):
+        for nu in comps:
+            place[s, nu] = tuple((mu, word, offset, c) for mu in comps
+                                 for col, offset, c in cover.transport(cech.ONE_FORM, j, i, mu)[2]
+                                 if col == nu)
+            read[nu, word] = tuple((s, *out) for out in cover.transport(cech.TANGENT, j, i, nu)[2])
+    return place, read
+
+
+@functools.cache
+def _odd_layout(cover: Cover, degrees: SplitBundleDegrees, d: int, i: int, j: int) -> tuple:
+    """``_slot_layout`` for odd d, slot (I, a) at theta_I of odd component
+    a: zeta_{ij,a} = x^(z_a), z_a the odd split exponents of
+    ``_split_record``, and x^(-z_a) back."""
+    p = cover.n
+    zs = _split_record(cover, degrees, i, j)[1] if i != j else ((0,) * p,) * degrees.rank
+    place, read = {}, {}
+    for s, (word, a) in enumerate(slot_sheaf(cover, degrees, d).labels):
+        place[s, 0] = ((p + a - 1, word, zs[a - 1], 1),)
+        read[p + a - 1, word] = ((s, 0, tuple(-x for x in zs[a - 1]), 1),)
+    return place, read
 
 
 def _place(sm: SuperMap, layout: tuple, data: dict) -> SuperMap:

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from superthick import bott, cech, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.obstruct import search_split_triples
 from superthick.pipeline import in_window, pipeline_obstructed_cp2
+from conftest import package_memos
 from test_acceptance import DEGREE_POOL
 from test_golden import ADMISSIBLE
 from test_int_kernel import gluing_checks, gluing_pool, reference_solve, run_gluing_case
@@ -22,6 +24,33 @@ def test_standard_cover_nerve():
     assert len(c2.charts) == 3 and len(c2.pairs) == 3 and len(c2.triples) == 1
     with pytest.raises(ValueError):
         cech.standard_cover(3)
+
+
+def test_equal_covers_hash_alike_and_share_records():
+    fresh, shared = cech.Cover(2), cech.standard_cover(2)
+    assert fresh == shared and hash(fresh) == hash(shared) and fresh != cech.Cover(1)
+    assert hash(cech.line_sum(fresh, [1])) == hash(cech.line_sum(shared, [1]))
+    degrees, slot = SplitBundleDegrees((4, -1, -7)), cech.BasisSlot((0,), 0, 0, (1, 2))
+    for build, args in ((cech.Cover.transport, (cech.TANGENT, 0, 1, 0)),
+                        (cech._type_record, (cech.LINE_SUM, 1, (-1, -1, 1))),
+                        (cech._walk, (cech.ONE_FORM, 2, -5)),
+                        (cech._char_slots, (cech.TANGENT, 1, 3, (2, 2, -1))),
+                        (cech._slot_record, (cech.LINE_SUM, 1, slot)),
+                        (supermap._split_record, (degrees, 0, 1)),
+                        (supermap.slot_sheaf, (degrees, 3)),
+                        (supermap._odd_layout, (degrees, 3, 2, 0))):
+        assert build(fresh, *args) is build(shared, *args), build
+
+
+def test_fresh_memos_empties_every_builder(fresh_memos):
+    builders = {"Cover.transport", "_type_record", "_walk", "_char_slots", "_slot_record",
+                "_split_record", "slot_sheaf", "_even_layout", "_odd_layout"}
+    memos = package_memos()
+    assert builders <= {memo.__qualname__ for memo in memos}
+    pipeline_obstructed_cp2((4, -1, -7))
+    assert all(memo.cache_info().currsize for memo in memos if memo.__qualname__ in builders)
+    fresh_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -480,7 +509,7 @@ def test_sign_types_window_zero_stays_incomplete():
     assert rep["detail"] == ["window incomplete: found 0 classes, closed formula gives 1"]
 
 
-def test_h1_builds_each_block_once(monkeypatch):
+def test_h1_builds_each_block_once(monkeypatch, fresh_memos):
     spec = supermap.slot_sheaf(cech.Cover(2), SplitBundleDegrees((4, -1, -7)), 2)
     built = collections.Counter()
     build = cech.delta_block_matrix
@@ -538,11 +567,12 @@ def reference_type_record(spec, q, summand, g):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_type_records_match_the_representative_builds(n):
-    # every summand walk of every kind, q <= n and twist in [-12, 12] fills
-    # the cover's tables; each record must equal the reduction of the block
-    # of the type's representative character at the first twist that meets
-    # the type, and each walk the listing of the representatives' records
+def test_type_records_match_the_representative_builds(n, fresh_memos):
+    # every summand walk of every kind, q <= n and twist in [-12, 12], from
+    # empty memos, memoises exactly the sign-type records and walks of the
+    # reference: each record must equal the reduction of the block of the
+    # type's representative character at the first twist that meets the
+    # type, and each walk the listing of the representatives' records
     twists = range(-12, 13)
     records, walks = {}, {}
     for kind, q in itertools.product([cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM], range(n + 1)):
@@ -557,17 +587,19 @@ def test_type_records_match_the_representative_builds(n):
                 if classes:
                     found.extend((c, classes) for c in cech._type_chars(sign_type, twist))
             walks[kind, q, twist] = tuple(sorted(found, key=lambda pair: pair[0][1:]))
+    fresh_memos()
     cover = cech.Cover(n)
     for kind in (cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM):
         spec = cech.SheafSpec(cover, kind, twists)
         for q, summand in itertools.product(range(n + 1), range(len(twists))):
             cech.enumerate_chars(spec, summand, q)
-    assert sorted(cover.cohomology_table) == sorted(records)
-    for key, record in records.items():
-        assert cover.cohomology_table[key] == record, key
-    assert sorted(cover.summand_table) == sorted(walks)
-    for key, walk in walks.items():
-        assert cover.summand_table[key] == walk, key
+    # as many memoised as the reference has, and each key a hit: the same keys
+    for memo, reference in ((cech._type_record, records), (cech._walk, walks)):
+        info = memo.cache_info()
+        assert info.currsize == len(reference)
+        for key, value in reference.items():
+            assert memo(cover, *key) == value, key
+        assert memo.cache_info().misses == info.misses
 
 
 def test_types_unbounded_both_ways_carry_no_cohomology():
@@ -611,16 +643,17 @@ def reference_class_blocks(spec, q):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_class_blocks_match_per_character_lookups(n):
-    # the walk reads the table by sign type; the reference looks every
-    # concrete character up, each on its own fresh cover, and the walk runs
-    # once cold and once on the table it filled
+def test_class_blocks_match_per_character_lookups(n, fresh_memos):
+    # the walk reads the memos by sign type; the reference looks every
+    # concrete character up, and the walk runs once on emptied memos and
+    # once on the records it memoised
     twists = range(-12, 13)
     for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
         walk_spec, ref_spec = make(cech.Cover(n), twists), make(cech.Cover(n), twists)
         classes = 0
         for q in range(n + 1):
             want = reference_class_blocks(ref_spec, q)
+            fresh_memos()
             assert cech.class_blocks(walk_spec, q) == want, (walk_spec.kind, q)
             assert cech.class_blocks(walk_spec, q) == want, (walk_spec.kind, q)
             classes += sum(len(c) for *_, c in want)
@@ -639,7 +672,7 @@ def table_specs(cover):
     ]
 
 
-def test_cohomology_table_is_reused_and_matches_fresh_covers(monkeypatch):
+def test_cohomology_table_is_reused_and_matches_fresh_covers(monkeypatch, fresh_memos):
     cover = cech.Cover(2)
     first = [[cech.cohomology(spec, q) for q in range(3)] for spec in table_specs(cover)]
     built = []
@@ -653,6 +686,7 @@ def test_cohomology_table_is_reused_and_matches_fresh_covers(monkeypatch):
     again = [[cech.cohomology(spec, q) for q in range(3)] for spec in table_specs(cover)]
     monkeypatch.undo()
     assert built == []
+    fresh_memos()
     for i, spec in enumerate(table_specs(cover)):
         for q in range(3):
             fresh = cech.cohomology(table_specs(cech.Cover(2))[i], q)
@@ -701,10 +735,13 @@ def test_cached_block_solver_matches_reference_solve(monkeypatch):
     assert inconsistent > 0
 
 
-def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):
+def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch, fresh_memos):
+    # covers share their memos, so the stub runs on emptied memos, and what
+    # it memoised is dropped before the standard cover is read again
     specs = table_specs(cech.standard_cover(2))
     before = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
               for spec in specs for q in range(3)]
+    fresh_memos()
     slot = cech.BasisSlot((0, 1), 0, 0, (0, 0))
 
     def one_class_everywhere(spec, degree, summand, g):
@@ -715,53 +752,53 @@ def test_stubbed_builder_on_fresh_cover_leaves_standard_cover_alone(monkeypatch)
     monkeypatch.setattr(cech, "delta_block_matrix", one_class_everywhere)
     with pytest.raises(AssertionError):
         cech.cohomology(cech.line_sum(cech.Cover(2), [-7, 1]), 1)
-    assert cech.Cover(2).cohomology_table == {}
+    assert cech._walk.cache_info().currsize == 0  # the failed walk memoised nothing
     monkeypatch.undo()
+    fresh_memos()
     after = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
              for spec in specs for q in range(3)]
     assert after == before
 
 
 # ---------------------------------------------------------------------------
-# the cover's per-twist tables
-
-COVER_TABLES = ("cohomology_table", "summand_table", "basis_table", "slot_table",
-                "split_table", "slot_sheaf_table", "layout_table")
+# the per-twist memos
 
 
-def cover_tables(cover):
-    """A copy of every table of the cover."""
-    return {name: dict(getattr(cover, name)) for name in COVER_TABLES}
-
-
-def test_cover_tables_serve_what_fresh_covers_compute():
-    # one cover's tables, filled through the summands in reverse order, serve
-    # the listings, representatives and slots that fresh covers compute cold,
-    # with each summand index put back; every stored value is a tuple
+def test_per_twist_memos_serve_what_empty_memos_compute(fresh_memos):
+    # listings, representatives and slots computed from emptied memos equal
+    # those served by memos filled through the summands in reverse order,
+    # with each summand index put back; every memoised walk and slot list is
+    # a tuple of tuples
     twists = list(range(-12, 13))
-    keys = 0
-    for n in (1, 2):
-        warm = cech.Cover(n)
-        for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
-            for q in range(n + 1):
-                cech.cohomology(make(warm, twists[::-1]), q)
-                spec = make(warm, twists)
-                blocks = cech.class_blocks(spec, q)
-                assert blocks == cech.class_blocks(make(cech.Cover(n), twists), q), (n, spec.kind, q)
-                reps = [c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
-                fresh = cech.cohomology(make(cech.Cover(n), twists), q).representatives[q]
-                assert reps == [c.to_json() for c in fresh], (n, spec.kind, q)
-                for summand, g, _ in blocks:
-                    for degree in range(max(q - 1, 0), q + 2):
-                        want = cech.char_basis(make(cech.Cover(n), twists), degree, summand, g)
-                        assert cech.char_basis(spec, degree, summand, g) == want
-        keys += len(warm.summand_table)
-        # the block matrices apply _delta_slot directly: no slot record
-        assert warm.slot_table == {}
-        for name in ("summand_table", "basis_table"):
-            assert all(type(value) is tuple and all(type(entry) is tuple for entry in value)
-                       for value in getattr(warm, name).values()), name
-    assert keys == 375
+    kinds = (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted)
+    cases = [(n, make, q) for n in (1, 2) for make in kinds for q in range(n + 1)]
+    cold = {}
+    for n, make, q in cases:
+        fresh_memos()
+        spec = make(cech.Cover(n), twists)
+        blocks = cech.class_blocks(spec, q)
+        reps = [c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
+        slots = {(summand, g, degree): cech.char_basis(spec, degree, summand, g)
+                 for summand, g, _ in blocks for degree in range(max(q - 1, 0), q + 2)}
+        cold[n, make, q] = blocks, reps, slots
+    fresh_memos()
+    for n, make, q in cases:
+        cech.cohomology(make(cech.Cover(n), twists[::-1]), q)
+    for n, make, q in cases:
+        spec = make(cech.standard_cover(n), twists)
+        blocks, reps, slots = cold[n, make, q]
+        assert cech.class_blocks(spec, q) == blocks, (n, spec.kind, q)
+        assert [c.to_json() for c in cech.cohomology(spec, q).representatives[q]] == reps
+        for (summand, g, degree), want in slots.items():
+            assert cech.char_basis(spec, degree, summand, g) == want
+            found = cech._char_slots(spec.cover, spec.kind, degree, spec.twists[summand], g)
+            assert type(found) is tuple and all(type(slot) is tuple for slot in found)
+        for summand in range(spec.nsummands):
+            walk = cech.enumerate_chars(spec, summand, q)
+            assert type(walk) is tuple and all(type(entry) is tuple for entry in walk)
+    assert cech._walk.cache_info().currsize == 375
+    # the block matrices apply _delta_slot directly: no slot record
+    assert cech._slot_record.cache_info().currsize == 0
 
 
 def reference_coboundary(c):
@@ -788,12 +825,27 @@ def typed_terms(terms):
     return [(slot, c, type(c)) for slot, c in terms.items()]
 
 
-def assert_slot_records_are_plain(cover):
-    """Every key of the slot table is (kind, twist, basis slot) of ints, with
-    no coefficient, and every record is the slot's character and unit
+def recorded_slot_records(monkeypatch) -> dict:
+    """Every (cover, kind, twist, slot) read through ``_slot_record`` from now
+    on, with the record it gave."""
+    seen = {}
+    memo = cech._slot_record
+
+    def recording(cover, kind, twist, slot):
+        seen[cover, kind, twist, slot] = record = memo(cover, kind, twist, slot)
+        return record
+
+    monkeypatch.setattr(cech, "_slot_record", recording)
+    return seen
+
+
+def assert_slot_records_are_plain(seen):
+    """Every key read is (cover, kind, twist, basis slot) of ints, with no
+    coefficient, and every record is the slot's character and unit
     coboundary as a fresh build gives them."""
     kinds = (cech.LINE_SUM, cech.TANGENT, cech.ONE_FORM)
-    for (kind, twist, slot), record in cover.slot_table.items():
+    assert seen
+    for (cover, kind, twist, slot), record in seen.items():
         assert kind in kinds and type(twist) is int and type(slot) is cech.BasisSlot
         assert all(type(x) is int for x in slot.simplex + slot.exps + (slot.summand, slot.comp))
         spec = cech.SheafSpec(cover, kind, (0,) * slot.summand + (twist,))
@@ -804,12 +856,13 @@ def assert_slot_records_are_plain(cover):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_slot_table_matches_fresh_transports_cold_and_warm(n):
+def test_slot_table_matches_fresh_transports_cold_and_warm(n, monkeypatch, fresh_memos):
     # the same seeded cochains of every kind in every degree, on two sheaves
-    # whose summands share indices but not twists, first on an empty slot
-    # table, then on the table they filled: coboundary and cochain_chars
-    # equal the per-term references by terms, key order and coefficient
-    # type, and the warm pass adds no record
+    # whose summands share indices but not twists, first on empty slot
+    # records, then on the records they memoised: coboundary and
+    # cochain_chars equal the per-term references by terms, key order and
+    # coefficient type, and the warm pass adds no record
+    memo, seen = cech._slot_record, recorded_slot_records(monkeypatch)
     cover = cech.Cover(n)
     specs = [make(cover, twists) for make in
              (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted)
@@ -828,69 +881,74 @@ def test_slot_table_matches_fresh_transports_cold_and_warm(n):
                 assert list(got) == list(want), (spec.kind, degree)
                 assert [typed_terms(b) for b in got.values()] == [
                     typed_terms(b) for b in want.values()]
-        sizes.append(len(cover.slot_table))
-    assert 0 < sizes[0] == sizes[1]
-    assert_slot_records_are_plain(cover)
+        sizes.append(memo.cache_info().currsize)
+    assert 0 < sizes[0] == sizes[1] == len(seen)
+    assert_slot_records_are_plain(seen)
 
 
-def test_slot_table_stops_growing_on_a_second_gluing_pass(monkeypatch):
-    # one pass over the gluing workload's seed-1 pool fills the records its
-    # coboundaries and character splits read; a second pass adds none
-    fresh = cech.Cover(2)
-    monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
+def test_slot_table_stops_growing_on_a_second_gluing_pass(monkeypatch, fresh_memos):
+    # one pass over the gluing workload's seed-1 pool memoises the records
+    # its coboundaries and character splits read; a second pass adds none
     pool = gluing_pool(1)
+    fresh_memos()
+    memo, seen = cech._slot_record, recorded_slot_records(monkeypatch)
     sizes = []
     for _ in range(2):
         for case in pool:
             gluing_checks(*case)
-        sizes.append(len(fresh.slot_table))
-    assert 0 < sizes[0] == sizes[1]
-    assert_slot_records_are_plain(fresh)
+        sizes.append(memo.cache_info().currsize)
+    assert 0 < sizes[0] == sizes[1] == len(seen)
+    assert_slot_records_are_plain(seen)
 
 
-def test_slot_table_starts_afresh_at_its_limit(monkeypatch):
-    # with room for a few records the table never holds more, and coboundary
-    # and cochain_chars still equal the per-term references
-    monkeypatch.setattr(cech, "SLOT_TABLE_LIMIT", 5)
-    cover = cech.Cover(2)
-    rng = random.Random(5)
-    sizes = set()
-    for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
-        spec = make(cover, [-2, 1])
-        for degree in range(3):
-            for _ in range(4):
-                c = cech.random_cochain(spec, degree, rng, terms=4, span=3)
-                got, want = cech.coboundary(c), reference_coboundary(c)
-                assert typed_terms(got.terms) == typed_terms(want.terms), (spec.kind, degree)
-                got, want = cech.cochain_chars(c), reference_cochain_chars(c)
-                assert [(k, typed_terms(b)) for k, b in got.items()] == [
-                    (k, typed_terms(b)) for k, b in want.items()]
-                sizes.add(len(cover.slot_table))
-    assert max(sizes) == 5 and min(sizes) < 5
-    assert_slot_records_are_plain(cover)
+def test_slot_records_are_bounded_at_the_limit(fresh_memos):
+    # SLOT_TABLE_LIMIT + 1 distinct slots keep the last SLOT_TABLE_LIMIT,
+    # each equal to a fresh build; the first is dropped, and a coboundary
+    # through it still equals the per-term reference
+    cover = cech.standard_cover(2)
+    limit = cech.SLOT_TABLE_LIMIT
+    side = math.isqrt(limit) + 1
+    slots = [cech.BasisSlot((0,), 0, 0, (a, b)) for a in range(side) for b in range(side)]
+    slots = slots[:limit + 1]
+    for slot in slots:
+        cech._slot_record(cover, cech.LINE_SUM, 1, slot)
+    info = cech._slot_record.cache_info()
+    assert (info.currsize, info.misses, info.maxsize) == (limit, limit + 1, limit)
+    for slot in slots[1:]:
+        record = cech._slot_record(cover, cech.LINE_SUM, 1, slot)
+        assert record == cech._slot_record.__wrapped__(cover, cech.LINE_SUM, 1, slot)
+    assert cech._slot_record.cache_info().misses == limit + 1  # every later slot kept
+    spec = cech.line_sum(cover, [1])
+    c = cech.Cochain(spec, 0, {slots[0]: Fraction(3, 2), slots[-1]: -1})
+    assert typed_terms(cech.coboundary(c).terms) == typed_terms(reference_coboundary(c).terms)
+    assert cech._slot_record.cache_info().misses == limit + 2  # the first was dropped
+    assert cech._slot_record.cache_info().currsize == limit
 
 
-def test_closed_formula_mismatch_on_fresh_cover_leaves_standard_cover_alone(monkeypatch):
+def test_closed_formula_mismatch_on_fresh_cover_leaves_standard_cover_alone(
+        monkeypatch, fresh_memos):
+    # covers share their memos, so the mismatch runs on emptied memos; a
+    # failed check memoises no walk, and the standard cover's results and
+    # walks are the same afterwards
     specs = table_specs(cech.standard_cover(2))
     before = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
               for spec in specs for q in range(3)]
-    tables = cover_tables(cech.standard_cover(2))
+    walks = cech._walk.cache_info().currsize
+    fresh_memos()
     bott_dim = cech._summand_bott_dim
     monkeypatch.setattr(cech, "_summand_bott_dim",
                         lambda spec, summand, q: bott_dim(spec, summand, q) + 1)
-    fresh = cech.Cover(2)
-    for spec in table_specs(fresh):
+    for spec in table_specs(cech.Cover(2)):
         for q in range(3):
             with pytest.raises(AssertionError, match=r"summand twisted by -?\d+ has \d+ classes, "
                                                      r"closed formula gives"):
                 cech.cohomology(spec, q)
-    assert fresh.summand_table == {}
-    assert cover_tables(cech.standard_cover(2)) == tables
+    assert cech._walk.cache_info().currsize == 0
     monkeypatch.undo()
     after = [[c.to_json() for c in cech.cohomology(spec, q).representatives[q]]
              for spec in specs for q in range(3)]
     assert after == before
-    assert cover_tables(cech.standard_cover(2)) == tables
+    assert cech._walk.cache_info().currsize == walks
 
 
 def test_cochain_constructor_checks_what_arithmetic_trusts():

@@ -544,9 +544,10 @@ def test_warm_gluing_and_certificate_make_no_unit_fraction_operations(monkeypatc
                      ("__add__", 0): 2, ("__radd__", 0): 1}
 
 
-def test_cold_cover_makes_no_polynomial_objects(monkeypatch):
-    # a fresh cover reads its transport entries off the charts' exponents,
-    # and its cohomology and block solves run on them alone
+def test_cold_cover_makes_no_polynomial_objects(monkeypatch, fresh_memos):
+    # a fresh cover on emptied memos reads its transport entries off the
+    # charts' exponents, and its cohomology and block solves run on them
+    # alone
     calls = count_laurent_calls(monkeypatch)
     for n in (1, 2):
         cover = cech.Cover(n)

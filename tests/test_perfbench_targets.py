@@ -3,9 +3,9 @@
 ``perfbench/layers.py`` resolves every ``TARGETS`` entry with
 ``owner.__dict__[attr]``, so deleting or renaming a traced function breaks
 ``perfbench/run.py --trace 1``.  This test loads that file without changing it
-and resolves every name against the package.  Its tracer must also see the
-work under each name: every check of a gluing case composes through
-``supermap.compose``.
+and resolves every name against the package, each to a plain function.  Its
+tracer must also see the work under each name: every check of a gluing case
+composes through ``supermap.compose``.
 """
 
 import importlib
@@ -33,6 +33,14 @@ def test_every_traced_target_resolves():
     found = layers.originals()
     assert list(found) == [prefix for prefix, _, _, _ in layers.TARGETS]
     assert all(callable(fn) for fn in found.values())
+
+
+def test_every_traced_target_is_a_plain_function():
+    # perfbench/selftest.py finds each target in cProfile's table by its
+    # code object; a memo wrapper (functools.cache) has none, and the
+    # self-test would stop with an AttributeError instead of a FAIL line
+    for prefix, fn in load_layers().originals().items():
+        assert isinstance(getattr(fn, "__code__", None), types.CodeType), prefix
 
 
 def test_traced_gluing_case_sees_every_composition():

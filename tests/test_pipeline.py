@@ -81,100 +81,109 @@ def test_window_never_cuts_an_admissible_triple(capsys):
         assert runs[0] == runs[1], degrees
 
 
-class CountingTable(dict):
-    """A cover table that records every key read by ``get``, and whether it
-    was there."""
+def recorded(monkeypatch, module, name) -> list:
+    """The arguments of every call of ``module.name`` from now on."""
+    calls = []
+    build = getattr(module, name)
 
-    def __init__(self, table):
-        super().__init__(table)
-        self.reads = []
+    def recording(*args):
+        calls.append(args)
+        return build(*args)
 
-    def get(self, key, default=None):
-        self.reads.append((key, key in self))
-        return super().get(key, default)
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
-def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys):
-    # a cold walk reads each sign type's record from the cohomology table by
-    # its type key, once per type; a warm certificate walks nothing: each
-    # summand's walk is one hit in the summand table, and solve_blocks looks
-    # its one class block up per character through block_cohomology
+def test_warm_pushforward_looks_up_each_sign_type_once(monkeypatch, capsys, fresh_memos):
+    # a cold walk reads each sign type's record by its type key, once per
+    # type; a warm certificate walks nothing: each summand's walk is one hit
+    # in the walk memo, and solve_blocks looks its one class block up per
+    # character through block_cohomology
     degrees = SplitBundleDegrees((4, -1, -7))
     cold = cech.Cover(2)
-    cold.cohomology_table = CountingTable({})
+    type_record, walk_memo = cech._type_record, cech._walk
+    types = recorded(monkeypatch, cech, "_type_record")
     for d, q in ((2, 1), (3, 2)):
         spec = supermap.slot_sheaf(cold, degrees, d)
         for summand, twist in enumerate(spec.twists):
-            before = len(cold.cohomology_table.reads)
+            before = len(types)
             cech.enumerate_chars(spec, summand, q)
-            keys = [key for key, _ in cold.cohomology_table.reads[before:]]
+            keys = [key[1:] for key in types[before:]]
             met = [t for t in cech._sign_types(2) if next(cech._type_chars(t, twist), None)]
             assert keys == [(spec.kind, q, t) for t in met], twist
             assert len(keys) == len(set(keys))
+    monkeypatch.undo()
     argv = ["pushforward", "--degrees", "4,-1,-7", "--json"]
     main(argv)
-    cover = cech.standard_cover(2)
-    types = CountingTable(cover.cohomology_table)
-    walks = CountingTable(cover.summand_table)
-    walking, per_char = [], []
-    walk, lookup = cech.enumerate_chars, cech.block_cohomology
+    types = recorded(monkeypatch, cech, "_type_record")
+    walking, per_char = [], recorded(monkeypatch, cech, "block_cohomology")
+    walk = cech.enumerate_chars
 
     def counting_walk(*args):
-        before = len(types.reads)
+        before = len(types)
         try:
             return walk(*args)
         finally:
-            walking.extend(types.reads[before:])
+            walking.extend(types[before:])
 
-    def counting_lookup(*args):
-        per_char.append(args)
-        return lookup(*args)
-
-    monkeypatch.setattr(cover, "cohomology_table", types)
-    monkeypatch.setattr(cover, "summand_table", walks)
     monkeypatch.setattr(cech, "enumerate_chars", counting_walk)
-    monkeypatch.setattr(cech, "block_cohomology", counting_lookup)
+    type_info, walk_info = type_record.cache_info(), walk_memo.cache_info()
     assert main(argv) == 0
     capsys.readouterr()
     # 6 summand walks (3 tangent at q = 1, 3 line at q = 2), all hits; the 2
     # sign-type reads are solve_blocks' _solve_block and block_cohomology
-    assert (len(walking), len(types.reads), len(walks.reads), len(per_char)) == (0, 2, 6, 1)
-    assert all(hit for _, hit in walks.reads + types.reads)
-    assert all(sign_type == cech._sign_type(sign_type) for (_, _, sign_type), _ in types.reads)
+    walks = walk_memo.cache_info().hits - walk_info.hits
+    assert (len(walking), len(types), walks, len(per_char)) == (0, 2, 6, 1)
+    assert walk_memo.cache_info().misses == walk_info.misses
+    assert type_record.cache_info().hits - type_info.hits == 2
+    assert type_record.cache_info().misses == type_info.misses
+    assert all(sign_type == cech._sign_type(sign_type) for *_, sign_type in types)
 
 
-def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
+def test_cover_tables_fill_each_key_once(capsys, fresh_memos):
     # a certificate walks 6 summands, 72 over the admissible triples, which
     # share 26 (kind, q, twist) keys; the sorted triples of [-8, 8] make
     # 5814 walks over 66 keys.  A certificate reads 6 split records and 9
     # slot layouts: the degree-2 increment on the 3 sorted pairs, and the
     # degree-3 defect on the 6 ordered pairs (i, k) of the ordered triples,
     # which include the pair (0, 2) that the image is read back through.
-    # The degree-2 (tangent) layouts are kept by rank, not degrees, so the
-    # 12 certificates share their 3; each kept layout is what a fresh cover
-    # builds, for every admissible triple of that rank
-    fresh = cech.Cover(2)
-    monkeypatch.setattr(cech, "standard_cover", lambda n: fresh)
-    fresh.summand_table = CountingTable({})
+    # The degree-2 (tangent) layouts are memoised by their words, which
+    # depend on the rank alone, so the 12 certificates share their 3; each
+    # memoised layout is a fresh build, for every admissible triple of that
+    # rank
     argvs = [["pushforward", "--degrees", ",".join(map(str, k)), "--json"] for k in ADMISSIBLE]
     cold = []
     for argv in argvs:
         main(argv)
         cold.append(capsys.readouterr().out)
-    reads = fresh.summand_table.reads
-    assert (len(reads), sum(not hit for _, hit in reads), len(fresh.summand_table)) == (72, 26, 26)
-    assert (len(fresh.split_table), len(fresh.slot_sheaf_table)) == (6 * 12, 2 * 12)
-    assert len(fresh.layout_table) == 6 * 12 + 3
-    for (k, d, i, j), layout in fresh.layout_table.items():
-        for degrees in ([k] if d % 2 else ADMISSIBLE):
-            built = supermap._slot_layout(cech.Cover(2), SplitBundleDegrees(degrees), d, i, j)
-            assert built == layout, (k, d, i, j)
-    for name in ("split_table", "layout_table"):
-        assert all(type(value) is tuple for value in getattr(fresh, name).values()), name
-    monkeypatch.undo()
-    for argv, out in zip(argvs, cold):  # the shared cover's warm tables
+    walks = cech._walk.cache_info()
+    assert (walks.hits + walks.misses, walks.misses, walks.currsize) == (72, 26, 26)
+    assert supermap._split_record.cache_info().currsize == 6 * 12
+    assert supermap.slot_sheaf.cache_info().currsize == 2 * 12
+    odd, even = supermap._odd_layout.cache_info(), supermap._even_layout.cache_info()
+    assert (odd.currsize, even.currsize) == (6 * 12, 3)
+    cover = cech.standard_cover(2)
+    for k in ADMISSIBLE:
+        degrees = SplitBundleDegrees(k)
+        for d, pairs in ((2, cover.pairs), (3, itertools.permutations(cover.charts, 2))):
+            for i, j in pairs:
+                layout = supermap._slot_layout(cover, degrees, d, i, j)
+                if d % 2:
+                    built = supermap._odd_layout.__wrapped__(cover, degrees, d, i, j)
+                else:
+                    words = supermap.slot_sheaf(cover, degrees, d).labels
+                    built = supermap._even_layout.__wrapped__(cover, words, i, j)
+                assert type(layout) is tuple and built == layout, (k, d, i, j)
+        for i, j in itertools.permutations(cover.charts, 2):
+            assert type(supermap._split_record(cover, degrees, i, j)) is tuple
+    # every layout and split record read above was a memoised one
+    assert supermap._odd_layout.cache_info().misses == odd.misses
+    assert supermap._even_layout.cache_info().misses == even.misses
+    assert supermap._split_record.cache_info().currsize == 6 * 12
+    for argv, out in zip(argvs, cold):  # the warm memos
         main(argv)
         assert capsys.readouterr().out == out, argv
+    fresh_memos()
     sweep = cech.Cover(2)
     walks = 0
     for degrees in itertools.combinations_with_replacement(range(8, -9, -1), 3):
@@ -182,7 +191,7 @@ def test_cover_tables_fill_each_key_once(monkeypatch, capsys):
             spec = supermap.slot_sheaf(sweep, SplitBundleDegrees(degrees), d)
             cech.class_blocks(spec, q)
             walks += spec.nsummands
-    assert (walks, len(sweep.summand_table)) == (5814, 66)
+    assert (walks, cech._walk.cache_info().currsize) == (5814, 66)
 
 
 def test_normalize_generator_leading_coefficient():

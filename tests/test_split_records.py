@@ -41,7 +41,7 @@ from superthick.bott import SplitBundleDegrees
 from superthick.laurent import coerce
 from test_acceptance import DEGREE_POOL
 from test_golden import ADMISSIBLE
-from test_transport import reference_placement, slot_data
+from test_transport import reference_placement, shared_layout, slot_data
 
 TRIPLES = list(dict.fromkeys(DEGREE_POOL + ADMISSIBLE))
 
@@ -277,8 +277,10 @@ def assert_record(split, cover, degrees, i, j):
 
 
 def assert_layout(layout, cover, degrees, d, i, j):
-    """A layout equals the reference, in key order, and is the table's."""
-    assert layout is cover.layout_table[degrees.degrees if d % 2 else degrees.rank, d, i, j]
+    """A layout equals the reference, in key order, and is the memoised one
+    that every cover of P^n shares and, for even d, every bundle of the
+    rank."""
+    assert layout is shared_layout(cover, degrees, d, i, j)
     assert type(layout) is tuple and len(layout) == 2
     for table, ref in zip(layout, reference_layout(cover, degrees, d, i, j)):
         assert [(key, list(entries)) for key, entries in table.items()] == list(ref.items())
@@ -299,11 +301,20 @@ def random_vector(rng, p, q, order):
     return out
 
 
+def cold_or_warm_cover(warm, request):
+    """The shared cover of P^2, on the package's memos as earlier tests left
+    them, or a fresh cover on emptied memos, which every cover shares."""
+    if warm:
+        return cech.standard_cover(2)
+    request.getfixturevalue("fresh_memos")
+    return cech.Cover(2)
+
+
 @pytest.mark.parametrize("warm", [False, True])
-def test_split_records_match_the_per_call_builds(warm):
+def test_split_records_match_the_per_call_builds(warm, request):
     # every triple of the gluing pool and every admissible triple, every
-    # ordered chart pair, on a fresh cover and on the shared one
-    cover = cech.standard_cover(2) if warm else cech.Cover(2)
+    # ordered chart pair, from emptied memos and from the shared ones
+    cover = cold_or_warm_cover(warm, request)
     rng = random.Random(f"split-records-{warm}")
     for k in TRIPLES:
         degrees = SplitBundleDegrees(k)
@@ -337,10 +348,10 @@ def test_split_records_match_the_per_call_builds(warm):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_frame_and_placement_tables_match_the_per_call_builds(warm):
+def test_frame_and_placement_tables_match_the_per_call_builds(warm, request):
     # the layouts of every ordered chart pair, i == j included, for the
     # degree-2 and degree-3 slot sheaves, and what they place and read
-    cover = cech.standard_cover(2) if warm else cech.Cover(2)
+    cover = cold_or_warm_cover(warm, request)
     rng = random.Random(f"frames-{warm}")
     for k in TRIPLES:
         degrees = SplitBundleDegrees(k)
@@ -395,7 +406,7 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
                            "_read"], 0)
     real = {name: getattr(supermap, name) for name in calls}
     cover = cech.Cover(2)
-    covers = (cover, cech.standard_cover(2))
+    splits, layouts = [], {}
 
     def checked(name, check):
         # the in-place kernels are checked on their accumulators as they
@@ -410,14 +421,20 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
             return out
         monkeypatch.setattr(supermap, name, wrapper)
 
+    def record(split, *args):
+        assert_record(split, *args)
+        splits.append(split)
+
+    def layout(out, c, degrees, d, i, j):
+        """Check a layout and keep the cover, the degrees, d, i and j it was
+        read for; an even one is shared by every bundle of the rank, so
+        any degrees of that rank give its reference."""
+        assert_layout(out, c, degrees, d, i, j)
+        degrees = degrees if d % 2 else SplitBundleDegrees((0,) * degrees.rank)
+        layouts[id(out)] = (c, degrees, supermap.slot_sheaf(c, degrees, d), i, j)
+
     def layout_key(layout):
-        """The cover, the degrees, d, i and j of a layout; it is kept under
-        (degrees, d, i, j), or (rank, d, i, j) for even d, whose layouts any
-        degrees of that rank give."""
-        c, (k, d, i, j) = next((c, key) for c in covers
-                               for key, value in c.layout_table.items() if value is layout)
-        degrees = SplitBundleDegrees(k if d % 2 else (0,) * k)
-        return c, degrees, supermap.slot_sheaf(c, degrees, d), i, j
+        return layouts[id(layout)]
 
     def pull(before, acc, comps, split, order):
         ref = [reference_pull(g, *split[:2]) for g in comps]
@@ -426,8 +443,7 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
     def tangent(before, acc, comps, moves, order):
         # terms that cancel within DS v are left as zeros by the kernel, so
         # both sides are compared with them dropped and coerced
-        split = next(split for c in covers for split in c.split_table.values()
-                     if moves is split[4] or moves is split[5])
+        split = next(split for split in splits if moves is split[4] or moves is split[5])
         ref = reference_tangent(*split[:2], comps, order)
         ref = ref if moves is split[4] else ref[len(split[0]):]
         finished = [{key: coerce(c) for key, c in g.items() if c} for g in acc]
@@ -442,7 +458,7 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
         c, degrees, spec, i, j = layout_key(layout)
         assert typed(out[0]) == typed(reference_read(c, degrees, spec, comps, i, j))
 
-    checks = (assert_record, pull, tangent, assert_layout, place, read)
+    checks = (record, pull, tangent, layout, place, read)
     for name, check in zip(calls, checks):
         checked(name, check)
     gluing_case(cover, SplitBundleDegrees((4, -1, -7)), random.Random(25))
@@ -529,11 +545,11 @@ def test_first_order_maps_match_the_reference_chain_on_every_call(monkeypatch):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_first_order_inverse_reads_any_split_term(warm):
+def test_first_order_inverse_reads_any_split_term(warm, request):
     # rho_ij's term at S_ij's one term of a component may be 1, another
     # coefficient, or missing; each map below is compared with the reference
     # chain, the certificate included
-    cover = cech.standard_cover(2) if warm else cech.Cover(2)
+    cover = cold_or_warm_cover(warm, request)
     degrees = SplitBundleDegrees((4, -1, -7))
     spec = supermap.slot_sheaf(cover, degrees, 2)
     t = supermap.build_trivialization(cover, degrees, 2,
@@ -563,8 +579,8 @@ def test_first_order_inverse_reads_any_split_term(warm):
 
 def test_no_caller_changes_a_shared_split_map(tmp_path):
     # a gluing case, a certificate, extend_by_zero and a thickening file
-    # that leaves pairs out, all on the shared cover; then every split map
-    # in its table still equals one built afresh
+    # that leaves pairs out, all on the shared cover; then every memoised
+    # split map they read still equals one built afresh
     cover = cech.standard_cover(2)
     degrees = SplitBundleDegrees((4, -1, -7))
     t = gluing_case(cover, degrees, random.Random(7))
@@ -582,7 +598,9 @@ def test_no_caller_changes_a_shared_split_map(tmp_path):
         supermap.inverse_residual(made)
     supermap.conjugate(supermap.normalize_inverses(read), {
         c: supermap.identity_map(c, cover.n, degrees.rank) for c in cover.charts})
-    assert cover.split_table
-    for (k, i, j), split in cover.split_table.items():
-        rows, zs = reference_split_exponents(cover, SplitBundleDegrees(k), i, j)
-        same_maps(split[3], reference_split_map(i, j, rows, zs))
+    misses = supermap._split_record.cache_info().misses
+    for i, j in itertools.permutations(cover.charts, 2):
+        rows, zs = reference_split_exponents(cover, degrees, i, j)
+        same_maps(supermap._split_record(cover, degrees, i, j)[3],
+                  reference_split_map(i, j, rows, zs))
+    assert supermap._split_record.cache_info().misses == misses  # each one the shared map

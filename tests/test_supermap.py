@@ -341,7 +341,8 @@ def test_pushforward_applies_only_the_odd_moves(monkeypatch):
 
     def counted(acc, comps, moves, order):
         tangent(acc, comps, moves, order)
-        assert any(moves is split[5] for split in COV2.split_table.values())
+        assert any(moves is sm._split_record(COV2, degrees, *pair)[5]
+                   for pair in itertools.permutations(COV2.charts, 2))
         sizes.append(len(acc))
 
     monkeypatch.setattr(sm, "_tangent", counted)
