@@ -835,6 +835,32 @@ def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int
     return blocks
 
 
+def class_count(spec: SheafSpec, q: int) -> int:
+    """h^q of the sheaf, the number of classes ``class_blocks`` lists,
+    counted per sign type without listing a character.
+
+    On a summand twisted by t, a type with classes contributes their number
+    times its character count: C(|s| + f - 1, f - 1) for the surplus s =
+    t - sum(type) and the f entries that ``_type_chars`` moves, or 1 when
+    f = 0 and s = 0, and none otherwise.  The total is cross-checked against
+    the closed formula; a difference is a failed self-check.
+    """
+    if not 0 <= q <= spec.cover.n:
+        return 0
+    found = expected = 0
+    for summand, twist in enumerate(spec.twists):
+        for sign_type in _sign_types(spec.cover.n):
+            surplus = twist - sum(sign_type)
+            free = sign_type.count(1 if surplus >= 0 else -2)
+            chars = math.comb(abs(surplus) + free - 1, free - 1) if free else int(surplus == 0)
+            if chars:
+                found += chars * len(_type_record(spec.cover, spec.kind, q, sign_type)[0])
+        expected += _summand_bott_dim(spec, summand, q)
+    if found != expected:
+        raise AssertionError(f"H^{q} has {found} classes, closed formula gives {expected}")
+    return found
+
+
 def cohomology(spec: SheafSpec, q: int) -> CohomologyReport:
     """Kernel-mod-image basis of H^q, character by character.
 

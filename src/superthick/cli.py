@@ -106,7 +106,7 @@ def cmd_bott(args) -> int:
 
 def cmd_cohomology(args) -> int:
     spec = cech.line_sum(cech.standard_cover(args.n), [args.k])
-    d = sum(len(classes) for _, _, classes in cech.class_blocks(spec, args.q))
+    d = cech.class_count(spec, args.q)
     emit(args, {"command": "cohomology", "inputs": vars_of(args, "n", "k", "q"),
                 "outputs": {"dim": d, "method": cech.LINE_BUNDLE_METHOD}, "exact": True}, str(d))
     return EXIT_OK

@@ -20,7 +20,11 @@ integer e, negative ones too.  The sum is finite because each u_i has
 theta-degree at least 2.  Only rows that survive the truncation are built,
 as flat term lists by a degree bound (see ``compose``), and odd words
 multiply through ``_MERGED``, one table of Koszul signs and merged words.
-Given a third map, ``compose`` subtracts the composite from it as it sums.
+Within a call each exponent vector is one int of balanced digits, wide
+enough for the maps' largest exponents (``SuperMap.largest``), so a shift
+or a product is one int add; the keys that survive are unpacked at the
+end.  Given a third map, ``compose`` subtracts the composite from it as it
+sums.
 
 The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
 coefficients 1) have no soul, so composing with one is exponent
@@ -34,8 +38,11 @@ obstruction image ``pushforward_partial``.  Each formula
 is one pass: ``_pull`` adds components with S substituted and ``_tangent``
 subtracts DS applied through the split record's moves, grouped by argument
 component, each term once into accumulator dicts the caller owns, and
-``_finish`` makes the map, as it does for ``compose``.  No sum multiplies a
-Fraction by the int 1 or -1 or adds one to 0: sums go through
+``_finish`` makes the map, as it does for ``compose``.  A reversed map
+reads each deviation term's image under v -> -DS(v o S) from a table on
+the split record, built from ``_pull`` and ``_tangent`` on the term's first
+use and bounded by ``IMAGE_TABLE_LIMIT`` (see ``_image``).  No sum
+multiplies a Fraction by the int 1 or -1 or adds one to 0: sums go through
 ``laurent.add_term``, which ``compose`` and ``_tangent`` inline.  The checks
 of gluing data always compose, each through the one composition defect
 ``_defect``: rho_ik - rho_jk o rho_ij from one ``compose`` call.
@@ -61,13 +68,14 @@ defect, computed mod J^(m+2) with all new top coefficients set to zero.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add, mul, sub
+from operator import add, itemgetter, mul
 
 from . import cech
 from .bott import SplitBundleDegrees
@@ -130,6 +138,14 @@ class SuperMap:
         object.__setattr__(self, "even", tuple(_checked_component(g, p, q, 0) for g in self.even))
         object.__setattr__(self, "odd", tuple(_checked_component(g, p, q, 1) for g in self.odd))
 
+    @functools.cached_property
+    def largest(self) -> int:
+        """The largest absolute value of an exponent, or 0, which sizes
+        ``compose``'s packed exponents; kept, as components are only read."""
+        exps = itertools.chain.from_iterable(
+            map(itemgetter(1), itertools.chain.from_iterable(self.even + self.odd)))
+        return max(map(abs, exps), default=0)
+
     def truncate(self, order: int) -> "SuperMap":
         """The map mod J^(order+1).  Callers only read the result, so when
         no term exceeds the order it is the map itself, not a copy."""
@@ -178,16 +194,29 @@ _MERGED = _MergeTable()
 
 
 def _product(a: list, b: list, order: int) -> list:
-    """a wedge b on term lists ``[(word, exps, coef)]``, truncated mod
-    J^(order+1), zeros dropped."""
-    out: dict = {}
+    """a wedge b on term lists ``[(word, packed exps, coef)]``, mod
+    J^(order+1), zeros dropped; with a one-term factor no key repeats."""
+    terms = []
     for w1, e1, c1 in a:
         room = order - len(w1)
         for w2, e2, c2 in b:
             merged = len(w2) <= room and _MERGED[w1, w2]
             if merged:
                 sign, word = merged
-                add_term(out, (word, tuple(map(add, e1, e2))), c1 if sign == 1 else -c1, c2)
+                c = c1 if sign == 1 else -c1
+                if type(c2) is int and (c2 == 1 or c2 == -1):
+                    c = c if c2 == 1 else -c
+                elif type(c) is int and (c == 1 or c == -1):
+                    c = c2 if c == 1 else -c2
+                else:
+                    c = c * c2
+                terms.append((word, e1 + e2, c))
+    if len(a) == 1 or len(b) == 1:
+        return terms
+    out: dict = {}
+    for word, e, c in terms:
+        old = out.get((word, e))
+        out[word, e] = c if old is None else old + c
     return [(w, e, c) for (w, e), c in out.items() if c]
 
 
@@ -202,8 +231,14 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
     a map from f's source to g's target, minus - g o f, each sum seeded with
     minus's terms up to the order.
 
+    In the call an exponent vector e is one int, sum_mu e_mu 2^(w mu) with
+    digits in [-2^(w-1), 2^(w-1)), so adding vectors adds ints.  A key's
+    digit is at most q shifts (each within 2B) and q odd exponents (within
+    B) plus sum e_i b_i (within pGB), or a seed's (within M), for B, G and
+    M the ``largest`` of f, g and minus; 2^(w-1) exceeds 3qB + pGB and M.
+
     What depends on f alone is built once per call as term lists ``[(word,
-    exps, coef)]``: the rows u^k of the shifts u_i = soul_i / body_i, each
+    packed exps, coef)]``: the rows u^k of the shifts u_i = soul_i / body_i, each
     with its nonzero (i, k_i), and those rows times each odd word f_odd[I]
     that g uses, extended from the longest prefix of I already tabled.  A
     term c x^e theta_I of g adds c prod c_i^(e_i) C(e_i, k_i) times row k of
@@ -219,16 +254,22 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
     if (f.target != g.source or (f.p, f.q) != (g.p, g.q) or minus is not None
             and (minus.source, minus.target, minus.p, minus.q) != (f.source, g.target, f.p, f.q)):
         raise ValueError("maps are not composable")
-    bodies, scales, rows = [], [], [((), [((), (0,) * f.p, 1)], 0)]
+    p, big = f.p, f.largest
+    seeds = minus.even + minus.odd if minus is not None else None
+    width = max(3 * f.q * big + p * g.largest * big,
+                minus.largest if minus is not None else 0).bit_length() + 1
+    weights = [1 << width * mu for mu in range(p)]
+    bodies, scales, rows = [], [], [((), [((), 0, 1)], 0)]
     for i, comp in enumerate(f.even):
         body = [(e, c) for (w, e), c in comp.items() if not w]
         if len(body) != 1:
             raise ValueError("a body that is not one monomial cannot be substituted")
         (b, cb), = body
+        b = sum(map(mul, b, weights))
         bodies.append(b)
         if cb != 1:
             scales.append((i, cb))
-        u = [(w, tuple(map(sub, e, b)), c if cb == 1 else coerce(Fraction(c) / cb))
+        u = [(w, sum(map(mul, e, weights)) - b, c if cb == 1 else coerce(Fraction(c) / cb))
              for (w, e), c in comp.items() if w and len(w) <= order]
         low, grown = min((len(w) for w, _, _ in u), default=order + 1), []
         for ks, row, d in rows:
@@ -240,15 +281,14 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
                 n, d = n + 1, d + low
                 grown.append((ks + ((i, n),), row, d))
         rows += grown
-    cols = list(zip(*bodies))
-    odds = [[(w, e, c) for (w, e), c in comp.items() if len(w) <= order] for comp in f.odd]
+    odds = [[(w, sum(map(mul, e, weights)), c) for (w, e), c in comp.items() if len(w) <= order]
+            for comp in f.odd]
     lows = [min([len(w) for w, _, _ in odd], default=order + 1) for odd in odds]
     tables = {(): rows}
-    seeds = minus.even + minus.odd if minus is not None else None
     out = []
     for index, comp in enumerate(g.even + g.odd):
-        acc = {} if seeds is None else {key: c for key, c in seeds[index].items()
-                                        if len(key[0]) <= order}
+        acc = {} if seeds is None else {(w, sum(map(mul, e, weights))): c
+                                        for (w, e), c in seeds[index].items() if len(w) <= order}
         for (word, e), c in comp.items():
             table = tables.get(word)
             if table is None:
@@ -268,7 +308,7 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
                     table = tables[word[:n + 1]] = grown
             if not table:
                 continue
-            offset = [sum(map(mul, e, col)) for col in cols]
+            offset = sum(map(mul, e, bodies))
             for i, cb in scales:
                 if e[i]:
                     s = power(cb, e[i])
@@ -296,11 +336,20 @@ def compose(g: SuperMap, f: SuperMap, order: int, *, minus: SuperMap | None = No
                         v = factor * v
                     else:
                         v = factor if v == 1 else -factor
-                    key = (w, tuple(map(add, x, offset)))
+                    key = (w, x + offset)
                     old = acc.get(key)
                     acc[key] = v if old is None else old + v
         out.append(acc)
-    return _finish(out, f.source, g.target, f.p)
+    return _finish(out, f.source, g.target, p, width)
+
+
+def _unpacked(x: int, width: int, p: int) -> tuple:
+    """The p exponents that ``compose`` packs in x, ``width`` bits each."""
+    half, mask, out = 1 << width - 1, (1 << width) - 1, []
+    for _ in range(p):
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> width
+    return tuple(out)
 
 
 def map_difference(a: SuperMap, b: SuperMap):
@@ -314,10 +363,16 @@ def difference_is_zero(diff) -> bool:
     return not any(ev) and not any(od)
 
 
-def _finish(acc: list, source: int, target: int, p: int) -> SuperMap:
+def _finish(acc: list, source: int, target: int, p: int, width: int = 0) -> SuperMap:
     """The map whose components, the even ones first, a kernel has summed
-    into the dicts ``acc``: zeros dropped, integral coefficients as ints."""
-    comps = [{key: c if type(c) is int else coerce(c) for key, c in g.items() if c} for g in acc]
+    into the dicts ``acc``: zeros dropped, integral coefficients as ints,
+    and with a ``width`` the surviving keys' packed exponents unpacked."""
+    if width:
+        comps = [{(w, _unpacked(x, width, p)): c if type(c) is int else coerce(c)
+                  for (w, x), c in g.items() if c} for g in acc]
+    else:
+        comps = [{key: c if type(c) is int else coerce(c) for key, c in g.items() if c}
+                 for g in acc]
     return _map(source, target, tuple(comps[:p]), tuple(comps[p:]))
 
 
@@ -386,11 +441,13 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 @functools.cache
 def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
     """The split map i -> j and what is derived from it alone, memoised on
-    (cover, degrees, i, j), as (rows, zs, cols, map, moves, odd moves): the
-    even rows, x^row, read off the transport j -> i; the odd z_a = k_a line,
-    x^(z_a) theta_a; the columns of the rows; the map, shared, so read only;
-    and the moves of ``_tangent`` grouped by argument component, all of them
-    and those into odd components, which these number from 0."""
+    (cover, degrees, i, j), as (rows, zs, cols, map, moves, odd moves,
+    images): the even rows, x^row, read off the transport j -> i; the odd
+    z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the map,
+    shared, so read only; the moves of ``_tangent`` grouped by argument
+    component, all of them and those into odd components, which these
+    number from 0; and the tables of ``_image`` by (component, precision),
+    the only part that changes."""
     rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
     zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
     p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
@@ -404,7 +461,7 @@ def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> 
             moves[p + a - 1].append((out, 1, row, ()))
     odd = tuple(tuple((out - p, *move) for out, *move in arg if out >= p) for arg in moves)
     return (rows, zs, tuple(zip(*rows)), _map(i, j, comps[:p], comps[p:]),
-            tuple(map(tuple, moves)), odd)
+            tuple(map(tuple, moves)), odd, collections.defaultdict(dict))
 
 
 def _pull(acc: list, comps, split: tuple, order: int) -> None:
@@ -644,32 +701,57 @@ def normalize_inverses(t: Trivialization) -> Trivialization:
 def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> tuple:
     """S_ji - DS_ji (delta o S_ji) for the map i -> j (see
     ``normalize_inverses``), and whether ``_first_order_exact`` makes it the
-    inverse mod J^(precision+1)."""
+    inverse mod J^(precision+1).  One pass over rho_ij reads delta, rho_ij
+    with S_ij's one term per component less 1 (a missing one read as 0),
+    and the certificate's least degrees; each term of delta adds its
+    coefficient times its ``_image``."""
     there, back = (_split_record(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
-    _, zs, cols, split, moves = back[:5]
-    rho = t.maps[(i, j)]
-    # delta o S_ji in one pass over rho_ij, without copying it: delta is
-    # rho_ij with S_ij's one term per component less 1 (a missing one read
-    # as 0), and each term's exponents move as in ``_pull``
-    pulled = []
-    for comp, (unit,) in zip(rho.even + rho.odd, there[3].even + there[3].odd):
-        part = {}
+    split, rho, low = back[3], t.maps[(i, j)], [precision + 1, precision + 1]
+    acc = [dict(g) for g in split.even + split.odd]
+    for index, (comp, (unit,)) in enumerate(zip(rho.even + rho.odd, there[3].even + there[3].odd)):
+        odd, images = index >= t.p, back[6][index, precision]
         for key, c in comp.items() if unit in comp else [*comp.items(), (unit, 0)]:
             if key == unit:
                 if c == 1:
                     continue
                 c -= 1
-            w, e = key
-            if len(w) <= precision:
-                exps = [sum(map(mul, e, col)) for col in cols]
-                for a in w:
-                    exps = list(map(add, exps, zs[a - 1]))
-                part[w, tuple(exps)] = c
-        pulled.append(part)
-    acc = [dict(g) for g in split.even + split.odd]
-    _tangent(acc, pulled, moves, precision)
-    return (_finish(acc, j, i, t.p),
-            _first_order_exact(*_least_degrees(rho, there[3], precision), precision))
+            n = len(key[0])
+            if n < low[odd]:
+                low[odd] = n
+            if n > precision:
+                continue
+            image = images.get(key)
+            if image is None:
+                image = _image(back, index, key, precision, images)
+            terms = iter(image)
+            for out, word, exps, factor in zip(terms, terms, terms, terms):
+                x = c if factor == 1 else -c if factor == -1 else factor * c
+                part, target = acc[out], (word, exps)
+                old = part.get(target)
+                part[target] = x if old is None else old + x
+    return _finish(acc, j, i, t.p), _first_order_exact(*low, precision)
+
+
+# the most images a table keeps; a full table starts afresh
+IMAGE_TABLE_LIMIT = 1024
+
+
+def _image(record: tuple, index: int, key: tuple, precision: int, images: dict) -> tuple:
+    """The image of the monomial ``key`` of component ``index`` under v ->
+    -DS(v o S) mod J^(precision+1), S the split map of ``record``: ``_pull``
+    and ``_tangent`` on it, in the order they add its terms, each as output
+    component, word, exponents and coefficient, flat, so that a kept image
+    holds no tuple per term.  Kept in ``images``, the record's table of the
+    component and precision."""
+    pulled, moved = [{} for _ in record[4]], [{} for _ in record[4]]
+    _pull(pulled, [{key: 1} if n == index else {} for n in range(len(pulled))], record, precision)
+    _tangent(moved, pulled, record[4], precision)
+    image = tuple(x for out, part in enumerate(moved) for (w, e), c in part.items()
+                  for x in (out, w, e, c))
+    if len(images) >= IMAGE_TABLE_LIMIT:
+        images.clear()
+    images[key] = image
+    return image
 
 
 def build_trivialization(cover: Cover, degrees: SplitBundleDegrees, order: int,

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -640,6 +641,28 @@ def reference_class_blocks(spec, q):
             if classes:
                 blocks.append((summand, g, classes))
     return blocks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_class_count_matches_the_listed_blocks(n):
+    # per sign type, without listing characters: every twist in [-12, 12],
+    # one at a time and all as one sheaf, every kind and every q, those
+    # outside 0..n included
+    for make in (cech.line_sum, cech.tangent_twisted, cech.oneform_twisted):
+        for twists in [[k] for k in range(-12, 13)] + [list(range(-12, 13))]:
+            spec = make(cech.standard_cover(n), twists)
+            for q in range(-1, n + 2):
+                listed = sum(len(classes) for *_, classes in cech.class_blocks(spec, q))
+                assert cech.class_count(spec, q) == listed, (spec.kind, twists, q)
+
+
+def test_class_count_is_quick_on_a_far_twist():
+    # h^2(P^2, O(-1200)) = C(1199, 2): the walk listed 718201 characters
+    # (about 7 s and 237 MB); the count reads a few dozen sign types
+    start = time.perf_counter()
+    spec = cech.line_sum(cech.standard_cover(2), [-1200])
+    assert cech.class_count(spec, 2) == 718201 == bott.bott_dim(2, 0, 2, -1200)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -11,7 +11,11 @@ J^(m+1) less g o f, which every replayed call checks against
 ``reference_compose`` below is the Grassmann/Taylor kernel it replaced: one
 Taylor table per call (``exterior.taylor_rows``, then the rows times each odd
 word of the inner map), evaluated on every coefficient through
-``exterior.taylor_add``.
+``exterior.taylor_add``.  ``compose`` packs each exponent vector into one int
+of balanced digits as wide as the maps' largest exponents need;
+``tuple_compose`` is the same kernel on tuple exponents, against which every
+replayed call, and maps with exponents past 2^64, are checked in values, key
+order and coefficient types.
 ``reference_substitute_nilpotent`` is the per-coefficient body that the
 Taylor table replaced, which rebuilt the wedge powers of the shifts for every
 coefficient; it still checks ``substitute_nilpotent``.
@@ -39,7 +43,8 @@ import io
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import add, mul, sub
 
 import pytest
 
@@ -47,7 +52,7 @@ from superthick import cech, cli, laurent, linalg, supermap
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import (GrassmannElement, merge_sign, substitute_nilpotent, taylor_add,
                                  taylor_rows)
-from superthick.laurent import ChartMap, LaurentPoly
+from superthick.laurent import ChartMap, LaurentPoly, add_term, coerce, power
 from superthick.pipeline import pipeline_obstructed_cp2
 from superthick.supermap import SuperMap
 from test_acceptance import DEGREE_POOL
@@ -141,6 +146,111 @@ def reference_compose(g, f, order):
 
     return SuperMap(f.source, g.target,
                     tuple(push(c) for c in g.even), tuple(push(c) for c in g.odd))
+
+
+def tuple_product(a: list, b: list, order: int) -> list:
+    """``supermap._product`` on tuple exponents, every product summed in a
+    dict."""
+    out: dict = {}
+    for w1, e1, c1 in a:
+        room = order - len(w1)
+        for w2, e2, c2 in b:
+            merged = len(w2) <= room and supermap._MERGED[w1, w2]
+            if merged:
+                sign, word = merged
+                add_term(out, (word, tuple(map(add, e1, e2))), c1 if sign == 1 else -c1, c2)
+    return [(w, e, c) for (w, e), c in out.items() if c]
+
+
+def tuple_compose(g, f, order, minus=None):
+    """``supermap.compose`` on tuple exponents: each term's shift a
+    ``tuple(map(add, ...))`` and its offset a ``sum(map(mul, ...))`` per
+    coordinate, every product of term lists summed in a dict."""
+    if (f.target != g.source or (f.p, f.q) != (g.p, g.q) or minus is not None
+            and (minus.source, minus.target, minus.p, minus.q) != (f.source, g.target, f.p, f.q)):
+        raise ValueError("maps are not composable")
+    bodies, scales, rows = [], [], [((), [((), (0,) * f.p, 1)], 0)]
+    for i, comp in enumerate(f.even):
+        body = [(e, c) for (w, e), c in comp.items() if not w]
+        if len(body) != 1:
+            raise ValueError("a body that is not one monomial cannot be substituted")
+        (b, cb), = body
+        bodies.append(b)
+        if cb != 1:
+            scales.append((i, cb))
+        u = [(w, tuple(map(sub, e, b)), c if cb == 1 else coerce(Fraction(c) / cb))
+             for (w, e), c in comp.items() if w and len(w) <= order]
+        low, grown = min((len(w) for w, _, _ in u), default=order + 1), []
+        for ks, row, d in rows:
+            n = 0
+            while d + low <= order:
+                row = tuple_product(row, u, order) if d else u
+                if not row:
+                    break
+                n, d = n + 1, d + low
+                grown.append((ks + ((i, n),), row, d))
+        rows += grown
+    cols = list(zip(*bodies))
+    odds = [[(w, e, c) for (w, e), c in comp.items() if len(w) <= order] for comp in f.odd]
+    lows = [min([len(w) for w, _, _ in odd], default=order + 1) for odd in odds]
+    tables = {(): rows}
+    seeds = minus.even + minus.odd if minus is not None else None
+    out = []
+    for index, comp in enumerate(g.even + g.odd):
+        acc = {} if seeds is None else {key: c for key, c in seeds[index].items()
+                                        if len(key[0]) <= order}
+        for (word, e), c in comp.items():
+            table = tables.get(word)
+            if table is None:
+                if len(word) > order:
+                    continue
+                start = len(word) - 1
+                while word[:start] not in tables:
+                    start -= 1
+                table = tables[word[:start]]
+                for n in range(start, len(word)):
+                    odd, low, grown = odds[word[n] - 1], lows[word[n] - 1], []
+                    for ks, row, d in table:
+                        if d + low <= order:
+                            row = tuple_product(row, odd, order) if d else odd
+                            if row:
+                                grown.append((ks, row, d + low))
+                    table = tables[word[:n + 1]] = grown
+            if not table:
+                continue
+            offset = [sum(map(mul, e, col)) for col in cols]
+            for i, cb in scales:
+                if e[i]:
+                    s = power(cb, e[i])
+                    if c == 1 or c == -1:
+                        c = s if c == 1 else -s
+                    else:
+                        c = c if s == 1 else -c if s == -1 else c * s
+            c = c if seeds is None else -c
+            for ks, row, _ in table:
+                factor = c
+                for i, k in ks:  # C(x, k) = (-1)^k C(k - 1 - x, k) for x < 0
+                    b = comb(e[i], k) if e[i] >= 0 else (-1) ** k * comb(k - 1 - e[i], k)
+                    if b != 1:
+                        factor = -factor if b == -1 else factor * b
+                if not factor:
+                    continue
+                # a unit factor passes each term on, a unit term the factor:
+                # only a Fraction factor can meet a unit term
+                whole = type(factor) is int
+                unit = whole and (factor == 1 or factor == -1)
+                for w, x, v in row:
+                    if unit:
+                        v = v if factor == 1 else -v
+                    elif whole or type(v) is not int or not -1 <= v <= 1:
+                        v = factor * v
+                    else:
+                        v = factor if v == 1 else -factor
+                    key = (w, tuple(map(add, x, offset)))
+                    old = acc.get(key)
+                    acc[key] = v if old is None else old + v
+        out.append(acc)
+    return supermap._finish(out, f.source, g.target, f.p)
 
 
 def rand_rational(rng, fractions):
@@ -286,13 +396,20 @@ def coefficient_types(sm):
     return [{key: type(c) for key, c in comp.items()} for comp in sm.even + sm.odd]
 
 
+def terms_in_order(sm):
+    """Each component's terms in order, each with its coefficient's type."""
+    return [[(key, c, type(c)) for key, c in comp.items()] for comp in sm.even + sm.odd]
+
+
 def assert_matches_reference(g, f, order):
     """compose equals reference_compose, and each coefficient has the
     reference's type: an int when integral, as the checked constructor holds
-    it, even from Fraction coefficients or bodies other than 1."""
+    it, even from Fraction coefficients or bodies other than 1; and it is
+    the tuple-path composite term by term, in order."""
     out, ref = supermap.compose(g, f, order), reference_compose(g, f, order)
     assert out == ref
     assert coefficient_types(out) == coefficient_types(ref)
+    assert terms_in_order(out) == terms_in_order(tuple_compose(g, f, order))
     return out
 
 
@@ -310,6 +427,7 @@ def assert_call_matches_reference(g, f, order, minus, out):
         assert out == reference_compose(g, f, order)
     else:
         assert_defect_matches_reference(g, f, order, minus, out)
+    assert terms_in_order(out) == terms_in_order(tuple_compose(g, f, order, minus))
 
 
 def draw_pair(rng, p, q, order, trial, g_order=None):
@@ -322,6 +440,36 @@ def draw_pair(rng, p, q, order, trial, g_order=None):
         f = SuperMap(0, 1, tuple({key: 1 if not key[0] else c for key, c in comp.items()}
                                  for comp in f.even), f.odd)
     return f, g
+
+
+BIG = 2 ** 64 + 3
+
+
+def enlarged(sm, rng):
+    """sm with each exponent x moved to x * BIG + d, d in {-1, 0, 1}, past
+    any 64-bit digit, and each even body's coefficient 1 or -1, so that
+    c^e stays small."""
+    def comp(g, even):
+        return {(w, tuple(x * BIG + rng.choice((-1, 0, 1)) for x in e)):
+                rng.choice((1, -1)) if even and not w else c for (w, e), c in g.items()}
+    return SuperMap(sm.source, sm.target, tuple(comp(g, True) for g in sm.even),
+                    tuple(comp(g, False) for g in sm.odd))
+
+
+@pytest.mark.parametrize("p,q,order", CASES + [(2, 4, 4)])
+def test_compose_matches_the_references_on_exponents_past_two_to_the_64(p, q, order):
+    # the packed digits are as wide as the inputs need: a product e_i b_i of
+    # two exponents past 2^64 needs past 128 bits, so no fixed 64-bit digit
+    # holds it; values, key order and coefficient types against both
+    # references, with and without minus
+    rng = random.Random(f"big-{p}-{q}-{order}")
+    for trial in range(4):
+        f, g = (enlarged(m, rng) for m in draw_pair(rng, p, q, order, trial))
+        minus = enlarged(rand_map(rng, 0, 2, p, q, order + 1, trial % 2 == 1), rng)
+        assert min(f.largest, g.largest, minus.largest) > 2 ** 64
+        for m in range(1, order + 1):
+            assert_matches_reference(g, f, m)
+            assert_call_matches_reference(g, f, m, minus, supermap.compose(g, f, m, minus=minus))
 
 
 def test_merge_table_matches_merge_sign_on_every_pair_of_words():

@@ -22,6 +22,10 @@ from the split map taken by ``map_difference``; the first is also checked on
 maps whose term at S_ij's one term is 1, another coefficient or missing.
 ``_least_degrees``, which reads the certificate's degrees off a map without
 building its deviation, is checked against the degrees of ``map_difference``.
+``_first_order_inverse`` reads each deviation term's image from tables on
+the split record, bounded by ``IMAGE_TABLE_LIMIT``; every image a record
+holds is checked against ``reference_image``, built from the reference
+pull and tangent of the one monomial.
 The split maps are shared by every trivialisation built on a cover, so no
 caller may change a component of one; the last test checks that none does.
 """
@@ -103,6 +107,17 @@ def reference_tangent(rows, zs, vector, order):
                     acc[key] = acc.get(key, 0) + sign * r * c
         out.append({key: c for key, c in acc.items() if c})
     return out
+
+
+def reference_image(rows, zs, index, key, precision):
+    """The image of one monomial of argument component ``index`` under v ->
+    -DS(v o S) mod J^(precision+1), each term as output, word, exponents and
+    coefficient, flat."""
+    vector = [{} for _ in range(len(rows) + len(zs))]
+    vector[index][key] = 1
+    moved = reference_tangent(rows, zs, [reference_pull(g, rows, zs) for g in vector], precision)
+    return tuple(x for out, part in enumerate(moved) for (w, e), c in part.items()
+                 for x in (out, w, e, -c))
 
 
 def reference_frames(cover, degrees, spec, i, j, to_map):
@@ -262,11 +277,16 @@ def same_maps(out, ref):
 
 def assert_record(split, cover, degrees, i, j):
     """A split record equals the per-call builds it replaces, its moves
-    regrouped by argument component, and its odd moves those into the odd
-    components, numbered from 0."""
+    regrouped by argument component, its odd moves those into the odd
+    components, numbered from 0, and every image its table holds the
+    reference image of its monomial."""
     rows, zs = reference_split_exponents(cover, degrees, i, j)
     p = len(rows)
-    assert type(split) is tuple and len(split) == 6
+    assert type(split) is tuple and len(split) == 7 and isinstance(split[6], dict)
+    for (index, precision), table in split[6].items():
+        assert len(table) <= supermap.IMAGE_TABLE_LIMIT
+        for key, image in table.items():
+            assert image == reference_image(rows, zs, index, key, precision)
     assert split[:3] == (rows, zs, tuple(zip(*rows)))
     same_maps(split[3], reference_split_map(i, j, rows, zs))
     moves = reference_argument_moves(rows, zs)
@@ -474,11 +494,12 @@ def test_first_order_maps_match_the_reference_chain_on_every_call(monkeypatch):
     # every first-order inverse and every conjugate of a gluing case, a
     # certificate and order-3 rank-4 data, which the certificate refuses,
     # against the chain map_difference, pull, tangent, then one _add per
-    # part: values, key order, coefficient types and the certificate, whose
-    # least degrees, read off each map without a difference, are checked on
-    # every call against those of map_difference.  In one conjugate of the
-    # (2, 2, -3) case nu_j o S_ij cancels a term of rho_ij that DS_ij nu_i
-    # then brings back, at the end of the component
+    # part: values, key order, coefficient types and the certificate.  The
+    # least degrees a conjugate reads off each map without a difference are
+    # checked on every call against those of map_difference; an inverse
+    # reads them in its own pass, checked through its certificate.  In one
+    # conjugate of the (2, 2, -3) case nu_j o S_ij cancels a term of rho_ij
+    # that DS_ij nu_i then brings back, at the end of the component
     seen = []
     inverse, conjugate, compose, pull, least = (
         supermap._first_order_inverse, supermap.conjugate, supermap.compose, supermap._pull,
@@ -541,7 +562,8 @@ def test_first_order_maps_match_the_reference_chain_on_every_call(monkeypatch):
     assert out == pushforward_json((4, -1, -7))
     assert set(seen) == {("inverse", True), ("inverse", False), ("conjugate", True),
                          ("conjugate", False)}
-    assert degrees_read[0] > len(seen)
+    # a conjugate reads the degrees of each of its three lam and three maps
+    assert degrees_read[0] >= 6 * sum(kind == "conjugate" for kind, _ in seen) > 0
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -575,6 +597,71 @@ def test_first_order_inverse_reads_any_split_term(warm, request):
                 dev = supermap.map_difference(maps[(i, j)], split)
                 assert (supermap._least_degrees(maps[(i, j)], split, 3)
                         == tuple(min(d, 4) for d in reference_least_degrees([dev], 3)))
+
+
+def test_first_order_inverse_reads_exponents_past_two_to_the_64():
+    # rho_ij's deviation terms moved to exponents past 2^64, S_ij's terms
+    # kept: the images, built and then read from the table, against the
+    # reference chain in values, key order, coefficient types and
+    # certificate, at the gluing precision and one beyond it
+    cover = cech.standard_cover(2)
+    rng = random.Random(64)
+    big = 2 ** 64 + 3
+    for k in DEGREE_POOL:
+        degrees = SplitBundleDegrees(k)
+        spec = supermap.slot_sheaf(cover, degrees, 2)
+        t = supermap.build_trivialization(cover, degrees, 2,
+                                          {2: cech.random_closed_cochain(spec, rng)})
+        maps = dict(t.maps)
+        for i, j in cover.pairs:
+            split, rho = supermap._split_record(cover, degrees, i, j)[3], t.maps[(i, j)]
+            comps = [{(w, e if (w, e) == unit else tuple(x * big + rng.choice((-1, 0, 1))
+                                                          for x in e)): c
+                      for (w, e), c in comp.items()}
+                     for comp, (unit,) in zip(rho.even + rho.odd, split.even + split.odd)]
+            maps[(i, j)] = supermap._map(i, j, tuple(comps[:t.p]), tuple(comps[t.p:]))
+            assert maps[(i, j)].largest > 2 ** 64
+        changed = supermap.Trivialization(cover, degrees, t.order, maps)
+        for i, j in cover.pairs:
+            for precision in (3, 4, 3):
+                out, exact = supermap._first_order_inverse(changed, i, j, precision)
+                ref, ref_exact = reference_first_order_inverse(changed, i, j, precision)
+                same_maps(out, ref)
+                assert exact is ref_exact
+
+
+def test_image_tables_stay_within_their_bound(fresh_memos):
+    # more distinct deviation monomials than the bound pushed through the
+    # split record of S_10, 300 per inverse, alternating between its two
+    # even components: no table ever holds more than IMAGE_TABLE_LIMIT
+    # images, every inverse still equals the reference, and the fixture's
+    # emptying of the memos drops the record and its tables
+    cover = cech.standard_cover(2)
+    degrees = SplitBundleDegrees((4, -1, -7))
+    t = supermap.split_trivialization(cover, degrees, 2)
+    split = t.maps[(0, 1)]
+    tables = supermap._split_record(cover, degrees, 1, 0)[6]
+    pushed, sizes = 0, []
+    while pushed <= 2 * supermap.IMAGE_TABLE_LIMIT:
+        even = [dict(g) for g in split.even]
+        for n in range(pushed, pushed + 300):
+            even[(n // 300) % 2][(1, 2), (n, -n)] = n % 5 - 2 or Fraction(1, 3)
+        pushed += 300
+        maps = {**t.maps, (0, 1): supermap._map(0, 1, tuple(even), split.odd)}
+        changed = supermap.Trivialization(cover, degrees, 2, maps)
+        out, exact = supermap._first_order_inverse(changed, 0, 1, 3)
+        ref, ref_exact = reference_first_order_inverse(changed, 0, 1, 3)
+        same_maps(out, ref)
+        assert exact is ref_exact
+        sizes.append(len(tables[0, 3]))
+        assert all(len(table) <= supermap.IMAGE_TABLE_LIMIT for table in tables.values())
+    # component 0 met 300, 600 and 900 monomials, then 1200, so it started afresh
+    assert pushed > 2 * supermap.IMAGE_TABLE_LIMIT and sizes[-1] < supermap.IMAGE_TABLE_LIMIT
+    assert max(sizes) >= 900
+    assert_record(supermap._split_record(cover, degrees, 1, 0), cover, degrees, 1, 0)
+    fresh_memos()
+    record = supermap._split_record(cover, degrees, 1, 0)
+    assert record[6] is not tables and record[6] == {}
 
 
 def test_no_caller_changes_a_shared_split_map(tmp_path):

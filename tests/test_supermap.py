@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -578,11 +578,15 @@ def rand_component(rng, p, q, parity):
     return comp
 
 
-def wedge(x, y, order):
-    """x wedge y on components, through the kernel's product of term lists."""
-    terms = sm._product([(*key, v) for key, v in x.items()],
-                        [(*key, v) for key, v in y.items()], order)
-    return {(w, e): v for w, e, v in terms}
+def wedge(x, y, order, width=16):
+    """x wedge y on components, through the kernel's product of term lists,
+    their exponents packed in ``width``-bit digits as ``compose`` packs them;
+    the exponents of these components stay far inside the digits."""
+    p = len(next(iter({**x, **y}), ((), ()))[1])
+    weights = [1 << width * mu for mu in range(p)]
+    terms = sm._product(*([(w, sum(map(mul, e, weights)), v) for (w, e), v in comp.items()]
+                          for comp in (x, y)), order)
+    return {(w, sm._unpacked(e, width, p)): v for w, e, v in terms}
 
 
 def test_flat_algebra_laws():
