@@ -67,11 +67,12 @@ so it is memoised with ``functools`` on the function that builds it:
 (cover, kind, q, sign type), one summand's walk ``_walk`` on (cover, kind,
 q, twist), a block's slots ``_char_slots`` on (cover, kind, degree, twist,
 character), and ``_slot_record`` on (cover, kind, twist, slot).  Covers
-compare and hash by n, so every cover of P^n shares these records.  Keys
-hold no coefficient; only slot records hold a cochain's support, so only
-they are bounded, to the ``SLOT_TABLE_LIMIT`` most recently used.
-``supermap`` memoises its split records, slot sheaves and layouts the same
-way.
+compare and hash by n, so every cover of P^n shares these records, and no
+record changes after it is built.  Keys hold no coefficient; only slot
+records hold a cochain's support, so only they are bounded, to the
+``SLOT_TABLE_LIMIT`` most recently used.  ``supermap`` memoises its split
+records, slot sheaves and layouts the same way, and bounds its first-order
+images, keyed by a map's monomials, by the same constant.
 """
 
 from __future__ import annotations

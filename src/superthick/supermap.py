@@ -29,8 +29,8 @@ sums.
 The split maps S_ij (bodies x^row, odd parts x^(z_a) theta_a, all
 coefficients 1) have no soul, so composing with one is exponent
 substitution.  Each is built once, with what depends on it alone, by
-``_split_record``, memoised on (cover, degrees, i, j), and shared, so no
-caller changes it.  Reversed maps and conjugates are built from them by
+``_split_record``, memoised on (cover, degrees, i, j); a record is shared,
+so it is only read.  Reversed maps and conjugates are built from them by
 first-order formulas, exponent arithmetic on the deviation from S, whenever
 the degree certificate of ``invert`` makes those formulas exact
 (``normalize_inverses``, ``conjugate``); data beyond it composes.  So is the
@@ -39,9 +39,10 @@ is one pass: ``_pull`` adds components with S substituted and ``_tangent``
 subtracts DS applied through the split record's moves, grouped by argument
 component, each term once into accumulator dicts the caller owns, and
 ``_finish`` makes the map, as it does for ``compose``.  A reversed map
-reads each deviation term's image under v -> -DS(v o S) from a table on
-the split record, built from ``_pull`` and ``_tangent`` on the term's first
-use and bounded by ``IMAGE_TABLE_LIMIT`` (see ``_image``).  No sum
+adds each deviation term's image under v -> -DS(v o S), which ``_image``
+builds from the one monomial, memoised on (cover, degrees, i, j,
+component, monomial, precision) and bounded, like ``cech``'s slot records,
+to the ``cech.SLOT_TABLE_LIMIT`` most recently used.  No sum
 multiplies a Fraction by the int 1 or -1 or adds one to 0: sums go through
 ``laurent.add_term``, which ``compose`` and ``_tangent`` inline.  The checks
 of gluing data always compose, each through the one composition defect
@@ -68,7 +69,6 @@ defect, computed mod J^(m+2) with all new top coefficients set to zero.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -441,13 +441,11 @@ def invert(sm: SuperMap, order: int) -> SuperMap:
 @functools.cache
 def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> tuple:
     """The split map i -> j and what is derived from it alone, memoised on
-    (cover, degrees, i, j), as (rows, zs, cols, map, moves, odd moves,
-    images): the even rows, x^row, read off the transport j -> i; the odd
-    z_a = k_a line, x^(z_a) theta_a; the columns of the rows; the map,
-    shared, so read only; the moves of ``_tangent`` grouped by argument
-    component, all of them and those into odd components, which these
-    number from 0; and the tables of ``_image`` by (component, precision),
-    the only part that changes."""
+    (cover, degrees, i, j), as (rows, zs, cols, map, moves, odd moves): the
+    even rows, x^row, read off the transport j -> i; the odd z_a = k_a line,
+    x^(z_a) theta_a; the columns of the rows; the map; and the moves of
+    ``_tangent`` grouped by argument component, all of them and those into
+    odd components, which these number from 0.  Shared, so read only."""
     rows, line, _ = cover.transport(cech.LINE_SUM, j, i, 0)
     zs = tuple(tuple(k * x for x in line) for k in degrees.degrees)
     p, terms = len(rows), [((), r) for r in rows] + [((a,), z) for a, z in enumerate(zs, 1)]
@@ -461,7 +459,7 @@ def _split_record(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int) -> 
             moves[p + a - 1].append((out, 1, row, ()))
     odd = tuple(tuple((out - p, *move) for out, *move in arg if out >= p) for arg in moves)
     return (rows, zs, tuple(zip(*rows)), _map(i, j, comps[:p], comps[p:]),
-            tuple(map(tuple, moves)), odd, collections.defaultdict(dict))
+            tuple(map(tuple, moves)), odd)
 
 
 def _pull(acc: list, comps, split: tuple, order: int) -> None:
@@ -705,11 +703,12 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
     with S_ij's one term per component less 1 (a missing one read as 0),
     and the certificate's least degrees; each term of delta adds its
     coefficient times its ``_image``."""
-    there, back = (_split_record(t.cover, t.degrees, *pair) for pair in ((i, j), (j, i)))
-    split, rho, low = back[3], t.maps[(i, j)], [precision + 1, precision + 1]
-    acc = [dict(g) for g in split.even + split.odd]
-    for index, (comp, (unit,)) in enumerate(zip(rho.even + rho.odd, there[3].even + there[3].odd)):
-        odd, images = index >= t.p, back[6][index, precision]
+    cover, degrees = t.cover, t.degrees
+    there, back = (_split_record(cover, degrees, *pair)[3] for pair in ((i, j), (j, i)))
+    rho, low = t.maps[(i, j)], [precision + 1, precision + 1]
+    acc = [dict(g) for g in back.even + back.odd]
+    for index, (comp, (unit,)) in enumerate(zip(rho.even + rho.odd, there.even + there.odd)):
+        odd = index >= t.p
         for key, c in comp.items() if unit in comp else [*comp.items(), (unit, 0)]:
             if key == unit:
                 if c == 1:
@@ -720,10 +719,7 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
                 low[odd] = n
             if n > precision:
                 continue
-            image = images.get(key)
-            if image is None:
-                image = _image(back, index, key, precision, images)
-            terms = iter(image)
+            terms = iter(_image(cover, degrees, j, i, index, key, precision))
             for out, word, exps, factor in zip(terms, terms, terms, terms):
                 x = c if factor == 1 else -c if factor == -1 else factor * c
                 part, target = acc[out], (word, exps)
@@ -732,26 +728,30 @@ def _first_order_inverse(t: Trivialization, i: int, j: int, precision: int) -> t
     return _finish(acc, j, i, t.p), _first_order_exact(*low, precision)
 
 
-# the most images a table keeps; a full table starts afresh
-IMAGE_TABLE_LIMIT = 1024
-
-
-def _image(record: tuple, index: int, key: tuple, precision: int, images: dict) -> tuple:
+@functools.lru_cache(maxsize=cech.SLOT_TABLE_LIMIT)
+def _image(cover: Cover, degrees: SplitBundleDegrees, i: int, j: int, index: int, key: tuple,
+           precision: int) -> tuple:
     """The image of the monomial ``key`` of component ``index`` under v ->
-    -DS(v o S) mod J^(precision+1), S the split map of ``record``: ``_pull``
-    and ``_tangent`` on it, in the order they add its terms, each as output
+    -DS(v o S) mod J^(precision+1), S the split map i -> j: the monomial
+    x^e theta_w pulled through S once, to x^(sum_mu e_mu row_mu + sum_(a in
+    w) z_a) theta_w, then moved along the split record's moves for the
+    component, at most one into each output component.  Each term as output
     component, word, exponents and coefficient, flat, so that a kept image
-    holds no tuple per term.  Kept in ``images``, the record's table of the
-    component and precision."""
-    pulled, moved = [{} for _ in record[4]], [{} for _ in record[4]]
-    _pull(pulled, [{key: 1} if n == index else {} for n in range(len(pulled))], record, precision)
-    _tangent(moved, pulled, record[4], precision)
-    image = tuple(x for out, part in enumerate(moved) for (w, e), c in part.items()
-                  for x in (out, w, e, c))
-    if len(images) >= IMAGE_TABLE_LIMIT:
-        images.clear()
-    images[key] = image
-    return image
+    holds no tuple per term.  Memoised on (cover, degrees, i, j, index, key,
+    precision); a key holds a map's support, so the memo keeps the
+    ``cech.SLOT_TABLE_LIMIT`` most recently used."""
+    _, zs, cols, _, moves, _ = _split_record(cover, degrees, i, j)
+    w, e = key
+    exps = [sum(map(mul, e, col)) for col in cols]
+    for a in w:
+        exps = list(map(add, exps, zs[a - 1]))
+    room, image = precision - len(w), []
+    for out, r, shift, word in moves[index]:
+        merged = len(word) <= room and _MERGED[w, word]
+        if merged:
+            sign, joined = merged
+            image += (out, joined, tuple(map(add, exps, shift)), -sign * r)
+    return tuple(image)
 
 
 def build_trivialization(cover: Cover, degrees: SplitBundleDegrees, order: int,

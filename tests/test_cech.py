@@ -45,7 +45,7 @@ def test_equal_covers_hash_alike_and_share_records():
 
 def test_fresh_memos_empties_every_builder(fresh_memos):
     builders = {"Cover.transport", "_type_record", "_walk", "_char_slots", "_slot_record",
-                "_split_record", "slot_sheaf", "_even_layout", "_odd_layout"}
+                "_split_record", "_image", "slot_sheaf", "_even_layout", "_odd_layout"}
     memos = package_memos()
     assert builders <= {memo.__qualname__ for memo in memos}
     pipeline_obstructed_cp2((4, -1, -7))

@@ -5,10 +5,13 @@
 ``perfbench/run.py --trace 1``.  This test loads that file without changing it
 and resolves every name against the package, each to a plain function.  Its
 tracer must also see the work under each name: every check of a gluing case
-composes through ``supermap.compose``.
+composes through ``supermap.compose``.  ``perfbench/selftest.py``, which
+compares the traced counts with cProfile's, must run to its known state.
 """
 
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import superthick
 from test_int_kernel import run_gluing_case
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+SELFTEST = LAYERS.with_name("selftest.py")
 
 
 def load_layers():
@@ -57,3 +61,19 @@ def test_traced_gluing_case_sees_every_composition():
     metrics = tracer.metrics()
     assert metrics["supermap.compose.calls"]["value"] == 20
     assert metrics["supermap.invert.calls"]["value"] == 0
+
+
+def test_tracing_selftest_reports_its_known_state():
+    # the self-test finds each target in cProfile's table by its code
+    # object, so a memo wrapper on a traced name stops it with a traceback;
+    # five targets that its small input no longer reaches are its known FAIL
+    # lines.  -B writes no bytecode next to the benchmark's files
+    run = subprocess.run([sys.executable, "-B", str(SELFTEST)], capture_output=True,
+                         text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert "Traceback" not in out, out
+    assert "23/28 traced functions match cProfile" in run.stdout, out
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed == ["laurent.compose", "laurent.mul", "exterior.substitute_nilpotent",
+                      "exterior.wedge", "supermap.invert"], out
+    assert run.returncode == 1

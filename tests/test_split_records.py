@@ -22,15 +22,17 @@ from the split map taken by ``map_difference``; the first is also checked on
 maps whose term at S_ij's one term is 1, another coefficient or missing.
 ``_least_degrees``, which reads the certificate's degrees off a map without
 building its deviation, is checked against the degrees of ``map_difference``.
-``_first_order_inverse`` reads each deviation term's image from tables on
-the split record, bounded by ``IMAGE_TABLE_LIMIT``; every image a record
-holds is checked against ``reference_image``, built from the reference
-pull and tangent of the one monomial.
-The split maps are shared by every trivialisation built on a cover, so no
-caller may change a component of one; the last test checks that none does.
+``_first_order_inverse`` reads each deviation term's image from ``_image``,
+memoised and bounded by ``cech.SLOT_TABLE_LIMIT``; every image read is
+checked, as kept and as built afresh, against ``reference_image``, built
+from the reference pull and tangent of the one monomial.
+The split records, slot layouts and slot sheaves are shared by every
+trivialisation built on a cover, so no caller may change one; the last test
+checks that none does.
 """
 
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -278,15 +280,10 @@ def same_maps(out, ref):
 def assert_record(split, cover, degrees, i, j):
     """A split record equals the per-call builds it replaces, its moves
     regrouped by argument component, its odd moves those into the odd
-    components, numbered from 0, and every image its table holds the
-    reference image of its monomial."""
+    components, numbered from 0."""
     rows, zs = reference_split_exponents(cover, degrees, i, j)
     p = len(rows)
-    assert type(split) is tuple and len(split) == 7 and isinstance(split[6], dict)
-    for (index, precision), table in split[6].items():
-        assert len(table) <= supermap.IMAGE_TABLE_LIMIT
-        for key, image in table.items():
-            assert image == reference_image(rows, zs, index, key, precision)
+    assert type(split) is tuple and len(split) == 6
     assert split[:3] == (rows, zs, tuple(zip(*rows)))
     same_maps(split[3], reference_split_map(i, j, rows, zs))
     moves = reference_argument_moves(rows, zs)
@@ -294,6 +291,17 @@ def assert_record(split, cover, degrees, i, j):
     assert [list(arg) for arg in split[4]] == moves
     assert [list(arg) for arg in split[5]] == [[(out - p, *move) for out, *move in arg if out >= p]
                                                for arg in moves]
+
+
+BUILD_IMAGE = supermap._image.__wrapped__  # the builder, whatever a test stubs
+
+
+def assert_image(image, cover, degrees, i, j, index, key, precision):
+    """An image read through the split map i -> j, and the image built
+    afresh, equal the reference image of the monomial."""
+    ref = reference_image(*reference_split_exponents(cover, degrees, i, j), index, key, precision)
+    assert image == ref
+    assert BUILD_IMAGE(cover, degrees, i, j, index, key, precision) == ref
 
 
 def assert_layout(layout, cover, degrees, d, i, j):
@@ -355,6 +363,10 @@ def test_split_records_match_the_per_call_builds(warm, request):
                 acc = [{} for _ in vector]
                 supermap._pull(acc, vector, split, order)
                 same_components(acc, [reference_pull(g, rows, zs) for g in vector])
+                for index, comp in enumerate(vector):
+                    for key in comp:
+                        image = supermap._image(cover, degrees, i, j, index, key, order)
+                        assert_image(image, cover, degrees, i, j, index, key, order)
                 # rho_ij + v o S - DS w into accumulators seeded with rho_ij
                 base = reference_moved(split[3], [(1, random_vector(rng, p, q, order + 1))],
                                        order + 1)
@@ -423,7 +435,7 @@ def pushforward_json(degrees):
 
 def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(monkeypatch):
     calls = dict.fromkeys(["_split_record", "_pull", "_tangent", "_slot_layout", "_place",
-                           "_read"], 0)
+                           "_read", "_image"], 0)
     real = {name: getattr(supermap, name) for name in calls}
     cover = cech.Cover(2)
     splits, layouts = [], {}
@@ -478,7 +490,7 @@ def test_every_call_of_a_gluing_case_and_a_certificate_matches_the_references(mo
         c, degrees, spec, i, j = layout_key(layout)
         assert typed(out[0]) == typed(reference_read(c, degrees, spec, comps, i, j))
 
-    checks = (record, pull, tangent, layout, place, read)
+    checks = (record, pull, tangent, layout, place, read, assert_image)
     for name, check in zip(calls, checks):
         checked(name, check)
     gluing_case(cover, SplitBundleDegrees((4, -1, -7)), random.Random(25))
@@ -632,42 +644,58 @@ def test_first_order_inverse_reads_exponents_past_two_to_the_64():
 
 def test_image_tables_stay_within_their_bound(fresh_memos):
     # more distinct deviation monomials than the bound pushed through the
-    # split record of S_10, 300 per inverse, alternating between its two
-    # even components: no table ever holds more than IMAGE_TABLE_LIMIT
-    # images, every inverse still equals the reference, and the fixture's
-    # emptying of the memos drops the record and its tables
+    # split map S_10, 1500 per inverse, alternating between its two even
+    # components: the memo never holds more than cech.SLOT_TABLE_LIMIT
+    # images, every inverse still equals the reference, the images of the
+    # last inverse are all kept, those of the first that went are built
+    # again, and the fixture's emptying of the memos drops them
     cover = cech.standard_cover(2)
     degrees = SplitBundleDegrees((4, -1, -7))
     t = supermap.split_trivialization(cover, degrees, 2)
-    split = t.maps[(0, 1)]
-    tables = supermap._split_record(cover, degrees, 1, 0)[6]
-    pushed, sizes = 0, []
-    while pushed <= 2 * supermap.IMAGE_TABLE_LIMIT:
+    split, limit = t.maps[(0, 1)], cech.SLOT_TABLE_LIMIT
+    pushed, sizes, inverses = 0, [], []
+    while pushed <= limit:
         even = [dict(g) for g in split.even]
-        for n in range(pushed, pushed + 300):
-            even[(n // 300) % 2][(1, 2), (n, -n)] = n % 5 - 2 or Fraction(1, 3)
-        pushed += 300
+        for n in range(pushed, pushed + 1500):
+            even[(n // 1500) % 2][(1, 2), (n, -n)] = n % 5 - 2 or Fraction(1, 3)
+        pushed += 1500
         maps = {**t.maps, (0, 1): supermap._map(0, 1, tuple(even), split.odd)}
         changed = supermap.Trivialization(cover, degrees, 2, maps)
         out, exact = supermap._first_order_inverse(changed, 0, 1, 3)
         ref, ref_exact = reference_first_order_inverse(changed, 0, 1, 3)
         same_maps(out, ref)
         assert exact is ref_exact
-        sizes.append(len(tables[0, 3]))
-        assert all(len(table) <= supermap.IMAGE_TABLE_LIMIT for table in tables.values())
-    # component 0 met 300, 600 and 900 monomials, then 1200, so it started afresh
-    assert pushed > 2 * supermap.IMAGE_TABLE_LIMIT and sizes[-1] < supermap.IMAGE_TABLE_LIMIT
-    assert max(sizes) >= 900
-    assert_record(supermap._split_record(cover, degrees, 1, 0), cover, degrees, 1, 0)
+        inverses.append((changed, ref))
+        sizes.append(supermap._image.cache_info().currsize)
+        assert sizes[-1] <= limit
+    assert pushed > limit and sizes[-1] == limit and sizes[0] < limit
+    for (changed, ref), kept in ((inverses[-1], True), (inverses[0], False)):
+        misses = supermap._image.cache_info().misses
+        same_maps(supermap._first_order_inverse(changed, 0, 1, 3)[0], ref)
+        assert (supermap._image.cache_info().misses == misses) is kept
     fresh_memos()
-    record = supermap._split_record(cover, degrees, 1, 0)
-    assert record[6] is not tables and record[6] == {}
+    assert supermap._image.cache_info().currsize == 0
 
 
-def test_no_caller_changes_a_shared_split_map(tmp_path):
+def test_no_caller_changes_a_shared_split_map(tmp_path, monkeypatch):
     # a gluing case, a certificate, extend_by_zero and a thickening file
-    # that leaves pairs out, all on the shared cover; then every memoised
-    # split map they read still equals one built afresh
+    # that leaves pairs out, all on the shared cover; then every split
+    # record, slot layout and slot sheaf they read still equals a deep copy
+    # taken on its first read, and every memoised split map one built afresh
+    copies = {}
+
+    def copying(name):
+        build = getattr(supermap, name)
+
+        def wrapper(*args):
+            out = build(*args)
+            if (name, *args) not in copies:
+                copies[name, *args] = (out, copy.deepcopy(out))
+            return out
+        monkeypatch.setattr(supermap, name, wrapper)
+
+    for name in ("_split_record", "_slot_layout", "slot_sheaf"):
+        copying(name)
     cover = cech.standard_cover(2)
     degrees = SplitBundleDegrees((4, -1, -7))
     t = gluing_case(cover, degrees, random.Random(7))
@@ -685,6 +713,10 @@ def test_no_caller_changes_a_shared_split_map(tmp_path):
         supermap.inverse_residual(made)
     supermap.conjugate(supermap.normalize_inverses(read), {
         c: supermap.identity_map(c, cover.n, degrees.rank) for c in cover.charts})
+    monkeypatch.undo()
+    assert {key[0] for key in copies} == {"_split_record", "_slot_layout", "slot_sheaf"}
+    for key, (out, before) in copies.items():
+        assert out == before, key
     misses = supermap._split_record.cache_info().misses
     for i, j in itertools.permutations(cover.charts, 2):
         rows, zs = reference_split_exponents(cover, degrees, i, j)
