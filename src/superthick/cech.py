@@ -61,14 +61,19 @@ each character's slot exponents to make representatives.
 and class coordinates.  The closed formulas cross-check every total in
 ``class_blocks``.
 
-What is reused is a pure function of the cover and a small structural key,
-so it is memoised with ``functools`` on the function that builds it:
-``Cover.transport`` on (cover, kind, a, b, comp), ``_type_record`` on
-(cover, kind, q, sign type), one summand's walk ``_walk`` on (cover, kind,
-q, twist), a block's slots ``_char_slots`` on (cover, kind, degree, twist,
-character), and ``_slot_record`` on (cover, kind, twist, slot).  Covers
-compare and hash by n, so every cover of P^n shares these records, and no
-record changes after it is built.  Keys hold no coefficient; only slot
+Each cover builds its simplices of every degree, ``pairs``, ``triples`` and
+``cofaces`` once, as tuples.  What is reused beyond them is a pure function
+of the cover and a small structural key, so it is memoised with
+``functools`` on the function that builds it: ``Cover.transport`` on
+(cover, kind, a, b, comp), ``_type_record`` on (cover, kind, q, sign type),
+one summand's walk ``_walk`` on (cover, kind, q, twist), a block's slots
+``_char_slots`` on (cover, kind, degree, twist, character), and
+``_slot_record`` on (cover, kind, twist, slot).  The per-summand helpers
+under them (``monomial_char``, ``char_monomial_exps``, ``_delta_slot``,
+``_summand_bott_dim``, ``_ncomp``) take the cover, kind and twist the keys
+hold, so only ``_type_record`` makes a sheaf, for ``delta_block_matrix``.
+Covers compare and hash by n, so every cover of P^n shares these records,
+and no record changes after it is built.  Keys hold no coefficient; only slot
 records hold a cochain's support, so only they are bounded, to the
 ``SLOT_TABLE_LIMIT`` most recently used.  ``supermap`` memoises its split
 records, slot sheaves and layouts the same way, and bounds its first-order
@@ -102,6 +107,16 @@ class Cover:
         self.n = n
         self.charts = tuple(range(n + 1))
         self._chart_vars = tuple(tuple(l for l in self.charts if l != i) for i in self.charts)
+        # the sorted simplices of each degree -1..n+1, in lexicographic order
+        self._simplices = {q: tuple(itertools.combinations(self.charts, q + 1))
+                           for q in range(-1, n + 2)}
+        self.pairs, self.triples = self.simplices(1), self.simplices(2)
+        # (coface, sign) for each simplex one vertex larger than a face,
+        # sign (-1)^j for the vertex added at position j
+        self.cofaces = {
+            face: tuple((big, -1 if pos % 2 else 1) for big in self.simplices(len(face))
+                        if set(face) < set(big) for pos, v in enumerate(big) if v not in face)
+            for faces in self._simplices.values() for face in faces}
 
     def chart_vars(self, i: int) -> tuple[int, ...]:
         """Homogeneous indices of the affine coordinates of chart i."""
@@ -150,16 +165,9 @@ class Cover:
             outputs = tuple((mu, tuple(map(sub, r, eye[mu])), r[mu]) for mu in range(n) if r[mu])
         return rows, line, outputs
 
-    def simplices(self, q: int) -> list[tuple[int, ...]]:
-        return [tuple(s) for s in itertools.combinations(self.charts, q + 1)]
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return self.simplices(1)
-
-    @property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return self.simplices(2)
+    def simplices(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """The sorted (q+1)-subsets of the charts, in lexicographic order."""
+        return self._simplices.get(q, ())
 
     def __eq__(self, other):
         return isinstance(other, Cover) and self.n == other.n
@@ -212,13 +220,17 @@ class SheafSpec:
     @property
     def ncomp(self) -> int:
         """The rank C(n, p) of the summands' Omega^p."""
-        n = self.cover.n
-        p, _ = _FRAMES[self.kind][1](n)
-        return math.comb(n, p)
+        return _ncomp(self.cover.n, self.kind)
 
     @property
     def nsummands(self) -> int:
         return len(self.twists)
+
+
+def _ncomp(n: int, kind: str) -> int:
+    """The rank C(n, p) of a summand of the kind, Omega^p(t + shift)."""
+    p, _ = _FRAMES[kind][1](n)
+    return math.comb(n, p)
 
 
 def line_sum(cover: Cover, twists, labels=()) -> SheafSpec:
@@ -369,20 +381,9 @@ def _cochain(sheaf: SheafSpec, degree: int, terms: dict) -> Cochain:
     return out
 
 
-@functools.cache
-def _cofaces(n: int, face: tuple) -> tuple:
-    """(simplex, sign) for each simplex of the cover of P^n one vertex larger
-    than ``face`` and containing it; sign is (-1)^j for the added vertex at j."""
-    out = []
-    for big in itertools.combinations(range(n + 1), len(face) + 1):
-        added = [pos for pos, v in enumerate(big) if v not in face]
-        if len(added) == 1:
-            out.append((big, -1 if added[0] % 2 else 1))
-    return tuple(out)
-
-
-def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
-    """Coboundary of one unit slot, as (image slot, coefficient) pairs.
+def _delta_slot(cover: Cover, kind: str, twist: int, slot: BasisSlot) -> list:
+    """Coboundary of one unit slot of a summand twisted by ``twist``, as
+    (image slot, coefficient) pairs.
 
     On every coface the monomial is transported from the face's chart to the
     coface's chart by ``Cover.transport``, times the coface's sign.  This is
@@ -390,13 +391,11 @@ def _delta_slot(spec: SheafSpec, slot: BasisSlot) -> list:
     sums it over a cochain's slots, and ``delta_block_matrix`` makes it a
     block column.
     """
-    cover = spec.cover
     face = slot.simplex
-    twist = spec.twists[slot.summand]
     return [
         (BasisSlot(big, slot.summand, mu, exps), sign * coef)
-        for big, sign in _cofaces(cover.n, face)
-        for mu, exps, coef in _move(cover, spec.kind, face[0], big[0], slot.comp, twist, slot.exps)
+        for big, sign in cover.cofaces[face]
+        for mu, exps, coef in _move(cover, kind, face[0], big[0], slot.comp, twist, slot.exps)
     ]
 
 
@@ -418,10 +417,8 @@ def _slot_record(cover: Cover, kind: str, twist: int, slot: BasisSlot) -> tuple:
     instead of transporting the monomial again.  Memoised on (cover, kind,
     twist, slot), at most ``SLOT_TABLE_LIMIT`` records.
     """
-    # a sheaf in which the slot's summand has the twist
-    spec = SheafSpec(cover, kind, (twist,) * (slot.summand + 1))
-    char = monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
-    return char, tuple(_delta_slot(spec, slot))
+    char = monomial_char(cover, kind, twist, slot.simplex[0], slot.comp, slot.exps)
+    return char, tuple(_delta_slot(cover, kind, twist, slot))
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -447,30 +444,31 @@ def coboundary(c: Cochain) -> Cochain:
 Char = tuple  # length n+1 exponent vector of homogeneous coordinates
 
 
-def _frame_char(spec: SheafSpec, chart: int, comp: int) -> list[int]:
+def _frame_char(cover: Cover, kind: str, chart: int, comp: int) -> list[int]:
     """Character weight * (e_chart - e_mu) of the frame of component ``comp``,
     mu its coordinate's homogeneous index, weight from the frame table."""
-    g = [0] * (spec.cover.n + 1)
-    weight = _FRAMES[spec.kind][0]
+    g = [0] * (cover.n + 1)
+    weight = _FRAMES[kind][0]
     g[chart] += weight
-    g[spec.cover.chart_vars(chart)[comp]] -= weight
+    g[cover.chart_vars(chart)[comp]] -= weight
     return g
 
 
-def monomial_char(spec: SheafSpec, chart: int, summand: int, comp: int, exps) -> Char:
-    """Torus character of one monomial of a section in chart presentation."""
-    g = _frame_char(spec, chart, comp)
-    for pos, l in enumerate(spec.cover.chart_vars(chart)):
+def monomial_char(cover: Cover, kind: str, twist: int, chart: int, comp: int, exps) -> Char:
+    """Torus character of one monomial, in chart presentation, of a section
+    of a summand twisted by ``twist``."""
+    g = _frame_char(cover, kind, chart, comp)
+    for pos, l in enumerate(cover.chart_vars(chart)):
         g[l] += exps[pos]
-    g[chart] += spec.twists[summand] - sum(exps)
+    g[chart] += twist - sum(exps)
     return tuple(g)
 
 
-def char_monomial_exps(spec: SheafSpec, chart: int, summand: int, comp: int, g: Char):
+def char_monomial_exps(cover: Cover, kind: str, twist: int, chart: int, comp: int, g: Char):
     """Inverse of monomial_char; None when the character misses this slot."""
-    frame = _frame_char(spec, chart, comp)
-    exps = tuple(g[l] - frame[l] for l in spec.cover.chart_vars(chart))
-    if spec.twists[summand] - sum(exps) + frame[chart] != g[chart]:
+    frame = _frame_char(cover, kind, chart, comp)
+    exps = tuple(g[l] - frame[l] for l in cover.chart_vars(chart))
+    if twist - sum(exps) + frame[chart] != g[chart]:
         return None
     return exps
 
@@ -497,20 +495,14 @@ def char_basis(spec: SheafSpec, degree: int, summand: int, g: Char) -> list[Basi
 def _char_slots(cover: Cover, kind: str, degree: int, twist: int, g: Char) -> tuple:
     """(simplex, comp, exps) of every degree-``degree`` slot of character g
     of a summand twisted by ``twist``, memoised on those arguments."""
-    spec = SheafSpec(cover, kind, (twist,))
     found = []
     for simplex in cover.simplices(degree):
         chart = simplex[0]
-        for comp in range(spec.ncomp):
-            exps = char_monomial_exps(spec, chart, 0, comp, g)
+        for comp in range(_ncomp(cover.n, kind)):
+            exps = char_monomial_exps(cover, kind, twist, chart, comp, g)
             if exps is not None and _cone_ok(cover, simplex, chart, exps):
                 found.append((simplex, comp, exps))
     return tuple(found)
-
-
-def cochain_from_slots(spec: SheafSpec, degree: int, slots, coefs) -> Cochain:
-    """The cochain sum_i coefs[i] * slots[i] over distinct slots."""
-    return Cochain(spec, degree, dict(zip(slots, coefs)))
 
 
 def cochain_chars(c: Cochain) -> dict[tuple[int, Char], dict[BasisSlot, Fraction]]:
@@ -541,7 +533,7 @@ def delta_block_matrix(
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
     for col, slot in enumerate(dom):
-        for image, coef in _delta_slot(spec, slot):
+        for image, coef in _delta_slot(spec.cover, spec.kind, spec.twists[summand], slot):
             row = index.get(image)
             if row is None:
                 raise AssertionError(f"coboundary image {image} is not a codomain slot")
@@ -682,11 +674,11 @@ def _compositions(total: int, parts: int):
             yield (v,) + tail
 
 
-def _summand_bott_dim(spec: SheafSpec, summand: int, q: int) -> int:
-    """h^q of one summand, the Bott formula of its frame-table form."""
-    n = spec.cover.n
-    p, shift = _FRAMES[spec.kind][1](n)
-    return bott.bott_dim(n, p, q, spec.twists[summand] + shift)
+def _summand_bott_dim(cover: Cover, kind: str, twist: int, q: int) -> int:
+    """h^q of a summand twisted by ``twist``, the Bott formula of its
+    frame-table form."""
+    p, shift = _FRAMES[kind][1](cover.n)
+    return bott.bott_dim(cover.n, p, q, twist + shift)
 
 
 def _sign_type(g: Char) -> tuple:
@@ -806,7 +798,7 @@ def _walk(cover: Cover, kind: str, q: int, twist: int) -> tuple[tuple[Char, list
         if classes:
             found.extend((c, classes) for c in itertools.chain((first,), chars))
     count = sum(len(classes) for _, classes in found)
-    expected = _summand_bott_dim(SheafSpec(cover, kind, (twist,)), 0, q)
+    expected = _summand_bott_dim(cover, kind, twist, q)
     if count != expected:
         raise AssertionError(f"H^{q} of a {kind} summand twisted by {twist} has "
                              f"{count} classes, closed formula gives {expected}")
@@ -827,9 +819,9 @@ def class_blocks(spec: SheafSpec, q: int) -> list[tuple[int, Char, list[list[int
         return []
     blocks = []
     expected = 0
-    for summand in range(spec.nsummands):
+    for summand, twist in enumerate(spec.twists):
         blocks.extend((summand, g, classes) for g, classes in enumerate_chars(spec, summand, q))
-        expected += _summand_bott_dim(spec, summand, q)
+        expected += _summand_bott_dim(spec.cover, spec.kind, twist, q)
     found = sum(len(classes) for _, _, classes in blocks)
     if found != expected:
         raise AssertionError(f"H^{q} has {found} classes, closed formula gives {expected}")
@@ -849,14 +841,14 @@ def class_count(spec: SheafSpec, q: int) -> int:
     if not 0 <= q <= spec.cover.n:
         return 0
     found = expected = 0
-    for summand, twist in enumerate(spec.twists):
+    for twist in spec.twists:
         for sign_type in _sign_types(spec.cover.n):
             surplus = twist - sum(sign_type)
             free = sign_type.count(1 if surplus >= 0 else -2)
             chars = math.comb(abs(surplus) + free - 1, free - 1) if free else int(surplus == 0)
             if chars:
                 found += chars * len(_type_record(spec.cover, spec.kind, q, sign_type)[0])
-        expected += _summand_bott_dim(spec, summand, q)
+        expected += _summand_bott_dim(spec.cover, spec.kind, twist, q)
     if found != expected:
         raise AssertionError(f"H^{q} has {found} classes, closed formula gives {expected}")
     return found
@@ -873,7 +865,7 @@ def cohomology(spec: SheafSpec, q: int) -> CohomologyReport:
     reps: list[Cochain] = []
     for summand, g, classes in class_blocks(spec, q):
         slots = char_basis(spec, q, summand, g)
-        reps.extend(cochain_from_slots(spec, q, slots, vec) for vec in classes)
+        reps.extend(Cochain(spec, q, dict(zip(slots, vec))) for vec in classes)
     return CohomologyReport({q: len(reps)}, {q: reps}, "sign-type-linear-algebra")
 
 

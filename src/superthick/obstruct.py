@@ -125,9 +125,9 @@ def search_split_triples(lo: int, hi: int) -> list[SplitConditionsReport]:
     for k1 in range(lo, hi + 1):
         k3 = -3 - k1
         if lo <= k3 <= hi:
-            for k2 in range(lo, hi + 1):
-                if k1 + k2 > 2 and k2 + k3 < -3:
-                    out.append(check_split_conditions(SplitBundleDegrees((k1, k2, k3))))
+            # k1 + k2 > 2 and k2 + k3 < -3 pin k2 to 3 - k1 <= k2 <= k1 - 1
+            for k2 in range(max(lo, 3 - k1), min(hi, k1 - 1) + 1):
+                out.append(check_split_conditions(SplitBundleDegrees((k1, k2, k3))))
     return out
 
 

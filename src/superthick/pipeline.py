@@ -76,8 +76,11 @@ def pipeline_obstructed_cp2(degrees, window: int = DEFAULT_WINDOW, space: str = 
 
     Each image gamma is the closed-form ``pushforward_partial``, certified
     once by ``verify_gamma_cocycle`` against the composition defect.
+    Degrees of a rank other than 3 raise ValueError, on either space.
     """
     degrees = SplitBundleDegrees(tuple(degrees))
+    if degrees.rank != 3:
+        raise ValueError("rank-3 degrees required")
     report: dict = {
         "degrees": list(degrees.degrees),
         "space": space,

@@ -1007,13 +1007,10 @@ def equivalence_witness(t1: Trivialization, t2: Trivialization):
         return None
     lam = automorphism_from_increment(t1.cover, t1.degrees, m, sol, m)
     conj = conjugate(t1, lam)
-    # equal truncated components agree mod J^(m+1); unequal ones may still
-    # differ only by zero coefficients, so those are compared without zeros
+    # the maps hold no zero coefficient, so they agree mod J^(m+1) exactly
+    # when their truncations are equal
     for key in t1.maps:
-        got, want = conj.maps[key].truncate(m), t2.maps[key].truncate(m)
-        if (got.even != want.even or got.odd != want.odd) and any(
-                {w: c for w, c in x.items() if c} != {w: c for w, c in y.items() if c}
-                for x, y in zip(got.even + got.odd, want.even + want.odd)):
+        if conj.maps[key].truncate(m) != t2.maps[key].truncate(m):
             raise AssertionError("equivalence witness failed verification")
     return sol
 

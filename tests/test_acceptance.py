@@ -143,6 +143,12 @@ def test_criterion_04_example_search():
     assert triples == brute_search(-8, 8)
     assert (3, 0, -6) in triples and (4, -1, -7) in triples
     assert all(k1 + k2 != 2 for k1, k2, _ in triples)
+    # the search walks k2's interval; these windows cut it at either end or
+    # leave it empty
+    for lo in range(-12, 6):
+        for hi in range(lo, 14):
+            found = [tuple(h.degrees.degrees) for h in search_split_triples(lo, hi)]
+            assert found == brute_search(lo, hi), (lo, hi)
 
     headline = check_split_conditions(SplitBundleDegrees((3, 0, -6)))
     assert headline.direct_all

@@ -27,6 +27,33 @@ def test_standard_cover_nerve():
         cech.standard_cover(3)
 
 
+SIMPLICES = {
+    1: {-1: [()], 0: [(0,), (1,)], 1: [(0, 1)], 2: []},
+    2: {-1: [()], 0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2)], 3: []},
+}
+
+
+def reference_cofaces(n, face):
+    """(simplex, sign) for each simplex of P^n one vertex larger than face and
+    containing it, sign (-1)^j for the added vertex at j."""
+    out = []
+    for big in itertools.combinations(range(n + 1), len(face) + 1):
+        added = [pos for pos, v in enumerate(big) if v not in face]
+        if len(added) == 1:
+            out.append((big, -1 if added[0] % 2 else 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cover_tables_list_simplices_and_cofaces_in_order(n):
+    cover = cech.Cover(n)
+    for q, simplices in SIMPLICES[n].items():
+        assert cover.simplices(q) == tuple(simplices)
+        for face in simplices:
+            assert cover.cofaces[face] == reference_cofaces(n, face)
+    assert (cover.pairs, cover.triples) == (cover.simplices(1), cover.simplices(2))
+
+
 def test_equal_covers_hash_alike_and_share_records():
     fresh, shared = cech.Cover(2), cech.standard_cover(2)
     assert fresh == shared and hash(fresh) == hash(shared) and fresh != cech.Cover(1)
@@ -243,7 +270,8 @@ def oracle_cohomology(n, k, q):
         if h and q in (0, n):
             simplices = spec.cover.simplices(0) if q == 0 else spec.cover.simplices(n)
             reps[g] = cech.Cochain(spec, q, {
-                cech.BasisSlot(s, 0, 0, cech.char_monomial_exps(spec, s[0], 0, 0, g)): 1
+                cech.BasisSlot(s, 0, 0, cech.char_monomial_exps(spec.cover, spec.kind, k, s[0],
+                                                                0, g)): 1
                 for s in simplices
             })
     return dim, reps
@@ -447,7 +475,7 @@ def scan_h1(spec, window, blocks=None):
                 lead = next((i for i, x in enumerate(rest) if x), None)
                 if lead is not None:
                     echelon.append((lead, [x / rest[lead] for x in rest]))
-                    reps.append(cech.cochain_from_slots(spec, 1, block(1, summand, g)[0], vec))
+                    reps.append(cech.Cochain(spec, 1, dict(zip(block(1, summand, g)[0], vec))))
     return len(reps), reps
 
 
@@ -827,18 +855,19 @@ def test_per_twist_memos_serve_what_empty_memos_compute(fresh_memos):
 def reference_coboundary(c):
     """The coboundary with every slot transported afresh by ``_delta_slot``,
     summed in term order and checked by the ``Cochain`` constructor."""
-    out = {}
+    spec, out = c.sheaf, {}
     for slot, coef in c.terms.items():
-        for image, x in cech._delta_slot(c.sheaf, slot):
+        for image, x in cech._delta_slot(spec.cover, spec.kind, spec.twists[slot.summand], slot):
             out[image] = out.get(image, 0) + coef * x
     return cech.Cochain(c.sheaf, c.degree + 1, out)
 
 
 def reference_cochain_chars(c):
     """The character blocks with each slot's character from ``monomial_char``."""
-    blocks = {}
+    spec, blocks = c.sheaf, {}
     for slot, coef in c.terms.items():
-        g = cech.monomial_char(c.sheaf, slot.simplex[0], slot.summand, slot.comp, slot.exps)
+        g = cech.monomial_char(spec.cover, spec.kind, spec.twists[slot.summand], slot.simplex[0],
+                               slot.comp, slot.exps)
         blocks.setdefault((slot.summand, g), {})[slot] = coef
     return blocks
 
@@ -871,9 +900,8 @@ def assert_slot_records_are_plain(seen):
     for (cover, kind, twist, slot), record in seen.items():
         assert kind in kinds and type(twist) is int and type(slot) is cech.BasisSlot
         assert all(type(x) is int for x in slot.simplex + slot.exps + (slot.summand, slot.comp))
-        spec = cech.SheafSpec(cover, kind, (0,) * slot.summand + (twist,))
-        char = cech.monomial_char(spec, slot.simplex[0], slot.summand, slot.comp, slot.exps)
-        assert record == (char, tuple(cech._delta_slot(spec, slot)))
+        char = cech.monomial_char(cover, kind, twist, slot.simplex[0], slot.comp, slot.exps)
+        assert record == (char, tuple(cech._delta_slot(cover, kind, twist, slot)))
         assert type(record[1]) is tuple and all(
             type(image) is cech.BasisSlot and type(x) is int for image, x in record[1])
 
@@ -960,7 +988,7 @@ def test_closed_formula_mismatch_on_fresh_cover_leaves_standard_cover_alone(
     fresh_memos()
     bott_dim = cech._summand_bott_dim
     monkeypatch.setattr(cech, "_summand_bott_dim",
-                        lambda spec, summand, q: bott_dim(spec, summand, q) + 1)
+                        lambda cover, kind, twist, q: bott_dim(cover, kind, twist, q) + 1)
     for spec in table_specs(cech.Cover(2)):
         for q in range(3):
             with pytest.raises(AssertionError, match=r"summand twisted by -?\d+ has \d+ classes, "
@@ -1061,18 +1089,18 @@ def test_frame_table_matches_the_per_kind_branches(n):
         assert spec.ncomp == (1 if spec.kind == cech.LINE_SUM else n)
         for summand, t in enumerate(twists):
             for q in range(n + 1):
-                assert cech._summand_bott_dim(spec, summand, q) == \
+                assert cech._summand_bott_dim(cover, spec.kind, t, q) == \
                     reference_summand_bott_dim(spec, summand, q)
                 assert bott.tangent_dim(n, q, t) == reference_tangent_dim(n, q, t)
             for chart, comp in itertools.product(cover.charts, range(spec.ncomp)):
                 for exps in itertools.product(range(-3, 4), repeat=n):
-                    g = cech.monomial_char(spec, chart, summand, comp, exps)
+                    g = cech.monomial_char(cover, spec.kind, t, chart, comp, exps)
                     assert g == reference_monomial_char(spec, chart, summand, comp, exps)
-                    assert cech.char_monomial_exps(spec, chart, summand, comp, g) == exps
+                    assert cech.char_monomial_exps(cover, spec.kind, t, chart, comp, g) == exps
                     # characters off the summand's twist stratum miss the slot
                     off = (g[0] + 1,) + g[1:]
                     for h in (g, off):
-                        assert cech.char_monomial_exps(spec, chart, summand, comp, h) == \
+                        assert cech.char_monomial_exps(cover, spec.kind, t, chart, comp, h) == \
                             reference_char_monomial_exps(spec, chart, summand, comp, h)
                     checked += 1
     # one component for line sums, n for the other two kinds

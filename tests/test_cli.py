@@ -46,10 +46,13 @@ def test_cohomology_command_counts_without_building_cochains(monkeypatch, capsys
         rep = cech.line_bundle_cohomology(n, k, q)
         expected[n, k, q] = {"dim": rep.dims[q], "method": rep.method}
 
-    def refused(*args):
-        raise AssertionError("the cohomology command builds no cochain")
+    class Refused(cech.Cochain):
+        # both the checked constructor and the unchecked ``_cochain`` build
+        # through the module's name ``Cochain``
+        def __new__(cls, *args):
+            raise AssertionError("the cohomology command builds no cochain")
 
-    monkeypatch.setattr(cech, "cochain_from_slots", refused)
+    monkeypatch.setattr(cech, "Cochain", Refused)
     for (n, k, q), outputs in expected.items():
         code, out, _ = run(capsys, "cohomology", "--n", str(n), "--k", str(k), "--q", str(q),
                            "--json")

@@ -43,6 +43,13 @@ CASES = {
         lambda: cech.solve_blocks(line_cochain(0, 0)), "only solve for preimages of 1- and 2-"),
     "pipeline-space": (
         lambda: pipeline_obstructed_cp2(DEGREES.degrees, space="P3"), "unknown space 'P3'"),
+    # P^1 has no triple overlaps, but the rank is checked before that answer
+    "pipeline-P1-rank-1": (
+        lambda: pipeline_obstructed_cp2((1,), space="P1"), "rank-3 degrees required"),
+    "pipeline-P1-rank-2": (
+        lambda: pipeline_obstructed_cp2((1, 2), space="P1"), "rank-3 degrees required"),
+    "pipeline-P1-rank-5": (
+        lambda: pipeline_obstructed_cp2((1, 2, 3, 4, 5), space="P1"), "rank-3 degrees required"),
     "invert-non-automorphism": (
         lambda: supermap.invert(p1_split(2).maps[0, 1], 2), "only chart automorphisms"),
     "apply-increment-sheaf": (

@@ -279,7 +279,7 @@ def test_h2_basis_keeps_the_closed_formula_check(monkeypatch, capsys):
     h2_basis(spec)  # a warm table: the check must not live in the blocks' first build
     bott_dim = cech._summand_bott_dim
     monkeypatch.setattr(cech, "_summand_bott_dim",
-                        lambda spec, summand, q: bott_dim(spec, summand, q) + (q == 2))
+                        lambda cover, kind, twist, q: bott_dim(cover, kind, twist, q) + (q == 2))
     with pytest.raises(AssertionError, match="closed formula"):
         h2_basis(spec)
     code = main(["pushforward", "--degrees", "4,-1,-7", "--json"])
@@ -300,11 +300,10 @@ def test_class_coordinates_match_all_negative_reader(twists):
         gamma = cech.coboundary(cech.random_cochain(spec, 1, rng, terms=3, span=3))
         for s, g in labels:
             if rng.random() < 0.5:
-                exps = cech.char_monomial_exps(spec, 0, s, 0, g)
+                exps = cech.char_monomial_exps(cov, spec.kind, spec.twists[s], 0, 0, g)
                 coef = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
-                gamma = gamma + cech.cochain_from_slots(
-                    spec, 2, [cech.BasisSlot((0, 1, 2), s, 0, exps)], [coef]
-                )
+                slot = cech.BasisSlot((0, 1, 2), s, 0, exps)
+                gamma = gamma + cech.Cochain(spec, 2, {slot: coef})
         want = {(s, g): c for s, g, c in harmonic_h2_part(gamma)}
         basis, coords = class_coordinates(gamma, h2_basis(spec))
         assert basis == labels

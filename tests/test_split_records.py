@@ -690,7 +690,7 @@ def test_no_caller_changes_a_shared_split_map(tmp_path, monkeypatch):
         def wrapper(*args):
             out = build(*args)
             if (name, *args) not in copies:
-                copies[name, *args] = (out, copy.deepcopy(out))
+                copies[(name, *args)] = (out, copy.deepcopy(out))
             return out
         monkeypatch.setattr(supermap, name, wrapper)
 

@@ -10,6 +10,7 @@ from superthick import cech, cli, supermap as sm
 from superthick.bott import SplitBundleDegrees
 from superthick.exterior import sort_index_tuple
 from test_acceptance import DEGREE_POOL
+from test_int_kernel import gluing_pool
 from test_pipeline import harmonic_h2_part
 from test_transport import reference_reframe
 
@@ -462,7 +463,8 @@ def test_torsor_freeness_both_directions():
 def test_equivalence_witness_fails_on_a_conjugate_that_differs_to_the_order(monkeypatch):
     # the witness checks its conjugate against the target mod J^(m+1): one
     # term changed at theta-degree m on one map fails it, a term above the
-    # order or an explicit zero coefficient passes
+    # order passes.  The maps are compared with ==, so an explicit zero
+    # coefficient, which no constructor leaves (see the next test), fails too
     t = split2()
     nu = cech.random_cochain(sm.slot_sheaf(COV2, DEG, 2), 0, random.Random(12), terms=2)
     shifted = sm.act_torsor(t, cech.coboundary(nu))
@@ -488,9 +490,28 @@ def test_equivalence_witness_fails_on_a_conjugate_that_differs_to_the_order(monk
         sm.equivalence_witness(t, shifted)
     monkeypatch.setattr(sm, "conjugate", changed(1, (1, 2, 3)))
     assert sm.equivalence_witness(t, shifted) is not None
-    # an explicit zero coefficient at theta-degree m changes no map
     monkeypatch.setattr(sm, "conjugate", changed(0, (1, 2), 0, (7, -9)))
-    assert sm.equivalence_witness(t, shifted) is not None
+    with pytest.raises(AssertionError, match="equivalence witness failed verification"):
+        sm.equivalence_witness(t, shifted)
+
+
+def test_constructed_maps_hold_no_zero_coefficient():
+    # what lets equivalence_witness compare truncated maps with ==: every map
+    # of build_trivialization, conjugate, act_torsor and a file round trip,
+    # on the gluing benchmark's pools of four seeds, drops its zeros
+    maps = 0
+    for seed in (1, 2, 3, 7919):
+        for degrees, omega, nu in gluing_pool(seed):
+            t = sm.build_trivialization(COV2, degrees, 2, {2: omega})
+            lam = sm.automorphism_from_increment(COV2, degrees, 2, nu, 2)
+            shifted = sm.act_torsor(t, cech.coboundary(nu))
+            loaded = sm.trivialization_from_json(
+                json.loads(json.dumps(sm.trivialization_to_json(shifted))))
+            for made in (t, sm.conjugate(t, lam), shifted, loaded):
+                for f in made.maps.values():
+                    assert all(c for comp in f.even + f.odd for c in comp.values())
+                    maps += 1
+    assert maps == 4 * 4 * 56 * 6
 
 
 def test_conjugate_by_identity():

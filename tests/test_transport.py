@@ -256,7 +256,7 @@ def reference_block_matrix(spec, degree, summand, g):
     index = {slot: i for i, slot in enumerate(cod)}
     mat = [[Fraction(0)] * len(dom) for _ in cod]
     for col, slot in enumerate(dom):
-        image = reference_coboundary(cech.cochain_from_slots(spec, degree, [slot], [1]))
+        image = reference_coboundary(cech.Cochain(spec, degree, {slot: 1}))
         for (s, gg), coeffs in cech.cochain_chars(image).items():
             assert (s, gg) == (summand, g)
             for cslot, coef in coeffs.items():
@@ -310,8 +310,8 @@ def test_coboundary_matches_reference_on_random_cochains(kind, n, degree):
         fast = cech.coboundary(c)
         slow = reference_coboundary(c)
         assert fast == slow and fast.to_json() == slow.to_json()
-        separate = sum(len(cech.coboundary(cech.cochain_from_slots(spec, degree, [slot], [1]))
-                           .terms) for slot in c.terms)
+        separate = sum(len(cech.coboundary(cech.Cochain(spec, degree, {slot: 1})).terms)
+                       for slot in c.terms)
         cancelled += len(fast.terms) < separate
         nonzero += not fast.is_zero()
     if (n, degree) != (1, 1):  # P^1 has no triple overlaps
